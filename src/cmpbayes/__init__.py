@@ -8,10 +8,7 @@ harness), datasets + cli (bundled data and the command-line surface).
 """
 
 from .core import (
-    CmpMoments,
     CmpParams,
-    DEFAULT_POLICY,
-    LogZDerivatives,
     TruncationPolicy,
     log_likelihood,
     log_normalizer,
@@ -20,7 +17,7 @@ from .core import (
     moments,
     pmf_table,
 )
-from .datasets import CountDataset, bundled_dataset, load_dataset, resolve_dataset
+from .datasets import bundled_dataset, load_dataset, resolve_dataset
 from .errors import (
     AllDivergentError,
     CmpError,
@@ -35,8 +32,6 @@ from .errors import (
 from .mcmc import (
     Draws,
     McmcConfig,
-    ParamSummary,
-    PosteriorSummary,
     run_chains,
     split_rhat,
     summarize,
@@ -45,6 +40,7 @@ from .posterior import (
     SufficientStats,
     flat_posterior_propriety,
     log_posterior,
+    log_prior_density,
     sufficient_stats,
     updated_hyper,
 )
@@ -54,11 +50,9 @@ from .priors import (
     Flat,
     Jeffreys,
     PRESET_NAMES,
-    PriorSpec,
     conjugate_propriety,
     get_preset,
     jeffreys_information_det,
-    log_prior_density,
     preset_priors,
     propriety_bound,
 )
@@ -79,26 +73,19 @@ __all__ = [
     "AllDivergentError",
     "CellResult",
     "CmpError",
-    "CmpMoments",
     "CmpParams",
     "Conjugate",
     "ConjugateHyper",
-    "CountDataset",
     "DatasetParseError",
-    "DEFAULT_POLICY",
     "Draws",
     "EmptyDataError",
     "Flat",
     "ImproperPosteriorError",
     "InvalidParamsError",
     "Jeffreys",
-    "LogZDerivatives",
     "McmcConfig",
     "NonpositiveDeterminantError",
-    "ParamSummary",
-    "PosteriorSummary",
     "PRESET_NAMES",
-    "PriorSpec",
     "SeedSpec",
     "StudyConfig",
     "StudySetting",

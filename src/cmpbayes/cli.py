@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -25,16 +24,18 @@ from .priors import (
     ConjugateHyper,
     PRESET_NAMES,
     PriorSpec,
+    conjugate_propriety,
     get_preset,
     propriety_bound,
 )
 from .rng import SeedSpec, sample_cmp
 from .study import (
+    OVERRIDE_KEYS,
     StudyConfig,
-    StudySetting,
     load_study_config,
     render_tables,
     run_study,
+    with_overrides,
 )
 
 DIVERGENCE_WARN_FRACTION = 0.01
@@ -130,7 +131,7 @@ def check_prior_text(a: float, b: float, c: float) -> tuple[str, bool]:
     """Verdict text plus the boolean verdict for hyperparameters (a, b, c)."""
     hyper = ConjugateHyper(a, b, c)
     lhs, rhs = propriety_bound(hyper)
-    proper = lhs > rhs
+    proper = conjugate_propriety(hyper)
     word = "proper" if proper else "improper"
     cmp_sym = ">" if proper else "<="
     text = (
@@ -148,13 +149,11 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _policy_from_args(args) -> TruncationPolicy:
-    kwargs = {}
-    if args.trunc_terms is not None:
-        kwargs["base_terms"] = args.trunc_terms
-    if getattr(args, "tail_tol", None) is not None:
-        kwargs["tail_tol"] = args.tail_tol
-    return TruncationPolicy(**kwargs) if kwargs else DEFAULT_POLICY
+def config_from_args(args) -> StudyConfig:
+    """Flags given, over the --config file or the defaults; every command merges here."""
+    config = load_study_config(args.config) if getattr(args, "config", None) else StudyConfig()
+    return with_overrides(config, {key: getattr(args, key) for key in OVERRIDE_KEYS
+                                   if getattr(args, key, None) is not None})
 
 
 def _add_common_mcmc_flags(p: argparse.ArgumentParser) -> None:
@@ -171,15 +170,6 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="relative tail tolerance for the series (default 1e-10)")
 
 
-def _mcmc_config_from_args(args) -> McmcConfig:
-    kwargs = {}
-    for key in ("chains", "warmup", "keep"):
-        value = getattr(args, key, None)
-        if value is not None:
-            kwargs[key] = value
-    return McmcConfig(**kwargs)
-
-
 def _cmd_fit(args) -> int:
     dataset = resolve_dataset(args.dataset)
     if args.a is not None or args.b is not None or args.c is not None:
@@ -190,11 +180,9 @@ def _cmd_fit(args) -> int:
     else:
         prior_name = args.prior
         spec = get_preset(args.prior)
-    config = _mcmc_config_from_args(args)
-    policy = _policy_from_args(args)
-    report, draws = fit_command(
-        dataset, prior_name, spec, config, SeedSpec(args.seed, args.stream), policy
-    )
+    config = config_from_args(args)
+    report, draws = fit_command(dataset, prior_name, spec, config.mcmc,
+                                SeedSpec(args.seed, args.stream), config.policy)
     if args.format == "json":
         _write_output(report.to_json(), args.out)
     else:
@@ -206,34 +194,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    config = load_study_config(args.config) if args.config else StudyConfig()
-    kwargs = {}
-    if args.settings:
-        settings = []
-        for item in args.settings.split(","):
-            name, lam, nu = item.split(":")
-            settings.append(StudySetting(name, float(lam), float(nu)))
-        kwargs["settings"] = tuple(settings)
-    if args.sizes:
-        kwargs["sample_sizes"] = tuple(int(v) for v in args.sizes.split(","))
-    if args.replicates is not None:
-        kwargs["replicates"] = args.replicates
-    if args.priors:
-        kwargs["priors"] = tuple(v.strip() for v in args.priors.split(","))
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    mcmc_kwargs = {k: getattr(args, k) for k in ("chains", "warmup", "keep")
-                   if getattr(args, k) is not None}
-    if mcmc_kwargs:
-        from dataclasses import replace
-        kwargs["mcmc"] = replace(config.mcmc, **mcmc_kwargs)
-    if args.trunc_terms is not None or args.tail_tol is not None:
-        kwargs["policy"] = _policy_from_args(args)
-    if kwargs:
-        from dataclasses import replace
-        config = replace(config, **kwargs)
-
-    results = run_study(config, progress_path=args.progress, workers=args.workers)
+    results = run_study(config_from_args(args), progress_path=args.progress,
+                        workers=args.workers)
     _write_output(render_tables(results, args.format), args.out)
     return 0
 
@@ -241,7 +203,7 @@ def _cmd_study(args) -> int:
 def _cmd_rand(args) -> int:
     params = CmpParams(args.lam, args.nu)
     draws = sample_cmp(params, args.count, SeedSpec(args.seed, args.stream),
-                       _policy_from_args(args))
+                       config_from_args(args).policy)
     _write_output("".join(f"{int(x)}\n" for x in draws), args.out)
     return 0
 
@@ -254,7 +216,7 @@ def _cmd_check_prior(args) -> int:
 
 def _cmd_pmf(args) -> int:
     params = CmpParams(args.lam, args.nu)
-    table = pmf_table(params, _policy_from_args(args))
+    table = pmf_table(params, config_from_args(args).policy)
     if args.max is not None:
         upto = min(args.max + 1, table.size)
     else:
@@ -314,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL file of replicate records; enables resume")
     p_study.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p_study.add_argument("--out", default=None)
-    p_study.set_defaults(func=_cmd_study)
+    p_study.set_defaults(func=_cmd_study, seed=None)  # None keeps the --config seed
 
     p_rand = sub.add_parser("rand", help="draw CMP variates, one per line")
     p_rand.add_argument("--lam", type=float, required=True)

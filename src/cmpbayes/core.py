@@ -10,14 +10,17 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed by log-sum-exp. Moments and the partial derivatives of ln Z reuse the
-same grid, which keeps ln Z and the expectations self-consistent.
+summed by log-sum-exp. The tables of j and lnGamma(j + 1) are built once per
+grid size. log_normalizer_at and moments_at work from (ln lambda,
+nu), the sampler's coordinates; moments reuses one grid for the expectations
+and ln Z, which keeps them self-consistent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -84,6 +87,7 @@ class CmpMoments:
     e_lnfact:   E(ln X!)
     e_lnfact2:  E((ln X!)^2)
     e_x_lnfact: E(X * ln X!)
+    log_z:      ln Z on the grid the expectations were summed over
     """
 
     e_x: float
@@ -91,6 +95,7 @@ class CmpMoments:
     e_lnfact: float
     e_lnfact2: float
     e_x_lnfact: float
+    log_z: float
 
     @property
     def var_x(self) -> float:
@@ -116,20 +121,26 @@ class LogZDerivatives:
     d2_lam_nu: float
 
 
-def _log_terms(params: CmpParams, k: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only j and lnGamma(j + 1) for j < k, built once per grid size."""
     j = np.arange(k, dtype=np.float64)
-    return j * math.log(params.lam) - params.nu * gammaln(j + 1.0)
+    lgamma = gammaln(j + 1.0)
+    j.flags.writeable = False
+    lgamma.flags.writeable = False
+    return j, lgamma
 
 
-def _series(params: CmpParams, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
-    """Adaptively truncated log-term grid and its log-sum-exp.
+def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
+    """Adaptively truncated log-term grid at (ln lambda, nu) and its log-sum-exp.
 
     Returns (t, log_z) where t has the final grid length K.
     """
     log_tol = math.log(policy.tail_tol)
-    k = min(policy.base_terms, policy.max_terms)
+    k = policy.base_terms
     while True:
-        t = _log_terms(params, k)
+        j, lgamma = _tables(k)
+        t = log_lam * j - nu * lgamma
         m = float(t.max())
         log_z = m + math.log(float(np.exp(t - m).sum()))
         last = float(t[-1])
@@ -144,16 +155,21 @@ def _series(params: CmpParams, policy: TruncationPolicy) -> tuple[np.ndarray, fl
                     return t, log_z
         if k >= policy.max_terms:
             raise TruncationError(
-                f"normalizing series for (lambda={params.lam}, nu={params.nu}) did not "
+                f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
                 f"converge within {policy.max_terms} terms (tail_tol={policy.tail_tol})"
             )
         k = min(2 * k, policy.max_terms)
 
 
+def log_normalizer_at(log_lam: float, nu: float,
+                      policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """ln Z at (ln lambda, nu), unvalidated: the kernel behind log_normalizer."""
+    return _series(log_lam, nu, policy)[1]
+
+
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """ln Z(lambda, nu) via log-sum-exp over the adaptive truncation grid."""
-    _, log_z = _series(params, policy)
-    return log_z
+    return log_normalizer_at(math.log(params.lam), params.nu, policy)
 
 
 def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -169,7 +185,7 @@ def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY
 
 def pmf_table(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """P(X = j) for j = 0 .. K-1 on the truncation grid (sums to 1 - tail)."""
-    t, log_z = _series(params, policy)
+    t, log_z = _series(math.log(params.lam), params.nu, policy)
     return np.exp(t - log_z)
 
 
@@ -187,23 +203,26 @@ def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_
     )
 
 
-def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
-    """Probability-weighted truncated sums for the moments in CmpMoments.
-
-    Each expectation is sum_j g(j) * exp(t_j - ln Z) over the same grid as
-    log_normalizer.
-    """
-    t, log_z = _series(params, policy)
+def moments_at(log_lam: float, nu: float, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
+    """Moments at (ln lambda, nu), unvalidated: sums of g(j) * exp(t_j - ln Z) on one grid."""
+    t, log_z = _series(log_lam, nu, policy)
+    j, g = _tables(t.size)
     w = np.exp(t - log_z)
-    j = np.arange(t.size, dtype=np.float64)
-    g = gammaln(j + 1.0)
+    jw = j * w
+    gw = g * w
     return CmpMoments(
-        e_x=float((j * w).sum()),
-        e_x2=float((j * j * w).sum()),
-        e_lnfact=float((g * w).sum()),
-        e_lnfact2=float((g * g * w).sum()),
-        e_x_lnfact=float((j * g * w).sum()),
+        e_x=float(jw.sum()),
+        e_x2=float(jw @ j),
+        e_lnfact=float(gw.sum()),
+        e_lnfact2=float(gw @ g),
+        e_x_lnfact=float(jw @ g),
+        log_z=log_z,
     )
+
+
+def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
+    """Probability-weighted truncated sums for the moments in CmpMoments."""
+    return moments_at(math.log(params.lam), params.nu, policy)
 
 
 def logz_hessian(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> LogZDerivatives:

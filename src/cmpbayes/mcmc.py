@@ -11,9 +11,10 @@ large n, where a diagonal proposal mixes too slowly to pass R-hat checks.
 Adaptation freezes at the end of warmup, so the retained draws come from a
 fixed-kernel Markov chain.
 
-Proposals whose target is non-finite (series truncation cap, nonpositive
-Jeffreys determinant, nu below the sampler floor) are rejected and counted
-as divergences.
+The target is posterior.log_kernel plus the Jacobian, one ln Z series per
+step. Proposals whose target is non-finite (nu below the sampler floor,
+lambda = e^u out of float range, series truncation cap, nonpositive Jeffreys
+determinant) are rejected and counted as divergences.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY
+from .core import TruncationPolicy, DEFAULT_POLICY
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
@@ -32,7 +33,8 @@ from .errors import (
     TruncationError,
     ZeroVarianceError,
 )
-from .posterior import SufficientStats, flat_posterior_propriety, log_posterior, updated_hyper
+from .posterior import SufficientStats, flat_posterior_propriety, log_kernel, updated_hyper
+from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
 from .priors import Conjugate, Flat, PriorSpec, conjugate_propriety
 from .rng import SeedSpec, make_generator
 
@@ -128,13 +130,16 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
 
 
 def _make_target(spec, stats, policy, log_floor):
+    kernel = log_kernel(spec, stats, policy)
+
     def target(u: float, v: float) -> float:
         if v < log_floor:
             return -math.inf
         try:
-            params = CmpParams(math.exp(u), math.exp(v))
-            lp = log_posterior(spec, stats, params, policy)
-        except (InvalidParamsError, TruncationError, NonpositiveDeterminantError, OverflowError):
+            if math.exp(u) == 0.0:  # lambda must be a positive float
+                return -math.inf
+            lp = kernel(u, math.exp(v))
+        except (TruncationError, NonpositiveDeterminantError, OverflowError):
             return -math.inf
         if not math.isfinite(lp):
             return -math.inf
@@ -281,15 +286,9 @@ def _split_rhat_matrix(x: np.ndarray) -> float:
 
 def split_rhat(draws: Draws, param: str) -> float:
     """R-hat for 'lambda' or 'nu' over the retained draws."""
-    return _split_rhat_matrix(_select(draws, param))
-
-
-def _select(draws: Draws, param: str) -> np.ndarray:
-    if param in ("lambda", "lam"):
-        return draws.lam
-    if param == "nu":
-        return draws.nu
-    raise KeyError(f"unknown parameter {param!r}; use 'lambda' or 'nu'")
+    if param not in ("lambda", "nu"):
+        raise KeyError(f"unknown parameter {param!r}; use 'lambda' or 'nu'")
+    return _split_rhat_matrix(draws.lam if param == "lambda" else draws.nu)
 
 
 def summarize(draws: Draws) -> PosteriorSummary:

@@ -2,24 +2,30 @@
 
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
-SufficientStats. Under a conjugate prior the posterior is the conjugate
-kernel with hyperparameters shifted to (a + S1, b + S2, c + n); under the
-flat prior the posterior kernel is the conjugate kernel at (S1, S2, n),
-which is proper exactly when those values satisfy the conjugate propriety
-condition.
+SufficientStats. Every posterior is one log kernel in (ln lambda, nu) that
+evaluates one ln Z series (log_kernel), and the prior is the posterior of no
+data. Under a conjugate prior it is the conjugate kernel at the shifted
+hyperparameters (a + S1, b + S2, c + n); under the flat prior it is the
+conjugate kernel at (S1, S2, n), which is proper exactly when those values
+satisfy the conjugate propriety condition. log_posterior, log_prior_density
+and the sampler all run this kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_likelihood
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY
+from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
 from .errors import EmptyDataError, InvalidParamsError
-from .priors import ConjugateHyper, PriorSpec, conjugate_propriety, log_prior_density
+from .priors import Conjugate, ConjugateHyper, Flat, Jeffreys, PriorSpec, conjugate_propriety
+from .priors import conjugate_log_kernel, jeffreys_log_kernel
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,22 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     )
 
 
+def log_kernel(spec: PriorSpec, stats: SufficientStats,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> Callable[[float, float], float]:
+    """The unnormalized log posterior as an unvalidated function of (ln lambda, nu).
+
+    Each call evaluates one ln Z series and raises where log_posterior would.
+    """
+    if isinstance(spec, Jeffreys):
+        return partial(jeffreys_log_kernel, stats.s1, stats.s2, stats.n, policy=policy)
+    if isinstance(spec, Conjugate):
+        h = updated_hyper(spec.hyper, stats)
+        return partial(conjugate_log_kernel, h.a, h.b, h.c, policy=policy)
+    if isinstance(spec, Flat):
+        return partial(conjugate_log_kernel, stats.s1, stats.s2, stats.n, policy=policy)
+    raise TypeError(f"unknown prior spec {spec!r}")
+
+
 def log_posterior(
     spec: PriorSpec,
     stats: SufficientStats,
@@ -78,7 +100,19 @@ def log_posterior(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Unnormalized log posterior: log prior density plus log likelihood."""
-    return log_prior_density(spec, params, policy) + log_likelihood(stats, params, policy)
+    return log_kernel(spec, stats, policy)(math.log(params.lam), params.nu)
+
+
+def log_prior_density(
+    spec: PriorSpec, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY
+) -> float:
+    """Unnormalized log prior density at (lambda, nu): the posterior of no data.
+
+    Conjugate: (a-1)*ln(lambda) - nu*b - c*ln Z. Flat: -ln(lambda). Jeffreys:
+    0.5 * ln det of the single-observation information (requires nu > 0; raises
+    NonpositiveDeterminantError where det is not positive, nothing is clamped).
+    """
+    return log_posterior(spec, SufficientStats.empty(), params, policy)
 
 
 def flat_posterior_propriety(stats: SufficientStats) -> bool:

@@ -5,10 +5,11 @@ The conjugate family has kernel
     pi(lambda, nu) ∝ lambda^(a-1) * exp(-nu*b) * Z(lambda, nu)^(-c),
 
 proper for a, b, c > 0 iff b/c exceeds a floor-interpolation bound (see
-conjugate_propriety). The flat prior lambda^(-1) is the (improper) limit of
-the conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root
-of the determinant of the single-observation Fisher information, assembled
-from the partial derivatives of ln Z.
+propriety_bound). The flat prior lambda^(-1) is the (improper) limit of the
+conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root of
+the determinant of the single-observation Fisher information, assembled from
+the moments of X and ln X!. Both log kernels take (ln lambda, nu) and
+evaluate one ln Z series; posterior.log_kernel picks one per prior.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Union
 
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer, logz_hessian
+from .core import CmpMoments, CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
+from .core import moments, moments_at
+from .core import log_normalizer, logz_hessian  # noqa: F401  (names bench/spans.py patches)
 from .errors import InvalidParamsError, NonpositiveDeterminantError
 
 
@@ -58,6 +61,14 @@ PriorSpec = Union[Conjugate, Flat, Jeffreys]
 PRESET_NAMES = ("conj-1", "conj-data", "conj-0.1", "conj-0.01", "flat", "jeffreys")
 
 
+def propriety_bound(hyper: ConjugateHyper) -> tuple[float, float]:
+    """The two sides of the propriety inequality: (b/c, bound it must exceed)."""
+    t = hyper.a / hyper.c
+    fl = math.floor(t)
+    rhs = float(gammaln(fl + 1.0)) + (t - fl) * math.log(fl + 1.0)
+    return hyper.b / hyper.c, rhs
+
+
 def conjugate_propriety(hyper: ConjugateHyper) -> bool:
     """Whether the conjugate kernel with (a, b, c) normalizes to a proper density.
 
@@ -65,18 +76,8 @@ def conjugate_propriety(hyper: ConjugateHyper) -> bool:
     strict inequality, with ln(m!) evaluated as lnGamma(m+1). The verdict
     depends only on the ratios a/c and b/c.
     """
-    t = hyper.a / hyper.c
-    fl = math.floor(t)
-    rhs = float(gammaln(fl + 1.0)) + (t - fl) * math.log(fl + 1.0)
-    return hyper.b / hyper.c > rhs
-
-
-def propriety_bound(hyper: ConjugateHyper) -> tuple[float, float]:
-    """The two sides of the propriety inequality: (b/c, bound it must exceed)."""
-    t = hyper.a / hyper.c
-    fl = math.floor(t)
-    rhs = float(gammaln(fl + 1.0)) + (t - fl) * math.log(fl + 1.0)
-    return hyper.b / hyper.c, rhs
+    lhs, rhs = propriety_bound(hyper)
+    return lhs > rhs
 
 
 def preset_priors() -> list[tuple[str, PriorSpec]]:
@@ -103,44 +104,47 @@ def get_preset(name: str) -> PriorSpec:
     raise KeyError(f"unknown prior preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
+def conjugate_log_kernel(a: float, b: float, c: float, log_lam: float, nu: float,
+                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """(a - 1)*ln(lambda) - nu*b - c*ln Z at (ln lambda, nu), unvalidated.
+
+    The conjugate prior's log kernel and, at shifted (a, b, c), every conjugate
+    and flat posterior's. c = 0 (flat prior, no data) needs no series.
+    """
+    out = (a - 1.0) * log_lam - nu * b
+    if c == 0.0:
+        return out
+    return out - c * log_normalizer_at(log_lam, nu, policy)
+
+
+def _scaled_information_det(m: CmpMoments) -> float:
+    """lambda^2 times the information determinant: Var(X)Var(ln X!) - Cov(X, ln X!)^2."""
+    return m.var_x * m.var_lnfact - m.cov_x_lnfact**2
+
+
+def jeffreys_log_kernel(s1: float, s2: float, n: int, log_lam: float, nu: float,
+                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """Jeffreys log density plus S1*ln(lambda) - nu*S2 - n*ln Z, unvalidated.
+
+    One series gives the information determinant and ln Z. Raises
+    NonpositiveDeterminantError where the determinant is not positive and
+    finite (the density is undefined there, nothing is clamped). Requires nu > 0.
+    """
+    if nu <= 0.0:
+        raise InvalidParamsError("Jeffreys prior requires nu > 0")
+    m = moments_at(log_lam, nu, policy)
+    det = _scaled_information_det(m)
+    if not (det > 0.0 and math.isfinite(det)):
+        raise NonpositiveDeterminantError(
+            f"information determinant not positive at (ln lambda={log_lam}, nu={nu})"
+        )
+    return (0.5 * math.log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * m.log_z)
+
+
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Determinant of the single-observation Fisher information matrix.
 
-    det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2, assembled
-    from the ln Z partials (Var(X)/lambda^2 = d2_lam2 + d_lam/lambda).
+    det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2.
     """
-    d = logz_hessian(params, policy)
-    i_ll = d.d2_lam2 + d.d_lam / params.lam
-    return i_ll * d.d2_nu2 - d.d2_lam_nu**2
+    return _scaled_information_det(moments(params, policy)) / params.lam**2
 
-
-def log_prior_density(
-    spec: PriorSpec, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> float:
-    """Unnormalized log prior density at (lambda, nu).
-
-    Conjugate: (a-1)*ln(lambda) - nu*b - c*ln Z.
-    Flat: -ln(lambda).
-    Jeffreys: 0.5 * ln det of the single-observation information; raises
-    NonpositiveDeterminantError when the determinant is not positive (the
-    density is undefined there, nothing is clamped). Requires nu > 0.
-    """
-    if isinstance(spec, Conjugate):
-        h = spec.hyper
-        return float(
-            (h.a - 1.0) * math.log(params.lam)
-            - params.nu * h.b
-            - h.c * log_normalizer(params, policy)
-        )
-    if isinstance(spec, Flat):
-        return -math.log(params.lam)
-    if isinstance(spec, Jeffreys):
-        if params.nu <= 0.0:
-            raise InvalidParamsError("Jeffreys prior requires nu > 0")
-        det = jeffreys_information_det(params, policy)
-        if det <= 0.0 or not math.isfinite(det):
-            raise NonpositiveDeterminantError(
-                f"information determinant {det} at (lambda={params.lam}, nu={params.nu})"
-            )
-        return 0.5 * math.log(det)
-    raise TypeError(f"unknown prior spec {spec!r}")

@@ -16,10 +16,12 @@ under the study's master seed, with slot 0 the dataset stream and slot
 from __future__ import annotations
 
 import json
+import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -148,15 +150,31 @@ def _run_replicate(config: StudyConfig, setting_idx: int, size_idx: int,
 
 
 def _load_progress(path: Path) -> dict:
+    """Records of a progress file, keyed by _record_key.
+
+    An unparsable final line, torn by an interrupted run, is dropped with a
+    warning and cut from the file so later records start on their own line;
+    an unparsable line elsewhere raises json.JSONDecodeError.
+    """
     done = {}
-    if path.exists():
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[_record_key(rec["setting"], rec["n"], rec["replicate"], rec["prior"])] = rec
+    if not path.exists():
+        return done
+    lines = path.read_bytes().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            if any(rest.strip() for rest in lines[i + 1:]):
+                raise
+            warnings.warn(f"{path}: dropping torn final line {i + 1}")
+            os.truncate(path, sum(len(kept) for kept in lines[:i]))
+            return done
+        done[_record_key(rec["setting"], rec["n"], rec["replicate"], rec["prior"])] = rec
+    if lines and not lines[-1].endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
     return done
 
 
@@ -260,14 +278,7 @@ def render_tables(results: Sequence[CellResult], fmt: str = "text") -> str:
                          f"{vals[0]},{vals[1]},{vals[2]},{r.n_failed}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = [
-            {
-                "setting": r.setting, "parameter": r.parameter, "n": r.n, "prior": r.prior,
-                "bias": r.bias, "mse": r.mse, "coverage": r.coverage, "n_failed": r.n_failed,
-            }
-            for r in rows
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
     if fmt == "text":
         return _render_text(rows)
     raise InvalidParamsError(f"unknown format {fmt!r}; use csv, json, or text")
@@ -323,14 +334,41 @@ def parse_tables(text: str, fmt: str = "csv") -> list[CellResult]:
             ))
         return results
     if fmt == "json":
-        for rec in json.loads(text):
-            results.append(CellResult(
-                setting=rec["setting"], parameter=rec["parameter"], n=rec["n"],
-                prior=rec["prior"], bias=rec["bias"], mse=rec["mse"],
-                coverage=rec["coverage"], n_failed=rec["n_failed"],
-            ))
-        return results
+        return [CellResult(**rec) for rec in json.loads(text)]
     raise InvalidParamsError(f"cannot parse format {fmt!r}")
+
+
+OVERRIDE_KEYS = ("settings", "sizes", "replicates", "priors", "seed",
+                 "chains", "warmup", "keep", "trunc_terms", "tail_tol")
+
+
+def with_overrides(config: StudyConfig, values: Mapping[str, object]) -> StudyConfig:
+    """config with the overrides in values: OVERRIDE_KEYS to strings or numbers.
+
+    MCMC and truncation keys replace single fields of config.mcmc and config.policy.
+    """
+    def items(key):
+        return [item.strip() for item in str(values[key]).split(",")]
+
+    def fields(keys):  # {key: (field, type)} -> {field: value} for the keys given
+        return {field: kind(values[key]) for key, (field, kind) in keys.items() if key in values}
+
+    changes = fields({"replicates": ("replicates", int), "seed": ("master_seed", int)})
+    if "settings" in values:
+        triples = [item.split(":") for item in items("settings")]
+        changes["settings"] = tuple(StudySetting(name.strip(), float(lam), float(nu))
+                                    for name, lam, nu in triples)
+    if "sizes" in values:
+        changes["sample_sizes"] = tuple(int(v) for v in items("sizes"))
+    if "priors" in values:
+        changes["priors"] = tuple(items("priors"))
+    mcmc = fields({key: (key, int) for key in ("chains", "warmup", "keep")})
+    if mcmc:
+        changes["mcmc"] = replace(config.mcmc, **mcmc)
+    policy = fields({"trunc_terms": ("base_terms", int), "tail_tol": ("tail_tol", float)})
+    if policy:
+        changes["policy"] = replace(config.policy, **policy)
+    return replace(config, **changes)
 
 
 def load_study_config(path: str) -> StudyConfig:
@@ -354,37 +392,4 @@ def load_study_config(path: str) -> StudyConfig:
             raise InvalidParamsError(f"{path}:{i}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-
-    config = StudyConfig()
-    if "settings" in values:
-        settings = []
-        for item in values["settings"].split(","):
-            name, lam, nu = item.strip().split(":")
-            settings.append(StudySetting(name, float(lam), float(nu)))
-        config = replace(config, settings=tuple(settings))
-    if "sizes" in values:
-        config = replace(
-            config, sample_sizes=tuple(int(v) for v in values["sizes"].split(","))
-        )
-    if "replicates" in values:
-        config = replace(config, replicates=int(values["replicates"]))
-    if "priors" in values:
-        config = replace(
-            config, priors=tuple(v.strip() for v in values["priors"].split(","))
-        )
-    if "seed" in values:
-        config = replace(config, master_seed=int(values["seed"]))
-    mcmc_kwargs = {}
-    for key in ("chains", "warmup", "keep"):
-        if key in values:
-            mcmc_kwargs[key] = int(values[key])
-    if mcmc_kwargs:
-        config = replace(config, mcmc=replace(config.mcmc, **mcmc_kwargs))
-    policy_kwargs = {}
-    if "trunc_terms" in values:
-        policy_kwargs["base_terms"] = int(values["trunc_terms"])
-    if "tail_tol" in values:
-        policy_kwargs["tail_tol"] = float(values["tail_tol"])
-    if policy_kwargs:
-        config = replace(config, policy=replace(config.policy, **policy_kwargs))
-    return config
+    return with_overrides(StudyConfig(), values)

@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from cmpbayes import (
     render_tables,
     run_study,
 )
+from cmpbayes.cli import build_parser, config_from_args
 
 FAST_MCMC = McmcConfig(chains=2, warmup=400, keep=200)
 
@@ -178,8 +182,83 @@ class TestConfigFile:
         assert (cfg.mcmc.chains, cfg.mcmc.warmup, cfg.mcmc.keep) == (2, 300, 150)
         assert cfg.policy.base_terms == 128
 
+    FILE_TEXT = (
+        "settings = over:3:0.5, under:3:2\n"
+        "sizes = 25, 75\n"
+        "replicates = 4\n"
+        "priors = conj-1, jeffreys\n"
+        "seed = 99\n"
+        "chains = 2\n"
+        "warmup = 300\n"
+        "keep = 150\n"
+        "trunc_terms = 128\n"
+        "tail_tol = 1e-12\n"
+    )
+
+    def test_cli_flags_match_config_file(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text(self.FILE_TEXT)
+        args = build_parser().parse_args([
+            "study", "--settings", "over:3:0.5, under:3:2", "--sizes", "25, 75",
+            "--replicates", "4", "--priors", "conj-1, jeffreys", "--seed", "99",
+            "--chains", "2", "--warmup", "300", "--keep", "150",
+            "--trunc-terms", "128", "--tail-tol", "1e-12",
+        ])
+        from_flags = config_from_args(args)
+        assert [s.name for s in from_flags.settings] == ["over", "under"]
+        assert from_flags == load_study_config(str(path))
+
+    def test_flags_override_single_fields_of_config_file(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text(self.FILE_TEXT)
+        from_file = load_study_config(str(path))
+        args = build_parser().parse_args(
+            ["study", "--config", str(path), "--replicates", "7", "--tail-tol", "1e-9"])
+        # seed and trunc_terms come from the file; only the given flags change
+        assert config_from_args(args) == replace(
+            from_file, replicates=7, policy=replace(from_file.policy, tail_tol=1e-9))
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("replicates 4\n")
         with pytest.raises(InvalidParamsError):
             load_study_config(str(path))
+
+
+class TestProgressFile:
+    def run_to_file(self, cfg, tmp_path):
+        progress = tmp_path / "progress.jsonl"
+        run_study(cfg, progress_path=str(progress))
+        return progress, progress.read_text().splitlines(keepends=True)
+
+    def test_torn_final_line_dropped_with_warning(self, tmp_path):
+        cfg = small_config()
+        progress, lines = self.run_to_file(cfg, tmp_path)
+        progress.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        with pytest.warns(UserWarning, match="torn final line"):
+            resumed = run_study(cfg, progress_path=str(progress))
+        assert resumed == run_study(cfg)
+        # the torn bytes were cut, so the appended record parses on a later resume
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_study(cfg, progress_path=str(progress)) == resumed
+        assert len(progress.read_text().splitlines()) == len(lines)
+
+    def test_final_line_missing_newline_is_kept(self, tmp_path):
+        cfg = small_config()
+        progress, lines = self.run_to_file(small_config(priors=("conj-1",)), tmp_path)
+        progress.write_text("".join(lines).rstrip("\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resumed = run_study(cfg, progress_path=str(progress))
+            assert resumed == run_study(cfg)
+            assert run_study(cfg, progress_path=str(progress)) == resumed
+        assert len(progress.read_text().splitlines()) == 2 * len(lines)
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        cfg = small_config()
+        progress, lines = self.run_to_file(cfg, tmp_path)
+        lines[1] = lines[1][:10] + "\n"
+        progress.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            run_study(cfg, progress_path=str(progress))

@@ -3,9 +3,11 @@
 For every (setting, sample size, replicate) a dataset is simulated from the
 true CMP parameters; each requested prior is then fit by MCMC and scored by
 its posterior median (point estimate) and equal-tailed 95% interval
-(coverage). Replicate-level records can be persisted as JSON lines so long
-runs are resumable; results are bit-reproducible functions of the config,
-including failure counts, regardless of worker count or resume history.
+(coverage). Each replicate's records can be appended to a JSON-lines file as
+it ends, so long runs are resumable; a record stores what made it (made_by),
+and a resume refuses records made under another config. Results are
+bit-reproducible functions of the config, including failure counts,
+regardless of worker count or resume history.
 
 Stream layout: every task gets stream_id
     ((setting_idx * 64 + size_idx) * 2^20 + replicate) * 16 + slot
@@ -15,10 +17,12 @@ under the study's master seed, with slot 0 the dataset stream and slot
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -80,6 +84,12 @@ class StudyConfig:
             raise InvalidParamsError(f"at most {_SLOT_STRIDE - 1} priors")
         for name in self.priors:
             get_preset(name)  # fail fast on unknown preset names
+        # records are keyed by names and sizes, so a repeat would share them
+        for axis, values in (("setting", [s.name for s in self.settings]),
+                             ("sample size", self.sample_sizes), ("prior", self.priors)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise InvalidParamsError(f"repeated {axis} {repeated[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -104,34 +114,45 @@ def _stream_id(setting_idx: int, size_idx: int, replicate: int, slot: int) -> in
     return ((setting_idx * 64 + size_idx) * _REPLICATE_STRIDE + replicate) * _SLOT_STRIDE + slot
 
 
-def _record_key(setting: str, n: int, replicate: int, prior: str) -> tuple:
-    return (setting, n, replicate, prior)
+def _fits(config: StudyConfig) -> list[tuple[int, int, int, int]]:
+    """Every fit of the study as (setting_idx, size_idx, replicate, prior_idx), in task order."""
+    return list(itertools.product(range(len(config.settings)), range(len(config.sample_sizes)),
+                                  range(config.replicates), range(len(config.priors))))
 
 
-def _run_replicate(config: StudyConfig, setting_idx: int, size_idx: int,
-                   replicate: int, priors: Sequence[str]) -> list[dict]:
-    """Fit the listed priors on one simulated dataset; returns JSON records."""
-    setting = config.settings[setting_idx]
-    n = config.sample_sizes[size_idx]
-    data_seed = SeedSpec(config.master_seed, _stream_id(setting_idx, size_idx, replicate, 0))
+def _made_by(config: StudyConfig, fit: tuple[int, int, int, int]) -> dict:
+    """What a fit's record depends on besides its key, in JSON types; checked on resume."""
+    si, ni, r, pi = fit
+    setting = config.settings[si]
+    return {"seed": config.master_seed, "stream": _stream_id(si, ni, r, 1 + pi),
+            "setting": [setting.lam, setting.nu], "mcmc": asdict(config.mcmc),
+            "policy": asdict(config.policy)}
+
+
+def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
+                   prior_idxs: Sequence[int]) -> dict:
+    """Fit the listed priors on one simulated dataset; returns {fit: JSON record}."""
+    si, ni, r = replicate
+    setting = config.settings[si]
+    n = config.sample_sizes[ni]
+    data_seed = SeedSpec(config.master_seed, _stream_id(si, ni, r, 0))
     data = sample_cmp(CmpParams(setting.lam, setting.nu), n, data_seed, config.policy)
     stats = sufficient_stats(data)
 
-    records = []
-    for prior_name in priors:
-        prior_idx = config.priors.index(prior_name)
-        fit_seed = SeedSpec(
-            config.master_seed, _stream_id(setting_idx, size_idx, replicate, 1 + prior_idx)
-        )
+    records = {}
+    for pi in prior_idxs:
+        fit = (si, ni, r, pi)
+        made_by = _made_by(config, fit)
         rec = {
             "setting": setting.name,
             "n": n,
-            "replicate": replicate,
-            "prior": prior_name,
+            "replicate": r,
+            "prior": config.priors[pi],
+            "made_by": made_by,
         }
         try:
-            draws = run_chains(get_preset(prior_name), stats, config.mcmc, fit_seed,
-                               config.policy)
+            draws = run_chains(get_preset(config.priors[pi]), stats, config.mcmc,
+                               SeedSpec(config.master_seed, made_by["stream"]), config.policy)
             summary = summarize(draws)
         except (ImproperPosteriorError, AllDivergentError, ZeroVarianceError,
                 TruncationError) as exc:
@@ -145,12 +166,12 @@ def _run_replicate(config: StudyConfig, setting_idx: int, size_idx: int,
                     "cri_low": ps.cri_low,
                     "cri_high": ps.cri_high,
                 }
-        records.append(rec)
+        records[fit] = rec
     return records
 
 
 def _load_progress(path: Path) -> dict:
-    """Records of a progress file, keyed by _record_key.
+    """Records of a progress file, keyed by (setting, n, replicate, prior).
 
     An unparsable final line, torn by an interrupted run, is dropped with a
     warning and cut from the file so later records start on their own line;
@@ -171,7 +192,7 @@ def _load_progress(path: Path) -> dict:
             warnings.warn(f"{path}: dropping torn final line {i + 1}")
             os.truncate(path, sum(len(kept) for kept in lines[:i]))
             return done
-        done[_record_key(rec["setting"], rec["n"], rec["replicate"], rec["prior"])] = rec
+        done[rec["setting"], rec["n"], rec["replicate"], rec["prior"]] = rec
     if lines and not lines[-1].endswith(b"\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")
@@ -186,72 +207,69 @@ def run_study(
     """Run the full study and aggregate per-cell bias, MSE, and coverage.
 
     progress_path, when given, holds one JSON line per (setting, n,
-    replicate, prior); existing records are reused, new ones appended, so an
-    interrupted study resumes without recomputation. workers > 1 spreads
-    replicates over processes; output is identical either way.
+    replicate, prior) fit: records made under this config are reused, others
+    raise InvalidParamsError, and each replicate's new records are appended as
+    it ends, so an interrupted study resumes without recomputation. workers > 1
+    spreads replicates over processes; tables and file are the same either way.
     """
-    done = _load_progress(Path(progress_path)) if progress_path else {}
-
-    tasks = []  # (setting_idx, size_idx, replicate, missing prior names)
-    for si in range(len(config.settings)):
-        for ni in range(len(config.sample_sizes)):
-            for r in range(config.replicates):
-                missing = [
-                    p for p in config.priors
-                    if _record_key(config.settings[si].name, config.sample_sizes[ni], r, p)
-                    not in done
-                ]
-                if missing:
-                    tasks.append((si, ni, r, missing))
-
-    if tasks:
-        new_records = []
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_replicate, config, si, ni, r, missing)
-                    for si, ni, r, missing in tasks
-                ]
-                for fut in futures:
-                    new_records.extend(fut.result())
+    path = Path(progress_path) if progress_path else None
+    on_file = _load_progress(path) if path else {}
+    done = {}
+    tasks = {}  # (setting_idx, size_idx, replicate) -> prior indices still to fit
+    for fit in _fits(config):
+        si, ni, r, pi = fit
+        key = (config.settings[si].name, config.sample_sizes[ni], r, config.priors[pi])
+        rec = on_file.get(key)
+        if rec is None:
+            tasks.setdefault((si, ni, r), []).append(pi)
+        elif rec.get("made_by") != _made_by(config, fit):
+            raise InvalidParamsError(
+                f"{path}: the record of fit (setting, n, replicate, prior) = {key} was made "
+                "under another seed, setting, prior order, MCMC or truncation config; "
+                "start a new progress file")
         else:
-            for si, ni, r, missing in tasks:
-                new_records.extend(_run_replicate(config, si, ni, r, missing))
-        for rec in new_records:
-            done[_record_key(rec["setting"], rec["n"], rec["replicate"], rec["prior"])] = rec
-        if progress_path:
-            with Path(progress_path).open("a") as fh:
-                for rec in new_records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            done[fit] = rec
+
+    with ExitStack() as stack:
+        out = stack.enter_context(path.open("a")) if path else None
+        scheduler = map  # yields in task order, as pool.map does
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            scheduler = pool.map
+        for records in scheduler(_run_replicate, itertools.repeat(config), tasks, tasks.values()):
+            done.update(records)
+            if out:
+                out.writelines(json.dumps(rec, sort_keys=True) + "\n"
+                               for rec in records.values())
+                out.flush()
 
     return _aggregate(config, done)
 
 
 def _aggregate(config: StudyConfig, done: dict) -> list[CellResult]:
+    cells = {}  # (setting_idx, size_idx, prior_idx) -> records in replicate order
+    for si, ni, r, pi in _fits(config):
+        cells.setdefault((si, ni, pi), []).append(done[si, ni, r, pi])
     results = []
-    for setting in config.settings:
-        for n in config.sample_sizes:
-            for prior in config.priors:
-                recs = [
-                    done[_record_key(setting.name, n, r, prior)]
-                    for r in range(config.replicates)
-                ]
-                failed = sum(1 for rec in recs if rec["failed"])
-                for pname, truth in (("lambda", setting.lam), ("nu", setting.nu)):
-                    ok = [rec[pname] for rec in recs if not rec["failed"]]
-                    if ok:
-                        est = np.array([o["median"] for o in ok])
-                        lo = np.array([o["cri_low"] for o in ok])
-                        hi = np.array([o["cri_high"] for o in ok])
-                        bias = float((est - truth).mean())
-                        mse = float(((est - truth) ** 2).mean())
-                        coverage = float(((lo <= truth) & (truth <= hi)).mean())
-                    else:
-                        bias = mse = coverage = None
-                    results.append(CellResult(
-                        setting=setting.name, n=n, prior=prior, parameter=pname,
-                        bias=bias, mse=mse, coverage=coverage, n_failed=failed,
-                    ))
+    for (si, ni, pi), recs in cells.items():
+        setting = config.settings[si]
+        failed = sum(1 for rec in recs if rec["failed"])
+        for pname, truth in (("lambda", setting.lam), ("nu", setting.nu)):
+            ok = [rec[pname] for rec in recs if not rec["failed"]]
+            if ok:
+                est = np.array([o["median"] for o in ok])
+                lo = np.array([o["cri_low"] for o in ok])
+                hi = np.array([o["cri_high"] for o in ok])
+                bias = float((est - truth).mean())
+                mse = float(((est - truth) ** 2).mean())
+                coverage = float(((lo <= truth) & (truth <= hi)).mean())
+            else:
+                bias = mse = coverage = None
+            results.append(CellResult(
+                setting=setting.name, n=config.sample_sizes[ni], prior=config.priors[pi],
+                parameter=pname, bias=bias, mse=mse, coverage=coverage, n_failed=failed,
+            ))
     return results
 
 
@@ -342,26 +360,42 @@ OVERRIDE_KEYS = ("settings", "sizes", "replicates", "priors", "seed",
                  "chains", "warmup", "keep", "trunc_terms", "tail_tol")
 
 
+def _parse_setting(text: str) -> StudySetting:
+    name, lam, nu = text.split(":")  # ValueError unless name:lambda:nu
+    return StudySetting(name.strip(), float(lam), float(nu))
+
+
 def with_overrides(config: StudyConfig, values: Mapping[str, object]) -> StudyConfig:
     """config with the overrides in values: OVERRIDE_KEYS to strings or numbers.
 
     MCMC and truncation keys replace single fields of config.mcmc and config.policy.
+    An unknown key or an unreadable item raises InvalidParamsError.
     """
-    def items(key):
-        return [item.strip() for item in str(values[key]).split(",")]
+    unknown = sorted(set(values) - set(OVERRIDE_KEYS))
+    if unknown:
+        raise InvalidParamsError(
+            f"unknown key {unknown[0]!r}; known keys: {', '.join(OVERRIDE_KEYS)}")
+
+    def read(key, kind, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise InvalidParamsError(f"{key}: cannot read {text!r}") from None
+
+    def items(key, kind):
+        return tuple(read(key, kind, item.strip()) for item in str(values[key]).split(","))
 
     def fields(keys):  # {key: (field, type)} -> {field: value} for the keys given
-        return {field: kind(values[key]) for key, (field, kind) in keys.items() if key in values}
+        return {field: read(key, kind, values[key])
+                for key, (field, kind) in keys.items() if key in values}
 
     changes = fields({"replicates": ("replicates", int), "seed": ("master_seed", int)})
     if "settings" in values:
-        triples = [item.split(":") for item in items("settings")]
-        changes["settings"] = tuple(StudySetting(name.strip(), float(lam), float(nu))
-                                    for name, lam, nu in triples)
+        changes["settings"] = items("settings", _parse_setting)
     if "sizes" in values:
-        changes["sample_sizes"] = tuple(int(v) for v in items("sizes"))
+        changes["sample_sizes"] = items("sizes", int)
     if "priors" in values:
-        changes["priors"] = tuple(items("priors"))
+        changes["priors"] = items("priors", str)
     mcmc = fields({key: (key, int) for key in ("chains", "warmup", "keep")})
     if mcmc:
         changes["mcmc"] = replace(config.mcmc, **mcmc)
@@ -374,14 +408,8 @@ def with_overrides(config: StudyConfig, values: Mapping[str, object]) -> StudyCo
 def load_study_config(path: str) -> StudyConfig:
     """Read a StudyConfig from a plain key-value file.
 
-    Recognized keys (one `key = value` per line, '#' comments):
-      settings    comma list of name:lambda:nu triples
-      sizes       comma list of integers
-      replicates  integer
-      priors      comma list of preset names
-      seed        integer
-      chains/warmup/keep  MCMC overrides
-      trunc_terms/tail_tol  truncation overrides
+    One `key = value` per line, '#' comments; the keys are OVERRIDE_KEYS,
+    with the values with_overrides reads (the same as the study's CLI flags).
     """
     values = {}
     for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 import warnings
 from dataclasses import replace
 
@@ -17,7 +19,9 @@ from cmpbayes import (
     render_tables,
     run_study,
 )
-from cmpbayes.cli import build_parser, config_from_args
+from cmpbayes import study
+from cmpbayes.cli import build_parser, config_from_args, main
+from cmpbayes.errors import ZeroVarianceError
 
 FAST_MCMC = McmcConfig(chains=2, warmup=400, keep=200)
 
@@ -51,6 +55,16 @@ class TestConfig:
     def test_replicates_validation(self):
         with pytest.raises(InvalidParamsError):
             StudyConfig(replicates=0)
+
+    @pytest.mark.parametrize("axis, values, repeated", [
+        # two settings named "over" would share records and be scored alike
+        ("settings", (StudySetting("over", 3.0, 0.5), StudySetting("over", 9.0, 0.5)), "'over'"),
+        ("sample_sizes", (25, 75, 25), "25"),
+        ("priors", ("conj-1", "flat", "conj-1"), "'conj-1'"),
+    ], ids=["settings", "sizes", "priors"])
+    def test_repeated_axis_rejected(self, axis, values, repeated):
+        with pytest.raises(InvalidParamsError, match=f"repeated .* {repeated}"):
+            small_config(**{axis: values})
 
 
 class TestRunStudy:
@@ -224,6 +238,27 @@ class TestConfigFile:
         with pytest.raises(InvalidParamsError):
             load_study_config(str(path))
 
+    def test_unknown_key(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("replicate = 4\n")
+        with pytest.raises(InvalidParamsError, match="'replicate'.*settings, sizes, replicates"):
+            load_study_config(str(path))
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("settings", "over:3", "'over:3'"),
+        ("sizes", "25,x", "'x'"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, source, key, value, bad):
+        if source == "flags":
+            argv = ["study", f"--{key}", value]
+        else:
+            path = tmp_path / "study.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv = ["study", "--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {key}: cannot read {bad}\n"
+
 
 class TestProgressFile:
     def run_to_file(self, cfg, tmp_path):
@@ -262,3 +297,96 @@ class TestProgressFile:
         progress.write_text("".join(lines))
         with pytest.raises(json.JSONDecodeError):
             run_study(cfg, progress_path=str(progress))
+
+
+class TestResume:
+    """Resume reuses only records made under the same config."""
+
+    def test_resume_after_more_replicates_matches_fresh(self, tmp_path):
+        progress = tmp_path / "progress.jsonl"
+        run_study(small_config(replicates=1, priors=("conj-1",)), progress_path=str(progress))
+        assert run_study(small_config(), progress_path=str(progress)) == run_study(small_config())
+
+    @pytest.mark.parametrize("first, second", [
+        ({"priors": ("flat",)}, {"priors": ("conj-1", "flat")}),  # flat's stream moves
+        ({"master_seed": 3}, {"master_seed": 5}),
+        ({"settings": (StudySetting("over", 3.0, 0.5),)},
+         {"settings": (StudySetting("over", 9.0, 0.5),)}),
+        ({}, {"mcmc": replace(FAST_MCMC, keep=150)}),
+        ({}, {"policy": replace(small_config().policy, tail_tol=1e-12)}),
+    ], ids=["prior-order", "seed", "setting-lambda", "mcmc", "policy"])
+    def test_other_config_refused(self, tmp_path, first, second):
+        progress = tmp_path / "progress.jsonl"
+        run_study(small_config(**first), progress_path=str(progress))
+        before = progress.read_bytes()
+        with pytest.raises(InvalidParamsError, match=re.escape(f"{progress}: the record of fit")):
+            run_study(small_config(**second), progress_path=str(progress))
+        assert progress.read_bytes() == before
+
+    def test_record_without_made_by_refused(self, tmp_path):
+        progress = tmp_path / "progress.jsonl"
+        run_study(small_config(), progress_path=str(progress))
+        records = [json.loads(line) for line in progress.read_text().splitlines()]
+        for rec in records:
+            del rec["made_by"]
+        progress.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(InvalidParamsError, match="'over', 25, 0, 'conj-1'"):
+            run_study(small_config(), progress_path=str(progress))
+
+    def test_cli_refusal_exits_2(self, tmp_path, capsys):
+        argv = ["study", "--settings", "over:3:0.5", "--sizes", "20", "--replicates", "1",
+                "--priors", "conj-1", "--chains", "2", "--warmup", "300", "--keep", "150",
+                "--format", "csv", "--progress", str(tmp_path / "progress.jsonl")]
+        assert main([*argv, "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--seed", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestRecordLoop:
+    def test_records_on_disk_before_a_crash(self, tmp_path, monkeypatch):
+        cfg = small_config(replicates=4)
+        real = study.run_chains
+        calls = []
+
+        def crash_on_third_replicate(*args):
+            calls.append(args)
+            if len(calls) > 2 * len(cfg.priors):
+                raise RuntimeError("interrupted")
+            return real(*args)
+
+        progress = tmp_path / "progress.jsonl"
+        monkeypatch.setattr(study, "run_chains", crash_on_third_replicate)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_study(cfg, progress_path=str(progress))
+        monkeypatch.undo()
+        on_disk = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert [(rec["replicate"], rec["prior"]) for rec in on_disk] == [
+            (0, "conj-1"), (0, "flat"), (1, "conj-1"), (1, "flat")]
+        assert run_study(cfg, progress_path=str(progress)) == run_study(cfg)
+
+    def test_progress_file_same_for_any_worker_count(self, tmp_path):
+        cfg = small_config(sample_sizes=(25, 30))
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        run_study(cfg, progress_path=str(one), workers=1)
+        run_study(cfg, progress_path=str(two), workers=2)
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_pool_error_cancels_queued_replicates(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched name; each call leaves a marker
+        cfg, workers = small_config(replicates=16, priors=("conj-1",)), 2
+
+        def slow_or_failing(spec, stats, mcmc, seed, policy):
+            (tmp_path / f"call-{seed.stream_id}").touch()
+            if seed.stream_id // 16 == 0:  # replicate 0 of the only setting and size
+                raise RuntimeError("replicate 0 failed")
+            time.sleep(1.0)
+            raise ZeroVarianceError("stand-in for a slow fit")
+
+        monkeypatch.setattr(study, "run_chains", slow_or_failing)
+        with pytest.raises(RuntimeError, match="replicate 0 failed"):
+            run_study(cfg, workers=workers)
+        # the failed replicate, one running per worker, and the executor's call
+        # queue of workers + 1, which it cannot cancel; not the other ten
+        started = len(list(tmp_path.glob("call-*")))
+        assert 1 <= started <= 2 * workers + 2

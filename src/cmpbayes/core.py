@@ -27,6 +27,8 @@ from scipy.special import gammaln
 
 from .errors import InvalidParamsError, TruncationError
 
+MAX_TERMS = 10_000  # a series still unconverged at this length raises TruncationError
+
 
 @dataclass(frozen=True)
 class CmpParams:
@@ -59,18 +61,16 @@ class TruncationPolicy:
     a geometric bound on the omitted tail, term * r / (1 - r) with r the last
     consecutive-term ratio, falls below tail_tol relative to the partial sum.
     (Term ratios lambda / (j+1)^nu decrease in j, so the bound is valid.)
-    Hitting max_terms first raises TruncationError.
+    Reaching the fixed cap MAX_TERMS first raises TruncationError.
     """
 
     base_terms: int = 101
     tail_tol: float = 1e-10
-    max_terms: int = 10_000
 
     def __post_init__(self):
-        if self.base_terms < 2:
-            raise InvalidParamsError(f"base_terms must be >= 2, got {self.base_terms}")
-        if self.max_terms < self.base_terms:
-            raise InvalidParamsError("max_terms must be >= base_terms")
+        if not 2 <= self.base_terms <= MAX_TERMS:
+            raise InvalidParamsError(
+                f"base_terms must lie in [2, {MAX_TERMS}], got {self.base_terms}")
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
             raise InvalidParamsError(f"tail_tol must be positive, got {self.tail_tol}")
 
@@ -153,12 +153,12 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.nda
                 log_tail_bound = (last - log_z) + log_r - math.log1p(-r)
                 if log_tail_bound < log_tol:
                     return t, log_z
-        if k >= policy.max_terms:
+        if k >= MAX_TERMS:
             raise TruncationError(
                 f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
-                f"converge within {policy.max_terms} terms (tail_tol={policy.tail_tol})"
+                f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
             )
-        k = min(2 * k, policy.max_terms)
+        k = min(2 * k, MAX_TERMS)
 
 
 def log_normalizer_at(log_lam: float, nu: float,

@@ -1,20 +1,21 @@
 """Posterior sampling via adaptive random-walk Metropolis, with diagnostics.
 
 Chains move on (u, v) = (ln lambda, ln nu) so proposals never leave the
-domain; the Jacobian contributes u + v to the target. Each chain adapts a
-Gaussian proposal during warmup only: a Robbins-Monro update steers the
-global step size toward target_accept, and the proposal's 2x2 covariance
-shape is re-estimated every 100 iterations from the running (Welford)
-covariance of the warmup draws. The full covariance matters here: CMP
-posteriors can put correlation near 0.99 between ln lambda and ln nu at
+domain; the Jacobian contributes u + v to the target. Each chain runs one
+loop of warmup + keep Metropolis steps. During warmup only, a Robbins-Monro
+update steers the global step size toward 30% acceptance, and the proposal's
+2x2 covariance shape is re-estimated every 100 iterations from the running
+(Welford) covariance of the warmup draws. The full covariance matters here:
+CMP posteriors can put correlation near 0.99 between ln lambda and ln nu at
 large n, where a diagonal proposal mixes too slowly to pass R-hat checks.
 Adaptation freezes at the end of warmup, so the retained draws come from a
-fixed-kernel Markov chain.
+fixed-kernel Markov chain. These tuning values are module constants, not
+config: McmcConfig holds only the chain count and lengths.
 
 The target is posterior.log_kernel plus the Jacobian, one ln Z series per
-step. Proposals whose target is non-finite (nu below the sampler floor,
-lambda = e^u out of float range, series truncation cap, nonpositive Jeffreys
-determinant) are rejected and counted as divergences.
+step. Proposals whose target is non-finite (nu below NU_FLOOR, lambda = e^u
+out of float range, series truncation cap, nonpositive Jeffreys determinant)
+are rejected and counted as divergences.
 """
 
 from __future__ import annotations
@@ -38,21 +39,24 @@ from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patch
 from .priors import Conjugate, Flat, PriorSpec, conjugate_propriety
 from .rng import SeedSpec, make_generator
 
-_COV_UPDATE_EVERY = 100
+# nu is floored inside the sampler: the truncated series degrades at the
+# geometric boundary nu = 0.
+NU_FLOOR = 1e-4
+_LOG_NU_FLOOR = math.log(NU_FLOOR)
+_TARGET_ACCEPT = 0.30
+_INIT_JITTER = 0.5  # sd of the random start around (ln max(xbar, 0.5), 0)
 _INIT_PROPOSAL_SD = 0.5
 _MAX_INIT_TRIES = 100
+_COV_UPDATE_EVERY = 100
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings; defaults give 4 x 2000 retained draws after warmup."""
+    """Chain count and lengths; defaults give 4 x 2000 retained draws after warmup."""
 
     chains: int = 4
     warmup: int = 2000
     keep: int = 2000
-    target_accept: float = 0.30
-    init_jitter: float = 0.5
-    nu_floor: float = 1e-4
 
     def __post_init__(self):
         if self.chains < 2:
@@ -61,12 +65,6 @@ class McmcConfig:
             raise InvalidParamsError("keep must be >= 100")
         if self.warmup < 1:
             raise InvalidParamsError("warmup must be >= 1")
-        if not (0.0 < self.target_accept < 1.0):
-            raise InvalidParamsError("target_accept must lie in (0, 1)")
-        if self.init_jitter <= 0.0:
-            raise InvalidParamsError("init_jitter must be positive")
-        if self.nu_floor <= 0.0:
-            raise InvalidParamsError("nu_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,6 @@ class Draws:
     nu: np.ndarray
     accept_rate: np.ndarray  # per chain, post-warmup
     divergences: np.ndarray  # per chain, post-warmup proposals with non-finite target
-    nu_floor: float
 
     @property
     def n_chains(self) -> int:
@@ -129,11 +126,11 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
     # Jeffreys propriety is not decidable here; divergence counts are the canary.
 
 
-def _make_target(spec, stats, policy, log_floor):
+def _make_target(spec, stats, policy):
     kernel = log_kernel(spec, stats, policy)
 
     def target(u: float, v: float) -> float:
-        if v < log_floor:
+        if v < _LOG_NU_FLOOR:
             return -math.inf
         try:
             if math.exp(u) == 0.0:  # lambda must be a positive float
@@ -167,12 +164,11 @@ def _mh_step(g, target, x, cur_lp, scale, chol):
 
 def _run_chain(target, xbar, config, seed, chain_idx):
     g = make_generator(seed.master_seed, seed.stream_id, chain_idx)
-    log_floor = math.log(config.nu_floor)
     base_u = math.log(max(xbar, 0.5))
 
     for _ in range(_MAX_INIT_TRIES):
-        u = base_u + config.init_jitter * g.standard_normal()
-        v = max(config.init_jitter * g.standard_normal(), log_floor)
+        u = base_u + _INIT_JITTER * g.standard_normal()
+        v = max(_INIT_JITTER * g.standard_normal(), _LOG_NU_FLOOR)
         cur_lp = target(u, v)
         if math.isfinite(cur_lp):
             break
@@ -181,20 +177,31 @@ def _run_chain(target, xbar, config, seed, chain_idx):
             f"chain {chain_idx}: no finite starting point in {_MAX_INIT_TRIES} attempts"
         )
 
+    warmup = config.warmup
     x = np.array([u, v])
     log_scale = math.log(_INIT_PROPOSAL_SD)
     chol = np.eye(2)
     mean = np.zeros(2)
     m2 = np.zeros((2, 2))
     count = 0
-    reset_at = config.warmup // 4
-    last_update = config.warmup - _COV_UPDATE_EVERY
+    reset_at = warmup // 4
+    last_update = warmup - _COV_UPDATE_EVERY
+    lam = np.empty(config.keep)
+    nu = np.empty(config.keep)
+    accepted = 0
+    divergent = 0
 
-    for i in range(config.warmup):
-        x, cur_lp, accept_prob, _, _ = _mh_step(
+    for i in range(warmup + config.keep):
+        x, cur_lp, accept_prob, acc, div = _mh_step(
             g, target, x, cur_lp, math.exp(log_scale), chol
         )
-        log_scale += (i + 1) ** -0.6 * (accept_prob - config.target_accept)
+        if i >= warmup:  # adaptation is frozen; record the draw
+            accepted += acc
+            divergent += div
+            lam[i - warmup] = math.exp(x[0])
+            nu[i - warmup] = math.exp(x[1])
+            continue
+        log_scale += (i + 1) ** -0.6 * (accept_prob - _TARGET_ACCEPT)
         if i == reset_at:
             mean[:] = 0.0
             m2[:] = 0.0
@@ -209,18 +216,6 @@ def _run_chain(target, xbar, config, seed, chain_idx):
             # keep the proposal determinant fixed so acceptance stays settled
             log_scale += (_logdet_chol(chol) - _logdet_chol(new_chol)) / 2.0
             chol = new_chol
-
-    scale = math.exp(log_scale)
-    lam = np.empty(config.keep)
-    nu = np.empty(config.keep)
-    accepted = 0
-    divergent = 0
-    for k in range(config.keep):
-        x, cur_lp, _, acc, div = _mh_step(g, target, x, cur_lp, scale, chol)
-        accepted += acc
-        divergent += div
-        lam[k] = math.exp(x[0])
-        nu[k] = math.exp(x[1])
     return lam, nu, accepted / config.keep, divergent
 
 
@@ -240,7 +235,7 @@ def run_chains(
     post-warmup proposal in every chain was divergent.
     """
     _check_propriety(spec, stats)
-    target = _make_target(spec, stats, policy, math.log(config.nu_floor))
+    target = _make_target(spec, stats, policy)
 
     lam = np.empty((config.chains, config.keep))
     nu = np.empty((config.chains, config.keep))
@@ -253,13 +248,7 @@ def run_chains(
 
     if bool((divergences >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was divergent")
-    return Draws(
-        lam=lam,
-        nu=nu,
-        accept_rate=accept_rate,
-        divergences=divergences,
-        nu_floor=config.nu_floor,
-    )
+    return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences)
 
 
 def _split_rhat_matrix(x: np.ndarray) -> float:

@@ -58,7 +58,19 @@ class Jeffreys:
 
 PriorSpec = Union[Conjugate, Flat, Jeffreys]
 
-PRESET_NAMES = ("conj-1", "conj-data", "conj-0.1", "conj-0.01", "flat", "jeffreys")
+# The six study priors, keyed by their CLI-facing names, in study order.
+# conj-data is the two-hypothetical-observations prior built from counts
+# [2, 0], i.e. (a, b, c) = (2, ln 2, 2); the other conjugate presets set
+# a = b = c. flat and jeffreys are improper.
+_PRESETS: dict[str, PriorSpec] = {
+    "conj-1": Conjugate(ConjugateHyper(1.0, 1.0, 1.0)),
+    "conj-data": Conjugate(ConjugateHyper(2.0, math.log(2.0), 2.0)),
+    "conj-0.1": Conjugate(ConjugateHyper(0.1, 0.1, 0.1)),
+    "conj-0.01": Conjugate(ConjugateHyper(0.01, 0.01, 0.01)),
+    "flat": Flat(),
+    "jeffreys": Jeffreys(),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def propriety_bound(hyper: ConjugateHyper) -> tuple[float, float]:
@@ -81,27 +93,14 @@ def conjugate_propriety(hyper: ConjugateHyper) -> bool:
 
 
 def preset_priors() -> list[tuple[str, PriorSpec]]:
-    """The six study priors, keyed by their CLI-facing names.
-
-    conj-data is the two-hypothetical-observations prior built from counts
-    [2, 0], i.e. (a, b, c) = (2, ln 2, 2); the other conjugate presets set
-    a = b = c. flat and jeffreys are improper.
-    """
-    return [
-        ("conj-1", Conjugate(ConjugateHyper(1.0, 1.0, 1.0))),
-        ("conj-data", Conjugate(ConjugateHyper(2.0, math.log(2.0), 2.0))),
-        ("conj-0.1", Conjugate(ConjugateHyper(0.1, 0.1, 0.1))),
-        ("conj-0.01", Conjugate(ConjugateHyper(0.01, 0.01, 0.01))),
-        ("flat", Flat()),
-        ("jeffreys", Jeffreys()),
-    ]
+    """The six study priors as (name, spec), in PRESET_NAMES order."""
+    return list(_PRESETS.items())
 
 
 def get_preset(name: str) -> PriorSpec:
-    for preset_name, spec in preset_priors():
-        if preset_name == name:
-            return spec
-    raise KeyError(f"unknown prior preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise KeyError(f"unknown prior preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name]
 
 
 def conjugate_log_kernel(a: float, b: float, c: float, log_lam: float, nu: float,

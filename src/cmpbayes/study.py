@@ -54,6 +54,9 @@ class StudySetting:
     lam: float
     nu: float
 
+    def __post_init__(self):
+        CmpParams(self.lam, self.nu)  # the CMP domain, checked before any fit
+
 
 DEFAULT_SETTINGS = (
     StudySetting("equi", 4.0, 1.0),
@@ -76,6 +79,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise InvalidParamsError("replicates must be >= 1")
+        if min(self.sample_sizes, default=1) < 1:
+            raise InvalidParamsError(f"sample sizes must be >= 1, got {min(self.sample_sizes)}")
         if len(self.settings) > 64 or len(self.sample_sizes) > 64:
             raise InvalidParamsError("at most 64 settings and sample sizes")
         if self.replicates > _REPLICATE_STRIDE:
@@ -212,6 +217,8 @@ def run_study(
     it ends, so an interrupted study resumes without recomputation. workers > 1
     spreads replicates over processes; tables and file are the same either way.
     """
+    if workers < 1:
+        raise InvalidParamsError(f"workers must be >= 1, got {workers}")
     path = Path(progress_path) if progress_path else None
     on_file = _load_progress(path) if path else {}
     done = {}
@@ -379,8 +386,9 @@ def with_overrides(config: StudyConfig, values: Mapping[str, object]) -> StudyCo
     def read(key, kind, text):
         try:
             return kind(text)
-        except ValueError:
-            raise InvalidParamsError(f"{key}: cannot read {text!r}") from None
+        except ValueError as exc:  # an InvalidParamsError says why
+            why = f": {exc}" if isinstance(exc, InvalidParamsError) else ""
+            raise InvalidParamsError(f"{key}: cannot read {text!r}{why}") from None
 
     def items(key, kind):
         return tuple(read(key, kind, item.strip()) for item in str(values[key]).split(","))

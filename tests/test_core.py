@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cmpbayes import (
     pmf_table,
     sufficient_stats,
 )
+from cmpbayes.core import MAX_TERMS
 
 # lambda x nu grid containing all three simulation-study settings
 STUDY_GRID = [(lam, nu) for lam in (0.5, 3.0, 4.0) for nu in (0.5, 1.0, 2.0)]
@@ -56,7 +58,9 @@ class TestParams:
         with pytest.raises(InvalidParamsError):
             TruncationPolicy(base_terms=1)
         with pytest.raises(InvalidParamsError):
-            TruncationPolicy(base_terms=200, max_terms=100)
+            TruncationPolicy(base_terms=MAX_TERMS + 1)
+        assert TruncationPolicy(base_terms=MAX_TERMS).base_terms == MAX_TERMS
+        assert [f.name for f in fields(TruncationPolicy)] == ["base_terms", "tail_tol"]
         with pytest.raises(InvalidParamsError):
             TruncationPolicy(tail_tol=0.0)
 

@@ -24,10 +24,9 @@ from cmpbayes import (
     sufficient_stats,
 )
 from cmpbayes.errors import NonpositiveDeterminantError
-from cmpbayes.mcmc import _make_target, _mh_step
+from cmpbayes.mcmc import NU_FLOOR, _make_target, _mh_step
 
 POLICY = TruncationPolicy()
-NU_FLOOR = 1e-4
 STATS = sufficient_stats([0, 1, 1, 2, 3, 3, 4, 6, 2, 1, 0, 5])
 SPECS = [Conjugate(ConjugateHyper(1.0, 1.0, 1.0)), Flat(), Jeffreys()]
 
@@ -69,7 +68,7 @@ def test_moments_log_z_is_log_normalizer(lam, nu):
 @settings(max_examples=60, deadline=None)
 @given(u=st.floats(-2.0, 3.5), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
 def test_target_is_log_posterior_plus_jacobian(u, v, spec):
-    target = _make_target(spec, STATS, POLICY, math.log(NU_FLOOR))
+    target = _make_target(spec, STATS, POLICY)
     try:
         expected = log_posterior(spec, STATS, CmpParams(math.exp(u), math.exp(v)), POLICY)
     except (TruncationError, NonpositiveDeterminantError):
@@ -81,7 +80,7 @@ def test_target_is_log_posterior_plus_jacobian(u, v, spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
-    target = _make_target(spec, STATS, POLICY, math.log(NU_FLOOR))
+    target = _make_target(spec, STATS, POLICY)
     assert math.isfinite(target(1.0, 0.0))
     assert target(1.0, math.log(NU_FLOOR) - 1e-9) == -math.inf  # nu below the floor
     assert target(math.log(2.0), math.log(1e-3)) == -math.inf  # TruncationError
@@ -91,13 +90,13 @@ def test_target_rejections(spec):
 
 def test_target_rejects_nonpositive_jeffreys_determinant():
     # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0
-    target = _make_target(Jeffreys(), STATS, POLICY, math.log(NU_FLOOR))
+    target = _make_target(Jeffreys(), STATS, POLICY)
     assert target(0.0, math.log(1e8)) == -math.inf
 
 
 def test_target_rejects_non_finite_value():
     spec = Conjugate(ConjugateHyper(1e308, 1.0, 1.0))
-    target = _make_target(spec, SufficientStats.empty(), POLICY, math.log(NU_FLOOR))
+    target = _make_target(spec, SufficientStats.empty(), POLICY)
     assert target(2.0, 0.0) == -math.inf
 
 

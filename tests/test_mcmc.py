@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cmpbayes import (
     summarize,
     updated_hyper,
 )
-from cmpbayes.mcmc import _split_rhat_matrix
+from cmpbayes.mcmc import NU_FLOOR, _split_rhat_matrix
 
 FAST = McmcConfig(chains=2, warmup=500, keep=300)
 
@@ -36,19 +37,18 @@ def make_draws(lam, nu=None):
     nu = lam.copy() if nu is None else np.asarray(nu, dtype=float)
     n_chains = lam.shape[0]
     return Draws(lam=lam, nu=nu, accept_rate=np.full(n_chains, 0.3),
-                 divergences=np.zeros(n_chains, dtype=np.int64), nu_floor=1e-4)
+                 divergences=np.zeros(n_chains, dtype=np.int64))
 
 
 class TestConfig:
     def test_defaults(self):
         c = McmcConfig()
         assert (c.chains, c.warmup, c.keep) == (4, 2000, 2000)
-        assert c.target_accept == 0.30
+        # the sampler's tuning values are constants of mcmc, not config
+        assert [f.name for f in fields(c)] == ["chains", "warmup", "keep"]
 
     @pytest.mark.parametrize("kwargs", [
         dict(chains=1), dict(keep=50), dict(warmup=0),
-        dict(target_accept=0.0), dict(target_accept=1.0),
-        dict(init_jitter=0.0), dict(nu_floor=0.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParamsError):
@@ -130,7 +130,7 @@ class TestRunChains:
         stats = sufficient_stats([2, 0, 1, 3, 1])
         d = run_chains(Conjugate(ConjugateHyper(1, 1, 1)), stats, FAST, SeedSpec(4))
         assert (d.lam > 0).all()
-        assert (d.nu >= d.nu_floor).all()
+        assert (d.nu >= NU_FLOOR).all()
 
     def test_recovery_at_large_n(self):
         data = sample_cmp(CmpParams(4.0, 1.0), 500, SeedSpec(4, 0))
@@ -160,6 +160,21 @@ class TestRunChains:
             s = summarize(d)
             assert s.lam.rhat < 1.01 and s.nu.rhat < 1.01, name
             assert all(0.15 <= a <= 0.5 for a in d.accept_rate), name
+
+    # One short fit frozen, so a sampler change that moves its draws fails;
+    # warmup=1 is the smallest allowed warmup.
+    @pytest.mark.parametrize("warmup, accepted, divergences, lam_median, nu_median", [
+        (300, [81, 77], [0, 0], 1.6740519779775473, 0.27913204245414724),
+        (1, [24, 20], [2, 1], 1.7954392793085912, 0.2905695322196746),
+    ])
+    def test_draws_pinned(self, warmup, accepted, divergences, lam_median, nu_median):
+        stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+        d = run_chains(get_preset("conj-1"), stats,
+                       McmcConfig(chains=2, warmup=warmup, keep=200), SeedSpec(7))
+        assert [round(a * 200) for a in d.accept_rate] == accepted
+        assert d.divergences.tolist() == divergences
+        s = summarize(d)
+        assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
     def test_prior_as_posterior_with_empty_data(self):
         spec = Conjugate(ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0))

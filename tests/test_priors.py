@@ -82,9 +82,9 @@ class TestConjugatePropriety:
 
 class TestPresets:
     def test_six_presets(self):
-        presets = preset_priors()
-        assert len(presets) == 6
-        assert [name for name, _ in presets] == list(PRESET_NAMES)
+        # the study's prior order; records and stream ids follow it
+        assert PRESET_NAMES == ("conj-1", "conj-data", "conj-0.1", "conj-0.01", "flat", "jeffreys")
+        assert [name for name, _ in preset_priors()] == list(PRESET_NAMES)
 
     def test_conj_data_values(self):
         spec = get_preset("conj-data")

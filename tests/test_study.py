@@ -67,7 +67,42 @@ class TestConfig:
             small_config(**{axis: values})
 
 
+    # (lambda, nu) outside the CMP domain, or a sample size below 1, must stop a
+    # study when its config is built, not after the fits of earlier settings
+    BAD_SETTINGS = [(-1.0, 0.5), (0.0, 0.5), (3.0, -0.5), (1.0, 0.0), (3.0, 0.0)]
+    BAD_SIZES = [0, -5]
+
+    @pytest.mark.parametrize("lam, nu", BAD_SETTINGS)
+    def test_setting_outside_domain_rejected(self, lam, nu):
+        with pytest.raises(InvalidParamsError):
+            small_config(settings=(StudySetting("over", 3.0, 0.5), StudySetting("bad", lam, nu)))
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(InvalidParamsError, match="sample sizes must be >= 1"):
+            small_config(sample_sizes=(25, size))
+
+    @pytest.mark.parametrize("flags", [
+        *[["--settings", f"over:3:0.5,bad:{lam}:{nu}", "--sizes", "25"] for lam, nu in BAD_SETTINGS],
+        *[["--settings", "over:3:0.5", "--sizes", f"25,{size}"] for size in BAD_SIZES],
+        ["--settings", "over:3:0.5", "--sizes", "25", "--workers", "0"],
+        ["--settings", "over:3:0.5", "--sizes", "25", "--workers", "-3"],
+    ])
+    def test_cli_rejects_before_any_fit(self, tmp_path, capsys, flags):
+        progress = tmp_path / "progress.jsonl"
+        argv = ["study", *flags, "--replicates", "1", "--priors", "flat", "--chains", "2",
+                "--warmup", "200", "--keep", "100", "--progress", str(progress)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not progress.exists()
+
+
 class TestRunStudy:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidParamsError, match="workers must be >= 1"):
+            run_study(small_config(), workers=workers)
+
     def test_single_replicate_identities(self):
         cfg = small_config(replicates=1, priors=("conj-1",))
         results = run_study(cfg)

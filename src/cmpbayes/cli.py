@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, pmf_table
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_pmf, pmf_table
 from .datasets import CountDataset, resolve_dataset
 from .errors import CmpError, ImproperPosteriorError
 from .mcmc import Draws, McmcConfig, PosteriorSummary, run_chains, summarize
@@ -165,7 +166,7 @@ def _add_common_mcmc_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trunc-terms", type=int, default=None,
-                   help="base number of series terms (default 101)")
+                   help="minimum number of series terms (default 101)")
     p.add_argument("--tail-tol", type=float, default=None,
                    help="relative tail tolerance for the series (default 1e-10)")
 
@@ -216,15 +217,18 @@ def _cmd_check_prior(args) -> int:
 
 def _cmd_pmf(args) -> int:
     params = CmpParams(args.lam, args.nu)
-    table = pmf_table(params, config_from_args(args).policy)
+    policy = config_from_args(args).policy
+    table = pmf_table(params, policy)
     if args.max is not None:
-        upto = min(args.max + 1, table.size)
+        # rows past the truncation grid come from log_pmf
+        rows = [(x, float(table[x]) if x < table.size
+                 else math.exp(log_pmf(x, params, policy))) for x in range(args.max + 1)]
     else:
         # default: stop once cumulative mass reaches 1 - 1e-9
         cum = np.cumsum(table)
         upto = int(np.searchsorted(cum, 1.0 - 1e-9)) + 1
         upto = min(max(upto, 1), table.size)
-    rows = [(x, float(table[x])) for x in range(upto)]
+        rows = [(x, float(table[x])) for x in range(upto)]
     if args.format == "json":
         text = json.dumps(
             {"lambda": args.lam, "nu": args.nu,

@@ -10,10 +10,12 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed by log-sum-exp. The tables of j and lnGamma(j + 1) are built once per
-grid size. log_normalizer_at and moments_at work from (ln lambda,
-nu), the sampler's coordinates; moments reuses one grid for the expectations
-and ln Z, which keeps them self-consistent.
+summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
+before summing (see TruncationPolicy), so one sum almost always suffices. j
+and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import.
+log_normalizer_at and moments_at work from (ln lambda, nu), the sampler's
+coordinates; moments reuses one grid for the expectations and ln Z, which
+keeps them self-consistent.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from scipy.special import gammaln
 from .errors import InvalidParamsError, TruncationError
 
 MAX_TERMS = 10_000  # a series still unconverged at this length raises TruncationError
+_LOG_LAST_J = math.log(MAX_TERMS - 1)
+_SIZE_MARGIN = 5.0  # log-units past -ln(tail_tol) at which a sized grid ends
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,17 @@ class CmpParams:
 class TruncationPolicy:
     """Controls how many series terms are used when evaluating Z(lambda, nu).
 
-    The grid starts at base_terms and doubles until the terms are decaying and
-    a geometric bound on the omitted tail, term * r / (1 - r) with r the last
-    consecutive-term ratio, falls below tail_tol relative to the partial sum.
-    (Term ratios lambda / (j+1)^nu decrease in j, so the bound is valid.)
-    Reaching the fixed cap MAX_TERMS first raises TruncationError.
+    base_terms is the minimum grid. When the term mode j* = lambda^(1/nu)
+    exceeds base_terms / 2, the grid instead reaches j* + sqrt(2 j* (5 -
+    ln tail_tol) / nu): the mode plus the distance at which a peak of
+    log-curvature nu / j* has fallen by -ln tail_tol, with 5 log-units to
+    spare. A grid is accepted once its terms are decaying and a geometric bound
+    on the omitted tail, term * r / (1 - r) with r the last consecutive-term
+    ratio, falls below tail_tol relative to the partial sum (term ratios
+    lambda / (j+1)^nu decrease in j, so the bound is valid); until then the
+    grid doubles and is summed afresh. A series whose last term ratio is still
+    >= 1 at the fixed cap MAX_TERMS, or that is unconverged there, raises
+    TruncationError.
     """
 
     base_terms: int = 101
@@ -121,23 +131,45 @@ class LogZDerivatives:
     d2_lam_nu: float
 
 
-@lru_cache(maxsize=64)
+_J = np.arange(MAX_TERMS, dtype=np.float64)
+_LGAMMA = gammaln(_J + 1.0)
+_J.flags.writeable = False
+_LGAMMA.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
 def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only j and lnGamma(j + 1) for j < k, built once per grid size."""
-    j = np.arange(k, dtype=np.float64)
-    lgamma = gammaln(j + 1.0)
-    j.flags.writeable = False
-    lgamma.flags.writeable = False
-    return j, lgamma
+    """Read-only views of j and lnGamma(j + 1) for j < k."""
+    return _J[:k], _LGAMMA[:k]
+
+
+def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
+    return TruncationError(
+        f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
+        f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
+    )
+
+
+def _sized_terms(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
+    """Grid length reaching past a term mode lambda^(1/nu) above base_terms / 2."""
+    if log_lam >= nu * _LOG_LAST_J:
+        # the term ratio lambda / j^nu is still >= 1 at j = MAX_TERMS - 1
+        raise _truncation_error(log_lam, nu, policy)
+    mode = math.exp(log_lam / nu)
+    width = math.sqrt(2.0 * mode * (_SIZE_MARGIN - math.log(policy.tail_tol)) / nu)
+    return min(MAX_TERMS, max(policy.base_terms, int(mode + width) + 2))
 
 
 def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
-    """Adaptively truncated log-term grid at (ln lambda, nu) and its log-sum-exp.
+    """Log-term grid at (ln lambda, nu), sized from its mode, and its log-sum-exp.
 
     Returns (t, log_z) where t has the final grid length K.
     """
     log_tol = math.log(policy.tail_tol)
     k = policy.base_terms
+    # mode above base_terms / 2, as in every series that cannot converge by MAX_TERMS
+    if log_lam > nu * math.log(0.5 * k):
+        k = _sized_terms(log_lam, nu, policy)
     while True:
         j, lgamma = _tables(k)
         t = log_lam * j - nu * lgamma
@@ -154,10 +186,7 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.nda
                 if log_tail_bound < log_tol:
                     return t, log_z
         if k >= MAX_TERMS:
-            raise TruncationError(
-                f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
-                f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
-            )
+            raise _truncation_error(log_lam, nu, policy)
         k = min(2 * k, MAX_TERMS)
 
 
@@ -168,7 +197,7 @@ def log_normalizer_at(log_lam: float, nu: float,
 
 
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """ln Z(lambda, nu) via log-sum-exp over the adaptive truncation grid."""
+    """ln Z(lambda, nu) via log-sum-exp over the mode-sized truncation grid."""
     return log_normalizer_at(math.log(params.lam), params.nu, policy)
 
 

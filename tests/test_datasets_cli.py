@@ -138,6 +138,17 @@ class TestCli:
         assert main(["pmf", "--lam", "0.5", "--nu", "0", "--max", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("trunc", [[], ["--trunc-terms", "40"]], ids=["default", "40"])
+    def test_pmf_max_past_the_grid(self, capsys, trunc):
+        # the grid holds 101 (or 40) terms; rows past it still print
+        assert main(["pmf", "--lam", "4", "--nu", "1", "--max", "150",
+                     "--format", "csv", *trunc]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert [int(x) for x, _ in rows] == list(range(151))
+        for x, p in rows:
+            poisson = math.exp(int(x) * math.log(4.0) - 4.0 - math.lgamma(int(x) + 1.0))
+            assert float(p) == pytest.approx(poisson, rel=1e-9)
+
     def test_fit_json_reproducible(self, tmp_path, capsys):
         args = ["fit", "textile-faults", "--prior", "conj-1", "--chains", "2",
                 "--warmup", "300", "--keep", "150", "--seed", "11",

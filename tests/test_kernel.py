@@ -1,4 +1,4 @@
-"""Property tests for the one-series log kernel and the sampler's target."""
+"""Property tests for the one-series log kernel, its grid sizing and the sampler's target."""
 
 import math
 
@@ -17,12 +17,14 @@ from cmpbayes import (
     SufficientStats,
     TruncationError,
     TruncationPolicy,
+    core,
     log_normalizer,
     log_posterior,
     moments,
     pmf_table,
     sufficient_stats,
 )
+from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at
 from cmpbayes.errors import NonpositiveDeterminantError
 from cmpbayes.mcmc import NU_FLOOR, _make_target, _mh_step
 
@@ -40,9 +42,9 @@ def converged_grid_size(p):
 
 @settings(max_examples=80, deadline=None)
 @given(lam=st.floats(0.05, 40.0), nu=st.floats(0.5, 4.0))
-@example(lam=30.0, nu=0.7)  # grid grows 101 -> 202 -> 404
+@example(lam=30.0, nu=0.7)  # mode 129: sized to 232 terms
 @example(lam=0.9, nu=0.0)  # geometric case, slow tail
-@example(lam=40.0, nu=0.5)  # grows to 3232 terms
+@example(lam=40.0, nu=0.5)  # mode 1600: sized to 2025 terms
 def test_log_normalizer_matches_fresh_gammaln(lam, nu):
     p = CmpParams(lam, nu)
     k = converged_grid_size(p)
@@ -54,6 +56,104 @@ def test_log_normalizer_matches_fresh_gammaln(lam, nu):
 def test_examples_cover_grown_grids():
     for lam, nu in ((30.0, 0.7), (0.9, 0.0), (40.0, 0.5)):
         assert pmf_table(CmpParams(lam, nu), POLICY).size > POLICY.base_terms
+
+
+def reference_ladder(log_lam, nu, policy):
+    """The unsized grid: base_terms, doubled and summed afresh until the tail test passes."""
+    log_tol = math.log(policy.tail_tol)
+    k = policy.base_terms
+    while True:
+        j = np.arange(k, dtype=np.float64)
+        t = log_lam * j - nu * gammaln(j + 1.0)
+        m = float(t.max())
+        log_z = m + math.log(float(np.exp(t - m).sum()))
+        last = float(t[-1])
+        prev = float(t[-2])
+        if last < prev:
+            log_r = last - prev
+            r = math.exp(log_r)
+            if r < 1.0:
+                log_tail_bound = (last - log_z) + log_r - math.log1p(-r)
+                if log_tail_bound < log_tol:
+                    return t, log_z
+        if k >= MAX_TERMS:
+            raise TruncationError(
+                f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
+                f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
+            )
+        k = min(2 * k, MAX_TERMS)
+
+
+def sized_series(log_lam, nu):
+    try:
+        return _series(log_lam, nu, POLICY)
+    except TruncationError:
+        assume(False)
+
+
+SIZING = dict(log_lam=st.floats(-3.0, 4.5), nu=st.floats(0.2, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SIZING)
+@example(log_lam=math.log(30.0), nu=0.7)
+def test_sized_grid_passes_the_tail_bound(log_lam, nu):
+    t, log_z = sized_series(log_lam, nu)
+    log_r = t[-1] - t[-2]
+    assert log_r < 0.0
+    r = math.exp(log_r)
+    assert (t[-1] - log_z) + log_r - math.log1p(-r) < math.log(POLICY.tail_tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SIZING)
+@example(log_lam=math.log(30.0), nu=0.7)
+def test_sized_log_z_matches_twice_the_grid(log_lam, nu):
+    t, log_z = sized_series(log_lam, nu)
+    j = np.arange(2 * t.size, dtype=np.float64)
+    assert abs(log_z - logsumexp(log_lam * j - nu * gammaln(j + 1.0))) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SIZING)
+@example(log_lam=0.7 * math.log(POLICY.base_terms / 2), nu=0.7)  # mode exactly base_terms / 2
+def test_small_mode_is_the_old_ladder(log_lam, nu):
+    # lambda^(1/nu) <= base_terms / 2: the grid starts at base_terms, unsized
+    assume(log_lam <= nu * math.log(POLICY.base_terms / 2))
+    t, log_z = sized_series(log_lam, nu)
+    t_ref, log_z_ref = reference_ladder(log_lam, nu, POLICY)
+    assert np.array_equal(t, t_ref)
+    assert log_z == log_z_ref
+
+
+def test_large_mode_is_summed_once(monkeypatch):
+    grids = []
+    tables = core._tables
+    monkeypatch.setattr(core, "_tables", lambda k: grids.append(k) or tables(k))
+    k = pmf_table(CmpParams(30.0, 0.7), POLICY).size  # mode 30^(1/0.7) = 129
+    assert 200 < k < 404
+    assert grids == [k]
+
+
+@pytest.mark.parametrize("log_lam, nu", [
+    (math.log(1.01), 1e-4),  # near the geometric boundary: mode e^99
+    (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5),  # ratio lambda / j^nu just above 1 at the cap
+])
+def test_unconvergeable_series_raises_before_summing(monkeypatch, log_lam, nu):
+    with pytest.raises(TruncationError) as before:
+        reference_ladder(log_lam, nu, POLICY)
+    monkeypatch.setattr(core, "_tables", lambda k: pytest.fail("summed a series"))
+    with pytest.raises(TruncationError) as after:
+        log_normalizer_at(log_lam, nu, POLICY)
+    assert str(after.value) == str(before.value)
+
+
+def test_mode_just_inside_the_cap_converges():
+    # mode at 99% of MAX_TERMS; nu = 50 keeps the peak narrow enough to fit
+    log_lam, nu = 50.0 * math.log(0.99 * MAX_TERMS), 50.0
+    assert log_lam < nu * math.log(MAX_TERMS - 1)
+    t, log_z = _series(log_lam, nu, POLICY)
+    assert log_z == pytest.approx(reference_ladder(log_lam, nu, POLICY)[1], rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

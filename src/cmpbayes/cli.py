@@ -14,8 +14,9 @@ import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_pmf, pmf_table
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer, pmf_table
 from .datasets import CountDataset, resolve_dataset
 from .errors import CmpError, ImproperPosteriorError
 from .mcmc import Draws, McmcConfig, PosteriorSummary, run_chains, summarize
@@ -220,9 +221,13 @@ def _cmd_pmf(args) -> int:
     policy = config_from_args(args).policy
     table = pmf_table(params, policy)
     if args.max is not None:
-        # rows past the truncation grid come from log_pmf
-        rows = [(x, float(table[x]) if x < table.size
-                 else math.exp(log_pmf(x, params, policy))) for x in range(args.max + 1)]
+        rows = list(enumerate(table[: args.max + 1].tolist()))
+        if args.max >= table.size:
+            # rows past the truncation grid: log_pmf's terms, with ln Z summed once
+            xs = np.arange(table.size, args.max + 1)
+            log_p = (xs * math.log(params.lam) - params.nu * gammaln(xs + 1.0)
+                     - log_normalizer(params, policy))
+            rows += [(x, math.exp(lp)) for x, lp in zip(xs.tolist(), log_p.tolist())]
     else:
         # default: stop once cumulative mass reaches 1 - 1e-9
         cum = np.cumsum(table)

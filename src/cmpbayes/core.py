@@ -12,10 +12,12 @@ of log-domain terms
 
 summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
 before summing (see TruncationPolicy), so one sum almost always suffices. j
-and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import.
-log_normalizer_at and moments_at work from (ln lambda, nu), the sampler's
-coordinates; moments reuses one grid for the expectations and ln Z, which
-keeps them self-consistent.
+and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import,
+next to a read-only (MAX_TERMS, 5) table of the moment integrands j, j^2,
+lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1). log_normalizer_at,
+moment_sums_at and moments_at work from (ln lambda, nu), the sampler's
+coordinates; the moments are one product exp(t - ln Z) @ table over the grid
+that gave ln Z, which keeps them self-consistent.
 """
 
 from __future__ import annotations
@@ -133,8 +135,10 @@ class LogZDerivatives:
 
 _J = np.arange(MAX_TERMS, dtype=np.float64)
 _LGAMMA = gammaln(_J + 1.0)
-_J.flags.writeable = False
-_LGAMMA.flags.writeable = False
+# the moment integrands g(j), one column per CmpMoments expectation, in its order
+_MOMENT_TABLE = np.column_stack([_J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
+for _table in (_J, _LGAMMA, _MOMENT_TABLE):
+    _table.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +236,20 @@ def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_
     )
 
 
+def moment_sums_at(log_lam: float, nu: float,
+                   policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[list[float], float]:
+    """The five CmpMoments expectations as floats, in its order, and ln Z, unvalidated.
+
+    One product exp(t - ln Z) @ g(j) over one grid.
+    """
+    t, log_z = _series(log_lam, nu, policy)
+    return (np.exp(t - log_z) @ _MOMENT_TABLE[: t.size]).tolist(), log_z
+
+
 def moments_at(log_lam: float, nu: float, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
     """Moments at (ln lambda, nu), unvalidated: sums of g(j) * exp(t_j - ln Z) on one grid."""
-    t, log_z = _series(log_lam, nu, policy)
-    j, g = _tables(t.size)
-    w = np.exp(t - log_z)
-    jw = j * w
-    gw = g * w
-    return CmpMoments(
-        e_x=float(jw.sum()),
-        e_x2=float(jw @ j),
-        e_lnfact=float(gw.sum()),
-        e_lnfact2=float(gw @ g),
-        e_x_lnfact=float(jw @ g),
-        log_z=log_z,
-    )
+    sums, log_z = moment_sums_at(log_lam, nu, policy)
+    return CmpMoments(*sums, log_z=log_z)
 
 
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:

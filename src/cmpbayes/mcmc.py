@@ -2,15 +2,18 @@
 
 Chains move on (u, v) = (ln lambda, ln nu) so proposals never leave the
 domain; the Jacobian contributes u + v to the target. Each chain runs one
-loop of warmup + keep Metropolis steps. During warmup only, a Robbins-Monro
-update steers the global step size toward 30% acceptance, and the proposal's
-2x2 covariance shape is re-estimated every 100 iterations from the running
-(Welford) covariance of the warmup draws. The full covariance matters here:
-CMP posteriors can put correlation near 0.99 between ln lambda and ln nu at
-large n, where a diagonal proposal mixes too slowly to pass R-hat checks.
-Adaptation freezes at the end of warmup, so the retained draws come from a
-fixed-kernel Markov chain. These tuning values are module constants, not
-config: McmcConfig holds only the chain count and lengths.
+loop of warmup + keep Metropolis steps with its whole state in Python floats:
+(u, v) and its log target, the log step size, the proposal's lower Cholesky
+factor and the running (Welford) means and cross-products of the warmup
+draws. During warmup only, a Robbins-Monro update steers the global step
+size toward 30% acceptance, and every 100 iterations np.linalg.cholesky
+refactors the proposal's 2x2 covariance shape from the running covariance.
+The full covariance matters here: CMP posteriors can put correlation near
+0.99 between ln lambda and ln nu at large n, where a diagonal proposal mixes
+too slowly to pass R-hat checks. Adaptation freezes at the end of warmup, so
+the retained draws come from a fixed-kernel Markov chain. These tuning
+values are module constants, not config: McmcConfig holds only the chain
+count and lengths.
 
 The target is posterior.log_kernel plus the Jacobian, one ln Z series per
 step. Proposals whose target is non-finite (nu below NU_FLOOR, lambda = e^u
@@ -145,23 +148,6 @@ def _make_target(spec, stats, policy):
     return target
 
 
-def _logdet_chol(chol: np.ndarray) -> float:
-    return math.log(chol[0, 0]) + math.log(chol[1, 1])
-
-
-def _mh_step(g, target, x, cur_lp, scale, chol):
-    """One Metropolis step. Returns (x, lp, accept_prob, accepted, divergent)."""
-    prop = x + scale * (chol @ g.standard_normal(2))
-    lp = target(prop[0], prop[1])
-    if not math.isfinite(lp):
-        return x, cur_lp, 0.0, False, True
-    log_ratio = lp - cur_lp
-    accept_prob = math.exp(min(0.0, log_ratio))
-    if math.log(g.random()) < log_ratio:
-        return prop, lp, accept_prob, True, False
-    return x, cur_lp, accept_prob, False, False
-
-
 def _run_chain(target, xbar, config, seed, chain_idx):
     g = make_generator(seed.master_seed, seed.stream_id, chain_idx)
     base_u = math.log(max(xbar, 0.5))
@@ -177,46 +163,68 @@ def _run_chain(target, xbar, config, seed, chain_idx):
             f"chain {chain_idx}: no finite starting point in {_MAX_INIT_TRIES} attempts"
         )
 
+    # The whole chain state is Python floats: a 2-vector through numpy costs
+    # more per step than the arithmetic it does.
+    normal, uniform = g.standard_normal, g.random
+    exp, log, isfinite = math.exp, math.log, math.isfinite
     warmup = config.warmup
-    x = np.array([u, v])
     log_scale = math.log(_INIT_PROPOSAL_SD)
-    chol = np.eye(2)
-    mean = np.zeros(2)
-    m2 = np.zeros((2, 2))
+    c00, c10, c11 = 1.0, 0.0, 1.0  # lower Cholesky factor of the proposal shape
+    # Welford running means and cross-products; np.linalg.cholesky reads only
+    # the lower triangle, so the upper cross-product is not kept
+    mean_u = mean_v = 0.0
+    m_uu = m_vu = m_vv = 0.0
     count = 0
     reset_at = warmup // 4
     last_update = warmup - _COV_UPDATE_EVERY
-    lam = np.empty(config.keep)
-    nu = np.empty(config.keep)
+    lam = []
+    nu = []
     accepted = 0
     divergent = 0
 
     for i in range(warmup + config.keep):
-        x, cur_lp, accept_prob, acc, div = _mh_step(
-            g, target, x, cur_lp, math.exp(log_scale), chol
-        )
+        scale = exp(log_scale)
+        z0, z1 = normal(2).tolist()
+        prop_u = u + scale * (c00 * z0)
+        prop_v = v + scale * (c10 * z0 + c11 * z1)
+        lp = target(prop_u, prop_v)
+        if isfinite(lp):
+            log_ratio = lp - cur_lp
+            accept_prob = exp(min(0.0, log_ratio))
+            acc = log(uniform()) < log_ratio
+            if acc:
+                u, v, cur_lp = prop_u, prop_v, lp
+        else:  # divergent: the state stays and no uniform is drawn
+            accept_prob = 0.0
+            acc = False
+            if i >= warmup:
+                divergent += 1
         if i >= warmup:  # adaptation is frozen; record the draw
             accepted += acc
-            divergent += div
-            lam[i - warmup] = math.exp(x[0])
-            nu[i - warmup] = math.exp(x[1])
+            lam.append(exp(u))
+            nu.append(exp(v))
             continue
         log_scale += (i + 1) ** -0.6 * (accept_prob - _TARGET_ACCEPT)
         if i == reset_at:
-            mean[:] = 0.0
-            m2[:] = 0.0
+            mean_u = mean_v = m_uu = m_vu = m_vv = 0.0
             count = 0
         count += 1
-        delta = x - mean
-        mean += delta / count
-        m2 += np.outer(delta, x - mean)
+        du = u - mean_u
+        dv = v - mean_v
+        mean_u += du / count
+        mean_v += dv / count
+        eu = u - mean_u
+        m_uu += du * eu
+        m_vu += dv * eu
+        m_vv += dv * (v - mean_v)
         if count >= _COV_UPDATE_EVERY and (i + 1) % _COV_UPDATE_EVERY == 0 and i < last_update:
-            cov = m2 / (count - 1) + 1e-9 * np.eye(2)
-            new_chol = np.linalg.cholesky(cov)
+            n1 = count - 1
+            cov = np.array([[m_uu / n1 + 1e-9, 0.0], [m_vu / n1, m_vv / n1 + 1e-9]])
+            (n00, _), (n10, n11) = np.linalg.cholesky(cov).tolist()
             # keep the proposal determinant fixed so acceptance stays settled
-            log_scale += (_logdet_chol(chol) - _logdet_chol(new_chol)) / 2.0
-            chol = new_chol
-    return lam, nu, accepted / config.keep, divergent
+            log_scale += ((log(c00) + log(c11)) - (log(n00) + log(n11))) / 2.0
+            c00, c10, c11 = n00, n10, n11
+    return np.array(lam), np.array(nu), accepted / config.keep, divergent
 
 
 def run_chains(

@@ -60,8 +60,11 @@ class SufficientStats:
 
 
 def sufficient_stats(data: Iterable[int]) -> SufficientStats:
-    """Exact (n, S1, S2) for a sequence of nonnegative integer counts."""
-    x = np.asarray(list(data))
+    """Exact (n, S1, S2) for a sequence of nonnegative integer counts.
+
+    An ndarray is used as given; any other iterable is read into one.
+    """
+    x = data if isinstance(data, np.ndarray) else np.asarray(list(data))
     if x.size == 0:
         raise EmptyDataError("dataset is empty")
     if not np.issubdtype(x.dtype, np.integer):

@@ -20,8 +20,8 @@ from typing import Union
 
 from scipy.special import gammaln
 
-from .core import CmpMoments, CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
-from .core import moments, moments_at
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
+from .core import moment_sums_at
 from .core import log_normalizer, logz_hessian  # noqa: F401  (names bench/spans.py patches)
 from .errors import InvalidParamsError, NonpositiveDeterminantError
 
@@ -116,9 +116,13 @@ def conjugate_log_kernel(a: float, b: float, c: float, log_lam: float, nu: float
     return out - c * log_normalizer_at(log_lam, nu, policy)
 
 
-def _scaled_information_det(m: CmpMoments) -> float:
-    """lambda^2 times the information determinant: Var(X)Var(ln X!) - Cov(X, ln X!)^2."""
-    return m.var_x * m.var_lnfact - m.cov_x_lnfact**2
+def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
+                            e_xg: float) -> float:
+    """lambda^2 times the information determinant: Var(X)Var(G) - Cov(X, G)^2, G = ln X!.
+
+    Takes the five CmpMoments expectations in its order.
+    """
+    return (e_x2 - e_x**2) * (e_g2 - e_g**2) - (e_xg - e_x * e_g)**2
 
 
 def jeffreys_log_kernel(s1: float, s2: float, n: int, log_lam: float, nu: float,
@@ -131,13 +135,13 @@ def jeffreys_log_kernel(s1: float, s2: float, n: int, log_lam: float, nu: float,
     """
     if nu <= 0.0:
         raise InvalidParamsError("Jeffreys prior requires nu > 0")
-    m = moments_at(log_lam, nu, policy)
-    det = _scaled_information_det(m)
+    sums, log_z = moment_sums_at(log_lam, nu, policy)
+    det = _scaled_information_det(*sums)
     if not (det > 0.0 and math.isfinite(det)):
         raise NonpositiveDeterminantError(
             f"information determinant not positive at (ln lambda={log_lam}, nu={nu})"
         )
-    return (0.5 * math.log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * m.log_z)
+    return (0.5 * math.log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * log_z)
 
 
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -145,5 +149,5 @@ def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAU
 
     det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2.
     """
-    return _scaled_information_det(moments(params, policy)) / params.lam**2
-
+    sums, _ = moment_sums_at(math.log(params.lam), params.nu, policy)
+    return _scaled_information_det(*sums) / params.lam**2

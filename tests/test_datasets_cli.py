@@ -6,10 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cmpbayes import (
+    CmpParams,
     DatasetParseError,
     EmptyDataError,
     bundled_dataset,
+    core,
     load_dataset,
+    log_pmf,
     resolve_dataset,
     sufficient_stats,
 )
@@ -148,6 +151,18 @@ class TestCli:
         for x, p in rows:
             poisson = math.exp(int(x) * math.log(4.0) - 4.0 - math.lgamma(int(x) + 1.0))
             assert float(p) == pytest.approx(poisson, rel=1e-9)
+
+    def test_pmf_rows_past_the_grid_sum_at_most_two_series(self, capsys, monkeypatch):
+        series = core._series
+        calls = []
+        monkeypatch.setattr(core, "_series", lambda *args: calls.append(args) or series(*args))
+        assert main(["pmf", "--lam", "4", "--nu", "1", "--max", "2000", "--format", "csv"]) == 0
+        assert len(calls) <= 2
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert [int(x) for x, _ in rows] == list(range(2001))
+        params = CmpParams(4.0, 1.0)
+        for x, p in rows[101:]:
+            assert float(p) == math.exp(log_pmf(int(x), params))
 
     def test_fit_json_reproducible(self, tmp_path, capsys):
         args = ["fit", "textile-faults", "--prior", "conj-1", "--chains", "2",

@@ -14,19 +14,25 @@ from cmpbayes import (
     ConjugateHyper,
     Flat,
     Jeffreys,
+    McmcConfig,
+    SeedSpec,
     SufficientStats,
     TruncationError,
     TruncationPolicy,
+    bundled_dataset,
     core,
+    get_preset,
     log_normalizer,
     log_posterior,
+    mcmc,
     moments,
     pmf_table,
+    run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at
+from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moments_at
 from cmpbayes.errors import NonpositiveDeterminantError
-from cmpbayes.mcmc import NU_FLOOR, _make_target, _mh_step
+from cmpbayes.mcmc import NU_FLOOR, _make_target, _run_chain
 
 POLICY = TruncationPolicy()
 STATS = sufficient_stats([0, 1, 1, 2, 3, 3, 4, 6, 2, 1, 0, 5])
@@ -165,6 +171,30 @@ def test_moments_log_z_is_log_normalizer(lam, nu):
     assert moments(p, POLICY).log_z == log_normalizer(p, POLICY)
 
 
+def reference_moments(log_lam, nu):
+    """The five expectations as separate sums of g(j) * w_j, and ln Z, on one fresh grid."""
+    t, log_z = _series(log_lam, nu, POLICY)
+    j = np.arange(t.size, dtype=np.float64)
+    g = gammaln(j + 1.0)
+    w = np.exp(t - log_z)
+    jw = j * w
+    gw = g * w
+    return [float(jw.sum()), float(jw @ j), float(gw.sum()), float(gw @ g), float(jw @ g)], log_z
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SIZING)
+@example(log_lam=math.log(30.0), nu=0.7)
+@example(log_lam=math.log(0.9), nu=0.2)  # geometric-like slow tail
+def test_moment_product_matches_five_sums(log_lam, nu):
+    sized_series(log_lam, nu)
+    m = moments_at(log_lam, nu, POLICY)
+    expected, log_z = reference_moments(log_lam, nu)
+    got = [m.e_x, m.e_x2, m.e_lnfact, m.e_lnfact2, m.e_x_lnfact]
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    assert m.log_z == log_z == log_normalizer_at(log_lam, nu, POLICY)
+
+
 @settings(max_examples=60, deadline=None)
 @given(u=st.floats(-2.0, 3.5), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
 def test_target_is_log_posterior_plus_jacobian(u, v, spec):
@@ -200,9 +230,72 @@ def test_target_rejects_non_finite_value():
     assert target(2.0, 0.0) == -math.inf
 
 
-def test_rejected_proposal_counts_as_divergence():
-    g = np.random.default_rng(0)
-    x = np.array([1.0, 0.0])
-    _, lp, accept_prob, accepted, divergent = _mh_step(
-        g, lambda u, v: -math.inf, x, -3.0, 0.5, np.eye(2))
-    assert (lp, accept_prob, accepted, divergent) == (-3.0, 0.0, False, True)
+class RecordingGenerator:
+    """A numpy Generator that records which method each draw came from."""
+
+    def __init__(self, seed):
+        self._g = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, *size):
+        self.calls.append("normal")
+        return self._g.standard_normal(*size)
+
+    def random(self):
+        self.calls.append("uniform")
+        return self._g.random()
+
+
+def test_rejected_proposal_counts_as_divergence(monkeypatch):
+    # every proposal after the start is non-finite: the chain stays at the
+    # start, each kept proposal counts as a divergence and no uniform is drawn
+    g = RecordingGenerator(0)
+    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
+    starts = []
+
+    def target(u, v):
+        if starts:
+            return -math.inf
+        starts.append((u, v))
+        return -3.0
+
+    config = McmcConfig(chains=2, warmup=150, keep=100)
+    lam, nu, accept_rate, divergent = _run_chain(target, 2.0, config, SeedSpec(0), 0)
+    (u, v), = starts
+    assert (lam == math.exp(u)).all() and (nu == math.exp(v)).all()
+    assert (accept_rate, divergent) == (0.0, 100)
+    # the start's two scalar normals, then one pair per step
+    assert g.calls == ["normal"] * (2 + 250)
+
+
+@pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
+def test_one_series_per_target_evaluation(monkeypatch, prior):
+    counts = {"series": 0, "above_floor": 0, "below_floor": 0}
+    targets = []
+    series = core._series
+    make_target = mcmc._make_target
+
+    def counted_series(*args):
+        counts["series"] += 1
+        return series(*args)
+
+    def counted_make_target(*args):
+        target = make_target(*args)
+
+        def counted_target(u, v):
+            counts["above_floor" if v >= math.log(NU_FLOOR) else "below_floor"] += 1
+            return target(u, v)
+
+        targets.append(counted_target)
+        return counted_target
+
+    monkeypatch.setattr(core, "_series", counted_series)
+    monkeypatch.setattr(mcmc, "_make_target", counted_make_target)
+    stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
+    run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300), SeedSpec(3))
+    assert counts["above_floor"] >= 2 * 800
+    assert counts["series"] == counts["above_floor"]
+    # a proposal below the floor is rejected before any series
+    assert targets[0](1.0, math.log(NU_FLOOR) - 1.0) == -math.inf
+    assert counts["below_floor"] >= 1
+    assert counts["series"] == counts["above_floor"]

@@ -40,6 +40,16 @@ def make_draws(lam, nu=None):
                  divergences=np.zeros(n_chains, dtype=np.int64))
 
 
+def pinned_fit(prior, warmup, accepted, divergences):
+    """textile-faults, 2 chains of warmup + 200 at SeedSpec(7): check counts, return the summary."""
+    stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+    d = run_chains(get_preset(prior), stats,
+                   McmcConfig(chains=2, warmup=warmup, keep=200), SeedSpec(7))
+    assert [round(a * 200) for a in d.accept_rate] == accepted
+    assert d.divergences.tolist() == divergences
+    return summarize(d)
+
+
 class TestConfig:
     def test_defaults(self):
         c = McmcConfig()
@@ -168,13 +178,21 @@ class TestRunChains:
         (1, [24, 20], [2, 1], 1.7954392793085912, 0.2905695322196746),
     ])
     def test_draws_pinned(self, warmup, accepted, divergences, lam_median, nu_median):
-        stats = sufficient_stats(bundled_dataset("textile-faults").counts)
-        d = run_chains(get_preset("conj-1"), stats,
-                       McmcConfig(chains=2, warmup=warmup, keep=200), SeedSpec(7))
-        assert [round(a * 200) for a in d.accept_rate] == accepted
-        assert d.divergences.tolist() == divergences
-        s = summarize(d)
+        s = pinned_fit("conj-1", warmup, accepted, divergences)
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
+
+    # The same fit under flat and jeffreys, frozen when the chain state was
+    # numpy arrays; float arithmetic may move a draw by an ulp.
+    @pytest.mark.parametrize("prior, warmup, accepted, divergences, lam_median, nu_median", [
+        ("flat", 300, [66, 81], [0, 0], 1.8569222526825029, 0.32279809467645076),
+        ("flat", 1, [29, 18], [0, 1], 2.1161793457440305, 0.3796414527665151),
+        ("jeffreys", 300, [66, 83], [0, 0], 1.850123050457416, 0.3025475368645289),
+        ("jeffreys", 1, [25, 20], [1, 1], 1.7954392793085912, 0.2905695322196746),
+    ])
+    def test_draws_pinned_flat_jeffreys(self, prior, warmup, accepted, divergences,
+                                        lam_median, nu_median):
+        s = pinned_fit(prior, warmup, accepted, divergences)
+        assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-9)
 
     def test_prior_as_posterior_with_empty_data(self):
         spec = Conjugate(ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0))

@@ -52,6 +52,29 @@ class TestSufficientStats:
         with pytest.raises(InvalidParamsError):
             sufficient_stats([1.5, 2.0])
 
+    def test_ndarray_list_and_generator_agree(self):
+        counts = [3, 1, 4, 1, 5, 9, 2, 6]
+        expected = sufficient_stats(counts)
+        assert sufficient_stats(np.array(counts)) == expected
+        assert sufficient_stats(np.array(counts, dtype=np.int32)) == expected
+        assert sufficient_stats(x for x in counts) == expected
+        assert sufficient_stats(tuple(counts)) == expected
+
+    def test_integer_valued_floats_accepted(self):
+        expected = sufficient_stats([3, 1, 4])
+        assert sufficient_stats(np.array([3.0, 1.0, 4.0])) == expected
+        assert sufficient_stats([3.0, 1.0, 4.0]) == expected
+        assert sufficient_stats(x for x in [3.0, 1.0, 4.0]) == expected
+
+    @pytest.mark.parametrize("make", [np.array, list, iter], ids=["ndarray", "list", "generator"])
+    def test_non_integer_and_negative_refused(self, make):
+        with pytest.raises(InvalidParamsError):
+            sufficient_stats(make([1.5, 2.0]))
+        with pytest.raises(InvalidParamsError):
+            sufficient_stats(make([1, -2]))
+        with pytest.raises(EmptyDataError):
+            sufficient_stats(make([]))
+
     def test_xbar_exact(self):
         s = sufficient_stats([3, 1, 4, 1, 5])
         assert s.xbar == s.s1 / s.n

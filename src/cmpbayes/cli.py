@@ -53,10 +53,14 @@ class FitReport:
     summary: PosteriorSummary
     accept_rate: tuple[float, ...]
     divergences: tuple[int, ...]
-    divergence_warning: bool
     config: McmcConfig
     policy: TruncationPolicy
     seed: SeedSpec
+
+    @property
+    def divergence_warning(self) -> bool:
+        """More than DIVERGENCE_WARN_FRACTION of the kept proposals were divergent."""
+        return sum(self.divergences) / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
 
     def to_dict(self) -> dict:
         return {
@@ -120,7 +124,6 @@ def fit_command(
             summary=summary,
             accept_rate=tuple(float(a) for a in draws.accept_rate),
             divergences=tuple(int(d) for d in draws.divergences),
-            divergence_warning=draws.divergence_fraction > DIVERGENCE_WARN_FRACTION,
             config=config,
             policy=policy,
             seed=seed,
@@ -217,23 +220,23 @@ def _cmd_check_prior(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
+    if args.max is not None and args.max < 0:
+        raise CmpError(f"--max must be >= 0, got {args.max}")
     params = CmpParams(args.lam, args.nu)
     policy = config_from_args(args).policy
     table = pmf_table(params, policy)
-    if args.max is not None:
-        rows = list(enumerate(table[: args.max + 1].tolist()))
-        if args.max >= table.size:
-            # rows past the truncation grid: log_pmf's terms, with ln Z summed once
-            xs = np.arange(table.size, args.max + 1)
-            log_p = (xs * math.log(params.lam) - params.nu * gammaln(xs + 1.0)
-                     - log_normalizer(params, policy))
-            rows += [(x, math.exp(lp)) for x, lp in zip(xs.tolist(), log_p.tolist())]
-    else:
+    if args.max is None:
         # default: stop once cumulative mass reaches 1 - 1e-9
-        cum = np.cumsum(table)
-        upto = int(np.searchsorted(cum, 1.0 - 1e-9)) + 1
-        upto = min(max(upto, 1), table.size)
-        rows = [(x, float(table[x])) for x in range(upto)]
+        upto = min(int(np.searchsorted(np.cumsum(table), 1.0 - 1e-9)) + 1, table.size)
+    else:
+        upto = args.max + 1
+    rows = list(enumerate(table[:upto].tolist()))
+    if upto > table.size:
+        # rows past the truncation grid: log_pmf's terms, with ln Z summed once
+        xs = np.arange(table.size, upto)
+        log_p = (xs * math.log(params.lam) - params.nu * gammaln(xs + 1.0)
+                 - log_normalizer(params, policy))
+        rows += [(x, math.exp(lp)) for x, lp in zip(xs.tolist(), log_p.tolist())]
     if args.format == "json":
         text = json.dumps(
             {"lambda": args.lam, "nu": args.nu,

@@ -14,10 +14,10 @@ summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
 before summing (see TruncationPolicy), so one sum almost always suffices. j
 and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import,
 next to a read-only (MAX_TERMS, 5) table of the moment integrands j, j^2,
-lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1). log_normalizer_at,
-moment_sums_at and moments_at work from (ln lambda, nu), the sampler's
-coordinates; the moments are one product exp(t - ln Z) @ table over the grid
-that gave ln Z, which keeps them self-consistent.
+lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1). log_normalizer_at and
+moment_sums_at work from (ln lambda, nu), the sampler's coordinates; the
+moments are one product exp(t - ln Z) @ table over the grid that gave ln Z,
+which keeps them self-consistent.
 """
 
 from __future__ import annotations
@@ -246,15 +246,10 @@ def moment_sums_at(log_lam: float, nu: float,
     return (np.exp(t - log_z) @ _MOMENT_TABLE[: t.size]).tolist(), log_z
 
 
-def moments_at(log_lam: float, nu: float, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
-    """Moments at (ln lambda, nu), unvalidated: sums of g(j) * exp(t_j - ln Z) on one grid."""
-    sums, log_z = moment_sums_at(log_lam, nu, policy)
-    return CmpMoments(*sums, log_z=log_z)
-
-
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
     """Probability-weighted truncated sums for the moments in CmpMoments."""
-    return moments_at(math.log(params.lam), params.nu, policy)
+    sums, log_z = moment_sums_at(math.log(params.lam), params.nu, policy)
+    return CmpMoments(*sums, log_z=log_z)
 
 
 def logz_hessian(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> LogZDerivatives:

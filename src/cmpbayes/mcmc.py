@@ -80,16 +80,8 @@ class Draws:
     divergences: np.ndarray  # per chain, post-warmup proposals with non-finite target
 
     @property
-    def n_chains(self) -> int:
-        return self.lam.shape[0]
-
-    @property
     def n_kept(self) -> int:
         return self.lam.shape[0] * self.lam.shape[1]
-
-    @property
-    def divergence_fraction(self) -> float:
-        return float(self.divergences.sum()) / max(1, self.n_kept)
 
     def to_csv(self, fh) -> None:
         """Write draws as CSV with columns chain,iter,lambda,nu."""
@@ -245,15 +237,8 @@ def run_chains(
     _check_propriety(spec, stats)
     target = _make_target(spec, stats, policy)
 
-    lam = np.empty((config.chains, config.keep))
-    nu = np.empty((config.chains, config.keep))
-    accept_rate = np.empty(config.chains)
-    divergences = np.empty(config.chains, dtype=np.int64)
-    for c in range(config.chains):
-        lam[c], nu[c], accept_rate[c], divergences[c] = _run_chain(
-            target, stats.xbar, config, seed, c
-        )
-
+    chains = [_run_chain(target, stats.xbar, config, seed, c) for c in range(config.chains)]
+    lam, nu, accept_rate, divergences = (np.array(column) for column in zip(*chains))
     if bool((divergences >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was divergent")
     return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences)

@@ -29,14 +29,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import TruncationPolicy, DEFAULT_POLICY, CmpParams
-from .errors import (
-    AllDivergentError,
-    ImproperPosteriorError,
-    InvalidParamsError,
-    TruncationError,
-    ZeroVarianceError,
-)
+from .core import TruncationPolicy, DEFAULT_POLICY, CmpParams, log_normalizer
+from .errors import (AllDivergentError, ImproperPosteriorError, InvalidParamsError,
+                     ZeroVarianceError)
 from .mcmc import McmcConfig, run_chains, summarize
 from .posterior import sufficient_stats
 from .priors import PRESET_NAMES, get_preset
@@ -159,8 +154,7 @@ def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
             draws = run_chains(get_preset(config.priors[pi]), stats, config.mcmc,
                                SeedSpec(config.master_seed, made_by["stream"]), config.policy)
             summary = summarize(draws)
-        except (ImproperPosteriorError, AllDivergentError, ZeroVarianceError,
-                TruncationError) as exc:
+        except (ImproperPosteriorError, AllDivergentError, ZeroVarianceError) as exc:
             rec["failed"] = True
             rec["reason"] = type(exc).__name__
         else:
@@ -216,9 +210,14 @@ def run_study(
     raise InvalidParamsError, and each replicate's new records are appended as
     it ends, so an interrupted study resumes without recomputation. workers > 1
     spreads replicates over processes; tables and file are the same either way.
+    A setting whose ln Z series cannot be summed under config.policy raises
+    TruncationError before the progress file is read or written.
     """
     if workers < 1:
         raise InvalidParamsError(f"workers must be >= 1, got {workers}")
+    for setting in config.settings:
+        # every replicate's data are drawn from this series
+        log_normalizer(CmpParams(setting.lam, setting.nu), config.policy)
     path = Path(progress_path) if progress_path else None
     on_file = _load_progress(path) if path else {}
     done = {}
@@ -280,10 +279,6 @@ def _aggregate(config: StudyConfig, done: dict) -> list[CellResult]:
     return results
 
 
-def _sorted_results(results: Sequence[CellResult]) -> list[CellResult]:
-    return sorted(results, key=lambda r: (r.setting, r.parameter, r.n, r.prior))
-
-
 def render_tables(results: Sequence[CellResult], fmt: str = "text") -> str:
     """Render cell results deterministically ordered by (setting, parameter, n, prior).
 
@@ -294,7 +289,7 @@ def render_tables(results: Sequence[CellResult], fmt: str = "text") -> str:
     """
     if not results:
         raise InvalidParamsError("no results to render")
-    rows = _sorted_results(results)
+    rows = sorted(results, key=lambda r: (r.setting, r.parameter, r.n, r.prior))
     if fmt == "csv":
         lines = ["setting,parameter,n,prior,bias,mse,coverage,n_failed"]
         for r in rows:
@@ -311,8 +306,7 @@ def render_tables(results: Sequence[CellResult], fmt: str = "text") -> str:
 
 def _render_text(rows: list[CellResult]) -> str:
     priors = sorted({r.prior for r in rows})
-    keys = sorted({(r.setting, r.parameter, r.n) for r in rows},
-                  key=lambda k: (k[0], k[1], k[2]))
+    keys = sorted({(r.setting, r.parameter, r.n) for r in rows})
     by_cell = {(r.setting, r.parameter, r.n, r.prior): r for r in rows}
     width = max(12, max(len(p) for p in priors) + 2)
 

@@ -9,6 +9,9 @@ from cmpbayes import (
     CmpParams,
     DatasetParseError,
     EmptyDataError,
+    McmcConfig,
+    SeedSpec,
+    TruncationPolicy,
     bundled_dataset,
     core,
     load_dataset,
@@ -16,8 +19,9 @@ from cmpbayes import (
     resolve_dataset,
     sufficient_stats,
 )
-from cmpbayes.cli import main
+from cmpbayes.cli import FitReport, main
 from cmpbayes.datasets import DATA_DIR_ENV, parse_counts
+from cmpbayes.mcmc import ParamSummary, PosteriorSummary
 
 # Ingestion-time sufficient statistics of the bundled data, frozen.
 GOLDEN_STATS = {
@@ -141,6 +145,13 @@ class TestCli:
         assert main(["pmf", "--lam", "0.5", "--nu", "0", "--max", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("value", ["-5", "-1"])
+    def test_pmf_negative_max_refused(self, capsys, value):
+        assert main(["pmf", "--lam", "4", "--nu", "1", "--max", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --max must be >= 0, got {value}\n"
+
     @pytest.mark.parametrize("trunc", [[], ["--trunc-terms", "40"]], ids=["default", "40"])
     def test_pmf_max_past_the_grid(self, capsys, trunc):
         # the grid holds 101 (or 40) terms; rows past it still print
@@ -163,6 +174,23 @@ class TestCli:
         params = CmpParams(4.0, 1.0)
         for x, p in rows[101:]:
             assert float(p) == math.exp(log_pmf(int(x), params))
+
+    # the warning needs more than 1% of the kept proposals: 80 of 8000 is not
+    @pytest.mark.parametrize("divergences, warning", [((20, 20, 20, 20), False),
+                                                      ((20, 20, 20, 21), True)])
+    def test_divergence_warning_from_counts(self, divergences, warning):
+        ps = ParamSummary(median=1.0, cri_low=0.5, cri_high=2.0, rhat=1.0)
+        report = FitReport(
+            dataset="d", n=10, prior="conj-1",
+            summary=PosteriorSummary(lam=ps, nu=ps, n_kept=8000),
+            accept_rate=(0.3,) * 4, divergences=divergences,
+            config=McmcConfig(), policy=TruncationPolicy(), seed=SeedSpec(0))
+        assert report.divergence_warning is warning
+        assert report.to_dict()["divergence_warning"] is warning
+        text = report.to_text()
+        assert f"divergent proposals: {sum(divergences)} / 8000\n" in text
+        assert text.endswith("WARNING: more than 1% of proposals were divergent; "
+                             "treat this posterior with suspicion\n") is warning
 
     def test_fit_json_reproducible(self, tmp_path, capsys):
         args = ["fit", "textile-faults", "--prior", "conj-1", "--chains", "2",

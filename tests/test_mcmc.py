@@ -136,6 +136,18 @@ class TestRunChains:
         with pytest.raises(ImproperPosteriorError):
             run_chains(Flat(), sufficient_stats([1, 1, 1, 1]), FAST, SeedSpec(0))
 
+    # all-zero and all-one data: flat is improper, conj-1 and jeffreys still mix
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_constant_data(self, count):
+        stats = sufficient_stats([count] * 40)
+        with pytest.raises(ImproperPosteriorError):
+            run_chains(Flat(), stats, FAST, SeedSpec(1))
+        for prior in ("conj-1", "jeffreys"):
+            s = summarize(run_chains(get_preset(prior), stats,
+                                     McmcConfig(warmup=500, keep=300), SeedSpec(1)))
+            for ps in (s.lam, s.nu):
+                assert math.isfinite(ps.median) and ps.rhat < 1.1, prior
+
     def test_retained_draws_respect_domain(self):
         stats = sufficient_stats([2, 0, 1, 3, 1])
         d = run_chains(Conjugate(ConjugateHyper(1, 1, 1)), stats, FAST, SeedSpec(4))

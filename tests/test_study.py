@@ -96,6 +96,26 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not progress.exists()
 
+    # both pass the CMP domain check, but neither series sums within MAX_TERMS;
+    # geo:0.9999:0 reaches the cap only by doubling its grid
+    @pytest.mark.parametrize("bad", ["bad:2:0.01", "geo:0.9999:0"])
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_unsummable_setting_exits_2_before_any_fit(self, tmp_path, capsys, source, bad):
+        settings = f"over:3:0.5,{bad}"
+        progress = tmp_path / "progress.jsonl"
+        argv = ["study", "--sizes", "25", "--replicates", "1", "--priors", "flat",
+                "--progress", str(progress)]
+        if source == "flags":
+            argv += ["--settings", settings]
+        else:
+            path = tmp_path / "study.cfg"
+            path.write_text(f"settings = {settings}\n")
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not converge" in err
+        assert not progress.exists()
+
 
 class TestRunStudy:
     @pytest.mark.parametrize("workers", [0, -3])

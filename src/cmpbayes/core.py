@@ -13,11 +13,13 @@ of log-domain terms
 summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
 before summing (see TruncationPolicy), so one sum almost always suffices. j
 and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import,
-next to a read-only (MAX_TERMS, 5) table of the moment integrands j, j^2,
-lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1). log_normalizer_at and
-moment_sums_at work from (ln lambda, nu), the sampler's coordinates; the
-moments are one product exp(t - ln Z) @ table over the grid that gave ln Z,
-which keeps them self-consistent.
+next to a read-only (MAX_TERMS, 6) table whose columns are 1 and the moment
+integrands j, j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1).
+log_normalizer_at and moment_sums_at work from (ln lambda, nu), the sampler's
+coordinates; the moments are one product of the weights exp(t - ln Z) with the
+integrand columns over the grid that gave ln Z, which keeps them
+self-consistent. series_rows evaluates many points as one (B, K) grid, for the
+sampler's lockstep chains.
 """
 
 from __future__ import annotations
@@ -135,8 +137,10 @@ class LogZDerivatives:
 
 _J = np.arange(MAX_TERMS, dtype=np.float64)
 _LGAMMA = gammaln(_J + 1.0)
-# the moment integrands g(j), one column per CmpMoments expectation, in its order
-_MOMENT_TABLE = np.column_stack([_J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
+# a column of ones (a weight's row sum), then the moment integrands g(j), one
+# column per CmpMoments expectation, in its order
+_MOMENT_TABLE = np.column_stack(
+    [np.ones(MAX_TERMS), _J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
 for _table in (_J, _LGAMMA, _MOMENT_TABLE):
     _table.flags.writeable = False
 
@@ -164,31 +168,40 @@ def _sized_terms(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
     return min(MAX_TERMS, max(policy.base_terms, int(mode + width) + 2))
 
 
+def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
+    """Length of the first grid summed at (ln lambda, nu): base_terms, or sized from the mode."""
+    k = policy.base_terms
+    # mode above base_terms / 2, as in every series that cannot converge by MAX_TERMS
+    if log_lam > nu * math.log(0.5 * k):
+        k = _sized_terms(log_lam, nu, policy)
+    return k
+
+
+def _converged(prev: float, last: float, log_z: float, log_tol: float) -> bool:
+    """Whether a grid whose last two log terms are (prev, last) passes the tail test."""
+    if last < prev:
+        log_r = last - prev
+        r = math.exp(log_r)
+        if r < 1.0:
+            # tail <= term_{K-1} * r / (1 - r); ratios only shrink with j
+            return (last - log_z) + log_r - math.log1p(-r) < log_tol
+    return False
+
+
 def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
     """Log-term grid at (ln lambda, nu), sized from its mode, and its log-sum-exp.
 
     Returns (t, log_z) where t has the final grid length K.
     """
     log_tol = math.log(policy.tail_tol)
-    k = policy.base_terms
-    # mode above base_terms / 2, as in every series that cannot converge by MAX_TERMS
-    if log_lam > nu * math.log(0.5 * k):
-        k = _sized_terms(log_lam, nu, policy)
+    k = _grid_length(log_lam, nu, policy)
     while True:
         j, lgamma = _tables(k)
         t = log_lam * j - nu * lgamma
         m = float(t.max())
         log_z = m + math.log(float(np.exp(t - m).sum()))
-        last = float(t[-1])
-        prev = float(t[-2])
-        if last < prev:
-            log_r = last - prev
-            r = math.exp(log_r)
-            if r < 1.0:
-                # tail <= term_{K-1} * r / (1 - r); ratios only shrink with j
-                log_tail_bound = (last - log_z) + log_r - math.log1p(-r)
-                if log_tail_bound < log_tol:
-                    return t, log_z
+        if _converged(float(t[-2]), float(t[-1]), log_z, log_tol):
+            return t, log_z
         if k >= MAX_TERMS:
             raise _truncation_error(log_lam, nu, policy)
         k = min(2 * k, MAX_TERMS)
@@ -243,7 +256,60 @@ def moment_sums_at(log_lam: float, nu: float,
     One product exp(t - ln Z) @ g(j) over one grid.
     """
     t, log_z = _series(log_lam, nu, policy)
-    return (np.exp(t - log_z) @ _MOMENT_TABLE[: t.size]).tolist(), log_z
+    return (np.exp(t - log_z) @ _MOMENT_TABLE[: t.size, 1:]).tolist(), log_z
+
+
+def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
+                moments: bool = False) -> list:
+    """The series at each (ln lambda, nu) in points, from one (B, K) grid, unvalidated.
+
+    Row i is what log_normalizer_at (or, with moments, moment_sums_at) gives at
+    points[i], or None where that raises TruncationError. Each row is sized as
+    _series sizes it and K is the longest row; a shorter row's terms past its
+    own length are -inf, so they add nothing. A row that fails the tail test at
+    its own length falls back to _series and its doubling. With moments, one
+    product exp(t - max) @ _MOMENT_TABLE gives each row's sum and its five
+    moment sums. Rows of one length sum bit-identically to _series; padding a
+    shorter row can move its ln Z by an ulp, and the moment product of a
+    lone row rounds apart from that of a batch.
+    """
+    out = [None] * len(points)
+    rows, lengths = [], []
+    for i, (log_lam, nu) in enumerate(points):
+        try:
+            lengths.append(_grid_length(log_lam, nu, policy))
+        except TruncationError:
+            continue
+        rows.append(i)
+    if not rows:
+        return out
+    k = max(lengths)
+    grid = np.array([points[i] for i in rows])
+    t = grid[:, :1] * _J[:k]
+    t -= grid[:, 1:] * _LGAMMA[:k]
+    if min(lengths) == k:
+        ends = t[:, -2:].tolist()
+    else:
+        for r, length in enumerate(lengths):
+            t[r, length:] = -math.inf
+        ends = t.take([[r * k + length - 2, r * k + length - 1]
+                       for r, length in enumerate(lengths)]).tolist()
+    m = t.max(axis=1, keepdims=True)
+    t -= m
+    w = np.exp(t, out=t)
+    sums = (w @ _MOMENT_TABLE[:k] if moments else w.sum(axis=1)).tolist()
+    log_tol = math.log(policy.tail_tol)
+    for i, m_row, s, (prev, last) in zip(rows, m.ravel().tolist(), sums, ends):
+        total = s[0] if moments else s
+        log_z = m_row + math.log(total)
+        if _converged(prev, last, log_z, log_tol):
+            out[i] = ([x / total for x in s[1:]], log_z) if moments else log_z
+            continue
+        try:
+            out[i] = (moment_sums_at if moments else log_normalizer_at)(*points[i], policy)
+        except TruncationError:
+            pass
+    return out
 
 
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:

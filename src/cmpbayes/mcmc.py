@@ -1,12 +1,12 @@
 """Posterior sampling via adaptive random-walk Metropolis, with diagnostics.
 
 Chains move on (u, v) = (ln lambda, ln nu) so proposals never leave the
-domain; the Jacobian contributes u + v to the target. Each chain runs one
-loop of warmup + keep Metropolis steps with its whole state in Python floats:
-(u, v) and its log target, the log step size, the proposal's lower Cholesky
-factor and the running (Welford) means and cross-products of the warmup
-draws. During warmup only, a Robbins-Monro update steers the global step
-size toward 30% acceptance, and every 100 iterations np.linalg.cholesky
+domain; the Jacobian contributes u + v to the target. Each chain is one
+coroutine running warmup + keep Metropolis steps with its whole state in
+Python floats: (u, v) and its log target, the log step size, the proposal's
+lower Cholesky factor and the running (Welford) means and cross-products of
+the warmup draws. During warmup only, a Robbins-Monro update steers the global
+step size toward 30% acceptance, and every 100 iterations np.linalg.cholesky
 refactors the proposal's 2x2 covariance shape from the running covariance.
 The full covariance matters here: CMP posteriors can put correlation near
 0.99 between ln lambda and ln nu at large n, where a diagonal proposal mixes
@@ -15,10 +15,16 @@ the retained draws come from a fixed-kernel Markov chain. These tuning
 values are module constants, not config: McmcConfig holds only the chain
 count and lengths.
 
-The target is posterior.log_kernel plus the Jacobian, one ln Z series per
-step. Proposals whose target is non-finite (nu below NU_FLOOR, lambda = e^u
-out of float range, series truncation cap, nonpositive Jeffreys determinant)
-are rejected and counted as divergences.
+A chain yields each start attempt and proposal (u, v) and is sent back its
+log target. run_chains advances a fit's chains in lockstep rounds: each round
+evaluates every chain's pending point in one batched call, which sums one
+(chains, K) ln Z grid (core.series_rows) and applies posterior.log_kernel to
+each row. Each chain keeps its own generator, so the chains sharing its rounds
+can move its draws only in the last bits, through the batch's shape (see
+core.series_rows). Points whose target is non-finite
+(nu below NU_FLOOR, lambda = e^u out of float range, series truncation cap,
+nonpositive Jeffreys determinant) never reach the grid or are dropped from it,
+and count as divergences when proposed.
 """
 
 from __future__ import annotations
@@ -28,18 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, DEFAULT_POLICY
+from .core import TruncationPolicy, DEFAULT_POLICY, series_rows
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
     InvalidParamsError,
     NonpositiveDeterminantError,
-    TruncationError,
     ZeroVarianceError,
 )
 from .posterior import SufficientStats, flat_posterior_propriety, log_kernel, updated_hyper
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
-from .priors import Conjugate, Flat, PriorSpec, conjugate_propriety
+from .priors import Conjugate, Flat, Jeffreys, PriorSpec, conjugate_propriety
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
@@ -122,32 +127,52 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
 
 
 def _make_target(spec, stats, policy):
+    """The log target of a list of (u, v) points, one ln Z grid for all of them."""
     kernel = log_kernel(spec, stats, policy)
+    moments = isinstance(spec, Jeffreys)
 
-    def target(u: float, v: float) -> float:
-        if v < _LOG_NU_FLOOR:
-            return -math.inf
-        try:
-            if math.exp(u) == 0.0:  # lambda must be a positive float
-                return -math.inf
-            lp = kernel(u, math.exp(v))
-        except (TruncationError, NonpositiveDeterminantError, OverflowError):
-            return -math.inf
-        if not math.isfinite(lp):
-            return -math.inf
-        return lp + u + v
+    def target(points: list[tuple[float, float]]) -> list[float]:
+        values = [-math.inf] * len(points)
+        rows, batch = [], []
+        for i, (u, v) in enumerate(points):
+            if v < _LOG_NU_FLOOR:
+                continue
+            try:
+                lam, nu = math.exp(u), math.exp(v)
+            except OverflowError:
+                continue
+            if lam == 0.0:  # lambda must be a positive float
+                continue
+            rows.append(i)
+            batch.append((u, nu))
+        if not batch:
+            return values
+        for i, (u, nu), series in zip(rows, batch, series_rows(batch, policy, moments)):
+            if series is None:  # TruncationError
+                continue
+            try:
+                lp = kernel(u, nu, series=series)
+            except (NonpositiveDeterminantError, OverflowError):
+                continue
+            if math.isfinite(lp):
+                values[i] = lp + u + points[i][1]
+        return values
 
     return target
 
 
-def _run_chain(target, xbar, config, seed, chain_idx):
+def _run_chain(xbar, config, seed, chain_idx):
+    """One chain as a coroutine: yields each point (u, v), is sent its log target.
+
+    Returns (lam, nu, accept_rate, divergences) through StopIteration.
+    """
     g = make_generator(seed.master_seed, seed.stream_id, chain_idx)
     base_u = math.log(max(xbar, 0.5))
 
     for _ in range(_MAX_INIT_TRIES):
         u = base_u + _INIT_JITTER * g.standard_normal()
         v = max(_INIT_JITTER * g.standard_normal(), _LOG_NU_FLOOR)
-        cur_lp = target(u, v)
+        cur_lp = yield u, v
         if math.isfinite(cur_lp):
             break
     else:
@@ -179,7 +204,7 @@ def _run_chain(target, xbar, config, seed, chain_idx):
         z0, z1 = normal(2).tolist()
         prop_u = u + scale * (c00 * z0)
         prop_v = v + scale * (c10 * z0 + c11 * z1)
-        lp = target(prop_u, prop_v)
+        lp = yield prop_u, prop_v
         if isfinite(lp):
             log_ratio = lp - cur_lp
             accept_prob = exp(min(0.0, log_ratio))
@@ -219,6 +244,26 @@ def _run_chain(target, xbar, config, seed, chain_idx):
     return np.array(lam), np.array(nu), accepted / config.keep, divergent
 
 
+def _lockstep(target, chains):
+    """Drive chain coroutines in rounds of one target call; their results, in order.
+
+    A chain that finishes leaves the rounds; an error raised by a chain ends
+    them all.
+    """
+    results = [None] * len(chains)
+    live = [(c, chain, next(chain)) for c, chain in enumerate(chains)]
+    while live:
+        values = target([point for _, _, point in live])
+        pending = []
+        for (c, chain, _), value in zip(live, values):
+            try:
+                pending.append((c, chain, chain.send(value)))
+            except StopIteration as stop:
+                results[c] = stop.value
+        live = pending
+    return results
+
+
 def run_chains(
     spec: PriorSpec,
     stats: SufficientStats,
@@ -226,7 +271,7 @@ def run_chains(
     seed: SeedSpec = SeedSpec(0),
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> Draws:
-    """Run config.chains independent adaptive Metropolis chains.
+    """Run config.chains independent adaptive Metropolis chains, in lockstep.
 
     Per-chain streams derive from (seed.master_seed, seed.stream_id, chain
     index), so results do not depend on execution order and repeat runs are
@@ -237,8 +282,9 @@ def run_chains(
     _check_propriety(spec, stats)
     target = _make_target(spec, stats, policy)
 
-    chains = [_run_chain(target, stats.xbar, config, seed, c) for c in range(config.chains)]
-    lam, nu, accept_rate, divergences = (np.array(column) for column in zip(*chains))
+    chains = [_run_chain(stats.xbar, config, seed, c) for c in range(config.chains)]
+    results = _lockstep(target, chains)
+    lam, nu, accept_rate, divergences = (np.array(column) for column in zip(*results))
     if bool((divergences >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was divergent")
     return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences)

@@ -84,7 +84,8 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
                policy: TruncationPolicy = DEFAULT_POLICY) -> Callable[[float, float], float]:
     """The unnormalized log posterior as an unvalidated function of (ln lambda, nu).
 
-    Each call evaluates one ln Z series and raises where log_posterior would.
+    Each call evaluates one ln Z series, or takes it as series= (see
+    core.series_rows), and raises where log_posterior would.
     """
     if isinstance(spec, Jeffreys):
         return partial(jeffreys_log_kernel, stats.s1, stats.s2, stats.n, policy=policy)

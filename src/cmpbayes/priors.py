@@ -9,14 +9,15 @@ propriety_bound). The flat prior lambda^(-1) is the (improper) limit of the
 conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root of
 the determinant of the single-observation Fisher information, assembled from
 the moments of X and ln X!. Both log kernels take (ln lambda, nu) and
-evaluate one ln Z series; posterior.log_kernel picks one per prior.
+evaluate one ln Z series, or take it ready-made from core.series_rows;
+posterior.log_kernel picks one per prior.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from scipy.special import gammaln
 
@@ -104,16 +105,20 @@ def get_preset(name: str) -> PriorSpec:
 
 
 def conjugate_log_kernel(a: float, b: float, c: float, log_lam: float, nu: float,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+                         policy: TruncationPolicy = DEFAULT_POLICY,
+                         series: Optional[float] = None) -> float:
     """(a - 1)*ln(lambda) - nu*b - c*ln Z at (ln lambda, nu), unvalidated.
 
     The conjugate prior's log kernel and, at shifted (a, b, c), every conjugate
-    and flat posterior's. c = 0 (flat prior, no data) needs no series.
+    and flat posterior's. c = 0 (flat prior, no data) needs no series. series,
+    when given, is ln Z at the point, as log_normalizer_at returns it.
     """
     out = (a - 1.0) * log_lam - nu * b
     if c == 0.0:
         return out
-    return out - c * log_normalizer_at(log_lam, nu, policy)
+    if series is None:
+        series = log_normalizer_at(log_lam, nu, policy)
+    return out - c * series
 
 
 def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
@@ -126,16 +131,18 @@ def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
 
 
 def jeffreys_log_kernel(s1: float, s2: float, n: int, log_lam: float, nu: float,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+                        policy: TruncationPolicy = DEFAULT_POLICY,
+                        series: Optional[tuple[list[float], float]] = None) -> float:
     """Jeffreys log density plus S1*ln(lambda) - nu*S2 - n*ln Z, unvalidated.
 
-    One series gives the information determinant and ln Z. Raises
+    One series gives the information determinant and ln Z; series, when given,
+    is that series' (moment sums, ln Z) as moment_sums_at returns them. Raises
     NonpositiveDeterminantError where the determinant is not positive and
     finite (the density is undefined there, nothing is clamped). Requires nu > 0.
     """
     if nu <= 0.0:
         raise InvalidParamsError("Jeffreys prior requires nu > 0")
-    sums, log_z = moment_sums_at(log_lam, nu, policy)
+    sums, log_z = moment_sums_at(log_lam, nu, policy) if series is None else series
     det = _scaled_information_det(*sums)
     if not (det > 0.0 and math.isfinite(det)):
         raise NonpositiveDeterminantError(

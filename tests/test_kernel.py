@@ -1,4 +1,5 @@
-"""Property tests for the one-series log kernel, its grid sizing and the sampler's target."""
+"""Property tests for the one-series log kernel, its grid sizing, its batched rows and the
+sampler's target."""
 
 import math
 
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from cmpbayes import (
+    AllDivergentError,
     CmpParams,
     Conjugate,
     ConjugateHyper,
     Flat,
+    InvalidParamsError,
     Jeffreys,
     McmcConfig,
     SeedSpec,
@@ -30,9 +33,9 @@ from cmpbayes import (
     run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moment_sums_at
+from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moment_sums_at, series_rows
 from cmpbayes.errors import NonpositiveDeterminantError
-from cmpbayes.mcmc import NU_FLOOR, _make_target, _run_chain
+from cmpbayes.mcmc import _MAX_INIT_TRIES, NU_FLOOR, _make_target, _run_chain
 
 POLICY = TruncationPolicy()
 STATS = sufficient_stats([0, 1, 1, 2, 3, 3, 4, 6, 2, 1, 0, 5])
@@ -194,39 +197,125 @@ def test_moment_product_matches_five_sums(log_lam, nu):
     assert got_log_z == log_z == log_normalizer_at(log_lam, nu, POLICY)
 
 
+def scalar_series(log_lam, nu, moments):
+    try:
+        return (moment_sums_at if moments else log_normalizer_at)(log_lam, nu, POLICY)
+    except TruncationError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(*SIZING.values()), min_size=1, max_size=6),
+       moments=st.booleans())
+@example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 232 and 101 terms
+@example(points=[(math.log(30.0), 0.7), (math.log(30.0), 0.7)], moments=True)
+@example(points=[(math.log(2.0), 1e-3), (1.0, 1.0)], moments=True)  # a row that cannot converge
+@example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric tail: doubles
+def test_series_rows_match_each_series(points, moments):
+    got = series_rows(points, POLICY, moments)
+    expected = [scalar_series(log_lam, nu, moments) for log_lam, nu in points]
+    lengths = {core._grid_length(*p, POLICY) for p, e in zip(points, expected) if e is not None}
+    for row, want in zip(got, expected):
+        if want is None:
+            assert row is None
+        elif moments:
+            np.testing.assert_allclose(row[0], want[0], rtol=1e-12)
+            assert row[1] == pytest.approx(want[1], rel=1e-14, abs=1e-14)
+        elif len(lengths) == 1:
+            # one length: each row's pairwise sum is _series' own
+            assert row == want
+        else:
+            # a row zero-padded to the batch's longest may move by an ulp
+            assert row == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def scalar_target(spec, u, v):
+    """log_posterior + u + v at one point, or -inf where the sampler rejects it."""
+    if v < math.log(NU_FLOOR):
+        return -math.inf
+    try:
+        lp = log_posterior(spec, STATS, CmpParams(math.exp(u), math.exp(v)), POLICY)
+    except (TruncationError, NonpositiveDeterminantError, OverflowError, InvalidParamsError):
+        return -math.inf
+    return lp + u + v if math.isfinite(lp) else -math.inf
+
+
+def assert_is_scalar_target(value, spec, u, v):
+    """value is scalar_target within 1e-12 relative, and -inf exactly where that is.
+
+    The Jeffreys determinant Var(X)Var(G) - Cov(X, G)^2 cancels terms up to
+    1e13 times its value at large modes, and the batched and scalar moment
+    sums round differently, so a Jeffreys value may also differ by an ulp of
+    each cancelled term, relative to the determinant.
+    """
+    want = scalar_target(spec, u, v)
+    if want == -math.inf:
+        assert value == -math.inf
+        return
+    allowance = 0.0
+    if isinstance(spec, Jeffreys):
+        e_x, e_x2, e_g, e_g2, e_xg = moment_sums_at(u, math.exp(v), POLICY)[0]
+        det = (e_x2 - e_x**2) * (e_g2 - e_g**2) - (e_xg - e_x * e_g)**2
+        cancelled = (e_x2 + e_x**2) * (e_g2 + e_g**2) + (e_xg + e_x * e_g)**2
+        allowance = 1e-15 * cancelled / det
+    assert value == pytest.approx(want, rel=1e-12, abs=allowance)
+
+
+ORDINARY = st.tuples(st.floats(-2.0, 3.5), st.floats(-1.0, 1.5))
+REJECTED = st.sampled_from([
+    (1.0, math.log(NU_FLOOR) - 1e-9),  # nu below the floor
+    (800.0, 0.0),  # lambda = e^u overflows
+    (-800.0, 0.0),  # lambda = e^u underflows to 0
+    (math.log(2.0), math.log(1e-3)),  # TruncationError
+    (0.0, math.log(1e8)),  # zero Jeffreys determinant
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.one_of(ORDINARY, REJECTED), min_size=1, max_size=6),
+       spec=st.sampled_from(SPECS))
+# mode near 894, where the determinant cancels terms 2e10 times its value
+@example(points=[(2.5, -1.0), (1.0, 0.0)], spec=Jeffreys())
+def test_batch_equals_row(points, spec):
+    for (u, v), value in zip(points, _make_target(spec, STATS, POLICY)(points)):
+        assert_is_scalar_target(value, spec, u, v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(u=st.floats(-2.0, 3.5), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
 def test_target_is_log_posterior_plus_jacobian(u, v, spec):
-    target = _make_target(spec, STATS, POLICY)
-    try:
-        expected = log_posterior(spec, STATS, CmpParams(math.exp(u), math.exp(v)), POLICY)
-    except (TruncationError, NonpositiveDeterminantError):
-        expected = -math.inf
-    else:
-        expected += u + v
-    assert target(u, v) == pytest.approx(expected, rel=1e-12)
+    value, = _make_target(spec, STATS, POLICY)([(u, v)])
+    assert_is_scalar_target(value, spec, u, v)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
     target = _make_target(spec, STATS, POLICY)
-    assert math.isfinite(target(1.0, 0.0))
-    assert target(1.0, math.log(NU_FLOOR) - 1e-9) == -math.inf  # nu below the floor
-    assert target(math.log(2.0), math.log(1e-3)) == -math.inf  # TruncationError
-    assert target(800.0, 5.0) == -math.inf  # lambda = e^u overflows
-    assert target(-800.0, 0.0) == -math.inf  # lambda = e^u underflows to 0
+    values = target([
+        (1.0, 0.0),
+        (1.0, math.log(NU_FLOOR) - 1e-9),  # nu below the floor
+        (math.log(2.0), math.log(1e-3)),  # TruncationError
+        (800.0, 5.0),  # lambda = e^u overflows
+        (-800.0, 0.0),  # lambda = e^u underflows to 0
+    ])
+    assert math.isfinite(values[0])
+    assert values[1:] == [-math.inf] * 4
+    # the rejected rows leave the finite one as it is alone
+    assert values[0] == target([(1.0, 0.0)])[0]
 
 
 def test_target_rejects_nonpositive_jeffreys_determinant():
     # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0
     target = _make_target(Jeffreys(), STATS, POLICY)
-    assert target(0.0, math.log(1e8)) == -math.inf
+    det_zero, ordinary = target([(0.0, math.log(1e8)), (1.0, 0.0)])
+    assert det_zero == -math.inf
+    assert math.isfinite(ordinary)
 
 
 def test_target_rejects_non_finite_value():
     spec = Conjugate(ConjugateHyper(1e308, 1.0, 1.0))
     target = _make_target(spec, SufficientStats.empty(), POLICY)
-    assert target(2.0, 0.0) == -math.inf
+    assert target([(2.0, 0.0)]) == [-math.inf]
 
 
 class RecordingGenerator:
@@ -250,17 +339,17 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
     # start, each kept proposal counts as a divergence and no uniform is drawn
     g = RecordingGenerator(0)
     monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
-    starts = []
-
-    def target(u, v):
-        if starts:
-            return -math.inf
-        starts.append((u, v))
-        return -3.0
-
     config = McmcConfig(chains=2, warmup=150, keep=100)
-    lam, nu, accept_rate, divergent = _run_chain(target, 2.0, config, SeedSpec(0), 0)
-    (u, v), = starts
+    chain = _run_chain(2.0, config, SeedSpec(0), 0)
+    u, v = next(chain)
+    chain.send(-3.0)
+    proposals = 1
+    with pytest.raises(StopIteration) as done:
+        while True:
+            chain.send(-math.inf)
+            proposals += 1
+    lam, nu, accept_rate, divergent = done.value.value
+    assert proposals == 250
     assert (lam == math.exp(u)).all() and (nu == math.exp(v)).all()
     assert (accept_rate, divergent) == (0.0, 100)
     # the start's two scalar normals, then one pair per step
@@ -269,32 +358,82 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
-    counts = {"series": 0, "above_floor": 0, "below_floor": 0}
-    targets = []
-    series = core._series
-    make_target = mcmc._make_target
+    # one batched series per round that has a row at or above the floor; rows
+    # below it never enter the batch, and _series runs only for the rows that
+    # fail the tail test at their own grid length
+    floor = math.log(NU_FLOOR)
+    counts = {"rounds": 0, "batches": 0, "series": 0, "fallbacks": 0}
+    targets, expected_batch = [], []
+    make_target, rows, series = mcmc._make_target, mcmc.series_rows, core._series
+
+    def counted_make_target(*args):
+        target = make_target(*args)
+
+        def counted_target(points):
+            above = [(u, math.exp(v)) for u, v in points if v >= floor]
+            counts["rounds"] += bool(above)
+            expected_batch[:] = above
+            return target(points)
+
+        targets.append(counted_target)
+        return counted_target
+
+    def counted_rows(points, policy, moments):
+        counts["batches"] += 1
+        assert points == expected_batch
+        for log_lam, nu in points:
+            k = core._grid_length(log_lam, nu, policy)
+            try:
+                counts["fallbacks"] += series(log_lam, nu, policy)[0].size > k
+            except TruncationError:
+                counts["fallbacks"] += 1
+        return rows(points, policy, moments)
 
     def counted_series(*args):
         counts["series"] += 1
         return series(*args)
 
-    def counted_make_target(*args):
-        target = make_target(*args)
-
-        def counted_target(u, v):
-            counts["above_floor" if v >= math.log(NU_FLOOR) else "below_floor"] += 1
-            return target(u, v)
-
-        targets.append(counted_target)
-        return counted_target
-
-    monkeypatch.setattr(core, "_series", counted_series)
     monkeypatch.setattr(mcmc, "_make_target", counted_make_target)
+    monkeypatch.setattr(mcmc, "series_rows", counted_rows)
+    monkeypatch.setattr(core, "_series", counted_series)
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300), SeedSpec(3))
-    assert counts["above_floor"] >= 2 * 800
-    assert counts["series"] == counts["above_floor"]
-    # a proposal below the floor is rejected before any series
-    assert targets[0](1.0, math.log(NU_FLOOR) - 1.0) == -math.inf
-    assert counts["below_floor"] >= 1
-    assert counts["series"] == counts["above_floor"]
+    assert counts["rounds"] >= 800
+    assert counts["batches"] == counts["rounds"]
+    assert counts["series"] == counts["fallbacks"]
+    # a round whose every row is below the floor sums no series
+    before = dict(counts)
+    assert targets[0]([(1.0, floor - 1.0), (0.5, floor - 1e-9)]) == [-math.inf] * 2
+    assert counts == before
+
+
+def test_chain_without_finite_start_raises(monkeypatch):
+    # chain 1 is refused every start; chains 0 and 2 start at once
+    rounds = []
+    make_target = mcmc._make_target
+
+    def refuse_chain_1(*args):
+        target = make_target(*args)
+
+        def refusing(points):
+            rounds.append(len(points))
+            values = target(points)
+            values[1] = -math.inf
+            return values
+
+        return refusing
+
+    monkeypatch.setattr(mcmc, "_make_target", refuse_chain_1)
+    stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
+    with pytest.raises(AllDivergentError,
+                       match=f"^chain 1: no finite starting point in {_MAX_INIT_TRIES} attempts$"):
+        run_chains(get_preset("conj-1"), stats, McmcConfig(chains=3), SeedSpec(3))
+    # the lockstep rounds stop with the failing chain
+    assert rounds == [3] * _MAX_INIT_TRIES
+
+
+def test_data_beyond_float_range_has_no_finite_start():
+    # 10^309 ones: S1 * ln(lambda) overflows at every point, so no chain starts
+    stats = SufficientStats(n=10**309, s1=10**309, s2=0.0)
+    with pytest.raises(AllDivergentError, match="^chain 0: no finite starting point"):
+        run_chains(Jeffreys(), stats, McmcConfig(chains=3), SeedSpec(0))

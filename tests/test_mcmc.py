@@ -132,6 +132,21 @@ class TestRunChains:
         assert np.array_equal(two.lam, four.lam[:2])
         assert np.array_equal(two.nu, four.nu[:2])
 
+    @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
+    def test_chain_order_invariance_on_sized_grids(self, prior):
+        # CMP(30, 0.7) has its mode near 129, so each row is sized past
+        # base_terms from its own (lambda, nu) and a round mixes grid lengths:
+        # padding to the longest may move a target by an ulp, which must flip
+        # no accept and no divergence
+        stats = sufficient_stats(sample_cmp(CmpParams(30.0, 0.7), 200, SeedSpec(8, 0)))
+        two = run_chains(get_preset(prior), stats, FAST, SeedSpec(21))
+        four = run_chains(get_preset(prior), stats,
+                          McmcConfig(chains=4, warmup=500, keep=300), SeedSpec(21))
+        assert np.array_equal(two.accept_rate, four.accept_rate[:2])
+        assert np.array_equal(two.divergences, four.divergences[:2])
+        assert_allclose(four.lam[:2], two.lam, rtol=1e-12)
+        assert_allclose(four.nu[:2], two.nu, rtol=1e-12)
+
     def test_flat_improper_refused(self):
         with pytest.raises(ImproperPosteriorError):
             run_chains(Flat(), sufficient_stats([1, 1, 1, 1]), FAST, SeedSpec(0))

@@ -13,13 +13,14 @@ of log-domain terms
 summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
 before summing (see TruncationPolicy), so one sum almost always suffices. j
 and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import,
-next to a read-only (MAX_TERMS, 6) table whose columns are 1 and the moment
+next to a read-only (6, MAX_TERMS) table whose rows are 1 and the moment
 integrands j, j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1).
 log_normalizer_at and moment_sums_at work from (ln lambda, nu), the sampler's
-coordinates; the moments are one product of the weights exp(t - ln Z) with the
-integrand columns over the grid that gave ln Z, which keeps them
-self-consistent. series_rows evaluates many points as one (B, K) grid, for the
-sampler's lockstep chains.
+coordinates; the moments are one einsum of the weights exp(t - max t) with the
+table's rows over the grid that gave ln Z, each divided by the weights' sum
+(the row of ones), which keeps them self-consistent. series_rows evaluates
+many points as one (B, K) grid, for the sampler's lockstep chains, and no
+point's result there depends on the other points.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ class LogZDerivatives:
 
 _J = np.arange(MAX_TERMS, dtype=np.float64)
 _LGAMMA = gammaln(_J + 1.0)
-# a column of ones (a weight's row sum), then the moment integrands g(j), one
-# column per CmpMoments expectation, in its order
-_MOMENT_TABLE = np.column_stack(
+# a row of ones (the weights' sum), then the moment integrands g(j), one row
+# per CmpMoments expectation, in its order
+_MOMENT_TABLE = np.vstack(
     [np.ones(MAX_TERMS), _J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
 for _table in (_J, _LGAMMA, _MOMENT_TABLE):
     _table.flags.writeable = False
@@ -249,57 +250,90 @@ def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_
     )
 
 
+def _sum_widths(lengths: list[int], policy: TruncationPolicy) -> list[int]:
+    """The widths over which series_rows sums grids of these lengths.
+
+    Each length rounded up to a multiple of base_terms (at most MAX_TERMS),
+    with zero weights past the length: rows of nearby lengths then share
+    one reduction, and a row's sums still depend on its own length alone.
+    """
+    b = policy.base_terms
+    return [min(MAX_TERMS, -(-length // b) * b) for length in lengths]
+
+
+def _moment_sums(w: np.ndarray) -> list[list[float]]:
+    """Sums of g(j) * w_j for each row g of _MOMENT_TABLE and each row of weights w (B, K).
+
+    One einsum over j per row and integrand, so a row's sums depend only on
+    its own weights and on K, not on the other rows of w.
+    """
+    return np.einsum("bk,ck->bc", w, _MOMENT_TABLE[:, : w.shape[1]]).tolist()
+
+
 def moment_sums_at(log_lam: float, nu: float,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[list[float], float]:
     """The five CmpMoments expectations as floats, in its order, and ln Z, unvalidated.
 
-    One product exp(t - ln Z) @ g(j) over one grid.
+    The sums of g(j) * exp(t - max t) over one grid, padded with zero weights
+    to its width as series_rows pads it (_sum_widths), divided by the
+    weights' sum.
     """
     t, log_z = _series(log_lam, nu, policy)
-    return (np.exp(t - log_z) @ _MOMENT_TABLE[: t.size, 1:]).tolist(), log_z
+    w = np.zeros((1, *_sum_widths([t.size], policy)))
+    np.exp(t - float(t.max()), out=w[0, : t.size])
+    total, *sums = _moment_sums(w)[0]
+    return [x / total for x in sums], log_z
 
 
 def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
                 moments: bool = False) -> list:
     """The series at each (ln lambda, nu) in points, from one (B, K) grid, unvalidated.
 
-    Row i is what log_normalizer_at (or, with moments, moment_sums_at) gives at
-    points[i], or None where that raises TruncationError. Each row is sized as
-    _series sizes it and K is the longest row; a shorter row's terms past its
-    own length are -inf, so they add nothing. A row that fails the tail test at
-    its own length falls back to _series and its doubling. With moments, one
-    product exp(t - max) @ _MOMENT_TABLE gives each row's sum and its five
-    moment sums. Rows of one length sum bit-identically to _series; padding a
-    shorter row can move its ln Z by an ulp, and the moment product of a
-    lone row rounds apart from that of a batch.
+    Row i is what log_normalizer_at (or, with moments, moment_sums_at) gives
+    at points[i], or None where that raises TruncationError. A row is sized
+    as _series sizes it, its terms past its own length are -inf (so their
+    weights are 0), and it is summed over its width (_sum_widths), together
+    with the other rows of that width: one sum, or with moments one einsum
+    with _MOMENT_TABLE. So no row's result depends on the other rows. The
+    moments are moment_sums_at's bit for bit. A plain row of base_terms
+    terms has _series' ln Z bit for bit; a longer row's, summed over its zero
+    weights too, and a moment row's, from the row of ones, may differ from it
+    in the last bit. A row that fails the tail test at its own length falls
+    back to _series and its doubling.
     """
     out = [None] * len(points)
-    rows, lengths = [], []
+    sized = []
     for i, (log_lam, nu) in enumerate(points):
         try:
-            lengths.append(_grid_length(log_lam, nu, policy))
+            sized.append((_grid_length(log_lam, nu, policy), i))
         except TruncationError:
             continue
-        rows.append(i)
-    if not rows:
+    if not sized:
         return out
-    k = max(lengths)
-    grid = np.array([points[i] for i in rows])
+    sized.sort()  # rows of one width next to each other, the widest last
+    lengths = [length for length, _ in sized]
+    widths = _sum_widths(lengths, policy)
+    k = widths[-1]
+    grid = np.array([points[i] for _, i in sized])
     t = grid[:, :1] * _J[:k]
     t -= grid[:, 1:] * _LGAMMA[:k]
-    if min(lengths) == k:
-        ends = t[:, -2:].tolist()
-    else:
-        for r, length in enumerate(lengths):
-            t[r, length:] = -math.inf
-        ends = t.take([[r * k + length - 2, r * k + length - 1]
-                       for r, length in enumerate(lengths)]).tolist()
+    ends = t[:, -2:].tolist()  # the tail test's last two terms of rows k long
+    for r in range(len(lengths) - lengths.count(k)):  # the rows shorter than k
+        length = lengths[r]
+        ends[r] = t[r, length - 2:length].tolist()
+        t[r, length:] = -math.inf
     m = t.max(axis=1, keepdims=True)
     t -= m
     w = np.exp(t, out=t)
-    sums = (w @ _MOMENT_TABLE[:k] if moments else w.sum(axis=1)).tolist()
+    sums = []
+    start = 0
+    while start < len(widths):
+        stop = start + widths.count(widths[start])
+        block = w[start:stop, :widths[start]]
+        sums += _moment_sums(block) if moments else block.sum(axis=1).tolist()
+        start = stop
     log_tol = math.log(policy.tail_tol)
-    for i, m_row, s, (prev, last) in zip(rows, m.ravel().tolist(), sums, ends):
+    for (_, i), m_row, s, (prev, last) in zip(sized, m.ravel().tolist(), sums, ends):
         total = s[0] if moments else s
         log_z = m_row + math.log(total)
         if _converged(prev, last, log_z, log_tol):

@@ -18,10 +18,11 @@ count and lengths.
 A chain yields each start attempt and proposal (u, v) and is sent back its
 log target. run_chains advances a fit's chains in lockstep rounds: each round
 evaluates every chain's pending point in one batched call, which sums one
-(chains, K) ln Z grid (core.series_rows) and applies posterior.log_kernel to
-each row. Each chain keeps its own generator, so the chains sharing its rounds
-can move its draws only in the last bits, through the batch's shape (see
-core.series_rows). Points whose target is non-finite
+(chains, K) ln Z grid (core.series_rows) and hands each row's series to
+posterior.log_kernel (posterior.kernel_series). Each
+chain keeps its own generator, and each row of the grid gives exactly its
+one-point value, so a chain's draws do not depend on the chains sharing its
+rounds. Points whose target is non-finite
 (nu below NU_FLOOR, lambda = e^u out of float range, series truncation cap,
 nonpositive Jeffreys determinant) never reach the grid or are dropped from it,
 and count as divergences when proposed.
@@ -42,9 +43,9 @@ from .errors import (
     NonpositiveDeterminantError,
     ZeroVarianceError,
 )
-from .posterior import SufficientStats, flat_posterior_propriety, log_kernel, updated_hyper
+from .posterior import SufficientStats, flat_posterior_propriety, kernel_series, updated_hyper
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
-from .priors import Conjugate, Flat, Jeffreys, PriorSpec, conjugate_propriety
+from .priors import Conjugate, Flat, PriorSpec, conjugate_propriety
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
@@ -128,8 +129,7 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
 
 def _make_target(spec, stats, policy):
     """The log target of a list of (u, v) points, one ln Z grid for all of them."""
-    kernel = log_kernel(spec, stats, policy)
-    moments = isinstance(spec, Jeffreys)
+    kernel, moments = kernel_series(spec, stats, policy)
 
     def target(points: list[tuple[float, float]]) -> list[float]:
         values = [-math.inf] * len(points)

@@ -8,7 +8,8 @@ data. Under a conjugate prior it is the conjugate kernel at the shifted
 hyperparameters (a + S1, b + S2, c + n); under the flat prior it is the
 conjugate kernel at (S1, S2, n), which is proper exactly when those values
 satisfy the conjugate propriety condition. log_posterior, log_prior_density
-and the sampler all run this kernel.
+and the sampler all run this kernel; the sampler hands it series that
+core.series_rows summed for many points at once (kernel_series).
 """
 
 from __future__ import annotations
@@ -80,21 +81,31 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     )
 
 
+def kernel_series(spec: PriorSpec, stats: SufficientStats,
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[Callable[..., float], bool]:
+    """log_kernel's function, and the series it can take ready-made as series=.
+
+    The flag is core.series_rows' moments argument: True where the kernel
+    takes the moment sums and ln Z (Jeffreys), False where it takes ln Z.
+    """
+    if isinstance(spec, Jeffreys):
+        return partial(jeffreys_log_kernel, stats.s1, stats.s2, stats.n, policy=policy), True
+    if isinstance(spec, Conjugate):
+        h = updated_hyper(spec.hyper, stats)
+        return partial(conjugate_log_kernel, h.a, h.b, h.c, policy=policy), False
+    if isinstance(spec, Flat):
+        return partial(conjugate_log_kernel, stats.s1, stats.s2, stats.n, policy=policy), False
+    raise TypeError(f"unknown prior spec {spec!r}")
+
+
 def log_kernel(spec: PriorSpec, stats: SufficientStats,
                policy: TruncationPolicy = DEFAULT_POLICY) -> Callable[[float, float], float]:
     """The unnormalized log posterior as an unvalidated function of (ln lambda, nu).
 
     Each call evaluates one ln Z series, or takes it as series= (see
-    core.series_rows), and raises where log_posterior would.
+    kernel_series), and raises where log_posterior would.
     """
-    if isinstance(spec, Jeffreys):
-        return partial(jeffreys_log_kernel, stats.s1, stats.s2, stats.n, policy=policy)
-    if isinstance(spec, Conjugate):
-        h = updated_hyper(spec.hyper, stats)
-        return partial(conjugate_log_kernel, h.a, h.b, h.c, policy=policy)
-    if isinstance(spec, Flat):
-        return partial(conjugate_log_kernel, stats.s1, stats.s2, stats.n, policy=policy)
-    raise TypeError(f"unknown prior spec {spec!r}")
+    return kernel_series(spec, stats, policy)[0]
 
 
 def log_posterior(

@@ -211,22 +211,25 @@ def scalar_series(log_lam, nu, moments):
 @example(points=[(math.log(30.0), 0.7), (math.log(30.0), 0.7)], moments=True)
 @example(points=[(math.log(2.0), 1e-3), (1.0, 1.0)], moments=True)  # a row that cannot converge
 @example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric tail: doubles
+# 101 terms beside 1079: summed over the wider row's width, the first would move
+@example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)
 def test_series_rows_match_each_series(points, moments):
     got = series_rows(points, POLICY, moments)
-    expected = [scalar_series(log_lam, nu, moments) for log_lam, nu in points]
-    lengths = {core._grid_length(*p, POLICY) for p, e in zip(points, expected) if e is not None}
-    for row, want in zip(got, expected):
+    for (log_lam, nu), row in zip(points, got):
+        want = scalar_series(log_lam, nu, moments)
         if want is None:
             assert row is None
-        elif moments:
-            np.testing.assert_allclose(row[0], want[0], rtol=1e-12)
+            continue
+        if moments:
+            # the moments bit for bit; ln Z from the einsum within an ulp
+            assert row[0] == want[0]
             assert row[1] == pytest.approx(want[1], rel=1e-14, abs=1e-14)
-        elif len(lengths) == 1:
-            # one length: each row's pairwise sum is _series' own
-            assert row == want
+        elif core._grid_length(log_lam, nu, POLICY) == POLICY.base_terms:
+            assert row == want  # summed as _series sums it
         else:
-            # a row zero-padded to the batch's longest may move by an ulp
             assert row == pytest.approx(want, rel=1e-14, abs=1e-14)
+    # no row depends on the rows that share its grid
+    assert got == [series_rows([point], POLICY, moments)[0] for point in points]
 
 
 def scalar_target(spec, u, v):
@@ -241,24 +244,12 @@ def scalar_target(spec, u, v):
 
 
 def assert_is_scalar_target(value, spec, u, v):
-    """value is scalar_target within 1e-12 relative, and -inf exactly where that is.
-
-    The Jeffreys determinant Var(X)Var(G) - Cov(X, G)^2 cancels terms up to
-    1e13 times its value at large modes, and the batched and scalar moment
-    sums round differently, so a Jeffreys value may also differ by an ulp of
-    each cancelled term, relative to the determinant.
-    """
+    """value is scalar_target within 1e-12 relative, and -inf exactly where that is."""
     want = scalar_target(spec, u, v)
     if want == -math.inf:
         assert value == -math.inf
-        return
-    allowance = 0.0
-    if isinstance(spec, Jeffreys):
-        e_x, e_x2, e_g, e_g2, e_xg = moment_sums_at(u, math.exp(v), POLICY)[0]
-        det = (e_x2 - e_x**2) * (e_g2 - e_g**2) - (e_xg - e_x * e_g)**2
-        cancelled = (e_x2 + e_x**2) * (e_g2 + e_g**2) + (e_xg + e_x * e_g)**2
-        allowance = 1e-15 * cancelled / det
-    assert value == pytest.approx(want, rel=1e-12, abs=allowance)
+    else:
+        assert value == pytest.approx(want, rel=1e-12)
 
 
 ORDINARY = st.tuples(st.floats(-2.0, 3.5), st.floats(-1.0, 1.5))
@@ -277,8 +268,12 @@ REJECTED = st.sampled_from([
 # mode near 894, where the determinant cancels terms 2e10 times its value
 @example(points=[(2.5, -1.0), (1.0, 0.0)], spec=Jeffreys())
 def test_batch_equals_row(points, spec):
-    for (u, v), value in zip(points, _make_target(spec, STATS, POLICY)(points)):
+    target = _make_target(spec, STATS, POLICY)
+    values = target(points)
+    for (u, v), value in zip(points, values):
         assert_is_scalar_target(value, spec, u, v)
+    # and each value is that point's own target, bit for bit
+    assert values == [target([point])[0] for point in points]
 
 
 @settings(max_examples=60, deadline=None)

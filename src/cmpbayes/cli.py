@@ -56,6 +56,9 @@ class FitReport:
     config: McmcConfig
     policy: TruncationPolicy
     seed: SeedSpec
+    # per chain, the proposal the sampling phase held fixed (see Draws)
+    step_size: tuple[float, ...] = ()
+    proposal_cholesky: tuple[tuple[float, float, float], ...] = ()
 
     @property
     def divergence_warning(self) -> bool:
@@ -73,6 +76,8 @@ class FitReport:
             "accept_rate": list(self.accept_rate),
             "divergences": list(self.divergences),
             "divergence_warning": self.divergence_warning,
+            "step_size": list(self.step_size),
+            "proposal_cholesky": [list(c) for c in self.proposal_cholesky],
             "config": asdict(self.config),
             "truncation": asdict(self.policy),
             "seed": asdict(self.seed),
@@ -127,6 +132,8 @@ def fit_command(
             config=config,
             policy=policy,
             seed=seed,
+            step_size=tuple(draws.step_size.tolist()),
+            proposal_cholesky=tuple(map(tuple, draws.proposal_cholesky.tolist())),
         ),
         draws,
     )

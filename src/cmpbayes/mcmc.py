@@ -10,28 +10,32 @@ step size toward 30% acceptance, and every 100 iterations np.linalg.cholesky
 refactors the proposal's 2x2 covariance shape from the running covariance.
 The full covariance matters here: CMP posteriors can put correlation near
 0.99 between ln lambda and ln nu at large n, where a diagonal proposal mixes
-too slowly to pass R-hat checks. Adaptation freezes at the end of warmup, so
-the retained draws come from a fixed-kernel Markov chain. These tuning
+too slowly to pass R-hat checks. Adaptation freezes at the end of warmup:
+the sampling phase is a loop of its own that holds the step size and the
+Cholesky factor fixed, so the retained draws come from a fixed-kernel Markov
+chain, and Draws reports that kernel per chain. Both phases draw one pair of
+normals per step and a uniform only for a finite proposal. These tuning
 values are module constants, not config: McmcConfig holds only the chain
 count and lengths.
 
 A chain yields each start attempt and proposal (u, v) and is sent back its
 log target. run_chains advances a fit's chains in lockstep rounds: each round
 evaluates every chain's pending point in one batched call, which sums one
-(chains, K) ln Z grid (core.series_rows) and hands each row's series to
-posterior.log_kernel (posterior.kernel_series). Each
-chain keeps its own generator, and each row of the grid gives exactly its
-one-point value, so a chain's draws do not depend on the chains sharing its
-rounds. Points whose target is non-finite
+(chains, K) ln Z grid (core.series_rows) and evaluates the posterior's log
+kernel (posterior.kernel_series) over the round's rows in one call; the
+target adds only the Jacobian. Each chain keeps its own generator, and each
+row of the grid gives exactly its one-point value, so a chain's draws do not
+depend on the chains sharing its rounds. Points whose target is non-finite
 (nu below NU_FLOOR, lambda = e^u out of float range, series truncation cap,
-nonpositive Jeffreys determinant) never reach the grid or are dropped from it,
-and count as divergences when proposed.
+nonpositive Jeffreys determinant, overflow) never reach the grid or are -inf
+from the kernel, and count as divergences when proposed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
     InvalidParamsError,
-    NonpositiveDeterminantError,
     ZeroVarianceError,
 )
 from .posterior import SufficientStats, flat_posterior_propriety, kernel_series, updated_hyper
@@ -84,6 +87,11 @@ class Draws:
     nu: np.ndarray
     accept_rate: np.ndarray  # per chain, post-warmup
     divergences: np.ndarray  # per chain, post-warmup proposals with non-finite target
+    # per chain, the sampling phase's fixed proposal: step size s and the lower
+    # Cholesky factor L = [[c00, 0], [c10, c11]] of its shape (rows of
+    # (c00, c10, c11)), so a proposal is (u, v) + s * L z with z standard normal
+    step_size: Optional[np.ndarray] = None
+    proposal_cholesky: Optional[np.ndarray] = None
 
     @property
     def n_kept(self) -> int:
@@ -129,7 +137,7 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
 
 def _make_target(spec, stats, policy):
     """The log target of a list of (u, v) points, one ln Z grid for all of them."""
-    kernel, moments = kernel_series(spec, stats, policy)
+    kernel, moments = kernel_series(spec, stats)
 
     def target(points: list[tuple[float, float]]) -> list[float]:
         values = [-math.inf] * len(points)
@@ -147,15 +155,10 @@ def _make_target(spec, stats, policy):
             batch.append((u, nu))
         if not batch:
             return values
-        for i, (u, nu), series in zip(rows, batch, series_rows(batch, policy, moments)):
-            if series is None:  # TruncationError
-                continue
-            try:
-                lp = kernel(u, nu, series=series)
-            except (NonpositiveDeterminantError, OverflowError):
-                continue
+        for i, lp in zip(rows, kernel(batch, series_rows(batch, policy, moments))):
             if math.isfinite(lp):
-                values[i] = lp + u + points[i][1]
+                u, v = points[i]
+                values[i] = lp + u + v
         return values
 
     return target
@@ -164,7 +167,9 @@ def _make_target(spec, stats, policy):
 def _run_chain(xbar, config, seed, chain_idx):
     """One chain as a coroutine: yields each point (u, v), is sent its log target.
 
-    Returns (lam, nu, accept_rate, divergences) through StopIteration.
+    Returns (lam, nu, accept_rate, divergences, step_size, (c00, c10, c11))
+    through StopIteration: the last two are the proposal the sampling phase
+    held fixed.
     """
     g = make_generator(seed.master_seed, seed.stream_id, chain_idx)
     base_u = math.log(max(xbar, 0.5))
@@ -183,6 +188,7 @@ def _run_chain(xbar, config, seed, chain_idx):
     # The whole chain state is Python floats: a 2-vector through numpy costs
     # more per step than the arithmetic it does.
     normal, uniform = g.standard_normal, g.random
+    z = np.empty(2)  # each step's pair of normals, drawn in place
     exp, log, isfinite = math.exp, math.log, math.isfinite
     warmup = config.warmup
     log_scale = math.log(_INIT_PROPOSAL_SD)
@@ -194,33 +200,21 @@ def _run_chain(xbar, config, seed, chain_idx):
     count = 0
     reset_at = warmup // 4
     last_update = warmup - _COV_UPDATE_EVERY
-    lam = []
-    nu = []
-    accepted = 0
-    divergent = 0
 
-    for i in range(warmup + config.keep):
+    for i in range(warmup):
         scale = exp(log_scale)
-        z0, z1 = normal(2).tolist()
+        normal(out=z)
+        z0, z1 = z.tolist()
         prop_u = u + scale * (c00 * z0)
         prop_v = v + scale * (c10 * z0 + c11 * z1)
         lp = yield prop_u, prop_v
         if isfinite(lp):
             log_ratio = lp - cur_lp
             accept_prob = exp(min(0.0, log_ratio))
-            acc = log(uniform()) < log_ratio
-            if acc:
+            if log(uniform()) < log_ratio:
                 u, v, cur_lp = prop_u, prop_v, lp
         else:  # divergent: the state stays and no uniform is drawn
             accept_prob = 0.0
-            acc = False
-            if i >= warmup:
-                divergent += 1
-        if i >= warmup:  # adaptation is frozen; record the draw
-            accepted += acc
-            lam.append(exp(u))
-            nu.append(exp(v))
-            continue
         log_scale += (i + 1) ** -0.6 * (accept_prob - _TARGET_ACCEPT)
         if i == reset_at:
             mean_u = mean_v = m_uu = m_vu = m_vv = 0.0
@@ -241,7 +235,26 @@ def _run_chain(xbar, config, seed, chain_idx):
             # keep the proposal determinant fixed so acceptance stays settled
             log_scale += ((log(c00) + log(c11)) - (log(n00) + log(n11))) / 2.0
             c00, c10, c11 = n00, n10, n11
-    return np.array(lam), np.array(nu), accepted / config.keep, divergent
+
+    # Sampling: adaptation is frozen, so the kernel is fixed; record each draw.
+    scale = exp(log_scale)
+    lam, nu = [], []
+    accepted = divergent = 0
+    for _ in range(config.keep):
+        normal(out=z)
+        z0, z1 = z.tolist()
+        prop_u = u + scale * (c00 * z0)
+        prop_v = v + scale * (c10 * z0 + c11 * z1)
+        lp = yield prop_u, prop_v
+        if isfinite(lp):
+            if log(uniform()) < lp - cur_lp:
+                u, v, cur_lp = prop_u, prop_v, lp
+                accepted += 1
+        else:
+            divergent += 1
+        lam.append(exp(u))
+        nu.append(exp(v))
+    return np.array(lam), np.array(nu), accepted / config.keep, divergent, scale, (c00, c10, c11)
 
 
 def _lockstep(target, chains):
@@ -284,10 +297,12 @@ def run_chains(
 
     chains = [_run_chain(stats.xbar, config, seed, c) for c in range(config.chains)]
     results = _lockstep(target, chains)
-    lam, nu, accept_rate, divergences = (np.array(column) for column in zip(*results))
+    lam, nu, accept_rate, divergences, step_size, cholesky = (
+        np.array(column) for column in zip(*results))
     if bool((divergences >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was divergent")
-    return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences)
+    return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences,
+                 step_size=step_size, proposal_cholesky=cholesky)
 
 
 def _split_rhat_matrix(x: np.ndarray) -> float:

@@ -2,31 +2,31 @@
 
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
-SufficientStats. Every posterior is one log kernel in (ln lambda, nu) that
-evaluates one ln Z series (log_kernel), and the prior is the posterior of no
-data. Under a conjugate prior it is the conjugate kernel at the shifted
-hyperparameters (a + S1, b + S2, c + n); under the flat prior it is the
-conjugate kernel at (S1, S2, n), which is proper exactly when those values
-satisfy the conjugate propriety condition. log_posterior, log_prior_density
-and the sampler all run this kernel; the sampler hands it series that
-core.series_rows summed for many points at once (kernel_series).
+SufficientStats. Every posterior is one log kernel in (ln lambda, nu), a
+formula over many points and their ln Z series (kernel_series), and the prior
+is the posterior of no data. Under a conjugate prior it is the conjugate
+kernel at the shifted hyperparameters (a + S1, b + S2, c + n); under the flat
+prior it is the conjugate kernel at (S1, S2, n), which is proper exactly when
+those values satisfy the conjugate propriety condition. The sampler hands the
+kernel a round's points and the series core.series_rows summed for them;
+log_posterior and log_prior_density hand it one point and its one-point
+series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
 from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
 from .errors import EmptyDataError, InvalidParamsError
 from .priors import Conjugate, ConjugateHyper, Flat, Jeffreys, PriorSpec, conjugate_propriety
-from .priors import conjugate_log_kernel, jeffreys_log_kernel
+from .priors import RowKernel, conjugate_log_kernel, jeffreys_log_kernel, jeffreys_series
 
 
 @dataclass(frozen=True)
@@ -81,31 +81,23 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     )
 
 
-def kernel_series(spec: PriorSpec, stats: SufficientStats,
-                  policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[Callable[..., float], bool]:
-    """log_kernel's function, and the series it can take ready-made as series=.
+def kernel_series(spec: PriorSpec, stats: SufficientStats) -> tuple[RowKernel, Optional[bool]]:
+    """The unnormalized log posterior as a formula over rows, and the series it reads.
 
-    The flag is core.series_rows' moments argument: True where the kernel
-    takes the moment sums and ln Z (Jeffreys), False where it takes ln Z.
+    The formula maps a list of (ln lambda, nu) rows and their series to their
+    values, -inf where it is undefined (see priors). The flag is
+    core.series_rows' moments argument: True where the formula reads the
+    moment sums and ln Z (Jeffreys), False where it reads ln Z, and None where
+    it reads no series (the flat prior of no data).
     """
     if isinstance(spec, Jeffreys):
-        return partial(jeffreys_log_kernel, stats.s1, stats.s2, stats.n, policy=policy), True
+        return jeffreys_log_kernel(stats.s1, stats.s2, stats.n), True
     if isinstance(spec, Conjugate):
         h = updated_hyper(spec.hyper, stats)
-        return partial(conjugate_log_kernel, h.a, h.b, h.c, policy=policy), False
+        return conjugate_log_kernel(h.a, h.b, h.c), False
     if isinstance(spec, Flat):
-        return partial(conjugate_log_kernel, stats.s1, stats.s2, stats.n, policy=policy), False
+        return conjugate_log_kernel(stats.s1, stats.s2, stats.n), (False if stats.n else None)
     raise TypeError(f"unknown prior spec {spec!r}")
-
-
-def log_kernel(spec: PriorSpec, stats: SufficientStats,
-               policy: TruncationPolicy = DEFAULT_POLICY) -> Callable[[float, float], float]:
-    """The unnormalized log posterior as an unvalidated function of (ln lambda, nu).
-
-    Each call evaluates one ln Z series, or takes it as series= (see
-    kernel_series), and raises where log_posterior would.
-    """
-    return kernel_series(spec, stats, policy)[0]
 
 
 def log_posterior(
@@ -114,8 +106,21 @@ def log_posterior(
     params: CmpParams,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Unnormalized log posterior: log prior density plus log likelihood."""
-    return log_kernel(spec, stats, policy)(math.log(params.lam), params.nu)
+    """Unnormalized log posterior: log prior density plus log likelihood.
+
+    kernel_series' formula at one point, with that point's own series.
+    Raises TruncationError where the series cannot be summed and, under
+    Jeffreys, what priors.jeffreys_series raises.
+    """
+    kernel, moments = kernel_series(spec, stats)
+    row = (math.log(params.lam), params.nu)
+    if moments is None:
+        series = None
+    elif moments:
+        series = jeffreys_series(*row, policy)
+    else:
+        series = log_normalizer_at(*row, policy)
+    return kernel([row], [series])[0]
 
 
 def log_prior_density(

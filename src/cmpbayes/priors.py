@@ -8,21 +8,22 @@ proper for a, b, c > 0 iff b/c exceeds a floor-interpolation bound (see
 propriety_bound). The flat prior lambda^(-1) is the (improper) limit of the
 conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root of
 the determinant of the single-observation Fisher information, assembled from
-the moments of X and ln X!. Both log kernels take (ln lambda, nu) and
-evaluate one ln Z series, or take it ready-made from core.series_rows;
-posterior.log_kernel picks one per prior.
+the moments of X and ln X!. Both log kernels are formulas over many points:
+bound to their constants, each maps a list of (ln lambda, nu) rows and the
+rows' series, as core.series_rows sums them, to the rows' values in one loop,
+-inf where the formula is undefined. posterior.kernel_series picks one per
+prior.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Union
 
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
-from .core import moment_sums_at
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, moment_sums_at
 from .core import log_normalizer, logz_hessian  # noqa: F401  (names bench/spans.py patches)
 from .errors import InvalidParamsError, NonpositiveDeterminantError
 
@@ -58,6 +59,8 @@ class Jeffreys:
 
 
 PriorSpec = Union[Conjugate, Flat, Jeffreys]
+# A log kernel over rows: (rows of (ln lambda, nu), their series) -> values
+RowKernel = Callable[[list, list], list[float]]
 
 # The six study priors, keyed by their CLI-facing names, in study order.
 # conj-data is the two-hypothetical-observations prior built from counts
@@ -104,21 +107,27 @@ def get_preset(name: str) -> PriorSpec:
     return _PRESETS[name]
 
 
-def conjugate_log_kernel(a: float, b: float, c: float, log_lam: float, nu: float,
-                         policy: TruncationPolicy = DEFAULT_POLICY,
-                         series: Optional[float] = None) -> float:
-    """(a - 1)*ln(lambda) - nu*b - c*ln Z at (ln lambda, nu), unvalidated.
+def conjugate_log_kernel(a: float, b: float, c: float) -> RowKernel:
+    """(a - 1)*ln(lambda) - nu*b - c*ln Z as a formula over rows, unvalidated.
 
     The conjugate prior's log kernel and, at shifted (a, b, c), every conjugate
-    and flat posterior's. c = 0 (flat prior, no data) needs no series. series,
-    when given, is ln Z at the point, as log_normalizer_at returns it.
+    and flat posterior's. Each row's series is its ln Z, as log_normalizer_at
+    gives it, or None where the series could not be summed: that row is -inf.
+    c = 0 (flat prior, no data) reads no series.
     """
-    out = (a - 1.0) * log_lam - nu * b
-    if c == 0.0:
+    a1 = a - 1.0
+    inf = math.inf
+
+    def kernel(rows, series):
+        out = []
+        for (log_lam, nu), log_z in zip(rows, series):
+            value = a1 * log_lam - nu * b
+            if c != 0.0:
+                value = -inf if log_z is None else value - c * log_z
+            out.append(value)
         return out
-    if series is None:
-        series = log_normalizer_at(log_lam, nu, policy)
-    return out - c * series
+
+    return kernel
 
 
 def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
@@ -130,25 +139,53 @@ def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
     return (e_x2 - e_x**2) * (e_g2 - e_g**2) - (e_xg - e_x * e_g)**2
 
 
-def jeffreys_log_kernel(s1: float, s2: float, n: int, log_lam: float, nu: float,
-                        policy: TruncationPolicy = DEFAULT_POLICY,
-                        series: Optional[tuple[list[float], float]] = None) -> float:
-    """Jeffreys log density plus S1*ln(lambda) - nu*S2 - n*ln Z, unvalidated.
+def jeffreys_log_kernel(s1: float, s2: float, n: int) -> RowKernel:
+    """Jeffreys log density plus S1*ln(lambda) - nu*S2 - n*ln Z as a formula over rows.
 
-    One series gives the information determinant and ln Z; series, when given,
-    is that series' (moment sums, ln Z) as moment_sums_at returns them. Raises
-    NonpositiveDeterminantError where the determinant is not positive and
-    finite (the density is undefined there, nothing is clamped). Requires nu > 0.
+    Unvalidated: nu must be positive. Each row's series is its moment sums
+    and ln Z, as moment_sums_at gives them, or None. One series gives the
+    information determinant and ln Z. A row is -inf where its series is None,
+    where the determinant is not positive and finite (the density is
+    undefined there, nothing is clamped) and where the arithmetic overflows.
+    """
+    log, isfinite, inf = math.log, math.isfinite, math.inf
+
+    def kernel(rows, series):
+        out = []
+        for (log_lam, nu), row in zip(rows, series):
+            value = -inf
+            if row is not None:
+                sums, log_z = row
+                try:
+                    det = _scaled_information_det(*sums)
+                    if det > 0.0 and isfinite(det):
+                        value = (0.5 * log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * log_z)
+                except OverflowError:
+                    pass
+            out.append(value)
+        return out
+
+    return kernel
+
+
+def jeffreys_series(log_lam: float, nu: float,
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[list[float], float]:
+    """The series jeffreys_log_kernel reads at one point, where its density is defined.
+
+    moment_sums_at's (moment sums, ln Z). Raises InvalidParamsError at nu <= 0,
+    TruncationError where the series cannot be summed, and
+    NonpositiveDeterminantError where the information determinant is not
+    positive and finite.
     """
     if nu <= 0.0:
         raise InvalidParamsError("Jeffreys prior requires nu > 0")
-    sums, log_z = moment_sums_at(log_lam, nu, policy) if series is None else series
+    sums, log_z = moment_sums_at(log_lam, nu, policy)
     det = _scaled_information_det(*sums)
     if not (det > 0.0 and math.isfinite(det)):
         raise NonpositiveDeterminantError(
             f"information determinant not positive at (ln lambda={log_lam}, nu={nu})"
         )
-    return (0.5 * math.log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * log_z)
+    return sums, log_z
 
 
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -204,6 +204,11 @@ class TestCli:
         assert report["dataset"] == "textile-faults"
         assert report["n"] == 32
         assert set(report["lambda"]) == {"median", "cri_low", "cri_high", "rhat"}
+        # each chain's fixed sampling proposal: a positive step size and a
+        # lower Cholesky factor (c00, c10, c11) with a positive diagonal
+        assert len(report["step_size"]) == len(report["proposal_cholesky"]) == 2
+        assert all(s > 0.0 for s in report["step_size"])
+        assert all(c00 > 0.0 and c11 > 0.0 for c00, _, c11 in report["proposal_cholesky"])
 
     def test_fit_text_output(self, capsys):
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",

@@ -283,6 +283,19 @@ def test_target_is_log_posterior_plus_jacobian(u, v, spec):
     assert_is_scalar_target(value, spec, u, v)
 
 
+@settings(max_examples=150, deadline=None)
+@given(lam=st.floats(0.1, 30.0), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS[:2]))
+def test_target_is_log_posterior_bit_for_bit(lam, v, spec):
+    # on a grid of base_terms terms the sampler and log_posterior run one
+    # formula on one ln Z; u = ln(lambda) is the formula's ln lambda in both,
+    # and nu = e^v is the sampler's nu (Jeffreys' ln Z comes from the einsum's
+    # row of ones, so it keeps the 1e-12 check above)
+    u, nu = math.log(lam), math.exp(v)
+    assume(core._grid_length(u, nu, POLICY) == POLICY.base_terms)
+    value, = _make_target(spec, STATS, POLICY)([(u, v)])
+    assert value == log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u + v
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
     target = _make_target(spec, STATS, POLICY)
@@ -319,10 +332,12 @@ class RecordingGenerator:
     def __init__(self, seed):
         self._g = np.random.default_rng(seed)
         self.calls = []
+        self.sizes = []  # the size argument of each normal draw
 
-    def standard_normal(self, *size):
+    def standard_normal(self, size=None, out=None):
         self.calls.append("normal")
-        return self._g.standard_normal(*size)
+        self.sizes.append(size if out is None else out.shape)
+        return self._g.standard_normal(size, out=out)
 
     def random(self):
         self.calls.append("uniform")
@@ -343,12 +358,67 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
         while True:
             chain.send(-math.inf)
             proposals += 1
-    lam, nu, accept_rate, divergent = done.value.value
+    lam, nu, accept_rate, divergent, _, _ = done.value.value
     assert proposals == 250
     assert (lam == math.exp(u)).all() and (nu == math.exp(v)).all()
     assert (accept_rate, divergent) == (0.0, 100)
     # the start's two scalar normals, then one pair per step
     assert g.calls == ["normal"] * (2 + 250)
+
+
+def test_draw_order_in_both_phases(monkeypatch):
+    # a scripted mix of finite and -inf targets through warmup and sampling:
+    # the start draws two scalar normals, then every step draws one pair of
+    # normals, and a uniform only when its proposal is finite
+    g = RecordingGenerator(1)
+    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
+    config = McmcConfig(chains=2, warmup=5, keep=100)
+    chain = _run_chain(2.0, config, SeedSpec(0), 0)
+    next(chain)
+    finite = [step % 3 != 1 and step % 7 != 4 for step in range(105)]
+    expected = ["normal", "normal"]
+    with pytest.raises(StopIteration) as done:
+        chain.send(-2.0)  # the start
+        for step, ok in enumerate(finite):
+            expected += ["normal"] + ["uniform"] * ok
+            chain.send(-2.0 - 0.01 * step if ok else -math.inf)
+    assert step == len(finite) - 1
+    assert g.calls == expected
+    assert g.sizes == [None] * 2 + [(2,)] * len(finite)
+    # the kept steps' -inf targets are the divergences
+    assert done.value.value[3] == finite[config.warmup:].count(False)
+
+
+def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
+    # a smooth target through warmup (300 steps: the Cholesky factor is
+    # refactored once), then -inf for every kept proposal, so the state stays
+    # put and each kept proposal is the state plus step_size * L z
+    g = RecordingGenerator(2)
+    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
+    config = McmcConfig(chains=2, warmup=300, keep=100)
+    chain = _run_chain(2.0, config, SeedSpec(0), 0)
+    point = next(chain)
+    proposals = []
+    with pytest.raises(StopIteration) as done:
+        for step in range(1 + config.warmup + config.keep):
+            if step > config.warmup:
+                proposals.append(point)
+            u, v = point
+            point = chain.send(-(u - 0.7) ** 2 - 4.0 * (v - 0.3 * u) ** 2
+                               if step <= config.warmup else -math.inf)
+    lam, nu, _, divergent, step_size, (c00, c10, c11) = done.value.value
+    assert divergent == config.keep
+    assert c10 != 0.0 and step_size > 0.0 and c00 > 0.0 and c11 > 0.0
+    # replay the recorded draws to read the normals of the kept steps
+    replay = np.random.default_rng(2)
+    sizes = iter(g.sizes)
+    values = [replay.standard_normal(next(sizes)) if call == "normal" else replay.random()
+              for call in g.calls]
+    pairs = [z for z in values if np.shape(z) == (2,)][-config.keep:]
+    u, v = math.log(lam[0]), math.log(nu[0])
+    for (prop_u, prop_v), (z0, z1) in zip(proposals, pairs):
+        assert prop_u - u == pytest.approx(step_size * c00 * z0, abs=1e-12)
+        assert prop_v - v == pytest.approx(step_size * (c10 * z0 + c11 * z1), abs=1e-12)
 
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])

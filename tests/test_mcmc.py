@@ -146,6 +146,8 @@ class TestRunChains:
         assert np.array_equal(two.divergences, four.divergences[:2])
         assert np.array_equal(two.lam, four.lam[:2])
         assert np.array_equal(two.nu, four.nu[:2])
+        assert np.array_equal(two.step_size, four.step_size[:2])
+        assert np.array_equal(two.proposal_cholesky, four.proposal_cholesky[:2])
 
     def test_flat_improper_refused(self):
         with pytest.raises(ImproperPosteriorError):

@@ -13,6 +13,7 @@ from cmpbayes import (
     InvalidParamsError,
     Jeffreys,
     SufficientStats,
+    TruncationError,
     TruncationPolicy,
     conjugate_propriety,
     flat_posterior_propriety,
@@ -124,6 +125,14 @@ class TestLogPosterior:
                 p = CmpParams(lam, nu)
                 assert abs(log_posterior(spec, stats, p, coarse)
                            - log_posterior(spec, stats, p, fine)) < 1e-6
+
+    @pytest.mark.parametrize("spec", [
+        Conjugate(ConjugateHyper(1.0, 1.0, 1.0)), Flat(), Jeffreys(),
+    ], ids=["conj", "flat", "jeffreys"])
+    def test_unsummable_series_raises(self, spec):
+        # nu = 1e-3 with lambda = 2: the term ratio is still above 1 at MAX_TERMS
+        with pytest.raises(TruncationError):
+            log_posterior(spec, sufficient_stats([3, 1, 4, 1, 5]), CmpParams(2.0, 1e-3))
 
     def test_adding_zero_count_shifts_by_log_z(self):
         base = sufficient_stats([3, 1, 4])

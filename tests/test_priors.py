@@ -12,6 +12,7 @@ from cmpbayes import (
     Flat,
     InvalidParamsError,
     Jeffreys,
+    NonpositiveDeterminantError,
     PRESET_NAMES,
     TruncationPolicy,
     conjugate_propriety,
@@ -129,6 +130,15 @@ class TestLogPriorDensity:
     def test_jeffreys_requires_positive_nu(self):
         with pytest.raises(InvalidParamsError):
             log_prior_density(Jeffreys(), CmpParams(0.5, 0.0))
+
+    def test_jeffreys_zero_determinant_raises(self):
+        # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0
+        with pytest.raises(NonpositiveDeterminantError):
+            log_prior_density(Jeffreys(), CmpParams(1.0, 1e8))
+
+    def test_flat_reads_no_series(self):
+        # -ln(lambda) holds even where the ln Z series cannot be summed
+        assert log_prior_density(Flat(), CmpParams(2.0, 1e-3)) == -math.log(2.0)
 
     def test_jeffreys_policy_robustness(self):
         coarse = TruncationPolicy(101, 1e-10)

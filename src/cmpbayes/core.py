@@ -10,17 +10,20 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed by log-sum-exp over a grid whose length is chosen from (ln lambda, nu)
-before summing (see TruncationPolicy), so one sum almost always suffices. j
-and lnGamma(j + 1) are read-only views of one MAX_TERMS table built at import,
-next to a read-only (6, MAX_TERMS) table whose rows are 1 and the moment
-integrands j, j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1).
-log_normalizer_at and moment_sums_at work from (ln lambda, nu), the sampler's
-coordinates; the moments are one einsum of the weights exp(t - max t) with the
-table's rows over the grid that gave ln Z, each divided by the weights' sum
-(the row of ones), which keeps them self-consistent. series_rows evaluates
-many points as one (B, K) grid, for the sampler's lockstep chains, and no
-point's result there depends on the other points.
+summed by log-sum-exp over a grid whose length, a whole number of
+base_terms blocks, is chosen from (ln lambda, nu) before summing (see
+TruncationPolicy), so one sum almost always suffices. j and lnGamma(j + 1) are
+read-only views of one MAX_TERMS table built at import, next to a read-only
+(5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
+lnGamma(j + 1)^2 and j*lnGamma(j + 1). series_rows is the one summation
+routine: it takes many points in (ln lambda, nu), the sampler's coordinates,
+sums the rows of each grid length as one (B, K) grid, and sends a row that
+fails its tail test back through the same loop at double length. The moments
+are one einsum of the weights exp(t - max t) with the table over the grid
+that gave ln Z, each divided by the weights' sum that gave ln Z, which keeps
+them self-consistent. No point's result depends on the other points, so the
+one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
+calls of series_rows.
 """
 
 from __future__ import annotations
@@ -66,17 +69,18 @@ class CmpParams:
 class TruncationPolicy:
     """Controls how many series terms are used when evaluating Z(lambda, nu).
 
-    base_terms is the minimum grid. When the term mode j* = lambda^(1/nu)
-    exceeds base_terms / 2, the grid instead reaches j* + sqrt(2 j* (5 -
-    ln tail_tol) / nu): the mode plus the distance at which a peak of
-    log-curvature nu / j* has fallen by -ln tail_tol, with 5 log-units to
-    spare. A grid is accepted once its terms are decaying and a geometric bound
-    on the omitted tail, term * r / (1 - r) with r the last consecutive-term
-    ratio, falls below tail_tol relative to the partial sum (term ratios
-    lambda / (j+1)^nu decrease in j, so the bound is valid); until then the
-    grid doubles and is summed afresh. A series whose last term ratio is still
-    >= 1 at the fixed cap MAX_TERMS, or that is unconverged there, raises
-    TruncationError.
+    base_terms is the minimum grid and its block: every grid length is a
+    whole number of base_terms blocks, or the fixed cap MAX_TERMS. When the
+    term mode j* = lambda^(1/nu) exceeds base_terms / 2, the grid instead
+    reaches j* + sqrt(2 j* (5 - ln tail_tol) / nu), rounded up to the next
+    block: the mode plus the distance at which a peak of log-curvature nu / j*
+    has fallen by -ln tail_tol, with 5 log-units to spare. A grid is accepted
+    once its terms are decaying and a geometric bound on the omitted tail,
+    term * r / (1 - r) with r the last consecutive-term ratio, falls below
+    tail_tol relative to the partial sum (term ratios lambda / (j+1)^nu
+    decrease in j, so the bound is valid); until then the grid doubles and
+    is summed afresh. A series whose last term ratio is still >= 1 at
+    MAX_TERMS, or that is unconverged there, raises TruncationError.
     """
 
     base_terms: int = 101
@@ -138,10 +142,8 @@ class LogZDerivatives:
 
 _J = np.arange(MAX_TERMS, dtype=np.float64)
 _LGAMMA = gammaln(_J + 1.0)
-# a row of ones (the weights' sum), then the moment integrands g(j), one row
-# per CmpMoments expectation, in its order
-_MOMENT_TABLE = np.vstack(
-    [np.ones(MAX_TERMS), _J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
+# the moment integrands g(j), one row per CmpMoments expectation, in its order
+_MOMENT_TABLE = np.vstack([_J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
 for _table in (_J, _LGAMMA, _MOMENT_TABLE):
     _table.flags.writeable = False
 
@@ -159,23 +161,22 @@ def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tr
     )
 
 
-def _sized_terms(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
-    """Grid length reaching past a term mode lambda^(1/nu) above base_terms / 2."""
+def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
+    """Length of the first grid summed at (ln lambda, nu), in whole base_terms blocks.
+
+    base_terms while the term mode lambda^(1/nu) is at most base_terms / 2;
+    above it, the mode plus the width TruncationPolicy describes, rounded up
+    to the next block and capped at MAX_TERMS. Raises TruncationError, before
+    any sum, where the term ratio lambda / j^nu is still >= 1 at the cap.
+    """
+    b = policy.base_terms
+    if log_lam <= nu * math.log(0.5 * b):
+        return b
     if log_lam >= nu * _LOG_LAST_J:
-        # the term ratio lambda / j^nu is still >= 1 at j = MAX_TERMS - 1
         raise _truncation_error(log_lam, nu, policy)
     mode = math.exp(log_lam / nu)
     width = math.sqrt(2.0 * mode * (_SIZE_MARGIN - math.log(policy.tail_tol)) / nu)
-    return min(MAX_TERMS, max(policy.base_terms, int(mode + width) + 2))
-
-
-def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
-    """Length of the first grid summed at (ln lambda, nu): base_terms, or sized from the mode."""
-    k = policy.base_terms
-    # mode above base_terms / 2, as in every series that cannot converge by MAX_TERMS
-    if log_lam > nu * math.log(0.5 * k):
-        k = _sized_terms(log_lam, nu, policy)
-    return k
+    return min(MAX_TERMS, -(-(int(mode + width) + 2) // b) * b)
 
 
 def _converged(prev: float, last: float, log_z: float, log_tol: float) -> bool:
@@ -189,23 +190,64 @@ def _converged(prev: float, last: float, log_z: float, log_tol: float) -> bool:
     return False
 
 
-def _series(log_lam: float, nu: float, policy: TruncationPolicy) -> tuple[np.ndarray, float]:
-    """Log-term grid at (ln lambda, nu), sized from its mode, and its log-sum-exp.
+def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
+                moments: bool = False, terms: bool = False) -> list:
+    """The series at each (ln lambda, nu) in points, unvalidated: the one summation routine.
 
-    Returns (t, log_z) where t has the final grid length K.
+    Row i is ln Z at points[i]; with moments, the five CmpMoments
+    expectations (a list, in its order) and ln Z; otherwise with terms, the
+    grid's log terms t and ln Z. It is None where the series cannot be
+    summed. Each row is summed over its own length (_grid_length), in one
+    (B, K) grid with the other rows of that length: ln Z is
+    max t + ln(sum of the weights exp(t - max t)), and the moments are one
+    einsum of the weights with _MOMENT_TABLE, divided by the same sum. A row
+    that fails its tail test re-enters at double length (at most MAX_TERMS),
+    where it joins the rows of that length; one unconverged at MAX_TERMS is
+    None. So a row's result depends on its own point alone, and the
+    one-point entries below are one-row calls.
     """
+    out = [None] * len(points)
+    pending: dict[int, list[int]] = {}  # grid length -> the rows to sum at it
+    for i, (log_lam, nu) in enumerate(points):
+        try:
+            pending.setdefault(_grid_length(log_lam, nu, policy), []).append(i)
+        except TruncationError:
+            continue
     log_tol = math.log(policy.tail_tol)
-    k = _grid_length(log_lam, nu, policy)
-    while True:
+    while pending:
+        k = min(pending)  # a doubled row joins a length not yet summed
+        rows = pending.pop(k)
         j, lgamma = _tables(k)
-        t = log_lam * j - nu * lgamma
-        m = float(t.max())
-        log_z = m + math.log(float(np.exp(t - m).sum()))
-        if _converged(float(t[-2]), float(t[-1]), log_z, log_tol):
-            return t, log_z
-        if k >= MAX_TERMS:
-            raise _truncation_error(log_lam, nu, policy)
-        k = min(2 * k, MAX_TERMS)
+        grid = np.array([points[i] for i in rows])
+        t = grid[:, :1] * j
+        t -= grid[:, 1:] * lgamma
+        m = t.max(axis=1, keepdims=True)
+        w = t - m
+        np.exp(w, out=w)
+        totals = w.sum(axis=1).tolist()
+        sums = np.einsum("bk,ck->bc", w, _MOMENT_TABLE[:, :k]).tolist() if moments else None
+        for r, (i, m_row, total, (prev, last)) in enumerate(
+                zip(rows, m.ravel().tolist(), totals, t[:, -2:].tolist())):
+            log_z = m_row + math.log(total)
+            if _converged(prev, last, log_z, log_tol):
+                if moments:
+                    out[i] = ([x / total for x in sums[r]], log_z)
+                else:
+                    out[i] = (t[r], log_z) if terms else log_z
+            elif k < MAX_TERMS:
+                pending.setdefault(min(2 * k, MAX_TERMS), []).append(i)
+    return out
+
+
+def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool = False) -> tuple:
+    """series_rows' row at one point: (its log terms t, ln Z), or with moments (moments, ln Z).
+
+    Raises TruncationError where the row is None.
+    """
+    row = series_rows([(log_lam, nu)], policy, moments, terms=True)[0]
+    if row is None:
+        raise _truncation_error(log_lam, nu, policy)
+    return row
 
 
 def log_normalizer_at(log_lam: float, nu: float,
@@ -250,100 +292,10 @@ def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_
     )
 
 
-def _sum_widths(lengths: list[int], policy: TruncationPolicy) -> list[int]:
-    """The widths over which series_rows sums grids of these lengths.
-
-    Each length rounded up to a multiple of base_terms (at most MAX_TERMS),
-    with zero weights past the length: rows of nearby lengths then share
-    one reduction, and a row's sums still depend on its own length alone.
-    """
-    b = policy.base_terms
-    return [min(MAX_TERMS, -(-length // b) * b) for length in lengths]
-
-
-def _moment_sums(w: np.ndarray) -> list[list[float]]:
-    """Sums of g(j) * w_j for each row g of _MOMENT_TABLE and each row of weights w (B, K).
-
-    One einsum over j per row and integrand, so a row's sums depend only on
-    its own weights and on K, not on the other rows of w.
-    """
-    return np.einsum("bk,ck->bc", w, _MOMENT_TABLE[:, : w.shape[1]]).tolist()
-
-
 def moment_sums_at(log_lam: float, nu: float,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[list[float], float]:
-    """The five CmpMoments expectations as floats, in its order, and ln Z, unvalidated.
-
-    The sums of g(j) * exp(t - max t) over one grid, padded with zero weights
-    to its width as series_rows pads it (_sum_widths), divided by the
-    weights' sum.
-    """
-    t, log_z = _series(log_lam, nu, policy)
-    w = np.zeros((1, *_sum_widths([t.size], policy)))
-    np.exp(t - float(t.max()), out=w[0, : t.size])
-    total, *sums = _moment_sums(w)[0]
-    return [x / total for x in sums], log_z
-
-
-def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
-                moments: bool = False) -> list:
-    """The series at each (ln lambda, nu) in points, from one (B, K) grid, unvalidated.
-
-    Row i is what log_normalizer_at (or, with moments, moment_sums_at) gives
-    at points[i], or None where that raises TruncationError. A row is sized
-    as _series sizes it, its terms past its own length are -inf (so their
-    weights are 0), and it is summed over its width (_sum_widths), together
-    with the other rows of that width: one sum, or with moments one einsum
-    with _MOMENT_TABLE. So no row's result depends on the other rows. The
-    moments are moment_sums_at's bit for bit. A plain row of base_terms
-    terms has _series' ln Z bit for bit; a longer row's, summed over its zero
-    weights too, and a moment row's, from the row of ones, may differ from it
-    in the last bit. A row that fails the tail test at its own length falls
-    back to _series and its doubling.
-    """
-    out = [None] * len(points)
-    sized = []
-    for i, (log_lam, nu) in enumerate(points):
-        try:
-            sized.append((_grid_length(log_lam, nu, policy), i))
-        except TruncationError:
-            continue
-    if not sized:
-        return out
-    sized.sort()  # rows of one width next to each other, the widest last
-    lengths = [length for length, _ in sized]
-    widths = _sum_widths(lengths, policy)
-    k = widths[-1]
-    grid = np.array([points[i] for _, i in sized])
-    t = grid[:, :1] * _J[:k]
-    t -= grid[:, 1:] * _LGAMMA[:k]
-    ends = t[:, -2:].tolist()  # the tail test's last two terms of rows k long
-    for r in range(len(lengths) - lengths.count(k)):  # the rows shorter than k
-        length = lengths[r]
-        ends[r] = t[r, length - 2:length].tolist()
-        t[r, length:] = -math.inf
-    m = t.max(axis=1, keepdims=True)
-    t -= m
-    w = np.exp(t, out=t)
-    sums = []
-    start = 0
-    while start < len(widths):
-        stop = start + widths.count(widths[start])
-        block = w[start:stop, :widths[start]]
-        sums += _moment_sums(block) if moments else block.sum(axis=1).tolist()
-        start = stop
-    log_tol = math.log(policy.tail_tol)
-    for (_, i), m_row, s, (prev, last) in zip(sized, m.ravel().tolist(), sums, ends):
-        total = s[0] if moments else s
-        log_z = m_row + math.log(total)
-        if _converged(prev, last, log_z, log_tol):
-            out[i] = ([x / total for x in s[1:]], log_z) if moments else log_z
-            continue
-        try:
-            out[i] = (moment_sums_at if moments else log_normalizer_at)(*points[i], policy)
-        except TruncationError:
-            pass
-    return out
+    """The five CmpMoments expectations as floats, in its order, and ln Z, unvalidated."""
+    return _series(log_lam, nu, policy, moments=True)
 
 
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:

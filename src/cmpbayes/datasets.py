@@ -92,10 +92,21 @@ def parse_counts(text: str, name: str) -> CountDataset:
     return CountDataset(name=name, counts=np.asarray(counts, dtype=np.int64))
 
 
+def _read_text(path: Path) -> str:
+    """A dataset file's UTF-8 text; DatasetParseError for a directory or undecodable bytes."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise DatasetParseError(f"{str(path)!r} is a directory, not a dataset file") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(
+            f"{str(path)!r} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_dataset(path: str | Path) -> CountDataset:
     """Load a dataset file; the dataset name is the file stem."""
     path = Path(path)
-    return parse_counts(path.read_text(), path.stem)
+    return parse_counts(_read_text(path), path.stem)
 
 
 def bundled_dataset(name: str) -> CountDataset:
@@ -113,7 +124,7 @@ def bundled_dataset(name: str) -> CountDataset:
     if override_dir:
         candidate = Path(override_dir) / filename
         if candidate.exists():
-            return parse_counts(candidate.read_text(), name)
+            return parse_counts(_read_text(candidate), name)
     text = resources.files("cmpbayes").joinpath("data").joinpath(filename).read_text()
     return parse_counts(text, name)
 

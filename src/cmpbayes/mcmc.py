@@ -20,15 +20,17 @@ count and lengths.
 
 A chain yields each start attempt and proposal (u, v) and is sent back its
 log target. run_chains advances a fit's chains in lockstep rounds: each round
-evaluates every chain's pending point in one batched call, which sums one
-(chains, K) ln Z grid (core.series_rows) and evaluates the posterior's log
-kernel (posterior.kernel_series) over the round's rows in one call; the
-target adds only the Jacobian. Each chain keeps its own generator, and each
-row of the grid gives exactly its one-point value, so a chain's draws do not
-depend on the chains sharing its rounds. Points whose target is non-finite
-(nu below NU_FLOOR, lambda = e^u out of float range, series truncation cap,
-nonpositive Jeffreys determinant, overflow) never reach the grid or are -inf
-from the kernel, and count as divergences when proposed.
+evaluates every chain's pending point in one batched call, which sums the
+round's ln Z series with one core.series_rows call (one (rows, K) grid per
+grid length, a row that fails its tail test re-entering that call at double
+length) and evaluates the posterior's log kernel (posterior.kernel_series)
+over the round's rows in one call; the target adds only the Jacobian. Each
+chain keeps its own generator, and series_rows gives each row exactly its
+one-point value, so a chain's draws do not depend on the chains sharing its
+rounds. Points whose target is non-finite (nu below NU_FLOOR, lambda = e^u
+out of float range, series truncation cap, nonpositive Jeffreys determinant,
+overflow) never reach the grid or are -inf from the kernel, and count as
+divergences when proposed.
 """
 
 from __future__ import annotations

@@ -39,6 +39,15 @@ MOMENTS_3_HALF = {
     "e_lnfact2": 319.99354170888705,
     "e_x_lnfact": 183.45611770619246,
 }
+# ln Z on sized grids, frozen the same way (50 digits, summed until the terms
+# fall e^-200 below the largest) at ln lambda = math.log(lam), as the float
+# log_normalizer reads: (lam, nu) -> ln Z, with the term mode lambda^(1/nu)
+LNZ_SIZED = {
+    (30.0, 0.7): 91.396053795976592976,  # mode 129
+    (math.exp(2.5), math.exp(-1.0)): 332.1124469345213812,  # mode 894
+    (20.0, 0.75): 41.588675234837373306,  # mode 54
+    (2.0, 0.12): 43.114036756928590536,  # mode 322
+}
 
 
 class TestParams:
@@ -84,6 +93,12 @@ class TestLogNormalizer:
 
     def test_series_oracle(self):
         assert_allclose(log_normalizer(CmpParams(3.0, 0.5)), LNZ_3_HALF, rtol=1e-12)
+
+    @pytest.mark.parametrize("lam, nu", list(LNZ_SIZED))
+    def test_sized_series_oracle(self, lam, nu):
+        # a sized grid ends in a whole base_terms block, past the mode-plus-width
+        # length, so its omitted tail is far below one ulp of ln Z
+        assert_allclose(log_normalizer(CmpParams(lam, nu)), LNZ_SIZED[lam, nu], rtol=1e-14)
 
     def test_truncation_not_converged(self):
         # near-geometric with lambda > 1: the series mode sits far beyond any cap

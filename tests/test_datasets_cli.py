@@ -231,6 +231,21 @@ class TestCli:
                      "--warmup", "300", "--keep", "150"]) == 2
         assert "improper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_fit_unreadable_dataset_exit_code(self, tmp_path, capsys, kind):
+        # neither a directory nor a file of undecodable bytes prints a traceback
+        path = tmp_path / "counts"
+        if kind == "directory":
+            path.mkdir()
+            reason = "is a directory"
+        else:
+            path.write_bytes("3\n4\n\xe9\n".encode("latin-1"))
+            reason = "is not UTF-8 text (byte 4: invalid continuation byte)"
+        assert main(["fit", str(path), "--prior", "conj-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {str(path)!r} {reason}")
+
     def test_fit_draws_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "draws.csv"
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",

@@ -51,9 +51,9 @@ def converged_grid_size(p):
 
 @settings(max_examples=80, deadline=None)
 @given(lam=st.floats(0.05, 40.0), nu=st.floats(0.5, 4.0))
-@example(lam=30.0, nu=0.7)  # mode 129: sized to 232 terms
+@example(lam=30.0, nu=0.7)  # mode 129: sized to 303 terms
 @example(lam=0.9, nu=0.0)  # geometric case, slow tail
-@example(lam=40.0, nu=0.5)  # mode 1600: sized to 2025 terms
+@example(lam=40.0, nu=0.5)  # mode 1600: sized to 2121 terms
 def test_log_normalizer_matches_fresh_gammaln(lam, nu):
     p = CmpParams(lam, nu)
     k = converged_grid_size(p)
@@ -207,28 +207,18 @@ def scalar_series(log_lam, nu, moments):
 @settings(max_examples=150, deadline=None)
 @given(points=st.lists(st.tuples(*SIZING.values()), min_size=1, max_size=6),
        moments=st.booleans())
-@example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 232 and 101 terms
+@example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 303 and 101 terms
 @example(points=[(math.log(30.0), 0.7), (math.log(30.0), 0.7)], moments=True)
 @example(points=[(math.log(2.0), 1e-3), (1.0, 1.0)], moments=True)  # a row that cannot converge
 @example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric tail: doubles
-# 101 terms beside 1079: summed over the wider row's width, the first would move
-@example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)
+@example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1111 terms beside 101
+# 101 terms that fail the tail test re-enter at 202, beside a row sized to 202
+@example(points=[(math.log(4.7), 0.4), (math.log(20.0), 0.75)], moments=True)
 def test_series_rows_match_each_series(points, moments):
+    # every row, of any length and however often it doubles, is its one-point
+    # series bit for bit: one routine sums both
     got = series_rows(points, POLICY, moments)
-    for (log_lam, nu), row in zip(points, got):
-        want = scalar_series(log_lam, nu, moments)
-        if want is None:
-            assert row is None
-            continue
-        if moments:
-            # the moments bit for bit; ln Z from the einsum within an ulp
-            assert row[0] == want[0]
-            assert row[1] == pytest.approx(want[1], rel=1e-14, abs=1e-14)
-        elif core._grid_length(log_lam, nu, POLICY) == POLICY.base_terms:
-            assert row == want  # summed as _series sums it
-        else:
-            assert row == pytest.approx(want, rel=1e-14, abs=1e-14)
-    # no row depends on the rows that share its grid
+    assert got == [scalar_series(log_lam, nu, moments) for log_lam, nu in points]
     assert got == [series_rows([point], POLICY, moments)[0] for point in points]
 
 
@@ -284,16 +274,21 @@ def test_target_is_log_posterior_plus_jacobian(u, v, spec):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lam=st.floats(0.1, 30.0), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS[:2]))
+@given(lam=st.floats(0.1, 30.0), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
+@example(lam=30.0, v=math.log(0.7), spec=Jeffreys())  # sized to 303 terms
+@example(lam=4.7, v=math.log(0.4), spec=SPECS[0])  # 101 terms fail the tail test: 202
+@example(lam=4.7, v=math.log(0.4), spec=Jeffreys())
 def test_target_is_log_posterior_bit_for_bit(lam, v, spec):
-    # on a grid of base_terms terms the sampler and log_posterior run one
-    # formula on one ln Z; u = ln(lambda) is the formula's ln lambda in both,
-    # and nu = e^v is the sampler's nu (Jeffreys' ln Z comes from the einsum's
-    # row of ones, so it keeps the 1e-12 check above)
+    # the sampler and log_posterior run one formula on one row of one
+    # summation routine; u = ln(lambda) is the formula's ln lambda in both,
+    # and nu = e^v is the sampler's nu
     u, nu = math.log(lam), math.exp(v)
-    assume(core._grid_length(u, nu, POLICY) == POLICY.base_terms)
     value, = _make_target(spec, STATS, POLICY)([(u, v)])
-    assert value == log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u + v
+    try:
+        want = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u + v
+    except (TruncationError, NonpositiveDeterminantError):
+        want = -math.inf
+    assert value == want
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
@@ -424,12 +419,14 @@ def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
     # one batched series per round that has a row at or above the floor; rows
-    # below it never enter the batch, and _series runs only for the rows that
-    # fail the tail test at their own grid length
+    # below it never enter the batch, a row that fails its tail test re-enters
+    # the same call at double length, each length of a round is summed once,
+    # shortest first, and no one-point series runs while sampling
     floor = math.log(NU_FLOOR)
-    counts = {"rounds": 0, "batches": 0, "series": 0, "fallbacks": 0}
-    targets, expected_batch = [], []
-    make_target, rows, series = mcmc._make_target, mcmc.series_rows, core._series
+    counts = {"rounds": 0, "batches": 0, "doubled": 0}
+    targets, expected_batch, grids = [], [], []
+    make_target, rows, series, tables = (
+        mcmc._make_target, mcmc.series_rows, core._series, core._tables)
 
     def counted_make_target(*args):
         target = make_target(*args)
@@ -443,29 +440,39 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
         targets.append(counted_target)
         return counted_target
 
+    def ladder(log_lam, nu, policy):
+        """The grid lengths a row is summed at: its first, doubled to its one-point series' last."""
+        try:
+            lengths = [core._grid_length(log_lam, nu, policy)]
+        except TruncationError:
+            return []
+        try:
+            last = series(log_lam, nu, policy)[0].size
+        except TruncationError:
+            last = MAX_TERMS
+        while lengths[-1] < last:
+            lengths.append(min(2 * lengths[-1], MAX_TERMS))
+        return lengths
+
     def counted_rows(points, policy, moments):
         counts["batches"] += 1
         assert points == expected_batch
-        for log_lam, nu in points:
-            k = core._grid_length(log_lam, nu, policy)
-            try:
-                counts["fallbacks"] += series(log_lam, nu, policy)[0].size > k
-            except TruncationError:
-                counts["fallbacks"] += 1
-        return rows(points, policy, moments)
-
-    def counted_series(*args):
-        counts["series"] += 1
-        return series(*args)
+        ladders = [ladder(*point, policy) for point in points]
+        counts["doubled"] += sum(len(lengths) > 1 for lengths in ladders)
+        grids.clear()
+        out = rows(points, policy, moments)
+        assert grids == sorted({k for lengths in ladders for k in lengths})
+        return out
 
     monkeypatch.setattr(mcmc, "_make_target", counted_make_target)
     monkeypatch.setattr(mcmc, "series_rows", counted_rows)
-    monkeypatch.setattr(core, "_series", counted_series)
+    monkeypatch.setattr(core, "_tables", lambda k: grids.append(k) or tables(k))
+    monkeypatch.setattr(core, "_series", lambda *args: pytest.fail("a one-point series ran"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300), SeedSpec(3))
     assert counts["rounds"] >= 800
     assert counts["batches"] == counts["rounds"]
-    assert counts["series"] == counts["fallbacks"]
+    assert counts["doubled"] > 0
     # a round whose every row is below the floor sums no series
     before = dict(counts)
     assert targets[0]([(1.0, floor - 1.0), (0.5, floor - 1e-9)]) == [-math.inf] * 2

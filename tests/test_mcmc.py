@@ -40,9 +40,14 @@ def make_draws(lam, nu=None):
                  divergences=np.zeros(n_chains, dtype=np.int64))
 
 
-def pinned_fit(prior, warmup, accepted, divergences):
-    """textile-faults, 2 chains of warmup + 200 at SeedSpec(7): check counts, return the summary."""
-    stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+def pinned_fit(prior, warmup, accepted, divergences, counts=None):
+    """2 chains of warmup + 200 at SeedSpec(7) on counts (default textile-faults).
+
+    Checks the accept and divergence counts, returns the summary.
+    """
+    if counts is None:
+        counts = bundled_dataset("textile-faults").counts
+    stats = sufficient_stats(counts)
     d = run_chains(get_preset(prior), stats,
                    McmcConfig(chains=2, warmup=warmup, keep=200), SeedSpec(7))
     assert [round(a * 200) for a in d.accept_rate] == accepted
@@ -222,6 +227,18 @@ class TestRunChains:
                                         lam_median, nu_median):
         s = pinned_fit(prior, warmup, accepted, divergences)
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-9)
+
+    # A fit on a sized posterior: near CMP(30, 0.7) the term mode is about 129,
+    # so nearly every row is sized past base_terms (textile-faults rows are
+    # nearly all base rows). The chains are far from mixed at this length.
+    @pytest.mark.parametrize("prior, accepted, lam_median, nu_median", [
+        ("conj-1", [28, 37], 20.11259197536452, 0.6152138063127687),
+        ("jeffreys", [33, 55], 37.064173079797925, 0.7415883396503795),
+    ])
+    def test_draws_pinned_sized(self, prior, accepted, lam_median, nu_median):
+        counts = sample_cmp(CmpParams(30.0, 0.7), 500, SeedSpec(7))
+        s = pinned_fit(prior, 300, accepted, [0, 0], counts)
+        assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
     def test_prior_as_posterior_with_empty_data(self):
         spec = Conjugate(ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0))

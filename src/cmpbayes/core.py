@@ -17,11 +17,13 @@ read-only views of one MAX_TERMS table built at import, next to a read-only
 (5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
 lnGamma(j + 1)^2 and j*lnGamma(j + 1). series_rows is the one summation
 routine: it takes many points in (ln lambda, nu), the sampler's coordinates,
-sums the rows of each grid length as one (B, K) grid, and sends a row that
-fails its tail test back through the same loop at double length. The moments
-are one einsum of the weights exp(t - max t) with the table over the grid
-that gave ln Z, each divided by the weights' sum that gave ln Z, which keeps
-them self-consistent. No point's result depends on the other points, so the
+sizes them in one pass into per-length column lists, sums the rows of each
+grid length as one (B, K) grid formed by outer products of those columns with
+the tables, tail-tests each row on Python floats, and sends a row that fails
+the test back through the same loop at double length. The moments are one
+einsum of the weights exp(t - max t) with the table over the grid that gave
+ln Z, divided by the weights' sums that gave ln Z, which keeps them
+self-consistent. No point's result depends on the other points, so the
 one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
 calls of series_rows.
 """
@@ -149,9 +151,9 @@ for _table in (_J, _LGAMMA, _MOMENT_TABLE):
 
 
 @lru_cache(maxsize=None)
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only views of j and lnGamma(j + 1) for j < k."""
-    return _J[:k], _LGAMMA[:k]
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only views of j, lnGamma(j + 1) and the moment integrands for j < k."""
+    return _J[:k], _LGAMMA[:k], _MOMENT_TABLE[:, :k]
 
 
 def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
@@ -159,6 +161,26 @@ def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tr
         f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
         f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
     )
+
+
+@lru_cache(maxsize=None)
+def _sizer(policy: TruncationPolicy):
+    """_grid_length's rule under policy, its constants computed once: 0 where it raises."""
+    b = policy.base_terms
+    log_half_b = math.log(0.5 * b)
+    margin = _SIZE_MARGIN - math.log(policy.tail_tol)
+    exp, sqrt = math.exp, math.sqrt
+
+    def size(log_lam: float, nu: float) -> int:
+        if log_lam <= nu * log_half_b:
+            return b
+        if log_lam >= nu * _LOG_LAST_J:
+            return 0
+        mode = exp(log_lam / nu)
+        width = sqrt(2.0 * mode * margin / nu)
+        return min(MAX_TERMS, -(-(int(mode + width) + 2) // b) * b)
+
+    return size
 
 
 def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
@@ -169,25 +191,10 @@ def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
     to the next block and capped at MAX_TERMS. Raises TruncationError, before
     any sum, where the term ratio lambda / j^nu is still >= 1 at the cap.
     """
-    b = policy.base_terms
-    if log_lam <= nu * math.log(0.5 * b):
-        return b
-    if log_lam >= nu * _LOG_LAST_J:
+    k = _sizer(policy)(log_lam, nu)
+    if not k:
         raise _truncation_error(log_lam, nu, policy)
-    mode = math.exp(log_lam / nu)
-    width = math.sqrt(2.0 * mode * (_SIZE_MARGIN - math.log(policy.tail_tol)) / nu)
-    return min(MAX_TERMS, -(-(int(mode + width) + 2) // b) * b)
-
-
-def _converged(prev: float, last: float, log_z: float, log_tol: float) -> bool:
-    """Whether a grid whose last two log terms are (prev, last) passes the tail test."""
-    if last < prev:
-        log_r = last - prev
-        r = math.exp(log_r)
-        if r < 1.0:
-            # tail <= term_{K-1} * r / (1 - r); ratios only shrink with j
-            return (last - log_z) + log_r - math.log1p(-r) < log_tol
-    return False
+    return k
 
 
 def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
@@ -198,44 +205,63 @@ def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DE
     expectations (a list, in its order) and ln Z; otherwise with terms, the
     grid's log terms t and ln Z. It is None where the series cannot be
     summed. Each row is summed over its own length (_grid_length), in one
-    (B, K) grid with the other rows of that length: ln Z is
-    max t + ln(sum of the weights exp(t - max t)), and the moments are one
-    einsum of the weights with _MOMENT_TABLE, divided by the same sum. A row
-    that fails its tail test re-enters at double length (at most MAX_TERMS),
-    where it joins the rows of that length; one unconverged at MAX_TERMS is
-    None. So a row's result depends on its own point alone, and the
-    one-point entries below are one-row calls.
+    (B, K) grid with the other rows of that length: t is the outer product
+    of the rows' ln lambda with j less that of their nu with lnGamma(j + 1),
+    ln Z is max t + ln(sum of the weights exp(t - max t)), and the moments
+    are one einsum of the weights with _MOMENT_TABLE, divided by the same
+    sum. The tail test reads a row's last two terms as Python floats from its
+    point and the table. A row that fails it re-enters at double length (at
+    most MAX_TERMS), where it joins the rows of that length; one unconverged
+    at MAX_TERMS is None. So a row's result depends on its own point alone,
+    and the one-point entries below are one-row calls.
     """
     out = [None] * len(points)
-    pending: dict[int, list[int]] = {}  # grid length -> the rows to sum at it
+    size = _sizer(policy)
+    # grid length -> the columns of the rows to sum at it: index, ln lambda, nu
+    pending: dict[int, tuple[list[int], list[float], list[float]]] = {}
     for i, (log_lam, nu) in enumerate(points):
-        try:
-            pending.setdefault(_grid_length(log_lam, nu, policy), []).append(i)
-        except TruncationError:
-            continue
+        k = size(log_lam, nu)
+        if k:
+            group = pending.get(k)
+            if group is None:
+                group = pending[k] = ([], [], [])
+            group[0].append(i)
+            group[1].append(log_lam)
+            group[2].append(nu)
     log_tol = math.log(policy.tail_tol)
+    log, exp, log1p = math.log, math.exp, math.log1p
     while pending:
         k = min(pending)  # a doubled row joins a length not yet summed
-        rows = pending.pop(k)
-        j, lgamma = _tables(k)
-        grid = np.array([points[i] for i in rows])
-        t = grid[:, :1] * j
-        t -= grid[:, 1:] * lgamma
+        rows, log_lams, nus = pending.pop(k)
+        j, lgamma, table = _tables(k)
+        t = np.multiply.outer(log_lams, j)
+        t -= np.multiply.outer(nus, lgamma)
         m = t.max(axis=1, keepdims=True)
         w = t - m
         np.exp(w, out=w)
-        totals = w.sum(axis=1).tolist()
-        sums = np.einsum("bk,ck->bc", w, _MOMENT_TABLE[:, :k]).tolist() if moments else None
-        for r, (i, m_row, total, (prev, last)) in enumerate(
-                zip(rows, m.ravel().tolist(), totals, t[:, -2:].tolist())):
-            log_z = m_row + math.log(total)
-            if _converged(prev, last, log_z, log_tol):
-                if moments:
-                    out[i] = ([x / total for x in sums[r]], log_z)
-                else:
-                    out[i] = (t[r], log_z) if terms else log_z
-            elif k < MAX_TERMS:
-                pending.setdefault(min(2 * k, MAX_TERMS), []).append(i)
+        totals = w.sum(axis=1, keepdims=True)
+        sums = (np.einsum("bk,ck->bc", w, table) / totals).tolist() if moments else None
+        (j_prev, j_last), (g_prev, g_last) = j[-2:].tolist(), lgamma[-2:].tolist()
+        for r, (i, log_lam, nu, m_row, total) in enumerate(
+                zip(rows, log_lams, nus, m.ravel().tolist(), totals.ravel().tolist())):
+            log_z = m_row + log(total)
+            # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
+            prev = log_lam * j_prev - nu * g_prev
+            last = log_lam * j_last - nu * g_last
+            if last < prev:
+                log_r = last - prev
+                ratio = exp(log_r)
+                if ratio < 1.0 and (last - log_z) + log_r - log1p(-ratio) < log_tol:
+                    if moments:
+                        out[i] = (sums[r], log_z)
+                    else:
+                        out[i] = (t[r], log_z) if terms else log_z
+                    continue
+            if k < MAX_TERMS:
+                group = pending.setdefault(min(2 * k, MAX_TERMS), ([], [], []))
+                group[0].append(i)
+                group[1].append(log_lam)
+                group[2].append(nu)
     return out
 
 

@@ -54,6 +54,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         value = int(token)
     except ValueError:
         raise DatasetParseError(f"line {lineno}: {what} {token!r} is not an integer", lineno)
+    if value > np.iinfo(np.int64).max:  # counts are stored as int64
+        raise DatasetParseError(f"line {lineno}: {what} {token!r} exceeds 2^63 - 1", lineno)
     return value
 
 

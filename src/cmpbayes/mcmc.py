@@ -19,18 +19,19 @@ values are module constants, not config: McmcConfig holds only the chain
 count and lengths.
 
 A chain yields each start attempt and proposal (u, v) and is sent back its
-log target. run_chains advances a fit's chains in lockstep rounds: each round
-evaluates every chain's pending point in one batched call, which sums the
-round's ln Z series with one core.series_rows call (one (rows, K) grid per
-grid length, a row that fails its tail test re-entering that call at double
-length) and evaluates the posterior's log kernel (posterior.kernel_series)
-over the round's rows in one call; the target adds only the Jacobian. Each
-chain keeps its own generator, and series_rows gives each row exactly its
-one-point value, so a chain's draws do not depend on the chains sharing its
-rounds. Points whose target is non-finite (nu below NU_FLOOR, lambda = e^u
-out of float range, series truncation cap, nonpositive Jeffreys determinant,
-overflow) never reach the grid or are -inf from the kernel, and count as
-divergences when proposed.
+log target. run_chains advances a fit's chains in lockstep rounds, carrying
+the live chains' pending points as one flat list: each round evaluates them
+in one batched call, which sums the round's ln Z series with one
+core.series_rows call (one (rows, K) grid per grid length, a row that fails
+its tail test re-entering that call at double length) and evaluates the
+posterior's log kernel (posterior.kernel_series) over the round's rows in one
+call; the target keeps each row's (u, v) beside it and adds only the
+Jacobian. Each chain keeps its own generator, and series_rows gives each row
+exactly its one-point value, so a chain's draws do not depend on the chains
+sharing its rounds. Points whose target is non-finite (nu below NU_FLOOR,
+lambda = e^u out of float range, series truncation cap, nonpositive Jeffreys
+determinant, overflow) never reach the grid or are -inf from the kernel, and
+count as divergences when proposed.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _make_target(spec, stats, policy):
 
     def target(points: list[tuple[float, float]]) -> list[float]:
         values = [-math.inf] * len(points)
-        rows, batch = [], []
+        kept, batch = [], []  # each point that reaches the grid: (index, u, v), and its row
         for i, (u, v) in enumerate(points):
             if v < _LOG_NU_FLOOR:
                 continue
@@ -153,13 +154,12 @@ def _make_target(spec, stats, policy):
                 continue
             if lam == 0.0:  # lambda must be a positive float
                 continue
-            rows.append(i)
+            kept.append((i, u, v))
             batch.append((u, nu))
         if not batch:
             return values
-        for i, lp in zip(rows, kernel(batch, series_rows(batch, policy, moments))):
+        for (i, u, v), lp in zip(kept, kernel(batch, series_rows(batch, policy, moments))):
             if math.isfinite(lp):
-                u, v = points[i]
                 values[i] = lp + u + v
         return values
 
@@ -266,16 +266,19 @@ def _lockstep(target, chains):
     them all.
     """
     results = [None] * len(chains)
-    live = [(c, chain, next(chain)) for c, chain in enumerate(chains)]
+    live = list(enumerate(chains))
+    points = [next(chain) for chain in chains]  # each live chain's pending point, in order
     while live:
-        values = target([point for _, _, point in live])
-        pending = []
-        for (c, chain, _), value in zip(live, values):
+        values = target(points)
+        still, points = [], []
+        for (c, chain), value in zip(live, values):
             try:
-                pending.append((c, chain, chain.send(value)))
+                points.append(chain.send(value))
             except StopIteration as stop:
                 results[c] = stop.value
-        live = pending
+            else:
+                still.append((c, chain))
+        live = still
     return results
 
 

@@ -63,7 +63,9 @@ class SufficientStats:
 def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     """Exact (n, S1, S2) for a sequence of nonnegative integer counts.
 
-    An ndarray is used as given; any other iterable is read into one.
+    An ndarray is used as given; any other iterable is read into one. S1 is
+    summed in int64 only where n * max(x) fits in it, and as Python ints
+    otherwise, so it never wraps.
     """
     x = data if isinstance(data, np.ndarray) else np.asarray(list(data))
     if x.size == 0:
@@ -74,11 +76,10 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
         x = x.astype(np.int64)
     if (x < 0).any():
         raise InvalidParamsError("counts must be nonnegative")
-    return SufficientStats(
-        n=int(x.size),
-        s1=int(x.sum()),
-        s2=float(gammaln(x + 1.0).sum()),
-    )
+    n = int(x.size)
+    # an int64 sum wraps without error, so past its range the counts are summed as Python ints
+    s1 = int(x.sum()) if n * int(x.max()) <= np.iinfo(np.int64).max else sum(x.tolist())
+    return SufficientStats(n=n, s1=s1, s2=float(gammaln(x + 1.0).sum()))
 
 
 def kernel_series(spec: PriorSpec, stats: SufficientStats) -> tuple[RowKernel, Optional[bool]]:

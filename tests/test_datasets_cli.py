@@ -246,6 +246,20 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"error: {str(path)!r} {reason}")
 
+    @pytest.mark.parametrize("text, what", [
+        ("3\n1000000000000000000000000000000\n", "count value '1000000000000000000000000000000'"),
+        ("3\t2\n4\t9223372036854775808\n", "frequency '9223372036854775808'"),
+    ], ids=["value", "frequency"])
+    def test_fit_count_past_int64_exit_code(self, tmp_path, capsys, text, what):
+        # a count or frequency that int64 cannot hold is a parse error on its line, not an
+        # OverflowError traceback
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main(["fit", str(path), "--prior", "conj-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 2: {what} exceeds 2^63 - 1\n"
+
     def test_fit_draws_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "draws.csv"
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",

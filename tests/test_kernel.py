@@ -222,6 +222,68 @@ def test_series_rows_match_each_series(points, moments):
     assert got == [series_rows([point], POLICY, moments)[0] for point in points]
 
 
+# series_rows' bits at points of every kind, frozen from the routine as it was before
+# rows were sized into column lists: (ln lambda, nu) -> float.hex of ln Z, and of the
+# five moment sums and ln Z; None where the row cannot be summed. Each row is both
+# plain and with moments, in one batch and alone.
+FROZEN_ROWS = {
+    (1.0, 1.0): (  # base: 101 terms
+        "0x1.5bf0a8b14576ap+1",
+        ["0x1.5bf0a8b145768p+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4bep+0",
+         "0x1.f1fbbf7925a9bp+2", "0x1.0bf884a5bbbb5p+3"]),
+    (math.log(0.5), 0.5): (
+        "0x1.1ccddbf31a5aap-1",
+        ["0x1.3bfb63a2486d2p-1", "0x1.211db1a1574d3p+0", "0x1.40cb06ff5fedcp-3",
+         "0x1.19447e62fe434p-2", "0x1.cad55189244afp-2"]),
+    (-2.0, 3.0): (
+        "0x1.0818519cb688dp-3",
+        ["0x1.f7e0c8d87cf19p-4", "0x1.044e7b9951f39p-3", "0x1.726e05fd05c78p-10",
+         "0x1.060309a1c6d40p-10", "0x1.74d10c705b171p-9"]),
+    (math.log(20.0), 0.75): (  # sized: mode 54
+        "0x1.4cb59b5c8cbbap+5",
+        ["0x1.b3a5220eec46ep+5", "0x1.7bb994d7a933cp+11", "0x1.4d9c1b804118dp+7",
+         "0x1.c4eaf0e157e63p+14", "0x1.24ebd9ab22f7cp+13"]),
+    (math.log(30.0), 0.7): (  # sized: mode 129, 303 terms
+        "0x1.6d958f2054b46p+6",
+        ["0x1.022e942772253p+7", "0x1.07425a47de168p+14", "0x1.f66b5fd374733p+8",
+         "0x1.f58760e51e1cap+17", "0x1.00d964840fc7dp+16"]),
+    (2.5, math.exp(-1.0)): (  # sized: mode 894
+        "0x1.4c1cc952824e0p+8",
+        ["0x1.bf6dded86bff7p+9", "0x1.8830342c4a613p+19", "0x1.448dea3b44cefp+12",
+         "0x1.9d2e214447de0p+24", "0x1.1ca1a45046c9ep+22"]),
+    (50.0 * math.log(0.99 * MAX_TERMS), 50.0): (  # sized near the cap
+        "0x1.e321e6fb92dcdp+18",
+        ["0x1.355c1478acaeap+13", "0x1.75d79c0a093d2p+26", "0x1.3d1fe46ae5eb5p+16",
+         "0x1.88d84121a2ee5p+32", "0x1.7f39c8745b777p+29"]),
+    (math.log(4.7), 0.4): (  # 101 terms fail the tail test: doubled to 202
+        "0x1.55304e2e294e5p+4",
+        ["0x1.852894b699e7dp+5", "0x1.36c0f6aae053cp+11", "0x1.20d16aa997b16p+7",
+         "0x1.62457c8125099p+14", "0x1.d430f2f8dfde6p+12"]),
+    (math.log(0.9), 0.0): (  # geometric tail: doubled twice
+        "0x1.26bb1bbb55516p+1",
+        ["0x1.1ffffffffffffp+3", "0x1.55fffffffffffp+7", "0x1.0c82cc05aae31p+4",
+         "0x1.dc30a480c77b0p+9", "0x1.880180a377f54p+8"]),
+    (math.log(0.999), 0.0): None,  # doubled to MAX_TERMS and still unconverged
+    (math.log(2.0), 1e-3): None,  # term ratio >= 1 at the cap: refused before summing
+    (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5): None,  # ratio just above 1 at the cap
+}
+
+
+@pytest.mark.parametrize("moments", [False, True], ids=["plain", "moments"])
+def test_series_rows_frozen_bits(moments):
+    points = list(FROZEN_ROWS)
+    want = []
+    for frozen in FROZEN_ROWS.values():
+        if frozen is None:
+            want.append(None)
+        elif moments:
+            want.append(([float.fromhex(x) for x in frozen[1]], float.fromhex(frozen[0])))
+        else:
+            want.append(float.fromhex(frozen[0]))
+    assert series_rows(points, POLICY, moments) == want
+    assert [series_rows([point], POLICY, moments)[0] for point in points] == want
+
+
 def scalar_target(spec, u, v):
     """log_posterior + u + v at one point, or -inf where the sampler rejects it."""
     if v < math.log(NU_FLOOR):

@@ -15,6 +15,7 @@ from cmpbayes import (
     SufficientStats,
     TruncationError,
     TruncationPolicy,
+    bundled_dataset,
     conjugate_propriety,
     flat_posterior_propriety,
     log_likelihood,
@@ -75,6 +76,29 @@ class TestSufficientStats:
             sufficient_stats(make([1, -2]))
         with pytest.raises(EmptyDataError):
             sufficient_stats(make([]))
+
+    @pytest.mark.parametrize("make", [np.array, list], ids=["ndarray", "list"])
+    def test_sum_past_int64_does_not_wrap(self, make):
+        # four counts of 2^62 sum to 2^64, which an int64 sum wraps to 0
+        s = sufficient_stats(make([2**62] * 4))
+        assert (s.n, s.s1) == (4, 2**64)
+        assert sufficient_stats(make([2**62, 2**62 - 1])).s1 == 2**63 - 1  # the last int64
+
+    # (n, S1, S2 as float.hex) of the bundled datasets, frozen before S1 learned to
+    # leave int64: the bundled data sum in int64 as before, to the bit
+    BUNDLED_STATS = {
+        "textile-faults": (32, 284, "0x1.c18badb833d08p+8"),
+        "slovak-poem": (117, 336, "0x1.a0310e0de589ep+7"),
+        "crab-satellites": (173, 505, "0x1.090467c7ec286p+9"),
+        "hungarian-words": (57459, 189872, "0x1.0744793591654p+17"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_STATS))
+    def test_bundled_stats_unchanged(self, name):
+        n, s1, s2 = self.BUNDLED_STATS[name]
+        s = sufficient_stats(bundled_dataset(name).counts)
+        assert (s.n, s.s1, s.s2) == (n, s1, float.fromhex(s2))
+        assert type(s.s1) is int
 
     def test_xbar_exact(self):
         s = sufficient_stats([3, 1, 4, 1, 5])

@@ -17,12 +17,15 @@ read-only views of one MAX_TERMS table built at import, next to a read-only
 (5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
 lnGamma(j + 1)^2 and j*lnGamma(j + 1). series_rows is the one summation
 routine: it takes many points in (ln lambda, nu), the sampler's coordinates,
-sizes them in one pass into per-length column lists, sums the rows of each
-grid length as one (B, K) grid formed by outer products of those columns with
-the tables, tail-tests each row on Python floats, and sends a row that fails
-the test back through the same loop at double length. The moments are one
-einsum of the weights exp(t - max t) with the table over the grid that gave
-ln Z, divided by the weights' sums that gave ln Z, which keeps them
+sizes them in one pass into per-length column lists (a row whose term mode is
+at most base_terms / 2 is tested inline), sums the rows of each grid length as
+one (B, K) grid formed by outer products of those columns with the tables,
+tail-tests each row on Python floats against the grid's last two j and
+lnGamma(j + 1), cached per length beside the tables, and sends a row that
+fails the test back through the same loop at double length. The weights
+exp(t - max t) overwrite the log terms in place, unless the rows must return
+them; the moments are one einsum of the weights with the table over the grid
+that gave ln Z, divided by the weights' sums that gave ln Z, which keeps them
 self-consistent. No point's result depends on the other points, so the
 one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
 calls of series_rows.
@@ -151,9 +154,14 @@ for _table in (_J, _LGAMMA, _MOMENT_TABLE):
 
 
 @lru_cache(maxsize=None)
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only views of j, lnGamma(j + 1) and the moment integrands for j < k."""
-    return _J[:k], _LGAMMA[:k], _MOMENT_TABLE[:, :k]
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
+    """Read-only views of j, lnGamma(j + 1) and the moment integrands for j < k.
+
+    Also the grid's ends for the tail test as Python floats: its last two j
+    and their lnGamma(j + 1), (j_prev, j_last, g_prev, g_last).
+    """
+    ends = (*_J[k - 2:k].tolist(), *_LGAMMA[k - 2:k].tolist())
+    return _J[:k], _LGAMMA[:k], _MOMENT_TABLE[:, :k], ends
 
 
 def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
@@ -165,7 +173,11 @@ def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tr
 
 @lru_cache(maxsize=None)
 def _sizer(policy: TruncationPolicy):
-    """_grid_length's rule under policy, its constants computed once: 0 where it raises."""
+    """_grid_length's rule under policy, its constants computed once: 0 where it raises.
+
+    Returns (base_terms, ln(base_terms / 2), the rule), so a caller can test
+    the base case, ln lambda <= nu * ln(base_terms / 2), before calling it.
+    """
     b = policy.base_terms
     log_half_b = math.log(0.5 * b)
     margin = _SIZE_MARGIN - math.log(policy.tail_tol)
@@ -180,7 +192,7 @@ def _sizer(policy: TruncationPolicy):
         width = sqrt(2.0 * mode * margin / nu)
         return min(MAX_TERMS, -(-(int(mode + width) + 2) // b) * b)
 
-    return size
+    return b, log_half_b, size
 
 
 def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
@@ -191,7 +203,7 @@ def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
     to the next block and capped at MAX_TERMS. Raises TruncationError, before
     any sum, where the term ratio lambda / j^nu is still >= 1 at the cap.
     """
-    k = _sizer(policy)(log_lam, nu)
+    k = _sizer(policy)[2](log_lam, nu)
     if not k:
         raise _truncation_error(log_lam, nu, policy)
     return k
@@ -209,18 +221,19 @@ def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DE
     of the rows' ln lambda with j less that of their nu with lnGamma(j + 1),
     ln Z is max t + ln(sum of the weights exp(t - max t)), and the moments
     are one einsum of the weights with _MOMENT_TABLE, divided by the same
-    sum. The tail test reads a row's last two terms as Python floats from its
-    point and the table. A row that fails it re-enters at double length (at
-    most MAX_TERMS), where it joins the rows of that length; one unconverged
-    at MAX_TERMS is None. So a row's result depends on its own point alone,
-    and the one-point entries below are one-row calls.
+    sum. The tail test recomputes a row's last two terms as Python floats
+    from its point and the table ends _tables caches. A row that fails it
+    re-enters at double length (at most MAX_TERMS), where it joins the rows
+    of that length; one unconverged at MAX_TERMS is None. So a row's result
+    depends on its own point alone, and the one-point entries below are
+    one-row calls.
     """
     out = [None] * len(points)
-    size = _sizer(policy)
+    base, log_half_base, size = _sizer(policy)
     # grid length -> the columns of the rows to sum at it: index, ln lambda, nu
     pending: dict[int, tuple[list[int], list[float], list[float]]] = {}
     for i, (log_lam, nu) in enumerate(points):
-        k = size(log_lam, nu)
+        k = base if log_lam <= nu * log_half_base else size(log_lam, nu)
         if k:
             group = pending.get(k)
             if group is None:
@@ -233,17 +246,17 @@ def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DE
     while pending:
         k = min(pending)  # a doubled row joins a length not yet summed
         rows, log_lams, nus = pending.pop(k)
-        j, lgamma, table = _tables(k)
+        j, lgamma, table, (j_prev, j_last, g_prev, g_last) = _tables(k)
         t = np.multiply.outer(log_lams, j)
         t -= np.multiply.outer(nus, lgamma)
-        m = t.max(axis=1, keepdims=True)
-        w = t - m
+        m = np.maximum.reduce(t, axis=1)
+        # the weights exp(t - max t), in t's own buffer unless the rows return t
+        w = np.subtract(t, m[:, None], out=None if terms else t)
         np.exp(w, out=w)
-        totals = w.sum(axis=1, keepdims=True)
-        sums = (np.einsum("bk,ck->bc", w, table) / totals).tolist() if moments else None
-        (j_prev, j_last), (g_prev, g_last) = j[-2:].tolist(), lgamma[-2:].tolist()
+        totals = np.add.reduce(w, axis=1)
+        sums = (np.einsum("bk,ck->bc", w, table) / totals[:, None]).tolist() if moments else None
         for r, (i, log_lam, nu, m_row, total) in enumerate(
-                zip(rows, log_lams, nus, m.ravel().tolist(), totals.ravel().tolist())):
+                zip(rows, log_lams, nus, m.tolist(), totals.tolist())):
             log_z = m_row + log(total)
             # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
             prev = log_lam * j_prev - nu * g_prev

@@ -6,8 +6,10 @@ coroutine running warmup + keep Metropolis steps with its whole state in
 Python floats: (u, v) and its log target, the log step size, the proposal's
 lower Cholesky factor and the running (Welford) means and cross-products of
 the warmup draws. During warmup only, a Robbins-Monro update steers the global
-step size toward 30% acceptance, and every 100 iterations np.linalg.cholesky
-refactors the proposal's 2x2 covariance shape from the running covariance.
+step size toward 30% acceptance (its gains (i + 1)^-0.6 are computed once per
+warmup length and shared by the chains), and every 100 iterations
+np.linalg.cholesky refactors the proposal's 2x2 covariance shape from the
+running covariance.
 The full covariance matters here: CMP posteriors can put correlation near
 0.99 between ln lambda and ln nu at large n, where a diagonal proposal mixes
 too slowly to pass R-hat checks. Adaptation freezes at the end of warmup:
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -141,29 +144,34 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
 def _make_target(spec, stats, policy):
     """The log target of a list of (u, v) points, one ln Z grid for all of them."""
     kernel, moments = kernel_series(spec, stats)
+    exp, isfinite, inf = math.exp, math.isfinite, math.inf
 
     def target(points: list[tuple[float, float]]) -> list[float]:
-        values = [-math.inf] * len(points)
-        kept, batch = [], []  # each point that reaches the grid: (index, u, v), and its row
+        values = [-inf] * len(points)
+        kept, batch = [], []  # the index of each point that reaches the grid, and its row
         for i, (u, v) in enumerate(points):
-            if v < _LOG_NU_FLOOR:
-                continue
-            try:
-                lam, nu = math.exp(u), math.exp(v)
-            except OverflowError:
-                continue
-            if lam == 0.0:  # lambda must be a positive float
-                continue
-            kept.append((i, u, v))
-            batch.append((u, nu))
+            if v >= _LOG_NU_FLOOR:
+                try:
+                    if exp(u) != 0.0:  # lambda must be a positive float
+                        batch.append((u, exp(v)))
+                        kept.append(i)
+                except OverflowError:
+                    pass
         if not batch:
             return values
-        for (i, u, v), lp in zip(kept, kernel(batch, series_rows(batch, policy, moments))):
-            if math.isfinite(lp):
+        for i, lp in zip(kept, kernel(batch, series_rows(batch, policy, moments))):
+            if isfinite(lp):
+                u, v = points[i]
                 values[i] = lp + u + v
         return values
 
     return target
+
+
+@lru_cache(maxsize=4)
+def _gains(warmup: int) -> tuple[float, ...]:
+    """The Robbins-Monro gains (i + 1)^-0.6 of warmup steps 0 .. warmup - 1, shared by chains."""
+    return tuple((i + 1) ** -0.6 for i in range(warmup))
 
 
 def _run_chain(xbar, config, seed, chain_idx):
@@ -203,7 +211,7 @@ def _run_chain(xbar, config, seed, chain_idx):
     reset_at = warmup // 4
     last_update = warmup - _COV_UPDATE_EVERY
 
-    for i in range(warmup):
+    for i, gain in enumerate(_gains(warmup)):
         scale = exp(log_scale)
         normal(out=z)
         z0, z1 = z.tolist()
@@ -212,12 +220,12 @@ def _run_chain(xbar, config, seed, chain_idx):
         lp = yield prop_u, prop_v
         if isfinite(lp):
             log_ratio = lp - cur_lp
-            accept_prob = exp(min(0.0, log_ratio))
+            accept_prob = 1.0 if log_ratio >= 0.0 else exp(log_ratio)
             if log(uniform()) < log_ratio:
                 u, v, cur_lp = prop_u, prop_v, lp
         else:  # divergent: the state stays and no uniform is drawn
             accept_prob = 0.0
-        log_scale += (i + 1) ** -0.6 * (accept_prob - _TARGET_ACCEPT)
+        log_scale += gain * (accept_prob - _TARGET_ACCEPT)
         if i == reset_at:
             mean_u = mean_v = m_uu = m_vu = m_vv = 0.0
             count = 0

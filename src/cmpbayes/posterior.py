@@ -28,6 +28,8 @@ from .errors import EmptyDataError, InvalidParamsError
 from .priors import Conjugate, ConjugateHyper, Flat, Jeffreys, PriorSpec, conjugate_propriety
 from .priors import RowKernel, conjugate_log_kernel, jeffreys_log_kernel, jeffreys_series
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
+
 
 @dataclass(frozen=True)
 class SufficientStats:
@@ -63,22 +65,26 @@ class SufficientStats:
 def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     """Exact (n, S1, S2) for a sequence of nonnegative integer counts.
 
-    An ndarray is used as given; any other iterable is read into one. S1 is
-    summed in int64 only where n * max(x) fits in it, and as Python ints
-    otherwise, so it never wraps.
+    An ndarray is used as given; any other iterable is read into one. Every
+    count must be at most 2^63 - 1, the bound datasets.parse_counts applies,
+    whatever the input's type. S1 is summed in int64 only where n * max(x)
+    fits in it, and as Python ints otherwise, so it never wraps.
     """
     x = data if isinstance(data, np.ndarray) else np.asarray(list(data))
     if x.size == 0:
         raise EmptyDataError("dataset is empty")
-    if not np.issubdtype(x.dtype, np.integer):
-        if not np.all(x == np.floor(x)):
-            raise InvalidParamsError("counts must be integers")
-        x = x.astype(np.int64)
-    if (x < 0).any():
+    if not np.issubdtype(x.dtype, np.integer) and not np.all(x == np.floor(x)):
+        raise InvalidParamsError("counts must be integers")
+    # as Python numbers, so the bound is compared exactly (a float 2^63 exceeds it)
+    low, high = x.min(keepdims=True).item(), x.max(keepdims=True).item()
+    if low < 0:
         raise InvalidParamsError("counts must be nonnegative")
+    if high > _MAX_COUNT:
+        raise InvalidParamsError(f"counts must be at most 2^63 - 1, got {high!r}")
+    x = x.astype(np.int64, copy=False)
     n = int(x.size)
     # an int64 sum wraps without error, so past its range the counts are summed as Python ints
-    s1 = int(x.sum()) if n * int(x.max()) <= np.iinfo(np.int64).max else sum(x.tolist())
+    s1 = int(x.sum()) if n * int(high) <= _MAX_COUNT else sum(x.tolist())
     return SufficientStats(n=n, s1=s1, s2=float(gammaln(x + 1.0).sum()))
 
 

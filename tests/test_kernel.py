@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaincc, gammaln, logsumexp
 
 from cmpbayes import (
     AllDivergentError,
@@ -65,6 +65,49 @@ def test_log_normalizer_matches_fresh_gammaln(lam, nu):
 def test_examples_cover_grown_grids():
     for lam, nu in ((30.0, 0.7), (0.9, 0.0), (40.0, 0.5)):
         assert pmf_table(CmpParams(lam, nu), POLICY).size > POLICY.base_terms
+
+
+# The closed forms ln Z(lambda, 1) = lambda and ln Z(lambda, 0) = -ln(1 - lambda) hold
+# for the whole series. The summed grid of K terms omits a tail of up to tail_tol
+# relative to its sum (ln Z up to tail_tol low), so the closed form of the first K
+# terms is held to 1e-12 relative or 1e-14 absolute, and the whole series to tail_tol.
+LOG_Z_TOL = dict(rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=st.floats(1e-8, 500.0))
+@example(lam=49.53397669883494)  # a base grid whose omitted tail is near tail_tol
+@example(lam=300.0)  # sized past base_terms
+def test_log_z_of_poisson_is_lambda(lam):
+    p = CmpParams(lam, 1.0)
+    log_z = log_normalizer(p, POLICY)
+    # the first K terms of e^lambda's series sum to e^lambda * Q(K, lambda)
+    omitted = math.log(gammaincc(pmf_table(p, POLICY).size, lam))
+    assert log_z == pytest.approx(lam + omitted, **LOG_Z_TOL)
+    assert -POLICY.tail_tol < omitted <= 0.0
+    assert abs(log_z - lam) < POLICY.tail_tol + 1e-12 * lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=st.floats(1e-8, 0.99))
+@example(lam=0.7960590295147574)  # a base grid whose omitted tail is near tail_tol
+@example(lam=0.99)  # doubled to 3 232 terms
+def test_log_z_of_geometric_is_minus_log1m_lambda(lam):
+    p = CmpParams(lam, 0.0)
+    log_z = log_normalizer(p, POLICY)
+    whole = -math.log1p(-lam)
+    # the first K terms of the geometric series sum to (1 - lambda^K) / (1 - lambda)
+    omitted = math.log1p(-lam ** pmf_table(p, POLICY).size)
+    assert log_z == pytest.approx(whole + omitted, **LOG_Z_TOL)
+    assert -POLICY.tail_tol < omitted <= 0.0
+    assert abs(log_z - whole) < POLICY.tail_tol + 1e-12 * whole
+
+
+def test_geometric_past_the_cap_raises():
+    # the tail bound lambda^K / (1 - lambda^K) stays above tail_tol until K is near
+    # 23 000, past MAX_TERMS
+    with pytest.raises(TruncationError):
+        log_normalizer(CmpParams(0.999, 0.0), POLICY)
 
 
 def reference_ladder(log_lam, nu, policy):

@@ -240,6 +240,29 @@ class TestRunChains:
         s = pinned_fit(prior, 300, accepted, [0, 0], counts)
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
+    # The warmup-300 textile-faults fit's sampling kernel as float.hex: per chain,
+    # Draws.step_size and the row (c00, c10, c11) of proposal_cholesky. The
+    # medians above pass at rtol 1e-12 even if the Robbins-Monro step-size
+    # arithmetic or the Cholesky refactoring moves a bit; these do not.
+    PINNED_KERNELS = {
+        "conj-1": (["0x1.bf6e5fc0d7306p+0", "0x1.c80df1dc1d37bp+0"],
+                   [["0x1.b10ed57759760p-4", "0x1.f70c00d62e5dcp-3", "0x1.28e2b32fb3eefp-4"],
+                    ["0x1.1e9f12a3a56d6p-3", "0x1.0eca70f614234p-3", "0x1.f211cf56525cap-6"]]),
+        "jeffreys": (["0x1.76a49a63f8486p+0", "0x1.4935d1ef310a2p+0"],
+                     [["0x1.a4b149a5f4058p-4", "0x1.1460df529537bp-2", "0x1.55d0832b7be44p-4"],
+                      ["0x1.bd455529ee173p-3", "0x1.8ace67a7cb2b5p-3", "0x1.09bdfb3b432b4p-5"]]),
+    }
+
+    @pytest.mark.parametrize("prior", sorted(PINNED_KERNELS))
+    def test_sampling_kernel_pinned(self, prior):
+        step_size, cholesky = self.PINNED_KERNELS[prior]
+        stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+        d = run_chains(get_preset(prior), stats,
+                       McmcConfig(chains=2, warmup=300, keep=200), SeedSpec(7))
+        assert d.step_size.tolist() == [float.fromhex(x) for x in step_size]
+        assert d.proposal_cholesky.tolist() == [[float.fromhex(x) for x in row]
+                                                for row in cholesky]
+
     def test_prior_as_posterior_with_empty_data(self):
         spec = Conjugate(ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0))
         d = run_chains(spec, SufficientStats.empty(), FAST, SeedSpec(5))

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cmpbayes import (
@@ -83,6 +86,33 @@ class TestSufficientStats:
         s = sufficient_stats(make([2**62] * 4))
         assert (s.n, s.s1) == (4, 2**64)
         assert sufficient_stats(make([2**62, 2**62 - 1])).s1 == 2**63 - 1  # the last int64
+
+    # datasets.parse_counts' bound, 2^63 - 1, for every input type: a float count
+    # is not cast to int64 first (a RuntimeWarning and the wrong reason), an int
+    # past uint64 does not escape as a bare OverflowError, and 2^63 is not uint64
+    @pytest.mark.parametrize("counts", [
+        [1e19], np.array([1e19]), [math.inf], np.array([3.0, math.inf]), [2.0**63],
+        [2**63], np.array([2**63], dtype=np.uint64), [2**64], [3, 2**70],
+    ], ids=["float-list", "float-ndarray", "inf-list", "inf-ndarray", "float-2^63",
+            "int-2^63", "uint64-2^63", "int-2^64", "int-2^70"])
+    def test_count_past_int64_refused(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match=r"^counts must be at most 2\^63 - 1, got "):
+                sufficient_stats(counts)
+
+    @pytest.mark.parametrize("counts", [[-math.inf], np.array([-math.inf, 2.0]), [-2**64]],
+                             ids=["-inf-list", "-inf-ndarray", "int--2^64"])
+    def test_count_below_int64_refused_as_negative(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParamsError, match="^counts must be nonnegative$"):
+                sufficient_stats(counts)
+
+    def test_largest_counts_accepted(self):
+        assert sufficient_stats([2**63 - 1]).s1 == 2**63 - 1
+        assert sufficient_stats(np.array([2**63 - 1], dtype=np.uint64)).s1 == 2**63 - 1
+        assert sufficient_stats([2.0**63 - 1024]).s1 == 2**63 - 1024  # the last float below 2^63
 
     # (n, S1, S2 as float.hex) of the bundled datasets, frozen before S1 learned to
     # leave int64: the bundled data sum in int64 as before, to the bit
@@ -185,6 +215,17 @@ class TestFlatPosteriorPropriety:
                 expected = conjugate_propriety(
                     ConjugateHyper(float(stats.s1), stats.s2, float(stats.n)))
                 assert flat_posterior_propriety(stats) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 10**6), s1=st.integers(0, 10**7), s2=st.floats(0.0, 1e8))
+    def test_is_the_conjugate_condition_at_the_stats(self, n, s1, s2):
+        assume(n > 0 or (s1 == 0 and s2 == 0.0))
+        stats = SufficientStats(n=n, s1=s1, s2=s2)
+        if n > 0 and s1 > 0 and s2 > 0.0:
+            expected = conjugate_propriety(ConjugateHyper(float(s1), s2, float(n)))
+        else:
+            expected = False
+        assert flat_posterior_propriety(stats) == expected
 
     def test_updated_hyper(self):
         stats = sufficient_stats([2, 0])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
@@ -72,6 +74,17 @@ class TestConjugatePropriety:
             c = rng.uniform(0.05, 50.0)
             assert conjugate_propriety(ConjugateHyper(c * t, c * s, c)) == \
                 conjugate_propriety(ConjugateHyper(t, s, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3),
+           k=st.floats(1e-3, 1e3))
+    def test_verdict_is_invariant_under_scaling(self, a, b, c, k):
+        # the verdict reads only a/c and b/c; where its two sides are within rounding
+        # of each other, the rounding of the scaled ratios would decide it
+        lhs, rhs = propriety_bound(ConjugateHyper(a, b, c))
+        assume(abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)))
+        assert conjugate_propriety(ConjugateHyper(k * a, k * b, k * c)) == \
+            conjugate_propriety(ConjugateHyper(a, b, c))
 
     def test_bound_sides(self):
         lhs, rhs = propriety_bound(ConjugateHyper(1.0, 1.0, 1.0))

@@ -10,25 +10,29 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed by log-sum-exp over a grid whose length, a whole number of
-base_terms blocks, is chosen from (ln lambda, nu) before summing (see
-TruncationPolicy), so one sum almost always suffices. j and lnGamma(j + 1) are
-read-only views of one MAX_TERMS table built at import, next to a read-only
-(5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
-lnGamma(j + 1)^2 and j*lnGamma(j + 1). series_rows is the one summation
-routine: it takes many points in (ln lambda, nu), the sampler's coordinates,
-sizes them in one pass into per-length column lists (a row whose term mode is
-at most base_terms / 2 is tested inline), sums the rows of each grid length as
-one (B, K) grid formed by outer products of those columns with the tables,
+summed over a grid whose length, a whole number of base_terms blocks, is
+chosen from (ln lambda, nu) before summing (see TruncationPolicy), so one sum
+almost always suffices. j and lnGamma(j + 1) are read-only MAX_TERMS tables
+built at import, and rows 0 and 2 of a read-only (5, MAX_TERMS) table of the
+moment integrands j, j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and
+j*lnGamma(j + 1). series_rows is the one summation routine: it takes many
+points in (ln lambda, nu), the sampler's coordinates, sizes them in one pass
+into per-length column lists (a row whose term mode is at most base_terms / 2
+is tested inline), forms each grid length's log terms as one (B, K) einsum of
+the rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1),
 tail-tests each row on Python floats against the grid's last two j and
 lnGamma(j + 1), cached per length beside the tables, and sends a row that
-fails the test back through the same loop at double length. The weights
-exp(t - max t) overwrite the log terms in place, unless the rows must return
-them; the moments are one einsum of the weights with the table over the grid
-that gave ln Z, divided by the weights' sums that gave ln Z, which keeps them
-self-consistent. No point's result depends on the other points, so the
-one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
-calls of series_rows.
+fails the test back through the same loop at double length. There is no max
+pass: the weights are exp(t) and ln Z = ln(sum of the weights). t_0 = 0, so
+the sum is at least 1, and lnGamma(j + 1) >= j ln j - j bounds every term by
+nu * lambda^(1/nu) (by 0 where lambda <= 1), so no weight overflows while that
+bound is at most _MAX_UNSHIFTED; the rare row above it is first shifted by its
+exact largest term (_shift). The weights overwrite the log terms in place,
+unless the rows must return them; the moments are one einsum of the weights
+with the table over the grid that gave ln Z, divided by the weights' sums
+that gave ln Z, which keeps them self-consistent. No point's result depends
+on the other points, so the one-point entries (log_normalizer_at,
+moment_sums_at, pmf_table) are one-row calls of series_rows.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ from .errors import InvalidParamsError, TruncationError
 MAX_TERMS = 10_000  # a series still unconverged at this length raises TruncationError
 _LOG_LAST_J = math.log(MAX_TERMS - 1)
 _SIZE_MARGIN = 5.0  # log-units past -ln(tail_tol) at which a sized grid ends
+# a row's weights are exp(t) unshifted while its largest log term is at most this:
+# e^600 times K terms and lnGamma(j + 1)^2 <= 6.7e9 keeps its moment sums below e^632
+_MAX_UNSHIFTED = 600.0
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,31 @@ for _table in (_J, _LGAMMA, _MOMENT_TABLE):
 
 
 @lru_cache(maxsize=None)
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Read-only views of j, lnGamma(j + 1) and the moment integrands for j < k.
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """Read-only views of the rows j and lnGamma(j + 1), and of the moment integrands, for j < k.
 
     Also the grid's ends for the tail test as Python floats: its last two j
     and their lnGamma(j + 1), (j_prev, j_last, g_prev, g_last).
     """
     ends = (*_J[k - 2:k].tolist(), *_LGAMMA[k - 2:k].tolist())
-    return _J[:k], _LGAMMA[:k], _MOMENT_TABLE[:, :k], ends
+    return _MOMENT_TABLE[0:3:2, :k], _MOMENT_TABLE[:, :k], ends
+
+
+def _shift(log_lam: float, nu: float) -> float:
+    """What series_rows subtracts from the log terms of a row with ln lambda > 0.
+
+    lnGamma(j + 1) >= j ln j - j bounds the largest term by nu * lambda^(1/nu),
+    nu times the term mode. Where that bound is at most _MAX_UNSHIFTED the
+    shift is 0.0: every weight exp(t) and moment sum stays in float range.
+    Otherwise it is the largest term itself, the value np.max gives: terms
+    rise up to the mode and fall after it, so it is one of the three at
+    floor(mode) - 1, floor(mode) and floor(mode) + 1.
+    """
+    mode = math.exp(log_lam / nu)
+    if nu * mode <= _MAX_UNSHIFTED:
+        return 0.0
+    lo = int(mode) - 1
+    return max(log_lam * j - nu * g for j, g in enumerate(_LGAMMA[lo:lo + 3].tolist(), lo))
 
 
 def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
@@ -217,50 +241,54 @@ def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DE
     expectations (a list, in its order) and ln Z; otherwise with terms, the
     grid's log terms t and ln Z. It is None where the series cannot be
     summed. Each row is summed over its own length (_grid_length), in one
-    (B, K) grid with the other rows of that length: t is the outer product
-    of the rows' ln lambda with j less that of their nu with lnGamma(j + 1),
-    ln Z is max t + ln(sum of the weights exp(t - max t)), and the moments
-    are one einsum of the weights with _MOMENT_TABLE, divided by the same
-    sum. The tail test recomputes a row's last two terms as Python floats
-    from its point and the table ends _tables caches. A row that fails it
-    re-enters at double length (at most MAX_TERMS), where it joins the rows
-    of that length; one unconverged at MAX_TERMS is None. So a row's result
-    depends on its own point alone, and the one-point entries below are
-    one-row calls.
+    (B, K) grid with the other rows of that length: t is one einsum of the
+    rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1), the
+    weights are exp(t), so ln Z = ln(sum of the weights), and the moments are
+    one einsum of the weights with _MOMENT_TABLE, divided by the same sum. A
+    row whose largest term may pass _MAX_UNSHIFTED (see _shift) is first
+    shifted by that term c, and ln Z = c + ln(sum). The tail test recomputes
+    a row's last two terms as Python floats from its point and the table ends
+    _tables caches. A row that fails it re-enters at double length (at most
+    MAX_TERMS), where it joins the rows of that length; one unconverged at
+    MAX_TERMS is None. So a row's result depends on its own point alone, and
+    the one-point entries below are one-row calls.
     """
     out = [None] * len(points)
     base, log_half_base, size = _sizer(policy)
-    # grid length -> the columns of the rows to sum at it: index, ln lambda, nu
-    pending: dict[int, tuple[list[int], list[float], list[float]]] = {}
+    # grid length -> the columns of the rows to sum at it: index, ln lambda,
+    # -nu and the row's shift (0.0 for almost every row)
+    pending: dict[int, tuple[list[int], list[float], list[float], list[float]]] = {}
     for i, (log_lam, nu) in enumerate(points):
         k = base if log_lam <= nu * log_half_base else size(log_lam, nu)
         if k:
             group = pending.get(k)
             if group is None:
-                group = pending[k] = ([], [], [])
+                group = pending[k] = ([], [], [], [])
             group[0].append(i)
             group[1].append(log_lam)
-            group[2].append(nu)
+            group[2].append(-nu)
+            group[3].append(_shift(log_lam, nu) if log_lam > 0.0 else 0.0)
     log_tol = math.log(policy.tail_tol)
     log, exp, log1p = math.log, math.exp, math.log1p
     while pending:
         k = min(pending)  # a doubled row joins a length not yet summed
-        rows, log_lams, nus = pending.pop(k)
-        j, lgamma, table, (j_prev, j_last, g_prev, g_last) = _tables(k)
-        t = np.multiply.outer(log_lams, j)
-        t -= np.multiply.outer(nus, lgamma)
-        m = np.maximum.reduce(t, axis=1)
-        # the weights exp(t - max t), in t's own buffer unless the rows return t
-        w = np.subtract(t, m[:, None], out=None if terms else t)
-        np.exp(w, out=w)
+        rows, log_lams, neg_nus, shifts = pending.pop(k)
+        j_lgamma, table, (j_prev, j_last, g_prev, g_last) = _tables(k)
+        t = np.einsum("ib,ik->bk", (log_lams, neg_nus), j_lgamma)
+        # the weights, in t's own buffer unless the rows return t
+        if any(shifts):
+            w = np.subtract(t, np.array(shifts)[:, None], out=None if terms else t)
+            np.exp(w, out=w)
+        else:
+            w = np.exp(t, out=None if terms else t)
         totals = np.add.reduce(w, axis=1)
         sums = (np.einsum("bk,ck->bc", w, table) / totals[:, None]).tolist() if moments else None
-        for r, (i, log_lam, nu, m_row, total) in enumerate(
-                zip(rows, log_lams, nus, m.tolist(), totals.tolist())):
-            log_z = m_row + log(total)
+        for r, (i, log_lam, neg_nu, shift, total) in enumerate(
+                zip(rows, log_lams, neg_nus, shifts, totals.tolist())):
+            log_z = shift + log(total)
             # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-            prev = log_lam * j_prev - nu * g_prev
-            last = log_lam * j_last - nu * g_last
+            prev = log_lam * j_prev + neg_nu * g_prev
+            last = log_lam * j_last + neg_nu * g_last
             if last < prev:
                 log_r = last - prev
                 ratio = exp(log_r)
@@ -271,10 +299,11 @@ def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DE
                         out[i] = (t[r], log_z) if terms else log_z
                     continue
             if k < MAX_TERMS:
-                group = pending.setdefault(min(2 * k, MAX_TERMS), ([], [], []))
+                group = pending.setdefault(min(2 * k, MAX_TERMS), ([], [], [], []))
                 group[0].append(i)
                 group[1].append(log_lam)
-                group[2].append(nu)
+                group[2].append(neg_nu)
+                group[3].append(shift)
     return out
 
 

@@ -2,6 +2,7 @@
 sampler's target."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cmpbayes import (
     get_preset,
     log_normalizer,
     log_posterior,
+    make_generator,
     mcmc,
     moments,
     pmf_table,
@@ -117,8 +119,10 @@ def reference_ladder(log_lam, nu, policy):
     while True:
         j = np.arange(k, dtype=np.float64)
         t = log_lam * j - nu * gammaln(j + 1.0)
+        # the weights exp(t), less the largest term where one passes 600
         m = float(t.max())
-        log_z = m + math.log(float(np.exp(t - m).sum()))
+        c = m if m > 600.0 else 0.0
+        log_z = c + math.log(float(np.exp(t - c).sum()))
         last = float(t[-1])
         prev = float(t[-2])
         if last < prev:
@@ -169,6 +173,7 @@ def test_sized_log_z_matches_twice_the_grid(log_lam, nu):
 @settings(max_examples=150, deadline=None)
 @given(**SIZING)
 @example(log_lam=0.7 * math.log(POLICY.base_terms / 2), nu=0.7)  # mode exactly base_terms / 2
+@example(log_lam=1.0, nu=1.0)  # ln Z(e, 1) = 2.718281828459045, the double nearest e
 def test_small_mode_is_the_old_ladder(log_lam, nu):
     # lambda^(1/nu) <= base_terms / 2: the grid starts at base_terms, unsized
     assume(log_lam <= nu * math.log(POLICY.base_terms / 2))
@@ -257,6 +262,13 @@ def scalar_series(log_lam, nu, moments):
 @example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1111 terms beside 101
 # 101 terms that fail the tail test re-enter at 202, beside a row sized to 202
 @example(points=[(math.log(4.7), 0.4), (math.log(20.0), 0.75)], moments=True)
+# largest-term bound nu * lambda^(1/nu) just under and just over 600: unshifted and shifted
+@example(points=[(20.0 * math.log(30.0) - 1e-9, 20.0), (20.0 * math.log(30.0) + 1e-9, 20.0)],
+         moments=True)
+# lambda = e^800 at nu = 1e8 is shifted by its largest term, 800; lambda = e^-800 is not
+@example(points=[(800.0, 1e8), (-800.0, 1e8), (1.0, 1.0)], moments=True)
+# the near-cap row, shifted
+@example(points=[(50.0 * math.log(0.99 * MAX_TERMS), 50.0), (1.0, 1.0)], moments=True)
 def test_series_rows_match_each_series(points, moments):
     # every row, of any length and however often it doubles, is its one-point
     # series bit for bit: one routine sums both
@@ -312,11 +324,39 @@ FROZEN_ROWS = {
 }
 
 
+# The rows with ln lambda > 0 whose largest term is at most 600, re-frozen when their
+# weights became exp(t) unshifted: ln Z moved by at most 1 ulp, and each moment sum by
+# at most 8.7e-16 relative. The other rows keep the pins above bit for bit.
+REFROZEN_ROWS = {
+    (1.0, 1.0): (
+        "0x1.5bf0a8b145769p+1",
+        ["0x1.5bf0a8b14576ap+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4c0p+0",
+         "0x1.f1fbbf7925a9fp+2", "0x1.0bf884a5bbbb6p+3"]),
+    (math.log(20.0), 0.75): (
+        "0x1.4cb59b5c8cbbap+5",
+        ["0x1.b3a5220eec472p+5", "0x1.7bb994d7a933ep+11", "0x1.4d9c1b804118dp+7",
+         "0x1.c4eaf0e157e62p+14", "0x1.24ebd9ab22f7cp+13"]),
+    (math.log(30.0), 0.7): (
+        "0x1.6d958f2054b46p+6",
+        ["0x1.022e942772250p+7", "0x1.07425a47de167p+14", "0x1.f66b5fd374731p+8",
+         "0x1.f58760e51e1cep+17", "0x1.00d964840fc7ep+16"]),
+    (2.5, math.exp(-1.0)): (
+        "0x1.4c1cc952824e0p+8",
+        ["0x1.bf6dded86bff2p+9", "0x1.8830342c4a60dp+19", "0x1.448dea3b44cefp+12",
+         "0x1.9d2e214447de1p+24", "0x1.1ca1a45046c9cp+22"]),
+    (math.log(4.7), 0.4): (
+        "0x1.55304e2e294e5p+4",
+        ["0x1.852894b699e7cp+5", "0x1.36c0f6aae053fp+11", "0x1.20d16aa997b17p+7",
+         "0x1.62457c812509dp+14", "0x1.d430f2f8dfde6p+12"]),
+}
+PINNED_ROWS = {**FROZEN_ROWS, **REFROZEN_ROWS}
+
+
 @pytest.mark.parametrize("moments", [False, True], ids=["plain", "moments"])
 def test_series_rows_frozen_bits(moments):
-    points = list(FROZEN_ROWS)
+    points = list(PINNED_ROWS)
     want = []
-    for frozen in FROZEN_ROWS.values():
+    for frozen in PINNED_ROWS.values():
         if frozen is None:
             want.append(None)
         elif moments:
@@ -325,6 +365,78 @@ def test_series_rows_frozen_bits(moments):
             want.append(float.fromhex(frozen[0]))
     assert series_rows(points, POLICY, moments) == want
     assert [series_rows([point], POLICY, moments)[0] for point in points] == want
+
+
+def test_rows_summed_as_before_kept_their_pins():
+    # a row at ln lambda <= 0, whose largest term is t_0 = 0, or one shifted by its
+    # largest term sums exp(t - c) with the same c as before the weights went
+    # unshifted, so it keeps its old bits; only the other rows were re-frozen
+    kept = 0
+    for point, frozen in FROZEN_ROWS.items():
+        if frozen is None:
+            continue
+        log_lam, nu = point
+        if log_lam <= 0.0 or core._shift(log_lam, nu) != 0.0:
+            kept += 1
+            assert point not in REFROZEN_ROWS
+            assert series_rows([point], POLICY)[0] == float.fromhex(frozen[0])
+            assert series_rows([point], POLICY, moments=True)[0][0] == [
+                float.fromhex(x) for x in frozen[1]]
+        else:
+            moved = float.fromhex(REFROZEN_ROWS[point][0]) - float.fromhex(frozen[0])
+            assert abs(moved) <= math.ulp(float.fromhex(frozen[0]))
+    assert kept == 4
+
+
+# ln Z at each summable row of FROZEN_ROWS to 50 digits, from an independent sum (mpmath
+# at 70 digits: j*ln lambda - nu*loggamma(j + 1) summed by log-sum-exp over j until the
+# terms fall e^-230 below the largest), at the float (ln lambda, nu) of the row.
+LNZ_50_DIGITS = {
+    (1.0, 1.0): "2.7182818284590452353602874713526624977572470937",
+    (math.log(0.5), 0.5): "0.55625808088841679598212123328874830795482937691604",
+    (-2.0, 3.0): "0.12895263442516499878523138532672928694972685438232",
+    (math.log(20.0), 0.75): "41.588675234837373305733426080682097442006042612607",
+    (math.log(30.0), 0.7): "91.396053795976592976094816857661729434000823506744",
+    (2.5, math.exp(-1.0)): "332.11244693452138119560381655560718022928103453219",
+    (50.0 * math.log(0.99 * MAX_TERMS), 50.0):
+        "494727.60910483870632798184278886987239206332487839",
+    (math.log(4.7), 0.4): "21.324293308561111357580120290997818844342252237761",
+    (math.log(0.9), 0.0): "2.3025850929940458627712537922557272051767520479777",
+}
+
+
+def test_pins_are_near_50_digit_sums():
+    assert set(LNZ_50_DIGITS) == {p for p, frozen in FROZEN_ROWS.items() if frozen is not None}
+    for point, digits in LNZ_50_DIGITS.items():
+        ref = float(digits)
+        off = abs(float.fromhex(PINNED_ROWS[point][0]) - ref) / math.ulp(ref)
+        if point == (-2.0, 3.0):
+            # ln Z = 0.129 is the log of a sum near 1.14, whose last bit is 7 ulp of ln Z
+            assert off <= 7
+        elif point == (50.0 * math.log(0.99 * MAX_TERMS), 50.0):
+            # the near-cap row's terms near 4.5e6 cancel to its ln Z, carrying the
+            # rounding of their products (half an ulp of 4.5e6 is 8 ulp of ln Z)
+            assert off <= 8
+        else:
+            assert off <= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_lam=st.floats(-5.0, 40.0), nu=st.floats(0.05, 60.0))
+@example(log_lam=20.0 * math.log(30.0) + 1e-9, nu=20.0)  # bound just over 600: shifted
+@example(log_lam=50.0 * math.log(0.99 * MAX_TERMS), nu=50.0)  # near the cap
+def test_largest_term_is_bounded(log_lam, nu):
+    # lnGamma(j + 1) >= j ln j - j bounds the largest log term by nu * lambda^(1/nu),
+    # and by t_0 = 0 where ln lambda <= 0; a row over _MAX_UNSHIFTED is shifted by
+    # exactly its largest term
+    t, _ = sized_series(log_lam, nu)
+    largest = float(t.max())
+    if log_lam <= 0.0:
+        assert largest == 0.0
+    else:
+        assert largest <= nu * math.exp(log_lam / nu)
+        shift = core._shift(log_lam, nu)
+        assert shift == (largest if nu * math.exp(log_lam / nu) > core._MAX_UNSHIFTED else 0.0)
 
 
 def scalar_target(spec, u, v):
@@ -362,6 +474,12 @@ REJECTED = st.sampled_from([
        spec=st.sampled_from(SPECS))
 # mode near 894, where the determinant cancels terms 2e10 times its value
 @example(points=[(2.5, -1.0), (1.0, 0.0)], spec=Jeffreys())
+# largest-term bound just under and just over 600, lambda = e^+-800 at nu = 1e8, and the
+# near-cap row
+@example(points=[(20.0 * math.log(30.0) - 1e-9, math.log(20.0)),
+                 (20.0 * math.log(30.0) + 1e-9, math.log(20.0))], spec=Jeffreys())
+@example(points=[(800.0, math.log(1e8)), (-800.0, math.log(1e8)), (1.0, 0.0)], spec=SPECS[0])
+@example(points=[(50.0 * math.log(0.99 * MAX_TERMS), math.log(50.0)), (1.0, 0.0)], spec=SPECS[0])
 def test_batch_equals_row(points, spec):
     target = _make_target(spec, STATS, POLICY)
     values = target(points)
@@ -433,15 +551,29 @@ class RecordingGenerator:
         self._g = np.random.default_rng(seed)
         self.calls = []
         self.sizes = []  # the size argument of each normal draw
+        self.bit_generator = SimpleNamespace(random_raw=self._random_raw)
 
     def standard_normal(self, size=None, out=None):
         self.calls.append("normal")
         self.sizes.append(size if out is None else out.shape)
         return self._g.standard_normal(size, out=out)
 
-    def random(self):
+    def _random_raw(self):
+        # the chain forms each uniform from 64 raw bits
         self.calls.append("uniform")
-        return self._g.random()
+        return self._g.bit_generator.random_raw()
+
+
+def test_raw_uniform_is_generator_random():
+    # a chain's uniform, (raw >> 11) * 2^-53, is the double Generator.random()
+    # gives from the same stream, interleaved with pairs of normals as in a chain
+    g, h = make_generator(5, 1, 0), make_generator(5, 1, 0)
+    z, w = np.empty(2), np.empty(2)
+    for _ in range(100_000):
+        g.standard_normal(out=z)
+        h.standard_normal(out=w)
+        assert (h.bit_generator.random_raw() >> 11) * mcmc._INV_2_53 == g.random()
+    assert np.array_equal(z, w)
 
 
 def test_rejected_proposal_counts_as_divergence(monkeypatch):

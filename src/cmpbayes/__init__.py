@@ -3,7 +3,7 @@
 Library layers, bottom up: core (normalizing series, moments, derivatives),
 priors (conjugate / flat / Jeffreys with propriety checks), posterior
 (sufficient statistics and log posteriors), rng (reproducible CMP variates),
-mcmc (adaptive Metropolis with split R-hat), study (bias/MSE/coverage
+mcmc (independence Metropolis from a Laplace fit, with split R-hat), study (bias/MSE/coverage
 harness), datasets + cli (bundled data and the command-line surface).
 """
 
@@ -25,6 +25,7 @@ from .errors import (
     EmptyDataError,
     ImproperPosteriorError,
     InvalidParamsError,
+    ModeNotFoundError,
     NonpositiveDeterminantError,
     TruncationError,
     ZeroVarianceError,
@@ -84,6 +85,7 @@ __all__ = [
     "InvalidParamsError",
     "Jeffreys",
     "McmcConfig",
+    "ModeNotFoundError",
     "NonpositiveDeterminantError",
     "PRESET_NAMES",
     "SeedSpec",

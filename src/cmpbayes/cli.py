@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,13 +56,20 @@ class FitReport:
     config: McmcConfig
     policy: TruncationPolicy
     seed: SeedSpec
-    # per chain, the proposal the sampling phase held fixed (see Draws)
-    step_size: tuple[float, ...] = ()
-    proposal_cholesky: tuple[tuple[float, float, float], ...] = ()
+    # per reason of priors.REJECTIONS, each chain's rejected kept proposals
+    rejections: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    pareto_k: float = math.nan
+    # the proposal (see Draws): its centre (ln lambda, nu) and (c00, c10, c11)
+    proposal_centre: tuple[float, ...] = ()
+    proposal_cholesky: tuple[float, ...] = ()
 
     @property
     def divergence_warning(self) -> bool:
-        """More than DIVERGENCE_WARN_FRACTION of the kept proposals were divergent."""
+        """More than DIVERGENCE_WARN_FRACTION of the kept proposals were divergent.
+
+        Divergences are the numerical rejections; a proposal outside the
+        support (nu below the floor) is not one.
+        """
         return sum(self.divergences) / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
 
     def to_dict(self) -> dict:
@@ -76,8 +83,10 @@ class FitReport:
             "accept_rate": list(self.accept_rate),
             "divergences": list(self.divergences),
             "divergence_warning": self.divergence_warning,
-            "step_size": list(self.step_size),
-            "proposal_cholesky": [list(c) for c in self.proposal_cholesky],
+            "rejections": {reason: list(counts) for reason, counts in self.rejections.items()},
+            "pareto_k": self.pareto_k,
+            "proposal_centre": list(self.proposal_centre),
+            "proposal_cholesky": list(self.proposal_cholesky),
             "config": asdict(self.config),
             "truncation": asdict(self.policy),
             "seed": asdict(self.seed),
@@ -99,6 +108,9 @@ class FitReport:
         lines.append(
             "acceptance per chain: " + " ".join(f"{a:.2f}" for a in self.accept_rate)
         )
+        lines.append("rejected proposals: " + ", ".join(
+            f"{reason} {sum(counts)}" for reason, counts in self.rejections.items()))
+        lines.append(f"Pareto k-hat of the proposal: {self.pareto_k:.2f}")
         total = sum(self.divergences)
         lines.append(f"divergent proposals: {total} / {self.summary.n_kept}")
         if self.divergence_warning:
@@ -132,8 +144,11 @@ def fit_command(
             config=config,
             policy=policy,
             seed=seed,
-            step_size=tuple(draws.step_size.tolist()),
-            proposal_cholesky=tuple(map(tuple, draws.proposal_cholesky.tolist())),
+            rejections={reason: tuple(counts.tolist())
+                        for reason, counts in draws.rejections.items()},
+            pareto_k=draws.pareto_k,
+            proposal_centre=tuple(draws.proposal_centre.tolist()),
+            proposal_cholesky=tuple(draws.proposal_cholesky.tolist()),
         ),
         draws,
     )

@@ -12,27 +12,28 @@ of log-domain terms
 
 summed over a grid whose length, a whole number of base_terms blocks, is
 chosen from (ln lambda, nu) before summing (see TruncationPolicy), so one sum
-almost always suffices. j and lnGamma(j + 1) are read-only MAX_TERMS tables
-built at import, and rows 0 and 2 of a read-only (5, MAX_TERMS) table of the
-moment integrands j, j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and
-j*lnGamma(j + 1). series_rows is the one summation routine: it takes many
-points in (ln lambda, nu), the sampler's coordinates, sizes them in one pass
-into per-length column lists (a row whose term mode is at most base_terms / 2
-is tested inline), forms each grid length's log terms as one (B, K) einsum of
-the rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1),
-tail-tests each row on Python floats against the grid's last two j and
-lnGamma(j + 1), cached per length beside the tables, and sends a row that
-fails the test back through the same loop at double length. There is no max
-pass: the weights are exp(t) and ln Z = ln(sum of the weights). t_0 = 0, so
-the sum is at least 1, and lnGamma(j + 1) >= j ln j - j bounds every term by
-nu * lambda^(1/nu) (by 0 where lambda <= 1), so no weight overflows while that
-bound is at most _MAX_UNSHIFTED; the rare row above it is first shifted by its
-exact largest term (_shift). The weights overwrite the log terms in place,
-unless the rows must return them; the moments are one einsum of the weights
-with the table over the grid that gave ln Z, divided by the weights' sums
-that gave ln Z, which keeps them self-consistent. No point's result depends
-on the other points, so the one-point entries (log_normalizer_at,
-moment_sums_at, pmf_table) are one-row calls of series_rows.
+almost always suffices. j and lnGamma(j + 1) are rows 0 and 2 of a read-only
+(5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
+lnGamma(j + 1)^2 and j*lnGamma(j + 1), built at import. series_arrays is the
+one summation routine: it takes arrays of points in (ln lambda, nu), the
+sampler's coordinates, sizes every row in array operations (_sizes), and sums
+the rows length by length, each length as (B, K) grids of at most _MAX_CELLS
+cells, so a fit's thousands of proposals cost a few numpy calls per grid
+rather than Python per row. A grid's log terms are one einsum of its rows'
+(ln lambda, -nu) with the table rows j and lnGamma(j + 1); there is no max
+pass: the weights are exp(t) and ln Z = log1p(sum of the weights past t_0),
+since t_0 = 0 weighs 1, which keeps ln Z's relative precision where it is
+near 0. lnGamma(j + 1) >= j ln j - j bounds every term by nu * lambda^(1/nu)
+(by 0 where lambda <= 1), so no weight overflows while that bound is at most
+_MAX_UNSHIFTED; the rare row above it is first shifted by its exact largest
+term. The weights overwrite the log terms in place; the moments are one
+einsum of the weights with the table over the grid that gave ln Z, divided
+by the weights' sums that gave ln Z, which keeps them self-consistent. Each
+row is tail-tested against its grid's last two terms, and a row that fails
+re-enters at double length. Every step is elementwise or along a row, so no
+point's result depends on the other points or on the grid bound, and the
+one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
+calls of series_arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -52,6 +54,9 @@ _SIZE_MARGIN = 5.0  # log-units past -ln(tail_tol) at which a sized grid ends
 # a row's weights are exp(t) unshifted while its largest log term is at most this:
 # e^600 times K terms and lnGamma(j + 1)^2 <= 6.7e9 keeps its moment sums below e^632
 _MAX_UNSHIFTED = 600.0
+# rows x terms of one summed grid: 256 KiB of float64 per (rows, K) array, so a
+# fit's thousands of rows never make one large temporary
+_MAX_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,11 @@ class TruncationPolicy:
     """Controls how many series terms are used when evaluating Z(lambda, nu).
 
     base_terms is the minimum grid and its block: every grid length is a
-    whole number of base_terms blocks, or the fixed cap MAX_TERMS. When the
-    term mode j* = lambda^(1/nu) exceeds base_terms / 2, the grid instead
-    reaches j* + sqrt(2 j* (5 - ln tail_tol) / nu), rounded up to the next
-    block: the mode plus the distance at which a peak of log-curvature nu / j*
-    has fallen by -ln tail_tol, with 5 log-units to spare. A grid is accepted
+    whole number of base_terms blocks, or the fixed cap MAX_TERMS. The grid
+    reaches j* + sqrt(2 j* (5 - ln tail_tol) / nu), with j* = lambda^(1/nu)
+    the term mode, rounded up to the next block and at least one block: the
+    mode plus the distance at which a peak of log-curvature nu / j* has
+    fallen by -ln tail_tol, with 5 log-units to spare. A grid is accepted
     once its terms are decaying and a geometric bound on the omitted tail,
     term * r / (1 - r) with r the last consecutive-term ratio, falls below
     tail_tol relative to the partial sum (term ratios lambda / (j+1)^nu
@@ -161,31 +166,9 @@ for _table in (_J, _LGAMMA, _MOMENT_TABLE):
 
 
 @lru_cache(maxsize=None)
-def _tables(k: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Read-only views of the rows j and lnGamma(j + 1), and of the moment integrands, for j < k.
-
-    Also the grid's ends for the tail test as Python floats: its last two j
-    and their lnGamma(j + 1), (j_prev, j_last, g_prev, g_last).
-    """
-    ends = (*_J[k - 2:k].tolist(), *_LGAMMA[k - 2:k].tolist())
-    return _MOMENT_TABLE[0:3:2, :k], _MOMENT_TABLE[:, :k], ends
-
-
-def _shift(log_lam: float, nu: float) -> float:
-    """What series_rows subtracts from the log terms of a row with ln lambda > 0.
-
-    lnGamma(j + 1) >= j ln j - j bounds the largest term by nu * lambda^(1/nu),
-    nu times the term mode. Where that bound is at most _MAX_UNSHIFTED the
-    shift is 0.0: every weight exp(t) and moment sum stays in float range.
-    Otherwise it is the largest term itself, the value np.max gives: terms
-    rise up to the mode and fall after it, so it is one of the three at
-    floor(mode) - 1, floor(mode) and floor(mode) + 1.
-    """
-    mode = math.exp(log_lam / nu)
-    if nu * mode <= _MAX_UNSHIFTED:
-        return 0.0
-    lo = int(mode) - 1
-    return max(log_lam * j - nu * g for j, g in enumerate(_LGAMMA[lo:lo + 3].tolist(), lo))
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only views of the rows j and lnGamma(j + 1), and of the moment integrands, for j < k."""
+    return _MOMENT_TABLE[0:3:2, :k], _MOMENT_TABLE[:, :k]
 
 
 def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
@@ -195,127 +178,117 @@ def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tr
     )
 
 
-@lru_cache(maxsize=None)
-def _sizer(policy: TruncationPolicy):
-    """_grid_length's rule under policy, its constants computed once: 0 where it raises.
+def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy):
+    """Each row's first grid length (0 where it cannot be summed) and shift.
 
-    Returns (base_terms, ln(base_terms / 2), the rule), so a caller can test
-    the base case, ln lambda <= nu * ln(base_terms / 2), before calling it.
+    The length is the term mode lambda^(1/nu) plus the width TruncationPolicy
+    describes, rounded up to a whole number of base_terms blocks: at least
+    one block, at most MAX_TERMS. It is 0, before any sum, where the term
+    ratio lambda / j^nu is still >= 1 at the cap. The shift is what the row's
+    log terms are less before they are weighed: lnGamma(j + 1) >= j ln j - j
+    bounds the largest term by nu * lambda^(1/nu), nu times the mode, and
+    where that bound passes _MAX_UNSHIFTED (only at ln lambda > 0) the shift
+    is the largest term itself, the largest of the three at floor(mode) - 1,
+    floor(mode) and floor(mode) + 1, since terms rise up to the mode and fall
+    after it. Elsewhere it is 0.0 and every weight exp(t) and moment sum stays
+    in float range.
     """
     b = policy.base_terms
-    log_half_b = math.log(0.5 * b)
     margin = _SIZE_MARGIN - math.log(policy.tail_tol)
-    exp, sqrt = math.exp, math.sqrt
+    # nu = 0 (the geometric case) makes the mode 0 or nan; such a row starts at one block
+    with np.errstate(all="ignore"):
+        mode = np.exp(log_lam / nu)
+        reach = np.floor(mode + np.sqrt(2.0 * margin * mode / nu)) + 2.0
+        sized = np.minimum(np.ceil(reach / b) * b, MAX_TERMS)
+    summable = log_lam < nu * _LOG_LAST_J
+    k = np.where(summable, np.where(reach > b, sized, b), 0).astype(np.int64)
+    shift = np.zeros(log_lam.size)
+    big = np.flatnonzero(summable & (log_lam > 0.0) & (nu * mode > _MAX_UNSHIFTED))
+    if big.size:
+        j = np.floor(mode[big])[:, None] + np.arange(-1.0, 2.0)
+        t = log_lam[big, None] * j - nu[big, None] * _LGAMMA[j.astype(np.int64)]
+        shift[big] = t.max(axis=1)
+    return k, shift
 
-    def size(log_lam: float, nu: float) -> int:
-        if log_lam <= nu * log_half_b:
-            return b
-        if log_lam >= nu * _LOG_LAST_J:
-            return 0
-        mode = exp(log_lam / nu)
-        width = sqrt(2.0 * mode * margin / nu)
-        return min(MAX_TERMS, -(-(int(mode + width) + 2) // b) * b)
 
-    return b, log_half_b, size
+def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY,
+                  moments: bool = False) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The series at each row (ln lambda, nu) of two float arrays: the one summation routine.
 
-
-def _grid_length(log_lam: float, nu: float, policy: TruncationPolicy) -> int:
-    """Length of the first grid summed at (ln lambda, nu), in whole base_terms blocks.
-
-    base_terms while the term mode lambda^(1/nu) is at most base_terms / 2;
-    above it, the mode plus the width TruncationPolicy describes, rounded up
-    to the next block and capped at MAX_TERMS. Raises TruncationError, before
-    any sum, where the term ratio lambda / j^nu is still >= 1 at the cap.
+    Returns (ln Z, moment sums, grid lengths): ln Z of each row, nan where
+    the series cannot be summed; with moments, a (rows, 5) array of the five
+    CmpMoments expectations in its order (nan rows likewise), else None; and
+    the length of the grid that gave each row. Rows are sized in one pass
+    (_sizes) and summed length by length, shortest first, each length as
+    (B, K) grids of at most _MAX_CELLS cells: t is one einsum of the rows'
+    (ln lambda, -nu) with the table rows j and lnGamma(j + 1), the weights are
+    exp(t - shift), and ln Z = log1p(sum of the weights past t_0) for an
+    unshifted row (its t_0 = 0 has weight 1, and log1p keeps ln Z's relative
+    precision where it is near 0) and shift + ln(sum of the weights) for a
+    shifted one. The moments are one einsum of the weights with
+    _MOMENT_TABLE, divided by the same sums. A row is accepted once its terms
+    decay at its last two and a geometric bound on the omitted tail falls
+    below tail_tol relative to the sum; otherwise it re-enters at double
+    length (at most MAX_TERMS), beside the rows of that length, and one
+    unconverged at MAX_TERMS is nan. Every operation is elementwise or along
+    a row, so a row's result depends on its own point alone, whatever the
+    batch and the grid bound.
     """
-    k = _sizer(policy)[2](log_lam, nu)
-    if not k:
-        raise _truncation_error(log_lam, nu, policy)
-    return k
-
-
-def series_rows(points: list[tuple[float, float]], policy: TruncationPolicy = DEFAULT_POLICY,
-                moments: bool = False, terms: bool = False) -> list:
-    """The series at each (ln lambda, nu) in points, unvalidated: the one summation routine.
-
-    Row i is ln Z at points[i]; with moments, the five CmpMoments
-    expectations (a list, in its order) and ln Z; otherwise with terms, the
-    grid's log terms t and ln Z. It is None where the series cannot be
-    summed. Each row is summed over its own length (_grid_length), in one
-    (B, K) grid with the other rows of that length: t is one einsum of the
-    rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1), the
-    weights are exp(t), so ln Z = ln(sum of the weights), and the moments are
-    one einsum of the weights with _MOMENT_TABLE, divided by the same sum. A
-    row whose largest term may pass _MAX_UNSHIFTED (see _shift) is first
-    shifted by that term c, and ln Z = c + ln(sum). The tail test recomputes
-    a row's last two terms as Python floats from its point and the table ends
-    _tables caches. A row that fails it re-enters at double length (at most
-    MAX_TERMS), where it joins the rows of that length; one unconverged at
-    MAX_TERMS is None. So a row's result depends on its own point alone, and
-    the one-point entries below are one-row calls.
-    """
-    out = [None] * len(points)
-    base, log_half_base, size = _sizer(policy)
-    # grid length -> the columns of the rows to sum at it: index, ln lambda,
-    # -nu and the row's shift (0.0 for almost every row)
-    pending: dict[int, tuple[list[int], list[float], list[float], list[float]]] = {}
-    for i, (log_lam, nu) in enumerate(points):
-        k = base if log_lam <= nu * log_half_base else size(log_lam, nu)
-        if k:
-            group = pending.get(k)
-            if group is None:
-                group = pending[k] = ([], [], [], [])
-            group[0].append(i)
-            group[1].append(log_lam)
-            group[2].append(-nu)
-            group[3].append(_shift(log_lam, nu) if log_lam > 0.0 else 0.0)
+    log_lam = np.asarray(log_lam, dtype=np.float64)
+    nu = np.asarray(nu, dtype=np.float64)
+    log_z = np.full(log_lam.size, np.nan)
+    sums = np.full((log_lam.size, 5), np.nan) if moments else None
+    k, shift = _sizes(log_lam, nu, policy)
     log_tol = math.log(policy.tail_tol)
-    log, exp, log1p = math.log, math.exp, math.log1p
-    while pending:
-        k = min(pending)  # a doubled row joins a length not yet summed
-        rows, log_lams, neg_nus, shifts = pending.pop(k)
-        j_lgamma, table, (j_prev, j_last, g_prev, g_last) = _tables(k)
-        t = np.einsum("ib,ik->bk", (log_lams, neg_nus), j_lgamma)
-        # the weights, in t's own buffer unless the rows return t
-        if any(shifts):
-            w = np.subtract(t, np.array(shifts)[:, None], out=None if terms else t)
-            np.exp(w, out=w)
-        else:
-            w = np.exp(t, out=None if terms else t)
-        totals = np.add.reduce(w, axis=1)
-        sums = (np.einsum("bk,ck->bc", w, table) / totals[:, None]).tolist() if moments else None
-        for r, (i, log_lam, neg_nu, shift, total) in enumerate(
-                zip(rows, log_lams, neg_nus, shifts, totals.tolist())):
-            log_z = shift + log(total)
+    todo = np.flatnonzero(k)
+    while todo.size:
+        length = int(k[todo].min())  # a doubled row joins a length not yet summed
+        here = todo[k[todo] == length]
+        todo = todo[k[todo] != length]
+        j_lgamma, table = _tables(length)
+        step = max(1, _MAX_CELLS // length)
+        failed = []
+        for first in range(0, here.size, step):
+            rows = here[first:first + step]
+            w = np.einsum("ib,ik->bk", (log_lam[rows], -nu[rows]), j_lgamma)
+            prev, last = w[:, -2].copy(), w[:, -1].copy()
+            c = shift[rows]
+            if c.any():
+                w -= c[:, None]
+            np.exp(w, out=w)  # the weights overwrite the log terms
+            rest = np.add.reduce(w[:, 1:], axis=1)
+            total = w[:, 0] + rest
+            lz = np.where(c == 0.0, np.log1p(rest), c + np.log(total))
             # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-            prev = log_lam * j_prev + neg_nu * g_prev
-            last = log_lam * j_last + neg_nu * g_last
-            if last < prev:
+            with np.errstate(all="ignore"):
                 log_r = last - prev
-                ratio = exp(log_r)
-                if ratio < 1.0 and (last - log_z) + log_r - log1p(-ratio) < log_tol:
-                    if moments:
-                        out[i] = (sums[r], log_z)
-                    else:
-                        out[i] = (t[r], log_z) if terms else log_z
-                    continue
-            if k < MAX_TERMS:
-                group = pending.setdefault(min(2 * k, MAX_TERMS), ([], [], [], []))
-                group[0].append(i)
-                group[1].append(log_lam)
-                group[2].append(neg_nu)
-                group[3].append(shift)
-    return out
+                ratio = np.exp(log_r)
+                ok = (log_r < 0.0) & (ratio < 1.0) & (
+                    (last - lz) + log_r - np.log1p(-ratio) < log_tol)
+            log_z[rows[ok]] = lz[ok]
+            if moments:
+                sums[rows[ok]] = (np.einsum("bk,ck->bc", w, table) / total[:, None])[ok]
+            failed.append(rows[~ok])
+        if length < MAX_TERMS:
+            failed = np.concatenate(failed)
+            k[failed] = min(2 * length, MAX_TERMS)
+            todo = np.concatenate((todo, failed))
+    return log_z, sums, k
 
 
 def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool = False) -> tuple:
-    """series_rows' row at one point: (its log terms t, ln Z), or with moments (moments, ln Z).
+    """The series at one point: (its grid's log terms t, ln Z), or with moments (moments, ln Z).
 
-    Raises TruncationError where the row is None.
+    A one-row call of series_arrays; t is that row's einsum at its grid's
+    length. Raises TruncationError where the series cannot be summed.
     """
-    row = series_rows([(log_lam, nu)], policy, moments, terms=True)[0]
-    if row is None:
+    log_z, sums, k = series_arrays(np.array([log_lam]), np.array([nu]), policy, moments)
+    if math.isnan(log_z[0]):
         raise _truncation_error(log_lam, nu, policy)
-    return row
+    if moments:
+        return sums[0].tolist(), float(log_z[0])
+    t = np.einsum("ib,ik->bk", ([log_lam], [-nu]), _MOMENT_TABLE[0:3:2, :k[0]])[0]
+    return t, float(log_z[0])
 
 
 def log_normalizer_at(log_lam: float, nu: float,

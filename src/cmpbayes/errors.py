@@ -45,5 +45,14 @@ class AllDivergentError(CmpError, RuntimeError):
     """Every proposal (or every initialization attempt) hit a non-finite target."""
 
 
+class ModeNotFoundError(AllDivergentError):
+    """The sampler's mode search found no finite mode of the posterior.
+
+    Raised before any draw, where the posterior has no mode the series can
+    reach (say, counts near 10^6, whose posterior lies past e^709 in lambda),
+    rather than sampling from a proposal with nothing to centre it on.
+    """
+
+
 class ZeroVarianceError(CmpError, ArithmeticError):
     """Chains are degenerate (zero within-chain variance); R-hat is undefined."""

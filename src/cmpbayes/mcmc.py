@@ -1,72 +1,83 @@
-"""Posterior sampling via adaptive random-walk Metropolis, with diagnostics.
+"""Posterior sampling by independence Metropolis-Hastings from a Laplace fit, with diagnostics.
 
-Chains move on (u, v) = (ln lambda, ln nu) so proposals never leave the
-domain; the Jacobian contributes u + v to the target. Each chain is one
-coroutine running warmup + keep Metropolis steps with its whole state in
-Python floats: (u, v) and its log target, the log step size, the proposal's
-lower Cholesky factor and the running (Welford) means and cross-products of
-the warmup draws. During warmup only, a Robbins-Monro update steers the global
-step size toward 30% acceptance (its gains (i + 1)^-0.6 are computed once per
-warmup length and shared by the chains), and every 100 iterations
-np.linalg.cholesky refactors the proposal's 2x2 covariance shape from the
-running covariance.
-The full covariance matters here: CMP posteriors can put correlation near
-0.99 between ln lambda and ln nu at large n, where a diagonal proposal mixes
-too slowly to pass R-hat checks. Adaptation freezes at the end of warmup:
-the sampling phase is a loop of its own that holds the step size and the
-Cholesky factor fixed, so the retained draws come from a fixed-kernel Markov
-chain, and Draws reports that kernel per chain. Both phases draw one pair of
-normals per step and a uniform only for a finite proposal. These tuning
-values are module constants, not config: McmcConfig holds only the chain
-count and lengths.
+Chains move on (u, nu) = (ln lambda, nu): the Jacobian of lambda = e^u adds
+u alone to the target, the posterior's log kernel (posterior.kernel_series).
+Every posterior is the conjugate kernel at some (a, b, c)
+(posterior.conjugate_form), so with the Jacobian the target is
+a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
+under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
+-c Cov(X, -ln X!) are the moments core.series_arrays sums with ln Z; J's are
+central differences on a 3 x 3 stencil summed in the same call. A Newton
+search from (ln max(xbar, 0.5), 1) finds the mode on nu >= NU_FLOOR: each
+step is Newton's, with the Hessian's eigenvalues made negative so that it
+ascends, and stops on the floor where it would cross it; on the floor, where
+the target still rises toward lower nu (crab-satellites), the step is
+Newton's in u alone, so the mode is the floor's best point. A step is halved
+until the target rises, and taken whole once the Newton decrement
+g'(-H)^-1 g is below _MODE_TOL. The search stops when the decrement is below
+_NEWTON_TOL. The precision there is -H; at a mode on the floor its nu entry
+adds g_nu^2, the curvature of an exponential falling from the floor at the
+gradient's rate (all-zero counts fall so, almost without curvature). Where
+the search ends above _MODE_TOL, or the precision is not positive definite,
+the fit is refused with ModeNotFoundError before any draw.
 
-A chain yields each start attempt and proposal (u, v) and is sent back its
-log target. run_chains advances a fit's chains in lockstep rounds, carrying
-the live chains' pending points as one flat list: each round evaluates them
-in one batched call, which sums the round's ln Z series with one
-core.series_rows call (one (rows, K) grid per grid length, a row that fails
-its tail test re-entering that call at double length) and evaluates the
-posterior's log kernel (posterior.kernel_series) over the round's rows in one
-call; the target keeps each row's (u, v) beside it and adds only the
-Jacobian. Each chain keeps its own generator, and series_rows gives each row
-exactly its one-point value, so a chain's draws do not depend on the chains
-sharing its rounds. Points whose target is non-finite (nu below NU_FLOOR,
-lambda = e^u out of float range, series truncation cap, nonpositive Jeffreys
-determinant, overflow) never reach the grid or are -inf from the kernel, and
-count as divergences when proposed.
+The proposal is a bivariate t with _DF degrees of freedom, centred on the
+mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
+precision (Tierney 1994; Rue, Martino & Chopin 2009). Proposals do not depend on a chain's
+state, so each chain draws them all first from its own Philox stream, in this
+order: every step's pair of normals, then every step's chi-square(_DF) for
+the t scale, then one uniform per step. Its proposals are then evaluated
+_CHUNK at a time, each chunk in one call of the target (which
+core.series_arrays sums in grids of at most core._MAX_CELLS cells) followed
+by a float-only accept scan: a chain starts at the mode, and proposal i
+replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
+density). A row's value does not depend on the other rows, so a chain's
+draws are the same whatever the two bounds and whichever chains run beside
+it. Warmup steps are drawn and discarded; keep steps are kept.
+
+Proposals the target rejects count per chain, over the kept steps, by reason
+(priors.REJECTIONS): outside_support (nu below NU_FLOOR, or e^u out of float
+range) is where the posterior is 0, and only the numerical three
+(truncation, jeffreys_det, overflow) count as divergences. The Pareto k-hat
+of the fit's importance ratios target / proposal (Vehtari et al. 2024) says
+whether the proposal covers the posterior's tails: above 0.7 it does not.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .core import TruncationPolicy, DEFAULT_POLICY, series_rows
+from .core import TruncationPolicy, DEFAULT_POLICY, series_arrays
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
     InvalidParamsError,
+    ModeNotFoundError,
     ZeroVarianceError,
 )
-from .posterior import SufficientStats, flat_posterior_propriety, kernel_series, updated_hyper
+from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriety,
+                        kernel_series, updated_hyper)
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
-from .priors import Conjugate, Flat, PriorSpec, conjugate_propriety
+from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, Conjugate,
+                     Flat, Jeffreys, PriorSpec, conjugate_propriety, scaled_information_det)
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
 # geometric boundary nu = 0.
 NU_FLOOR = 1e-4
-_LOG_NU_FLOOR = math.log(NU_FLOOR)
-_TARGET_ACCEPT = 0.30
-_INIT_JITTER = 0.5  # sd of the random start around (ln max(xbar, 0.5), 0)
-_INIT_PROPOSAL_SD = 0.5
-_MAX_INIT_TRIES = 100
-_COV_UPDATE_EVERY = 100
-_INV_2_53 = 2.0 ** -53
+_DF = 5  # degrees of freedom of the t proposal
+_SCALE = 1.5  # the proposal's scale over the Laplace fit's
+_NEWTON_STEPS = 100
+_NEWTON_TOL = 1e-20  # Newton decrement at which the mode search stops
+_MODE_TOL = 1e-8  # the largest decrement a mode may keep (J's differences are noisy)
+_FD_STEP = 1e-3  # the stencil's step: in u, and relative to nu
+_NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
+_CHUNK = 2048  # a chain's proposals per target call and scan: no large temporaries
 
 
 @dataclass(frozen=True)
@@ -93,11 +104,13 @@ class Draws:
     lam: np.ndarray
     nu: np.ndarray
     accept_rate: np.ndarray  # per chain, post-warmup
-    divergences: np.ndarray  # per chain, post-warmup proposals with non-finite target
-    # per chain, the sampling phase's fixed proposal: step size s and the lower
-    # Cholesky factor L = [[c00, 0], [c10, c11]] of its shape (rows of
-    # (c00, c10, c11)), so a proposal is (u, v) + s * L z with z standard normal
-    step_size: Optional[np.ndarray] = None
+    divergences: np.ndarray  # per chain, post-warmup proposals rejected for a numerical reason
+    # per chain, post-warmup proposals rejected for each reason of priors.REJECTIONS
+    rejections: Optional[dict[str, np.ndarray]] = None
+    pareto_k: float = math.nan  # of the importance ratios of all the fit's proposals
+    # the proposal: a t whose centre is the mode (ln lambda, nu), and the lower
+    # Cholesky factor L = [[c00, 0], [c10, c11]] of its scale matrix as (c00, c10, c11)
+    proposal_centre: Optional[np.ndarray] = None
     proposal_cholesky: Optional[np.ndarray] = None
 
     @property
@@ -139,158 +152,177 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
             raise ImproperPosteriorError(
                 "conjugate posterior hyperparameters fail the propriety condition"
             )
-    # Jeffreys propriety is not decidable here; divergence counts are the canary.
+    elif stats.n == 0:
+        raise ImproperPosteriorError("the Jeffreys prior is improper; it needs data")
+    # Jeffreys propriety with data is not decidable here; the mode search and
+    # the Pareto k-hat are the canaries.
 
 
 def _make_target(spec, stats, policy):
-    """The log target of a list of (u, v) points, one ln Z grid for all of them."""
-    kernel, moments = kernel_series(spec, stats)
-    exp, isfinite, inf = math.exp, math.isfinite, math.inf
+    """The log target at arrays of (u, nu), and why each -inf row is rejected.
 
-    def target(points: list[tuple[float, float]]) -> list[float]:
-        values = [-inf] * len(points)
-        kept, batch = [], []  # the index of each point that reaches the grid, and its row
-        for i, (u, v) in enumerate(points):
-            if v >= _LOG_NU_FLOOR:
-                try:
-                    if exp(u) != 0.0:  # lambda must be a positive float
-                        batch.append((u, exp(v)))
-                        kept.append(i)
-                except OverflowError:
-                    pass
-        if not batch:
-            return values
-        for i, lp in zip(kept, kernel(batch, series_rows(batch, policy, moments))):
-            if isfinite(lp):
-                u, v = points[i]
-                values[i] = lp + u + v
-        return values
+    Returns (values, reasons): log_posterior + u, and a REJECTIONS code per
+    row (0 where finite). Points with nu below NU_FLOOR or e^u out of float
+    range are outside_support and never reach the series.
+    """
+    kernel, moments = kernel_series(spec, stats)
+
+    def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.full(u.size, -math.inf)
+        reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
+        with np.errstate(over="ignore", under="ignore"):
+            lam = np.exp(u)
+        inside = np.flatnonzero((nu >= NU_FLOOR) & (lam > 0.0) & (lam < math.inf))
+        if inside.size:
+            u_in, nu_in = u[inside], nu[inside]
+            log_z = sums = None
+            if moments is not None:
+                log_z, sums, _ = series_arrays(u_in, nu_in, policy, moments)
+            kept, why = kernel(u_in, nu_in, log_z, sums)
+            values[inside] = kept + u_in
+            reasons[inside] = why
+        return values, reasons
 
     return target
 
 
-@lru_cache(maxsize=4)
-def _gains(warmup: int) -> tuple[float, ...]:
-    """The Robbins-Monro gains (i + 1)^-0.6 of warmup steps 0 .. warmup - 1, shared by chains."""
-    return tuple((i + 1) ** -0.6 for i in range(warmup))
-
-
-def _run_chain(xbar, config, seed, chain_idx):
-    """One chain as a coroutine: yields each point (u, v), is sent its log target.
-
-    Returns (lam, nu, accept_rate, divergences, step_size, (c00, c10, c11))
-    through StopIteration: the last two are the proposal the sampling phase
-    held fixed.
-    """
-    g = make_generator(seed.master_seed, seed.stream_id, chain_idx)
-    base_u = math.log(max(xbar, 0.5))
-
-    for _ in range(_MAX_INIT_TRIES):
-        u = base_u + _INIT_JITTER * g.standard_normal()
-        v = max(_INIT_JITTER * g.standard_normal(), _LOG_NU_FLOOR)
-        cur_lp = yield u, v
-        if math.isfinite(cur_lp):
-            break
+def _derivatives(x, form, jeffreys, policy):
+    """The target's gradient and Hessian at x = (u, nu), or None where a series fails."""
+    u, nu = x
+    a, b, c = form
+    if jeffreys:  # J on the 3 x 3 stencil; row 3 * i + j is (u + (i - 1) du, nu + (j - 1) dn)
+        du, dn = _FD_STEP, _FD_STEP * nu
+        offsets = np.arange(-1.0, 2.0)
+        us, nus = np.repeat(u + du * offsets, 3), np.tile(nu + dn * offsets, 3)
     else:
-        raise AllDivergentError(
-            f"chain {chain_idx}: no finite starting point in {_MAX_INIT_TRIES} attempts"
-        )
-
-    # The whole chain state is Python floats: a 2-vector through numpy costs
-    # more per step than the arithmetic it does. A uniform is the double
-    # g.random() gives, (raw >> 11) * 2^-53 of the next 64 raw bits, formed here
-    # at lower call cost.
-    normal, raw = g.standard_normal, g.bit_generator.random_raw
-    z = np.empty(2)  # each step's pair of normals, drawn in place
-    exp, log, isfinite = math.exp, math.log, math.isfinite
-    warmup = config.warmup
-    log_scale = math.log(_INIT_PROPOSAL_SD)
-    c00, c10, c11 = 1.0, 0.0, 1.0  # lower Cholesky factor of the proposal shape
-    # Welford running means and cross-products; np.linalg.cholesky reads only
-    # the lower triangle, so the upper cross-product is not kept
-    mean_u = mean_v = 0.0
-    m_uu = m_vu = m_vv = 0.0
-    count = 0
-    reset_at = warmup // 4
-    last_update = warmup - _COV_UPDATE_EVERY
-
-    for i, gain in enumerate(_gains(warmup)):
-        scale = exp(log_scale)
-        normal(out=z)
-        z0, z1 = z.tolist()
-        prop_u = u + scale * (c00 * z0)
-        prop_v = v + scale * (c10 * z0 + c11 * z1)
-        lp = yield prop_u, prop_v
-        if isfinite(lp):
-            log_ratio = lp - cur_lp
-            accept_prob = 1.0 if log_ratio >= 0.0 else exp(log_ratio)
-            if log((raw() >> 11) * _INV_2_53) < log_ratio:
-                u, v, cur_lp = prop_u, prop_v, lp
-        else:  # divergent: the state stays and no uniform is drawn
-            accept_prob = 0.0
-        log_scale += gain * (accept_prob - _TARGET_ACCEPT)
-        if i == reset_at:
-            mean_u = mean_v = m_uu = m_vu = m_vv = 0.0
-            count = 0
-        count += 1
-        du = u - mean_u
-        dv = v - mean_v
-        mean_u += du / count
-        mean_v += dv / count
-        eu = u - mean_u
-        m_uu += du * eu
-        m_vu += dv * eu
-        m_vv += dv * (v - mean_v)
-        if count >= _COV_UPDATE_EVERY and (i + 1) % _COV_UPDATE_EVERY == 0 and i < last_update:
-            n1 = count - 1
-            cov = np.array([[m_uu / n1 + 1e-9, 0.0], [m_vu / n1, m_vv / n1 + 1e-9]])
-            (n00, _), (n10, n11) = np.linalg.cholesky(cov).tolist()
-            # keep the proposal determinant fixed so acceptance stays settled
-            log_scale += ((log(c00) + log(c11)) - (log(n00) + log(n11))) / 2.0
-            c00, c10, c11 = n00, n10, n11
-
-    # Sampling: adaptation is frozen, so the kernel is fixed; record each draw.
-    scale = exp(log_scale)
-    lam, nu = [], []
-    accepted = divergent = 0
-    for _ in range(config.keep):
-        normal(out=z)
-        z0, z1 = z.tolist()
-        prop_u = u + scale * (c00 * z0)
-        prop_v = v + scale * (c10 * z0 + c11 * z1)
-        lp = yield prop_u, prop_v
-        if isfinite(lp):
-            if log((raw() >> 11) * _INV_2_53) < lp - cur_lp:
-                u, v, cur_lp = prop_u, prop_v, lp
-                accepted += 1
-        else:
-            divergent += 1
-        lam.append(exp(u))
-        nu.append(exp(v))
-    return np.array(lam), np.array(nu), accepted / config.keep, divergent, scale, (c00, c10, c11)
+        us, nus = np.array([u]), np.array([nu])
+    _, sums, _ = series_arrays(us, nus, policy, moments=True)
+    e_x, e_x2, e_g, e_g2, e_xg = sums[us.size // 2]
+    var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
+    grad = np.array([a - c * e_x, c * e_g - b])
+    hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
+    if jeffreys:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            j = 0.5 * np.log(scaled_information_det(*sums.T)).reshape(3, 3)
+        grad += [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)]
+        cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
+        hess += [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
+                 [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]]
+    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+        return None
+    return grad, hess
 
 
-def _lockstep(target, chains):
-    """Drive chain coroutines in rounds of one target call; their results, in order.
+def _laplace(target, spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray]:
+    """The target's mode (u, nu), its value there and its precision there, by Newton's method.
 
-    A chain that finishes leaves the rounds; an error raised by a chain ends
-    them all.
+    Raises ModeNotFoundError where the search ends at no finite mode.
     """
-    results = [None] * len(chains)
-    live = list(enumerate(chains))
-    points = [next(chain) for chain in chains]  # each live chain's pending point, in order
-    while live:
-        values = target(points)
-        still, points = [], []
-        for (c, chain), value in zip(live, values):
-            try:
-                points.append(chain.send(value))
-            except StopIteration as stop:
-                results[c] = stop.value
-            else:
-                still.append((c, chain))
-        live = still
-    return results
+    form = conjugate_form(spec, stats)
+    jeffreys = isinstance(spec, Jeffreys)
+
+    def value(x):
+        return float(target(x[:1], x[1:])[0][0])
+
+    x = np.array([math.log(max(stats.xbar, 0.5)), 1.0])
+    f = value(x)
+    decrement = math.inf
+    for step_count in range(_NEWTON_STEPS + 1):
+        found = math.isfinite(f) and _derivatives(x, form, jeffreys, policy)
+        if not found:
+            break
+        grad, hess = found
+        eigenvalues, vectors = np.linalg.eigh(hess)
+        # Newton's step with the Hessian's eigenvalues made negative, so it ascends;
+        # in u alone where the target falls through the nu floor
+        curvature = np.maximum(np.abs(eigenvalues), 1e-12 * np.abs(eigenvalues).max())
+        if x[1] <= NU_FLOOR and grad[1] <= 0.0:
+            step = np.array([grad[0] / max(abs(hess[0, 0]), curvature[0]), 0.0])
+        else:
+            step = vectors @ ((vectors.T @ grad) / curvature)
+        decrement = float(grad @ step)
+        if decrement <= _NEWTON_TOL or step_count == _NEWTON_STEPS:
+            break
+        t = 1.0
+        while t > 1e-10:
+            trial = x + t * step
+            trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
+            f_trial = value(trial)
+            if f_trial > f or (decrement <= _MODE_TOL and math.isfinite(f_trial)):
+                break
+            t *= 0.5
+        else:
+            break  # the target rises no further along the step
+        x, f = trial, f_trial
+    precision = -hess if decrement <= _MODE_TOL else None
+    if precision is not None and x[1] <= NU_FLOOR and grad[1] <= 0.0:
+        # on the floor the posterior falls at rate |g_nu|, as an exponential of
+        # variance 1 / g_nu^2 does where its curvature is small
+        precision[1, 1] = max(precision[1, 1], 0.0) + grad[1] ** 2
+    if precision is None or not (np.linalg.eigvalsh(precision) > 0.0).all():
+        raise ModeNotFoundError(
+            "found no finite posterior mode to centre the proposal on (the Newton search "
+            f"ended at ln lambda = {x[0]:.17g}, nu = {x[1]:.17g}, with target {f!r})")
+    return x, f, precision
+
+
+def pareto_khat(log_ratios: np.ndarray) -> float:
+    """The Pareto k-hat of importance ratios, from their logs (PSIS; Vehtari et al. 2024).
+
+    The generalized Pareto shape fitted (Zhang & Stephens 2009, with PSIS's
+    weak prior toward 0.5) to the excesses of the largest
+    ceil(min(S / 5, 3 sqrt(S))) of S ratios over the next one. Below 0.5 the
+    ratios have finite variance; above 0.7 their tail is too heavy for the
+    draws to be trusted. -inf where the ratios have no tail (all equal).
+    """
+    x = np.sort(log_ratios)
+    s = x.size
+    m = math.ceil(min(0.2 * s, 3.0 * math.sqrt(s)))
+    if m < 5 or not math.isfinite(x[-1]):
+        return math.nan
+    with np.errstate(all="ignore"):
+        y = np.exp(x[s - m:] - x[-1]) - math.exp(x[s - m - 1] - x[-1])
+        if not y[-1] > 0.0:
+            return -math.inf
+        grid = 30 + int(math.sqrt(m))
+        theta = 1.0 - np.sqrt(grid / (np.arange(1, grid + 1) - 0.5))
+        theta = theta / (3.0 * y[int(m / 4 + 0.5) - 1]) + 1.0 / y[-1]
+        k = np.log1p(-theta[:, None] * y).mean(axis=1)
+        profile = m * (np.log(-theta / k) - k - 1.0)
+        weights = 1.0 / np.exp(profile - profile[:, None]).sum(axis=1)
+        keep = weights >= 10.0 * np.finfo(float).eps
+        theta_hat = float((theta[keep] * weights[keep]).sum() / weights[keep].sum())
+        k_hat = float(np.log1p(-theta_hat * y).mean())
+    return (m * k_hat + 10 * 0.5) / (m + 10)
+
+
+def _proposals(generator, steps: int, centre: np.ndarray, chol: tuple[float, float, float]):
+    """One chain's proposals (u, nu), their log t densities less a constant, and ln U per step."""
+    z = generator.standard_normal((steps, 2))
+    chi2 = generator.chisquare(_DF, steps)
+    uniform = generator.random(steps)
+    c00, c10, c11 = chol
+    scale = np.sqrt(_DF / chi2)
+    z0, z1 = z[:, 0], z[:, 1]
+    u = centre[0] + scale * (c00 * z0)
+    nu = centre[1] + scale * (c10 * z0 + c11 * z1)
+    log_q = -0.5 * (_DF + 2) * np.log1p((z0 * z0 + z1 * z1) / chi2)
+    with np.errstate(divide="ignore"):  # U = 0, once in 2^53 draws, never accepts
+        log_u = np.log(uniform)
+    return u, nu, log_q, log_u
+
+
+def _scan(log_ratios: list, log_u: list, first: int, current: float, accepted: list) -> float:
+    """An independence chain's accept scan over steps first, first + 1, ...
+
+    Appends each step it accepts to accepted; current is the log ratio of the
+    state before the first step, and the state's after the last is returned.
+    """
+    for i, r, lu in zip(range(first, first + len(log_ratios)), log_ratios, log_u):
+        if lu < r - current:
+            current = r
+            accepted.append(i)
+    return current
 
 
 def run_chains(
@@ -300,25 +332,48 @@ def run_chains(
     seed: SeedSpec = SeedSpec(0),
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> Draws:
-    """Run config.chains independent adaptive Metropolis chains, in lockstep.
+    """Run config.chains independence Metropolis chains from the posterior's Laplace fit.
 
     Per-chain streams derive from (seed.master_seed, seed.stream_id, chain
     index), so results do not depend on execution order and repeat runs are
     bit-identical. Raises ImproperPosteriorError before sampling when the
-    posterior is decidably improper, and AllDivergentError if every
-    post-warmup proposal in every chain was divergent.
+    posterior is decidably improper, ModeNotFoundError when the mode search
+    finds no finite mode, and AllDivergentError if every post-warmup proposal
+    in every chain was rejected.
     """
     _check_propriety(spec, stats)
     target = _make_target(spec, stats, policy)
-
-    chains = [_run_chain(stats.xbar, config, seed, c) for c in range(config.chains)]
-    results = _lockstep(target, chains)
-    lam, nu, accept_rate, divergences, step_size, cholesky = (
-        np.array(column) for column in zip(*results))
-    if bool((divergences >= config.keep).all()):
-        raise AllDivergentError("every post-warmup proposal in every chain was divergent")
-    return Draws(lam=lam, nu=nu, accept_rate=accept_rate, divergences=divergences,
-                 step_size=step_size, proposal_cholesky=cholesky)
+    centre, top, precision = _laplace(target, spec, stats, policy)
+    (c00, _), (c10, c11) = np.linalg.cholesky(_SCALE ** 2 * np.linalg.inv(precision)).tolist()
+    steps, warmup = config.warmup + config.keep, config.warmup
+    lam, nus, accept_rate, log_ratios = [], [], [], []
+    rejected = np.zeros((config.chains, len(REJECTIONS) + 1), dtype=np.int64)
+    for c in range(config.chains):
+        g = make_generator(seed.master_seed, seed.stream_id, c)
+        u, nu, log_q, log_u = _proposals(g, steps, centre, (c00, c10, c11))
+        ratios, reasons = np.empty(steps), np.empty(steps, dtype=np.int8)
+        current, accepted = top, []
+        for first in range(0, steps, _CHUNK):
+            rows = slice(first, first + _CHUNK)
+            values, reasons[rows] = target(u[rows], nu[rows])
+            ratios[rows] = values - log_q[rows]
+            current = _scan(ratios[rows].tolist(), log_u[rows].tolist(), first, current, accepted)
+        log_ratios.append(ratios)
+        # the state after each step: the last accepted proposal, or the mode (-1)
+        state = np.full(steps, -1)
+        state[accepted] = accepted
+        state = np.maximum.accumulate(state)[warmup:]
+        lam.append(np.exp(np.where(state < 0, centre[0], u[state])))
+        nus.append(np.where(state < 0, centre[1], nu[state]))
+        accept_rate.append((len(accepted) - bisect_left(accepted, warmup)) / config.keep)
+        rejected[c] = np.bincount(reasons[warmup:], minlength=len(REJECTIONS) + 1)
+    if bool((rejected[:, 1:].sum(axis=1) >= config.keep).all()):
+        raise AllDivergentError("every post-warmup proposal in every chain was rejected")
+    return Draws(lam=np.array(lam), nu=np.array(nus), accept_rate=np.array(accept_rate),
+                 divergences=rejected[:, _NUMERICAL].sum(axis=1),
+                 rejections={r: rejected[:, i + 1] for i, r in enumerate(REJECTIONS)},
+                 pareto_k=pareto_khat(np.concatenate(log_ratios)), proposal_centre=centre,
+                 proposal_cholesky=np.array([c00, c10, c11]))
 
 
 def _split_rhat_matrix(x: np.ndarray) -> float:

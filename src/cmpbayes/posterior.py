@@ -7,8 +7,10 @@ formula over many points and their ln Z series (kernel_series), and the prior
 is the posterior of no data. Under a conjugate prior it is the conjugate
 kernel at the shifted hyperparameters (a + S1, b + S2, c + n); under the flat
 prior it is the conjugate kernel at (S1, S2, n), which is proper exactly when
-those values satisfy the conjugate propriety condition. The sampler hands the
-kernel a round's points and the series core.series_rows summed for them;
+those values satisfy the conjugate propriety condition; under Jeffreys it is
+the conjugate kernel at (S1, S2, n) plus the Jeffreys log density
+(conjugate_form gives (a, b, c)). The sampler hands the kernel arrays of a
+fit's proposals and the series core.series_arrays summed for them;
 log_posterior and log_prior_density hand it one point and its one-point
 series.
 """
@@ -88,23 +90,42 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     return SufficientStats(n=n, s1=s1, s2=float(gammaln(x + 1.0).sum()))
 
 
+def conjugate_form(spec: PriorSpec, stats: SufficientStats) -> tuple[float, float, float]:
+    """Floats (a, b, c) such that the log posterior is (a - 1)*ln(lambda) - b*nu - c*ln Z.
+
+    Exactly so under a conjugate prior, at (a + S1, b + S2, c + n), and under
+    the flat prior, at (S1, S2, n); under Jeffreys the log posterior is this
+    at (S1, S2, n) plus 0.5 * ln(lambda^2 * information determinant).
+    """
+    if isinstance(spec, Conjugate):
+        h = updated_hyper(spec.hyper, stats)
+        return h.a, h.b, h.c
+    if isinstance(spec, (Flat, Jeffreys)):
+        return _as_float(stats.s1), stats.s2, _as_float(stats.n)
+    raise TypeError(f"unknown prior spec {spec!r}")
+
+
+def _as_float(count: int) -> float:
+    """An int statistic as a float, inf past float range (as a product with it would be)."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
+
+
 def kernel_series(spec: PriorSpec, stats: SufficientStats) -> tuple[RowKernel, Optional[bool]]:
     """The unnormalized log posterior as a formula over rows, and the series it reads.
 
-    The formula maps a list of (ln lambda, nu) rows and their series to their
-    values, -inf where it is undefined (see priors). The flag is
-    core.series_rows' moments argument: True where the formula reads the
-    moment sums and ln Z (Jeffreys), False where it reads ln Z, and None where
-    it reads no series (the flat prior of no data).
+    The formula maps arrays of the rows' ln lambda and nu and their series to
+    their values, -inf where it is undefined, and the reasons (see priors).
+    The flag is core.series_arrays' moments argument: True where the formula
+    reads the moment sums and ln Z (Jeffreys), False where it reads ln Z, and
+    None where it reads no series (the flat prior of no data).
     """
+    a, b, c = conjugate_form(spec, stats)
     if isinstance(spec, Jeffreys):
-        return jeffreys_log_kernel(stats.s1, stats.s2, stats.n), True
-    if isinstance(spec, Conjugate):
-        h = updated_hyper(spec.hyper, stats)
-        return conjugate_log_kernel(h.a, h.b, h.c), False
-    if isinstance(spec, Flat):
-        return conjugate_log_kernel(stats.s1, stats.s2, stats.n), (False if stats.n else None)
-    raise TypeError(f"unknown prior spec {spec!r}")
+        return jeffreys_log_kernel(a, b, c), True
+    return conjugate_log_kernel(a, b, c), (False if c else None)
 
 
 def log_posterior(
@@ -115,19 +136,20 @@ def log_posterior(
 ) -> float:
     """Unnormalized log posterior: log prior density plus log likelihood.
 
-    kernel_series' formula at one point, with that point's own series.
-    Raises TruncationError where the series cannot be summed and, under
-    Jeffreys, what priors.jeffreys_series raises.
+    kernel_series' formula at one point, with that point's own series; -inf
+    where its arithmetic overflows. Raises TruncationError where the series
+    cannot be summed and, under Jeffreys, what priors.jeffreys_series raises.
     """
     kernel, moments = kernel_series(spec, stats)
-    row = (math.log(params.lam), params.nu)
-    if moments is None:
-        series = None
-    elif moments:
-        series = jeffreys_series(*row, policy)
-    else:
-        series = log_normalizer_at(*row, policy)
-    return kernel([row], [series])[0]
+    log_lam, nu = math.log(params.lam), params.nu
+    log_z = sums = None
+    if moments:
+        row, z = jeffreys_series(log_lam, nu, policy)
+        log_z, sums = np.array([z]), np.array([row])
+    elif moments is not None:
+        log_z = np.array([log_normalizer_at(log_lam, nu, policy)])
+    values, _ = kernel(np.array([log_lam]), np.array([nu]), log_z, sums)
+    return float(values[0])
 
 
 def log_prior_density(

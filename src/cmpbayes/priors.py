@@ -9,10 +9,10 @@ propriety_bound). The flat prior lambda^(-1) is the (improper) limit of the
 conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root of
 the determinant of the single-observation Fisher information, assembled from
 the moments of X and ln X!. Both log kernels are formulas over many points:
-bound to their constants, each maps a list of (ln lambda, nu) rows and the
-rows' series, as core.series_rows sums them, to the rows' values in one loop,
--inf where the formula is undefined. posterior.kernel_series picks one per
-prior.
+bound to their constants, each maps arrays of the rows' ln lambda and nu and
+their series, as core.series_arrays sums them, to the rows' values in array
+operations, -inf where the formula is undefined, and a REJECTIONS code that
+says why. posterior.kernel_series picks one per prior.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
 from scipy.special import gammaln
 
 from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, moment_sums_at
@@ -59,8 +60,13 @@ class Jeffreys:
 
 
 PriorSpec = Union[Conjugate, Flat, Jeffreys]
-# A log kernel over rows: (rows of (ln lambda, nu), their series) -> values
-RowKernel = Callable[[list, list], list[float]]
+# A log kernel over rows: (ln lambda, nu, ln Z, moment sums) arrays -> (values, reasons)
+RowKernel = Callable[..., tuple[np.ndarray, np.ndarray]]
+# Why a row of a log target is -inf: code i + 1 is REJECTIONS[i], 0 a finite row.
+# The kernels give the last three; a sampler gives outside_support to the
+# points it does not evaluate.
+REJECTIONS = ("outside_support", "truncation", "jeffreys_det", "overflow")
+OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = 1, 2, 3, 4
 
 # The six study priors, keyed by their CLI-facing names, in study order.
 # conj-data is the two-hypothetical-observations prior built from counts
@@ -107,63 +113,63 @@ def get_preset(name: str) -> PriorSpec:
     return _PRESETS[name]
 
 
+def _rejected(values: np.ndarray, reasons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark the rows whose value is not finite and has no reason yet as overflow; -inf where any."""
+    reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
+    values[reasons != 0] = -math.inf
+    return values, reasons
+
+
 def conjugate_log_kernel(a: float, b: float, c: float) -> RowKernel:
     """(a - 1)*ln(lambda) - nu*b - c*ln Z as a formula over rows, unvalidated.
 
     The conjugate prior's log kernel and, at shifted (a, b, c), every conjugate
-    and flat posterior's. Each row's series is its ln Z, as log_normalizer_at
-    gives it, or None where the series could not be summed: that row is -inf.
-    c = 0 (flat prior, no data) reads no series.
+    and flat posterior's. Each row's series is its ln Z, as
+    core.series_arrays gives it, nan where the series could not be summed:
+    that row is -inf for truncation. c = 0 (flat prior, no data) reads no
+    series.
     """
     a1 = a - 1.0
-    inf = math.inf
 
-    def kernel(rows, series):
-        out = []
-        for (log_lam, nu), log_z in zip(rows, series):
-            value = a1 * log_lam - nu * b
+    def kernel(log_lam, nu, log_z, sums):
+        reasons = np.zeros(log_lam.size, dtype=np.int8)
+        with np.errstate(all="ignore"):
+            values = a1 * log_lam - nu * b
             if c != 0.0:
-                value = -inf if log_z is None else value - c * log_z
-            out.append(value)
-        return out
+                values = values - c * log_z
+                reasons[np.isnan(log_z)] = TRUNCATION
+        return _rejected(values, reasons)
 
     return kernel
 
 
-def _scaled_information_det(e_x: float, e_x2: float, e_g: float, e_g2: float,
-                            e_xg: float) -> float:
+def scaled_information_det(e_x, e_x2, e_g, e_g2, e_xg):
     """lambda^2 times the information determinant: Var(X)Var(G) - Cov(X, G)^2, G = ln X!.
 
-    Takes the five CmpMoments expectations in its order.
+    Takes the five CmpMoments expectations in its order, as floats or arrays.
     """
-    return (e_x2 - e_x**2) * (e_g2 - e_g**2) - (e_xg - e_x * e_g)**2
+    cov = e_xg - e_x * e_g
+    return (e_x2 - e_x * e_x) * (e_g2 - e_g * e_g) - cov * cov
 
 
 def jeffreys_log_kernel(s1: float, s2: float, n: int) -> RowKernel:
     """Jeffreys log density plus S1*ln(lambda) - nu*S2 - n*ln Z as a formula over rows.
 
-    Unvalidated: nu must be positive. Each row's series is its moment sums
-    and ln Z, as moment_sums_at gives them, or None. One series gives the
-    information determinant and ln Z. A row is -inf where its series is None,
-    where the determinant is not positive and finite (the density is
-    undefined there, nothing is clamped) and where the arithmetic overflows.
+    Unvalidated: nu must be positive. Each row's series is its ln Z and
+    moment sums, as core.series_arrays gives them, nan where the series could
+    not be summed. One series gives the information determinant and ln Z. A
+    row is -inf where its series is nan (truncation), where the determinant
+    is not positive and finite (jeffreys_det: the density is undefined there,
+    nothing is clamped) and where the arithmetic overflows.
     """
-    log, isfinite, inf = math.log, math.isfinite, math.inf
-
-    def kernel(rows, series):
-        out = []
-        for (log_lam, nu), row in zip(rows, series):
-            value = -inf
-            if row is not None:
-                sums, log_z = row
-                try:
-                    det = _scaled_information_det(*sums)
-                    if det > 0.0 and isfinite(det):
-                        value = (0.5 * log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * log_z)
-                except OverflowError:
-                    pass
-            out.append(value)
-        return out
+    def kernel(log_lam, nu, log_z, sums):
+        reasons = np.zeros(log_lam.size, dtype=np.int8)
+        with np.errstate(all="ignore"):
+            det = scaled_information_det(*sums.T)
+            values = (0.5 * np.log(det) - log_lam) + (s1 * log_lam - nu * s2 - n * log_z)
+        reasons[~((det > 0.0) & np.isfinite(det))] = JEFFREYS_DET
+        reasons[np.isnan(log_z)] = TRUNCATION
+        return _rejected(values, reasons)
 
     return kernel
 
@@ -180,7 +186,7 @@ def jeffreys_series(log_lam: float, nu: float,
     if nu <= 0.0:
         raise InvalidParamsError("Jeffreys prior requires nu > 0")
     sums, log_z = moment_sums_at(log_lam, nu, policy)
-    det = _scaled_information_det(*sums)
+    det = scaled_information_det(*sums)
     if not (det > 0.0 and math.isfinite(det)):
         raise NonpositiveDeterminantError(
             f"information determinant not positive at (ln lambda={log_lam}, nu={nu})"
@@ -194,4 +200,4 @@ def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAU
     det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2.
     """
     sums, _ = moment_sums_at(math.log(params.lam), params.nu, policy)
-    return _scaled_information_det(*sums) / params.lam**2
+    return scaled_information_det(*sums) / params.lam**2

@@ -204,11 +204,17 @@ class TestCli:
         assert report["dataset"] == "textile-faults"
         assert report["n"] == 32
         assert set(report["lambda"]) == {"median", "cri_low", "cri_high", "rhat"}
-        # each chain's fixed sampling proposal: a positive step size and a
-        # lower Cholesky factor (c00, c10, c11) with a positive diagonal
-        assert len(report["step_size"]) == len(report["proposal_cholesky"]) == 2
-        assert all(s > 0.0 for s in report["step_size"])
-        assert all(c00 > 0.0 and c11 > 0.0 for c00, _, c11 in report["proposal_cholesky"])
+        # the fit's proposal: its centre (ln lambda, nu) and the lower Cholesky factor
+        # (c00, c10, c11) of its scale, with a positive diagonal
+        assert len(report["proposal_centre"]) == 2 and report["proposal_centre"][1] > 0.0
+        c00, _, c11 = report["proposal_cholesky"]
+        assert c00 > 0.0 and c11 > 0.0
+        assert "step_size" not in report
+        # per chain, the kept proposals rejected for each reason, and the Pareto k-hat
+        assert set(report["rejections"]) == {"outside_support", "truncation", "jeffreys_det",
+                                             "overflow"}
+        assert all(len(counts) == 2 for counts in report["rejections"].values())
+        assert report["pareto_k"] < 0.7
 
     def test_fit_text_output(self, capsys):
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",
@@ -230,6 +236,27 @@ class TestCli:
         assert main(["fit", str(path), "--prior", "flat", "--chains", "2",
                      "--warmup", "300", "--keep", "150"]) == 2
         assert "improper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
+    def test_fit_without_a_mode_exit_code(self, tmp_path, capsys, prior):
+        # counts near 10^6 put the posterior past e^709 in lambda, where no series
+        # sums: the fit is refused by name instead of reporting stuck chains
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000\n1000003\n999990\n")
+        assert main(["fit", str(path), "--prior", prior]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: found no finite posterior mode")
+
+    def test_crab_outside_support_is_no_divergence(self, capsys):
+        # about half of crab-satellites' proposals fall below the nu floor, where its
+        # posterior mode is: they are rejections outside the support, not divergences
+        assert main(["fit", "crab-satellites", "--prior", "conj-1", "--seed", "1",
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sum(report["rejections"]["outside_support"]) > 0.3 * report["n_kept"]
+        assert report["divergences"] == [0, 0, 0, 0]
+        assert report["divergence_warning"] is False
 
     @pytest.mark.parametrize("kind", ["directory", "latin-1"])
     def test_fit_unreadable_dataset_exit_code(self, tmp_path, capsys, kind):

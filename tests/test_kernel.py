@@ -2,7 +2,6 @@
 sampler's target."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,9 +34,10 @@ from cmpbayes import (
     run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moment_sums_at, series_rows
-from cmpbayes.errors import NonpositiveDeterminantError
-from cmpbayes.mcmc import _MAX_INIT_TRIES, NU_FLOOR, _make_target, _run_chain
+from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moment_sums_at, series_arrays
+from cmpbayes.errors import ModeNotFoundError, NonpositiveDeterminantError
+from cmpbayes.mcmc import NU_FLOOR, _make_target
+from cmpbayes.priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION
 
 POLICY = TruncationPolicy()
 STATS = sufficient_stats([0, 1, 1, 2, 3, 3, 4, 6, 2, 1, 0, 5])
@@ -119,10 +119,14 @@ def reference_ladder(log_lam, nu, policy):
     while True:
         j = np.arange(k, dtype=np.float64)
         t = log_lam * j - nu * gammaln(j + 1.0)
-        # the weights exp(t), less the largest term where one passes 600
+        # the weights exp(t), less the largest term where one passes 600; where nothing
+        # is subtracted t_0 = 0 weighs 1, and ln Z is log1p of the other weights' sum
+        # (numpy's log1p, nearer the correctly rounded value than math.log1p)
         m = float(t.max())
         c = m if m > 600.0 else 0.0
-        log_z = c + math.log(float(np.exp(t - c).sum()))
+        w = np.exp(t - c)
+        rest = np.add.reduce(w[1:])
+        log_z = float(np.log1p(rest) if c == 0.0 else c + np.log(w[0] + rest))
         last = float(t[-1])
         prev = float(t[-2])
         if last < prev:
@@ -138,6 +142,11 @@ def reference_ladder(log_lam, nu, policy):
                 f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
             )
         k = min(2 * k, MAX_TERMS)
+
+
+def first_length(log_lam, nu):
+    """The length of the first grid a row is summed over; 0 where it cannot be summed."""
+    return int(core._sizes(np.array([log_lam]), np.array([nu]), POLICY)[0][0])
 
 
 def sized_series(log_lam, nu):
@@ -172,15 +181,34 @@ def test_sized_log_z_matches_twice_the_grid(log_lam, nu):
 
 @settings(max_examples=150, deadline=None)
 @given(**SIZING)
-@example(log_lam=0.7 * math.log(POLICY.base_terms / 2), nu=0.7)  # mode exactly base_terms / 2
 @example(log_lam=1.0, nu=1.0)  # ln Z(e, 1) = 2.718281828459045, the double nearest e
+@example(log_lam=math.log(0.8), nu=0.0)  # geometric tail: 101 terms double to 202
 def test_small_mode_is_the_old_ladder(log_lam, nu):
-    # lambda^(1/nu) <= base_terms / 2: the grid starts at base_terms, unsized
-    assume(log_lam <= nu * math.log(POLICY.base_terms / 2))
+    # a row whose mode plus its sized width is within base_terms starts at base_terms,
+    # unsized, and doubles from there until its tail test passes
     t, log_z = sized_series(log_lam, nu)
+    assume(first_length(log_lam, nu) == POLICY.base_terms)
     t_ref, log_z_ref = reference_ladder(log_lam, nu, POLICY)
     assert np.array_equal(t, t_ref)
     assert log_z == log_z_ref
+
+
+def test_base_grid_keeps_the_sizing_margin():
+    # lambda = 49.53 at nu = 1 has its mode within base_terms / 2, but 101 terms leave a
+    # tail just under tail_tol (ln Z was 9.6e-11 low): the grid reaches the mode plus
+    # the sized width, as a sized one does, and is summed over 202 terms
+    lam = 49.53397669883494
+    assert first_length(math.log(lam), 1.0) == 2 * POLICY.base_terms
+    assert log_normalizer(CmpParams(lam, 1.0), POLICY) == pytest.approx(lam, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-12, 1e-300])
+def test_log_z_near_zero_keeps_relative_precision(lam):
+    # ln Z = log1p(sum of the weights past t_0 = 0): ln Z(1e-8, 1) was 1.1e-8 off
+    # relative, and ln Z(1e-12, 1) 8.9e-5, when it was the log of the whole sum
+    assert log_normalizer(CmpParams(lam, 1.0), POLICY) == pytest.approx(lam, rel=1e-15)
+    assert log_normalizer(CmpParams(lam, 0.0), POLICY) == pytest.approx(
+        -math.log1p(-lam), rel=1e-15)
 
 
 def test_large_mode_is_summed_once(monkeypatch):
@@ -245,6 +273,19 @@ def test_moment_product_matches_five_sums(log_lam, nu):
     assert got_log_z == log_z == log_normalizer_at(log_lam, nu, POLICY)
 
 
+def series_rows(points, policy, moments=False):
+    """series_arrays at a list of (ln lambda, nu) points, one list entry per point.
+
+    Row i is ln Z at points[i] or, with moments, the five moment sums (a list)
+    and ln Z; None where the series cannot be summed.
+    """
+    log_lam, nu = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    log_z, sums, _ = series_arrays(log_lam, nu, policy, moments)
+    log_z = log_z.tolist()
+    rows = list(zip(sums.tolist(), log_z)) if moments else log_z
+    return [None if math.isnan(z) else row for z, row in zip(log_z, rows)]
+
+
 def scalar_series(log_lam, nu, moments):
     try:
         return (moment_sums_at if moments else log_normalizer_at)(log_lam, nu, POLICY)
@@ -261,7 +302,7 @@ def scalar_series(log_lam, nu, moments):
 @example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric tail: doubles
 @example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1111 terms beside 101
 # 101 terms that fail the tail test re-enter at 202, beside a row sized to 202
-@example(points=[(math.log(4.7), 0.4), (math.log(20.0), 0.75)], moments=True)
+@example(points=[(math.log(0.8), 0.0), (math.log(20.0), 0.75)], moments=True)
 # largest-term bound nu * lambda^(1/nu) just under and just over 600: unshifted and shifted
 @example(points=[(20.0 * math.log(30.0) - 1e-9, 20.0), (20.0 * math.log(30.0) + 1e-9, 20.0)],
          moments=True)
@@ -277,79 +318,53 @@ def test_series_rows_match_each_series(points, moments):
     assert got == [series_rows([point], POLICY, moments)[0] for point in points]
 
 
-# series_rows' bits at points of every kind, frozen from the routine as it was before
-# rows were sized into column lists: (ln lambda, nu) -> float.hex of ln Z, and of the
-# five moment sums and ln Z; None where the row cannot be summed. Each row is both
-# plain and with moments, in one batch and alone.
-FROZEN_ROWS = {
+# series_arrays' bits at points of every kind: (ln lambda, nu) -> float.hex of ln Z, and of
+# the five moment sums; None where the row cannot be summed. Each row is both plain and
+# with moments, in one batch and alone. Re-frozen when ln Z of an unshifted row became
+# log1p of its weights past t_0 and base grids kept the sizing margin: ln Z moved by at
+# most 5 ulp (at (-2, 3), now 1 ulp from its 50-digit sum, 6 before), and each moment
+# sum by at most 3.0e-16 relative; (4.7, 0.4) is now sized to 202 terms, not doubled.
+PINNED_ROWS = {
     (1.0, 1.0): (  # base: 101 terms
-        "0x1.5bf0a8b14576ap+1",
-        ["0x1.5bf0a8b145768p+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4bep+0",
-         "0x1.f1fbbf7925a9bp+2", "0x1.0bf884a5bbbb5p+3"]),
+        "0x1.5bf0a8b145769p+1",
+        ["0x1.5bf0a8b14576ap+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4c0p+0",
+         "0x1.f1fbbf7925a9fp+2", "0x1.0bf884a5bbbb6p+3"]),
     (math.log(0.5), 0.5): (
         "0x1.1ccddbf31a5aap-1",
-        ["0x1.3bfb63a2486d2p-1", "0x1.211db1a1574d3p+0", "0x1.40cb06ff5fedcp-3",
-         "0x1.19447e62fe434p-2", "0x1.cad55189244afp-2"]),
+        ["0x1.3bfb63a2486d3p-1", "0x1.211db1a1574d4p+0", "0x1.40cb06ff5feddp-3",
+         "0x1.19447e62fe435p-2", "0x1.cad55189244b0p-2"]),
     (-2.0, 3.0): (
-        "0x1.0818519cb688dp-3",
-        ["0x1.f7e0c8d87cf19p-4", "0x1.044e7b9951f39p-3", "0x1.726e05fd05c78p-10",
-         "0x1.060309a1c6d40p-10", "0x1.74d10c705b171p-9"]),
-    (math.log(20.0), 0.75): (  # sized: mode 54
+        "0x1.0818519cb6888p-3",
+        ["0x1.f7e0c8d87cf1bp-4", "0x1.044e7b9951f3ap-3", "0x1.726e05fd05c79p-10",
+         "0x1.060309a1c6d41p-10", "0x1.74d10c705b172p-9"]),
+    (math.log(20.0), 0.75): (  # sized: mode 54, 202 terms
         "0x1.4cb59b5c8cbbap+5",
-        ["0x1.b3a5220eec46ep+5", "0x1.7bb994d7a933cp+11", "0x1.4d9c1b804118dp+7",
-         "0x1.c4eaf0e157e63p+14", "0x1.24ebd9ab22f7cp+13"]),
+        ["0x1.b3a5220eec471p+5", "0x1.7bb994d7a933dp+11", "0x1.4d9c1b804118dp+7",
+         "0x1.c4eaf0e157e61p+14", "0x1.24ebd9ab22f7cp+13"]),
     (math.log(30.0), 0.7): (  # sized: mode 129, 303 terms
         "0x1.6d958f2054b46p+6",
-        ["0x1.022e942772253p+7", "0x1.07425a47de168p+14", "0x1.f66b5fd374733p+8",
-         "0x1.f58760e51e1cap+17", "0x1.00d964840fc7dp+16"]),
+        ["0x1.022e942772250p+7", "0x1.07425a47de168p+14", "0x1.f66b5fd374732p+8",
+         "0x1.f58760e51e1cfp+17", "0x1.00d964840fc7fp+16"]),
     (2.5, math.exp(-1.0)): (  # sized: mode 894
         "0x1.4c1cc952824e0p+8",
-        ["0x1.bf6dded86bff7p+9", "0x1.8830342c4a613p+19", "0x1.448dea3b44cefp+12",
-         "0x1.9d2e214447de0p+24", "0x1.1ca1a45046c9ep+22"]),
-    (50.0 * math.log(0.99 * MAX_TERMS), 50.0): (  # sized near the cap
+        ["0x1.bf6dded86bff3p+9", "0x1.8830342c4a60fp+19", "0x1.448dea3b44cf0p+12",
+         "0x1.9d2e214447de3p+24", "0x1.1ca1a45046c9dp+22"]),
+    (50.0 * math.log(0.99 * MAX_TERMS), 50.0): (  # sized near the cap, shifted
         "0x1.e321e6fb92dcdp+18",
-        ["0x1.355c1478acaeap+13", "0x1.75d79c0a093d2p+26", "0x1.3d1fe46ae5eb5p+16",
-         "0x1.88d84121a2ee5p+32", "0x1.7f39c8745b777p+29"]),
-    (math.log(4.7), 0.4): (  # 101 terms fail the tail test: doubled to 202
+        ["0x1.355c1478acae9p+13", "0x1.75d79c0a093d1p+26", "0x1.3d1fe46ae5eb4p+16",
+         "0x1.88d84121a2ee4p+32", "0x1.7f39c8745b775p+29"]),
+    (math.log(4.7), 0.4): (  # sized: mode 48 plus its width passes 101, so 202 terms
         "0x1.55304e2e294e5p+4",
-        ["0x1.852894b699e7dp+5", "0x1.36c0f6aae053cp+11", "0x1.20d16aa997b16p+7",
-         "0x1.62457c8125099p+14", "0x1.d430f2f8dfde6p+12"]),
+        ["0x1.852894b699e7dp+5", "0x1.36c0f6aae0540p+11", "0x1.20d16aa997b18p+7",
+         "0x1.62457c812509ep+14", "0x1.d430f2f8dfde7p+12"]),
     (math.log(0.9), 0.0): (  # geometric tail: doubled twice
         "0x1.26bb1bbb55516p+1",
-        ["0x1.1ffffffffffffp+3", "0x1.55fffffffffffp+7", "0x1.0c82cc05aae31p+4",
-         "0x1.dc30a480c77b0p+9", "0x1.880180a377f54p+8"]),
+        ["0x1.1fffffffffffep+3", "0x1.55ffffffffffep+7", "0x1.0c82cc05aae30p+4",
+         "0x1.dc30a480c77afp+9", "0x1.880180a377f53p+8"]),
     (math.log(0.999), 0.0): None,  # doubled to MAX_TERMS and still unconverged
     (math.log(2.0), 1e-3): None,  # term ratio >= 1 at the cap: refused before summing
     (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5): None,  # ratio just above 1 at the cap
 }
-
-
-# The rows with ln lambda > 0 whose largest term is at most 600, re-frozen when their
-# weights became exp(t) unshifted: ln Z moved by at most 1 ulp, and each moment sum by
-# at most 8.7e-16 relative. The other rows keep the pins above bit for bit.
-REFROZEN_ROWS = {
-    (1.0, 1.0): (
-        "0x1.5bf0a8b145769p+1",
-        ["0x1.5bf0a8b14576ap+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4c0p+0",
-         "0x1.f1fbbf7925a9fp+2", "0x1.0bf884a5bbbb6p+3"]),
-    (math.log(20.0), 0.75): (
-        "0x1.4cb59b5c8cbbap+5",
-        ["0x1.b3a5220eec472p+5", "0x1.7bb994d7a933ep+11", "0x1.4d9c1b804118dp+7",
-         "0x1.c4eaf0e157e62p+14", "0x1.24ebd9ab22f7cp+13"]),
-    (math.log(30.0), 0.7): (
-        "0x1.6d958f2054b46p+6",
-        ["0x1.022e942772250p+7", "0x1.07425a47de167p+14", "0x1.f66b5fd374731p+8",
-         "0x1.f58760e51e1cep+17", "0x1.00d964840fc7ep+16"]),
-    (2.5, math.exp(-1.0)): (
-        "0x1.4c1cc952824e0p+8",
-        ["0x1.bf6dded86bff2p+9", "0x1.8830342c4a60dp+19", "0x1.448dea3b44cefp+12",
-         "0x1.9d2e214447de1p+24", "0x1.1ca1a45046c9cp+22"]),
-    (math.log(4.7), 0.4): (
-        "0x1.55304e2e294e5p+4",
-        ["0x1.852894b699e7cp+5", "0x1.36c0f6aae053fp+11", "0x1.20d16aa997b17p+7",
-         "0x1.62457c812509dp+14", "0x1.d430f2f8dfde6p+12"]),
-}
-PINNED_ROWS = {**FROZEN_ROWS, **REFROZEN_ROWS}
 
 
 @pytest.mark.parametrize("moments", [False, True], ids=["plain", "moments"])
@@ -367,30 +382,9 @@ def test_series_rows_frozen_bits(moments):
     assert [series_rows([point], POLICY, moments)[0] for point in points] == want
 
 
-def test_rows_summed_as_before_kept_their_pins():
-    # a row at ln lambda <= 0, whose largest term is t_0 = 0, or one shifted by its
-    # largest term sums exp(t - c) with the same c as before the weights went
-    # unshifted, so it keeps its old bits; only the other rows were re-frozen
-    kept = 0
-    for point, frozen in FROZEN_ROWS.items():
-        if frozen is None:
-            continue
-        log_lam, nu = point
-        if log_lam <= 0.0 or core._shift(log_lam, nu) != 0.0:
-            kept += 1
-            assert point not in REFROZEN_ROWS
-            assert series_rows([point], POLICY)[0] == float.fromhex(frozen[0])
-            assert series_rows([point], POLICY, moments=True)[0][0] == [
-                float.fromhex(x) for x in frozen[1]]
-        else:
-            moved = float.fromhex(REFROZEN_ROWS[point][0]) - float.fromhex(frozen[0])
-            assert abs(moved) <= math.ulp(float.fromhex(frozen[0]))
-    assert kept == 4
-
-
-# ln Z at each summable row of FROZEN_ROWS to 50 digits, from an independent sum (mpmath
-# at 70 digits: j*ln lambda - nu*loggamma(j + 1) summed by log-sum-exp over j until the
-# terms fall e^-230 below the largest), at the float (ln lambda, nu) of the row.
+# ln Z at each summable pinned row to 50 digits, from an independent sum (mpmath at 70
+# digits: j*ln lambda - nu*loggamma(j + 1) summed by log-sum-exp over j until the terms
+# fall e^-230 below the largest), at the float (ln lambda, nu) of the row.
 LNZ_50_DIGITS = {
     (1.0, 1.0): "2.7182818284590452353602874713526624977572470937",
     (math.log(0.5), 0.5): "0.55625808088841679598212123328874830795482937691604",
@@ -406,14 +400,11 @@ LNZ_50_DIGITS = {
 
 
 def test_pins_are_near_50_digit_sums():
-    assert set(LNZ_50_DIGITS) == {p for p, frozen in FROZEN_ROWS.items() if frozen is not None}
+    assert set(LNZ_50_DIGITS) == {p for p, frozen in PINNED_ROWS.items() if frozen is not None}
     for point, digits in LNZ_50_DIGITS.items():
         ref = float(digits)
         off = abs(float.fromhex(PINNED_ROWS[point][0]) - ref) / math.ulp(ref)
-        if point == (-2.0, 3.0):
-            # ln Z = 0.129 is the log of a sum near 1.14, whose last bit is 7 ulp of ln Z
-            assert off <= 7
-        elif point == (50.0 * math.log(0.99 * MAX_TERMS), 50.0):
+        if point == (50.0 * math.log(0.99 * MAX_TERMS), 50.0):
             # the near-cap row's terms near 4.5e6 cancel to its ln Z, carrying the
             # rounding of their products (half an ulp of 4.5e6 is 8 ulp of ln Z)
             assert off <= 8
@@ -431,41 +422,48 @@ def test_largest_term_is_bounded(log_lam, nu):
     # exactly its largest term
     t, _ = sized_series(log_lam, nu)
     largest = float(t.max())
+    shift = float(core._sizes(np.array([log_lam]), np.array([nu]), POLICY)[1][0])
     if log_lam <= 0.0:
-        assert largest == 0.0
+        assert largest == 0.0 == shift
     else:
         assert largest <= nu * math.exp(log_lam / nu)
-        shift = core._shift(log_lam, nu)
         assert shift == (largest if nu * math.exp(log_lam / nu) > core._MAX_UNSHIFTED else 0.0)
 
 
-def scalar_target(spec, u, v):
-    """log_posterior + u + v at one point, or -inf where the sampler rejects it."""
-    if v < math.log(NU_FLOOR):
+def evaluate(target, points):
+    """The target at a list of (u, nu) points: its values and reasons, as lists."""
+    u, nu = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    values, reasons = target(u, nu)
+    return values.tolist(), [REJECTIONS[r - 1] if r else None for r in reasons.tolist()]
+
+
+def scalar_target(spec, u, nu):
+    """log_posterior + u at one point, or -inf where the sampler rejects it."""
+    if nu < NU_FLOOR:
         return -math.inf
     try:
-        lp = log_posterior(spec, STATS, CmpParams(math.exp(u), math.exp(v)), POLICY)
+        lp = log_posterior(spec, STATS, CmpParams(math.exp(u), nu), POLICY)
     except (TruncationError, NonpositiveDeterminantError, OverflowError, InvalidParamsError):
         return -math.inf
-    return lp + u + v if math.isfinite(lp) else -math.inf
+    return lp + u if math.isfinite(lp) else -math.inf
 
 
-def assert_is_scalar_target(value, spec, u, v):
+def assert_is_scalar_target(value, spec, u, nu):
     """value is scalar_target within 1e-12 relative, and -inf exactly where that is."""
-    want = scalar_target(spec, u, v)
+    want = scalar_target(spec, u, nu)
     if want == -math.inf:
         assert value == -math.inf
     else:
         assert value == pytest.approx(want, rel=1e-12)
 
 
-ORDINARY = st.tuples(st.floats(-2.0, 3.5), st.floats(-1.0, 1.5))
+ORDINARY = st.tuples(st.floats(-2.0, 3.5), st.floats(0.35, 4.5))
 REJECTED = st.sampled_from([
-    (1.0, math.log(NU_FLOOR) - 1e-9),  # nu below the floor
-    (800.0, 0.0),  # lambda = e^u overflows
-    (-800.0, 0.0),  # lambda = e^u underflows to 0
-    (math.log(2.0), math.log(1e-3)),  # TruncationError
-    (0.0, math.log(1e8)),  # zero Jeffreys determinant
+    (1.0, NU_FLOOR * (1.0 - 1e-9)),  # nu below the floor
+    (800.0, 1.0),  # lambda = e^u overflows
+    (-800.0, 1.0),  # lambda = e^u underflows to 0
+    (math.log(2.0), 1e-3),  # TruncationError
+    (0.0, 1e8),  # zero Jeffreys determinant
 ])
 
 
@@ -473,42 +471,44 @@ REJECTED = st.sampled_from([
 @given(points=st.lists(st.one_of(ORDINARY, REJECTED), min_size=1, max_size=6),
        spec=st.sampled_from(SPECS))
 # mode near 894, where the determinant cancels terms 2e10 times its value
-@example(points=[(2.5, -1.0), (1.0, 0.0)], spec=Jeffreys())
+@example(points=[(2.5, math.exp(-1.0)), (1.0, 1.0)], spec=Jeffreys())
 # largest-term bound just under and just over 600, lambda = e^+-800 at nu = 1e8, and the
 # near-cap row
-@example(points=[(20.0 * math.log(30.0) - 1e-9, math.log(20.0)),
-                 (20.0 * math.log(30.0) + 1e-9, math.log(20.0))], spec=Jeffreys())
-@example(points=[(800.0, math.log(1e8)), (-800.0, math.log(1e8)), (1.0, 0.0)], spec=SPECS[0])
-@example(points=[(50.0 * math.log(0.99 * MAX_TERMS), math.log(50.0)), (1.0, 0.0)], spec=SPECS[0])
+@example(points=[(20.0 * math.log(30.0) - 1e-9, 20.0),
+                 (20.0 * math.log(30.0) + 1e-9, 20.0)], spec=Jeffreys())
+@example(points=[(800.0, 1e8), (-800.0, 1e8), (1.0, 1.0)], spec=SPECS[0])
+@example(points=[(50.0 * math.log(0.99 * MAX_TERMS), 50.0), (1.0, 1.0)], spec=SPECS[0])
 def test_batch_equals_row(points, spec):
     target = _make_target(spec, STATS, POLICY)
-    values = target(points)
-    for (u, v), value in zip(points, values):
-        assert_is_scalar_target(value, spec, u, v)
-    # and each value is that point's own target, bit for bit
-    assert values == [target([point])[0] for point in points]
+    values, reasons = evaluate(target, points)
+    for (u, nu), value in zip(points, values):
+        assert_is_scalar_target(value, spec, u, nu)
+    assert [r is None for r in reasons] == [v > -math.inf for v in values]
+    # and each value and reason is that point's own, bit for bit
+    assert (values, reasons) == tuple(
+        [row[0] for row in rows] for rows in zip(*(evaluate(target, [p]) for p in points)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(u=st.floats(-2.0, 3.5), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
-def test_target_is_log_posterior_plus_jacobian(u, v, spec):
-    value, = _make_target(spec, STATS, POLICY)([(u, v)])
-    assert_is_scalar_target(value, spec, u, v)
+@given(u=st.floats(-2.0, 3.5), nu=st.floats(0.35, 4.5), spec=st.sampled_from(SPECS))
+def test_target_is_log_posterior_plus_jacobian(u, nu, spec):
+    (value,), _ = evaluate(_make_target(spec, STATS, POLICY), [(u, nu)])
+    assert_is_scalar_target(value, spec, u, nu)
 
 
 @settings(max_examples=150, deadline=None)
-@given(lam=st.floats(0.1, 30.0), v=st.floats(-1.0, 1.5), spec=st.sampled_from(SPECS))
-@example(lam=30.0, v=math.log(0.7), spec=Jeffreys())  # sized to 303 terms
-@example(lam=4.7, v=math.log(0.4), spec=SPECS[0])  # 101 terms fail the tail test: 202
-@example(lam=4.7, v=math.log(0.4), spec=Jeffreys())
-def test_target_is_log_posterior_bit_for_bit(lam, v, spec):
-    # the sampler and log_posterior run one formula on one row of one
-    # summation routine; u = ln(lambda) is the formula's ln lambda in both,
-    # and nu = e^v is the sampler's nu
-    u, nu = math.log(lam), math.exp(v)
-    value, = _make_target(spec, STATS, POLICY)([(u, v)])
+@given(lam=st.floats(0.1, 30.0), nu=st.floats(0.35, 4.5), spec=st.sampled_from(SPECS))
+@example(lam=30.0, nu=0.7, spec=Jeffreys())  # sized to 303 terms
+@example(lam=4.7, nu=0.4, spec=SPECS[0])  # sized to 202 terms
+@example(lam=4.7, nu=0.4, spec=Jeffreys())
+def test_target_is_log_posterior_bit_for_bit(lam, nu, spec):
+    # the sampler and log_posterior run one formula on one row of one summation
+    # routine; u = ln(lambda) is the formula's ln lambda in both, and the Jacobian
+    # of lambda = e^u is u
+    u = math.log(lam)
+    (value,), _ = evaluate(_make_target(spec, STATS, POLICY), [(u, nu)])
     try:
-        want = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u + v
+        want = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u
     except (TruncationError, NonpositiveDeterminantError):
         want = -math.inf
     assert value == want
@@ -517,232 +517,219 @@ def test_target_is_log_posterior_bit_for_bit(lam, v, spec):
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
     target = _make_target(spec, STATS, POLICY)
-    values = target([
-        (1.0, 0.0),
-        (1.0, math.log(NU_FLOOR) - 1e-9),  # nu below the floor
-        (math.log(2.0), math.log(1e-3)),  # TruncationError
-        (800.0, 5.0),  # lambda = e^u overflows
-        (-800.0, 0.0),  # lambda = e^u underflows to 0
+    values, reasons = evaluate(target, [
+        (1.0, 1.0),
+        (1.0, NU_FLOOR * (1.0 - 1e-9)),  # nu below the floor
+        (math.log(2.0), 1e-3),  # TruncationError
+        (800.0, math.exp(5.0)),  # lambda = e^u overflows
+        (-800.0, 1.0),  # lambda = e^u underflows to 0
     ])
     assert math.isfinite(values[0])
     assert values[1:] == [-math.inf] * 4
+    assert reasons == [None, "outside_support", "truncation", "outside_support",
+                       "outside_support"]
     # the rejected rows leave the finite one as it is alone
-    assert values[0] == target([(1.0, 0.0)])[0]
+    assert values[0] == evaluate(target, [(1.0, 1.0)])[0][0]
 
 
 def test_target_rejects_nonpositive_jeffreys_determinant():
     # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0
     target = _make_target(Jeffreys(), STATS, POLICY)
-    det_zero, ordinary = target([(0.0, math.log(1e8)), (1.0, 0.0)])
-    assert det_zero == -math.inf
-    assert math.isfinite(ordinary)
+    values, reasons = evaluate(target, [(0.0, 1e8), (1.0, 1.0)])
+    assert values[0] == -math.inf and math.isfinite(values[1])
+    assert reasons == ["jeffreys_det", None]
 
 
 def test_target_rejects_non_finite_value():
     spec = Conjugate(ConjugateHyper(1e308, 1.0, 1.0))
     target = _make_target(spec, SufficientStats.empty(), POLICY)
-    assert target([(2.0, 0.0)]) == [-math.inf]
+    assert evaluate(target, [(2.0, 1.0)]) == ([-math.inf], ["overflow"])
 
 
 class RecordingGenerator:
-    """A numpy Generator that records which method each draw came from."""
+    """A numpy Generator that records which method each draw came from, and its size."""
 
     def __init__(self, seed):
         self._g = np.random.default_rng(seed)
         self.calls = []
-        self.sizes = []  # the size argument of each normal draw
-        self.bit_generator = SimpleNamespace(random_raw=self._random_raw)
 
-    def standard_normal(self, size=None, out=None):
-        self.calls.append("normal")
-        self.sizes.append(size if out is None else out.shape)
-        return self._g.standard_normal(size, out=out)
+    def standard_normal(self, size=None):
+        self.calls.append(("normal", size))
+        return self._g.standard_normal(size)
 
-    def _random_raw(self):
-        # the chain forms each uniform from 64 raw bits
-        self.calls.append("uniform")
-        return self._g.bit_generator.random_raw()
+    def chisquare(self, df, size=None):
+        self.calls.append(("chisquare", df, size))
+        return self._g.chisquare(df, size)
 
-
-def test_raw_uniform_is_generator_random():
-    # a chain's uniform, (raw >> 11) * 2^-53, is the double Generator.random()
-    # gives from the same stream, interleaved with pairs of normals as in a chain
-    g, h = make_generator(5, 1, 0), make_generator(5, 1, 0)
-    z, w = np.empty(2), np.empty(2)
-    for _ in range(100_000):
-        g.standard_normal(out=z)
-        h.standard_normal(out=w)
-        assert (h.bit_generator.random_raw() >> 11) * mcmc._INV_2_53 == g.random()
-    assert np.array_equal(z, w)
-
-
-def test_rejected_proposal_counts_as_divergence(monkeypatch):
-    # every proposal after the start is non-finite: the chain stays at the
-    # start, each kept proposal counts as a divergence and no uniform is drawn
-    g = RecordingGenerator(0)
-    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
-    config = McmcConfig(chains=2, warmup=150, keep=100)
-    chain = _run_chain(2.0, config, SeedSpec(0), 0)
-    u, v = next(chain)
-    chain.send(-3.0)
-    proposals = 1
-    with pytest.raises(StopIteration) as done:
-        while True:
-            chain.send(-math.inf)
-            proposals += 1
-    lam, nu, accept_rate, divergent, _, _ = done.value.value
-    assert proposals == 250
-    assert (lam == math.exp(u)).all() and (nu == math.exp(v)).all()
-    assert (accept_rate, divergent) == (0.0, 100)
-    # the start's two scalar normals, then one pair per step
-    assert g.calls == ["normal"] * (2 + 250)
+    def random(self, size=None):
+        self.calls.append(("uniform", size))
+        return self._g.random(size)
 
 
 def test_draw_order_in_both_phases(monkeypatch):
-    # a scripted mix of finite and -inf targets through warmup and sampling:
-    # the start draws two scalar normals, then every step draws one pair of
-    # normals, and a uniform only when its proposal is finite
-    g = RecordingGenerator(1)
-    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
+    # each chain draws its warmup and kept steps together, from its own stream: every
+    # step's pair of normals, then every step's chi-square(5) for the t scale, then
+    # one uniform per step, whether or not the step's proposal is finite
+    generators = {}
+    monkeypatch.setattr(mcmc, "make_generator",
+                        lambda *key: generators.setdefault(key, RecordingGenerator(key[-1])))
+    stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     config = McmcConfig(chains=2, warmup=5, keep=100)
-    chain = _run_chain(2.0, config, SeedSpec(0), 0)
-    next(chain)
-    finite = [step % 3 != 1 and step % 7 != 4 for step in range(105)]
-    expected = ["normal", "normal"]
-    with pytest.raises(StopIteration) as done:
-        chain.send(-2.0)  # the start
-        for step, ok in enumerate(finite):
-            expected += ["normal"] + ["uniform"] * ok
-            chain.send(-2.0 - 0.01 * step if ok else -math.inf)
-    assert step == len(finite) - 1
-    assert g.calls == expected
-    assert g.sizes == [None] * 2 + [(2,)] * len(finite)
-    # the kept steps' -inf targets are the divergences
-    assert done.value.value[3] == finite[config.warmup:].count(False)
+    d = run_chains(get_preset("conj-1"), stats, config, SeedSpec(3, 4))
+    assert d.rejections["outside_support"].sum() > 0
+    assert list(generators) == [(3, 4, 0), (3, 4, 1)]
+    for g in generators.values():
+        assert g.calls == [("normal", (105, 2)), ("chisquare", 5, 105), ("uniform", 105)]
+
+
+def proposals_of(monkeypatch):
+    """Record the points of each call of a fit's target, in call order."""
+    calls = []
+    make_target = mcmc._make_target
+
+    def recording(*args):
+        target = make_target(*args)
+
+        def recorded(u, nu):
+            calls.append((u.copy(), nu.copy()))
+            return target(u, nu)
+
+        return recorded
+
+    monkeypatch.setattr(mcmc, "_make_target", recording)
+    return calls
 
 
 def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
-    # a smooth target through warmup (300 steps: the Cholesky factor is
-    # refactored once), then -inf for every kept proposal, so the state stays
-    # put and each kept proposal is the state plus step_size * L z
-    g = RecordingGenerator(2)
-    monkeypatch.setattr(mcmc, "make_generator", lambda *key: g)
-    config = McmcConfig(chains=2, warmup=300, keep=100)
-    chain = _run_chain(2.0, config, SeedSpec(0), 0)
-    point = next(chain)
-    proposals = []
-    with pytest.raises(StopIteration) as done:
-        for step in range(1 + config.warmup + config.keep):
-            if step > config.warmup:
-                proposals.append(point)
-            u, v = point
-            point = chain.send(-(u - 0.7) ** 2 - 4.0 * (v - 0.3 * u) ** 2
-                               if step <= config.warmup else -math.inf)
-    lam, nu, _, divergent, step_size, (c00, c10, c11) = done.value.value
-    assert divergent == config.keep
-    assert c10 != 0.0 and step_size > 0.0 and c00 > 0.0 and c11 > 0.0
-    # replay the recorded draws to read the normals of the kept steps
-    replay = np.random.default_rng(2)
-    sizes = iter(g.sizes)
-    values = [replay.standard_normal(next(sizes)) if call == "normal" else replay.random()
-              for call in g.calls]
-    pairs = [z for z in values if np.shape(z) == (2,)][-config.keep:]
-    u, v = math.log(lam[0]), math.log(nu[0])
-    for (prop_u, prop_v), (z0, z1) in zip(proposals, pairs):
-        assert prop_u - u == pytest.approx(step_size * c00 * z0, abs=1e-12)
-        assert prop_v - v == pytest.approx(step_size * (c10 * z0 + c11 * z1), abs=1e-12)
+    # every proposal is the reported centre plus sqrt(5 / chi2) * L z, from the
+    # chain's own normals and chi-square in their draw order, and each chain's
+    # proposals (fewer than mcmc._CHUNK) are evaluated in one call after the mode
+    # search's single points
+    calls = proposals_of(monkeypatch)
+    stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+    config = McmcConfig(chains=3, warmup=50, keep=100)
+    d = run_chains(get_preset("jeffreys"), stats, config, SeedSpec(2, 1))
+    searched = len(calls) - config.chains
+    assert [u.size for u, _ in calls[:searched]] == [1] * searched
+    c00, c10, c11 = d.proposal_cholesky
+    assert c00 > 0.0 and c11 > 0.0 and c10 != 0.0
+    for c, (u, nu) in enumerate(calls[searched:]):
+        g = make_generator(2, 1, c)
+        z = g.standard_normal((150, 2))
+        scale = np.sqrt(5.0 / g.chisquare(5, 150))
+        np.testing.assert_allclose(u - d.proposal_centre[0], scale * c00 * z[:, 0],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nu - d.proposal_centre[1],
+                                   scale * (c10 * z[:, 0] + c11 * z[:, 1]), rtol=0, atol=1e-13)
+
+
+def test_rejected_proposal_counts_as_divergence(monkeypatch):
+    # the kept proposals' rejections count per chain by reason; only the numerical
+    # ones are divergences; a rejected proposal leaves the state where it is
+    make_target = mcmc._make_target
+    pattern = [TRUNCATION, OUTSIDE_SUPPORT, JEFFREYS_DET, OVERFLOW, 0]
+
+    def rejecting(*args):
+        target = make_target(*args)
+
+        def patterned(u, nu):
+            values, reasons = target(u, nu)
+            if u.size > 1:  # a chain's proposals, not the mode search's points
+                reasons = np.resize(np.array(pattern, dtype=np.int8), u.size)
+                values = np.where(reasons == 0, values, -math.inf)
+            return values, reasons
+
+        return patterned
+
+    monkeypatch.setattr(mcmc, "_make_target", rejecting)
+    stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+    config = McmcConfig(chains=2, warmup=150, keep=100)
+    d = run_chains(get_preset("conj-1"), stats, config, SeedSpec(0))
+    kept = [np.resize(np.array(pattern), 250)[150:]] * 2
+    for reason, code in (("truncation", TRUNCATION), ("outside_support", OUTSIDE_SUPPORT),
+                         ("jeffreys_det", JEFFREYS_DET), ("overflow", OVERFLOW)):
+        assert d.rejections[reason].tolist() == [int((k == code).sum()) for k in kept]
+    assert d.divergences.tolist() == [60, 60]
+    assert d.rejections["outside_support"].tolist() == [20, 20]
+    for c in range(2):
+        moved = np.flatnonzero(np.diff(d.lam[c]) != 0.0) + 1
+        assert (kept[c][moved] == 0).all()
 
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
-    # one batched series per round that has a row at or above the floor; rows
-    # below it never enter the batch, a row that fails its tail test re-enters
-    # the same call at double length, each length of a round is summed once,
-    # shortest first, and no one-point series runs while sampling
-    floor = math.log(NU_FLOOR)
-    counts = {"rounds": 0, "batches": 0, "doubled": 0}
-    targets, expected_batch, grids = [], [], []
-    make_target, rows, series, tables = (
-        mcmc._make_target, mcmc.series_rows, core._series, core._tables)
+    # the mode search sums a few rows at a time (nine for the Jeffreys stencil); then
+    # each chain's proposals inside the support (fewer than mcmc._CHUNK) are summed
+    # in one call: its rows' lengths once each, shortest first, a row that fails its
+    # tail test re-entering at double length; and no one-point series runs
+    calls = proposals_of(monkeypatch)
+    sizes, grids = [], []
+    series, tables = mcmc.series_arrays, core._tables
 
-    def counted_make_target(*args):
-        target = make_target(*args)
-
-        def counted_target(points):
-            above = [(u, math.exp(v)) for u, v in points if v >= floor]
-            counts["rounds"] += bool(above)
-            expected_batch[:] = above
-            return target(points)
-
-        targets.append(counted_target)
-        return counted_target
-
-    def ladder(log_lam, nu, policy):
-        """The grid lengths a row is summed at: its first, doubled to its one-point series' last."""
-        try:
-            lengths = [core._grid_length(log_lam, nu, policy)]
-        except TruncationError:
-            return []
-        try:
-            last = series(log_lam, nu, policy)[0].size
-        except TruncationError:
-            last = MAX_TERMS
-        while lengths[-1] < last:
-            lengths.append(min(2 * lengths[-1], MAX_TERMS))
-        return lengths
-
-    def counted_rows(points, policy, moments):
-        counts["batches"] += 1
-        assert points == expected_batch
-        ladders = [ladder(*point, policy) for point in points]
-        counts["doubled"] += sum(len(lengths) > 1 for lengths in ladders)
+    def counted(log_lam, nu, policy, moments=False):
+        sizes.append(log_lam.size)
         grids.clear()
-        out = rows(points, policy, moments)
+        out = series(log_lam, nu, policy, moments)
+        ladders = [[k] if k else [] for k in core._sizes(log_lam, nu, policy)[0].tolist()]
+        for lengths, last in zip(ladders, out[2].tolist()):
+            while lengths and lengths[-1] < last:
+                lengths.append(min(2 * lengths[-1], MAX_TERMS))
         assert grids == sorted({k for lengths in ladders for k in lengths})
+        sizes.append(sum(len(lengths) > 1 for lengths in ladders))
         return out
 
-    monkeypatch.setattr(mcmc, "_make_target", counted_make_target)
-    monkeypatch.setattr(mcmc, "series_rows", counted_rows)
+    monkeypatch.setattr(mcmc, "series_arrays", counted)
     monkeypatch.setattr(core, "_tables", lambda k: grids.append(k) or tables(k))
     monkeypatch.setattr(core, "_series", lambda *args: pytest.fail("a one-point series ran"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
-    run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300), SeedSpec(3))
-    assert counts["rounds"] >= 800
-    assert counts["batches"] == counts["rounds"]
-    assert counts["doubled"] > 0
-    # a round whose every row is below the floor sums no series
-    before = dict(counts)
-    assert targets[0]([(1.0, floor - 1.0), (0.5, floor - 1e-9)]) == [-math.inf] * 2
-    assert counts == before
+    d = run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300),
+                   SeedSpec(3))
+    summed, doubled = sizes[-4::2], sizes[-3::2]
+    outside = [int((nu < NU_FLOOR).sum()) for _, nu in calls[-2:]]
+    assert [u.size for u, _ in calls[-2:]] == [800, 800]
+    assert summed == [800 - n for n in outside]
+    assert (np.array(outside) >= d.rejections["outside_support"]).all()
+    assert d.rejections["outside_support"].sum() > 0
+    assert sum(doubled) > 0
+    assert max(sizes[:-4:2]) <= (9 if prior == "jeffreys" else 1)
+
+
+@pytest.mark.parametrize("chunk, cells", [(97, 1_000), (1 << 20, 1 << 20)])
+def test_draws_do_not_depend_on_the_grid_bound_or_the_chain_count(monkeypatch, chunk, cells):
+    # a row's value is its own, however many rows share its target call and its grid,
+    # so each chain's draws are the same whatever mcmc._CHUNK and core._MAX_CELLS are
+    # and however many chains run
+    counts = sufficient_stats(bundled_dataset("crab-satellites").counts)
+    config = McmcConfig(chains=2, warmup=300, keep=200)
+    want = run_chains(get_preset("jeffreys"), counts, config, SeedSpec(5))
+    monkeypatch.setattr(mcmc, "_CHUNK", chunk)
+    monkeypatch.setattr(core, "_MAX_CELLS", cells)
+    got = run_chains(get_preset("jeffreys"), counts, McmcConfig(chains=3, warmup=300, keep=200),
+                     SeedSpec(5))
+    for name in ("lam", "nu", "accept_rate", "divergences"):
+        assert np.array_equal(getattr(got, name)[:2], getattr(want, name)), name
+    assert got.rejections["outside_support"].sum() > 0
+    for reason, per_chain in want.rejections.items():
+        assert np.array_equal(got.rejections[reason][:2], per_chain)
+    assert np.array_equal(got.proposal_centre, want.proposal_centre)
+    assert np.array_equal(got.proposal_cholesky, want.proposal_cholesky)
 
 
 def test_chain_without_finite_start_raises(monkeypatch):
-    # chain 1 is refused every start; chains 0 and 2 start at once
-    rounds = []
-    make_target = mcmc._make_target
+    # the chains start at the posterior's mode; where the mode search finds no finite
+    # target to start from, the fit is refused by name before any draw
+    def nowhere_finite(*args):
+        return lambda u, nu: (np.full(u.size, -math.inf), np.full(u.size, TRUNCATION, np.int8))
 
-    def refuse_chain_1(*args):
-        target = make_target(*args)
-
-        def refusing(points):
-            rounds.append(len(points))
-            values = target(points)
-            values[1] = -math.inf
-            return values
-
-        return refusing
-
-    monkeypatch.setattr(mcmc, "_make_target", refuse_chain_1)
+    monkeypatch.setattr(mcmc, "_make_target", nowhere_finite)
+    monkeypatch.setattr(mcmc, "make_generator", lambda *key: pytest.fail("a chain drew"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
-    with pytest.raises(AllDivergentError,
-                       match=f"^chain 1: no finite starting point in {_MAX_INIT_TRIES} attempts$"):
+    with pytest.raises(ModeNotFoundError, match="^found no finite posterior mode"):
         run_chains(get_preset("conj-1"), stats, McmcConfig(chains=3), SeedSpec(3))
-    # the lockstep rounds stop with the failing chain
-    assert rounds == [3] * _MAX_INIT_TRIES
 
 
 def test_data_beyond_float_range_has_no_finite_start():
-    # 10^309 ones: S1 * ln(lambda) overflows at every point, so no chain starts
+    # 10^309 ones: S1 * ln(lambda) overflows at every point, so there is no mode
     stats = SufficientStats(n=10**309, s1=10**309, s2=0.0)
-    with pytest.raises(AllDivergentError, match="^chain 0: no finite starting point"):
+    with pytest.raises(AllDivergentError, match="^found no finite posterior mode"):
         run_chains(Jeffreys(), stats, McmcConfig(chains=3), SeedSpec(0))

@@ -56,12 +56,15 @@ class FitReport:
     config: McmcConfig
     policy: TruncationPolicy
     seed: SeedSpec
-    # per reason of priors.REJECTIONS, each chain's rejected kept proposals
+    # per reason of priors.REJECTIONS, each chain's rejected kept proposals, and warmup ones
     rejections: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    warmup_rejections: dict[str, tuple[int, ...]] = field(default_factory=dict)
     pareto_k: float = math.nan
     # the proposal (see Draws): its centre (ln lambda, nu) and (c00, c10, c11)
     proposal_centre: tuple[float, ...] = ()
     proposal_cholesky: tuple[float, ...] = ()
+    # how the search for the proposal's centre ended (see mcmc.ModeSearch)
+    mode_search: dict = field(default_factory=dict)
 
     @property
     def divergence_warning(self) -> bool:
@@ -84,9 +87,12 @@ class FitReport:
             "divergences": list(self.divergences),
             "divergence_warning": self.divergence_warning,
             "rejections": {reason: list(counts) for reason, counts in self.rejections.items()},
+            "warmup_rejections": {reason: list(counts)
+                                  for reason, counts in self.warmup_rejections.items()},
             "pareto_k": self.pareto_k,
             "proposal_centre": list(self.proposal_centre),
             "proposal_cholesky": list(self.proposal_cholesky),
+            "mode_search": dict(self.mode_search),
             "config": asdict(self.config),
             "truncation": asdict(self.policy),
             "seed": asdict(self.seed),
@@ -108,8 +114,15 @@ class FitReport:
         lines.append(
             "acceptance per chain: " + " ".join(f"{a:.2f}" for a in self.accept_rate)
         )
-        lines.append("rejected proposals: " + ", ".join(
-            f"{reason} {sum(counts)}" for reason, counts in self.rejections.items()))
+        for phase, counts_by_reason in (("", self.rejections),
+                                        ("warmup ", self.warmup_rejections)):
+            lines.append(f"rejected {phase}proposals: " + ", ".join(
+                f"{reason} {sum(counts)}" for reason, counts in counts_by_reason.items()))
+        if self.mode_search:
+            search = self.mode_search
+            lines.append(f"mode search: {search['iterations']} Newton steps, decrement "
+                         f"{search['decrement']:.2g}"
+                         + (", on the nu floor" if search["on_floor"] else ""))
         lines.append(f"Pareto k-hat of the proposal: {self.pareto_k:.2f}")
         total = sum(self.divergences)
         lines.append(f"divergent proposals: {total} / {self.summary.n_kept}")
@@ -146,9 +159,12 @@ def fit_command(
             seed=seed,
             rejections={reason: tuple(counts.tolist())
                         for reason, counts in draws.rejections.items()},
+            warmup_rejections={reason: tuple(counts.tolist())
+                               for reason, counts in draws.warmup_rejections.items()},
             pareto_k=draws.pareto_k,
             proposal_centre=tuple(draws.proposal_centre.tolist()),
             proposal_cholesky=tuple(draws.proposal_cholesky.tolist()),
+            mode_search=asdict(draws.mode_search),
         ),
         draws,
     )

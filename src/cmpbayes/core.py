@@ -51,6 +51,9 @@ from .errors import InvalidParamsError, TruncationError
 MAX_TERMS = 10_000  # a series still unconverged at this length raises TruncationError
 _LOG_LAST_J = math.log(MAX_TERMS - 1)
 _SIZE_MARGIN = 5.0  # log-units past -ln(tail_tol) at which a sized grid ends
+# a geometric (nu = 0) row's terms are lambda^j: its grid ends where they have fallen
+# 53 ln 2 log-units, so that the terms it omits weigh less than an ulp of those it sums
+_GEOMETRIC_REACH = 53.0 * math.log(2.0)
 # a row's weights are exp(t) unshifted while its largest log term is at most this:
 # e^600 times K terms and lnGamma(j + 1)^2 <= 6.7e9 keeps its moment sums below e^632
 _MAX_UNSHIFTED = 600.0
@@ -86,18 +89,19 @@ class CmpParams:
 class TruncationPolicy:
     """Controls how many series terms are used when evaluating Z(lambda, nu).
 
-    base_terms is the minimum grid and its block: every grid length is a
-    whole number of base_terms blocks, or the fixed cap MAX_TERMS. The grid
-    reaches j* + sqrt(2 j* (5 - ln tail_tol) / nu), with j* = lambda^(1/nu)
-    the term mode, rounded up to the next block and at least one block: the
-    mode plus the distance at which a peak of log-curvature nu / j* has
-    fallen by -ln tail_tol, with 5 log-units to spare. A grid is accepted
+    base_terms is the minimum grid and its block: every grid length is a whole
+    number of base_terms blocks, or the fixed cap MAX_TERMS. The grid reaches
+    j* + sqrt(2 j* (5 - ln tail_tol) / nu), with j* = lambda^(1/nu) the term
+    mode, rounded up to the next block and at least one block: the mode plus
+    the distance at which a peak of log-curvature nu / j* has fallen by -ln
+    tail_tol, with 5 log-units to spare; at nu = 0, where the terms are
+    lambda^j, it reaches where they have fallen by 2^-53. A grid is accepted
     once its terms are decaying and a geometric bound on the omitted tail,
     term * r / (1 - r) with r the last consecutive-term ratio, falls below
     tail_tol relative to the partial sum (term ratios lambda / (j+1)^nu
-    decrease in j, so the bound is valid); until then the grid doubles and
-    is summed afresh. A series whose last term ratio is still >= 1 at
-    MAX_TERMS, or that is unconverged there, raises TruncationError.
+    decrease in j, so the bound is valid); until then the grid doubles and is
+    summed afresh. A series whose last term ratio is still >= 1 at MAX_TERMS,
+    or that is unconverged there, raises TruncationError.
     """
 
     base_terms: int = 101
@@ -183,22 +187,26 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy):
 
     The length is the term mode lambda^(1/nu) plus the width TruncationPolicy
     describes, rounded up to a whole number of base_terms blocks: at least
-    one block, at most MAX_TERMS. It is 0, before any sum, where the term
-    ratio lambda / j^nu is still >= 1 at the cap. The shift is what the row's
-    log terms are less before they are weighed: lnGamma(j + 1) >= j ln j - j
-    bounds the largest term by nu * lambda^(1/nu), nu times the mode, and
-    where that bound passes _MAX_UNSHIFTED (only at ln lambda > 0) the shift
-    is the largest term itself, the largest of the three at floor(mode) - 1,
-    floor(mode) and floor(mode) + 1, since terms rise up to the mode and fall
-    after it. Elsewhere it is 0.0 and every weight exp(t) and moment sum stays
-    in float range.
+    one block, at most MAX_TERMS. A geometric row (nu = 0, whose mode is 0 and
+    width 0/0) reaches 1 + _GEOMETRIC_REACH / -ln lambda instead, so that
+    lambda^(K - 1), the share of the weights past t_0 that it omits, is at
+    most 2^-53 and its ln Z is -log1p(-lambda) to the ulp. The length is 0,
+    before any sum, where the term ratio lambda / j^nu is still >= 1 at the
+    cap. The shift is what the row's log terms are less before they are
+    weighed: lnGamma(j + 1) >= j ln j - j bounds the largest term by
+    nu * lambda^(1/nu), nu times the mode, and where that bound passes
+    _MAX_UNSHIFTED (only at ln lambda > 0) the shift is the largest term
+    itself, the largest of the three at floor(mode) - 1, floor(mode) and
+    floor(mode) + 1, since terms rise up to the mode and fall after it.
+    Elsewhere it is 0.0 and every weight exp(t) and moment sum stays in float
+    range.
     """
     b = policy.base_terms
     margin = _SIZE_MARGIN - math.log(policy.tail_tol)
-    # nu = 0 (the geometric case) makes the mode 0 or nan; such a row starts at one block
     with np.errstate(all="ignore"):
         mode = np.exp(log_lam / nu)
-        reach = np.floor(mode + np.sqrt(2.0 * margin * mode / nu)) + 2.0
+        reach = np.where(nu == 0.0, np.ceil(_GEOMETRIC_REACH / -log_lam) + 1.0,
+                         np.floor(mode + np.sqrt(2.0 * margin * mode / nu)) + 2.0)
         sized = np.minimum(np.ceil(reach / b) * b, MAX_TERMS)
     summable = log_lam < nu * _LOG_LAST_J
     k = np.where(summable, np.where(reach > b, sized, b), 0).astype(np.int64)

@@ -8,18 +8,24 @@ a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
 under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
 -c Cov(X, -ln X!) are the moments core.series_arrays sums with ln Z; J's are
 central differences on a 3 x 3 stencil summed in the same call. A Newton
-search from (ln max(xbar, 0.5), 1) finds the mode on nu >= NU_FLOOR: each
-step is Newton's, with the Hessian's eigenvalues made negative so that it
-ascends, and stops on the floor where it would cross it; on the floor, where
-the target still rises toward lower nu (crab-satellites), the step is
-Newton's in u alone, so the mode is the floor's best point. A step is halved
-until the target rises, and taken whole once the Newton decrement
-g'(-H)^-1 g is below _MODE_TOL. The search stops when the decrement is below
-_NEWTON_TOL. The precision there is -H; at a mode on the floor its nu entry
-adds g_nu^2, the curvature of an exponential falling from the floor at the
-gradient's rate (all-zero counts fall so, almost without curvature). Where
-the search ends above _MODE_TOL, or the precision is not positive definite,
-the fit is refused with ModeNotFoundError before any draw.
+search from (ln max(xbar, 0.5), 1) finds the mode on nu >= NU_FLOOR, with one
+series call per point it visits: the point's own row, through the posterior's
+kernel plus u, gives the target's value there, and the moment sums its
+gradient and Hessian. Each step is Newton's, with the Hessian's eigenvalues
+made negative so that it ascends, and stops on the floor where it would cross
+it; on the floor, where the target still rises toward lower nu
+(crab-satellites), the step is Newton's in u alone, g_u / |H_uu|, so the mode
+is the floor's best point. A step is halved until the target rises, and taken
+whole once the Newton decrement g'(-H)^-1 g is below _MODE_TOL. The search
+stops when the decrement is below _NEWTON_TOL, or when, below _MODE_TOL, it
+fell less than 1 / _STALL-fold in the last step: conjugate and flat searches
+fall quadratically to _NEWTON_TOL, while a Jeffreys search stops at the noise
+floor of J's differences. Draws.mode_search says how it ended. The precision
+there is -H; at a mode on the floor its nu entry adds g_nu^2, the curvature
+of an exponential falling from the floor at the gradient's rate (all-zero
+counts fall so, almost without curvature). Where the search ends above
+_MODE_TOL, or the precision is not positive definite, the fit is refused
+with ModeNotFoundError before any draw.
 
 The proposal is a bivariate t with _DF degrees of freedom, centred on the
 mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
@@ -35,12 +41,13 @@ density). A row's value does not depend on the other rows, so a chain's
 draws are the same whatever the two bounds and whichever chains run beside
 it. Warmup steps are drawn and discarded; keep steps are kept.
 
-Proposals the target rejects count per chain, over the kept steps, by reason
-(priors.REJECTIONS): outside_support (nu below NU_FLOOR, or e^u out of float
-range) is where the posterior is 0, and only the numerical three
-(truncation, jeffreys_det, overflow) count as divergences. The Pareto k-hat
-of the fit's importance ratios target / proposal (Vehtari et al. 2024) says
-whether the proposal covers the posterior's tails: above 0.7 it does not.
+Proposals the target rejects count per chain by reason (priors.REJECTIONS),
+over the warmup steps and over the kept steps: outside_support (nu below
+NU_FLOOR, or e^u out of float range) is where the posterior is 0, and only
+the kept numerical three (truncation, jeffreys_det, overflow) count as
+divergences. The Pareto k-hat of the fit's importance ratios target /
+proposal (Vehtari et al. 2024) says whether the proposal covers the
+posterior's tails: above 0.7 it does not.
 """
 
 from __future__ import annotations
@@ -75,6 +82,9 @@ _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # Newton decrement at which the mode search stops
 _MODE_TOL = 1e-8  # the largest decrement a mode may keep (J's differences are noisy)
+# a decrement at most _MODE_TOL that falls less than 1 / _STALL-fold in a step is at
+# the noise floor of J's differences: the search stops there
+_STALL = 1e-3
 _FD_STEP = 1e-3  # the stencil's step: in u, and relative to nu
 _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
 _CHUNK = 2048  # a chain's proposals per target call and scan: no large temporaries
@@ -98,6 +108,15 @@ class McmcConfig:
 
 
 @dataclass(frozen=True)
+class ModeSearch:
+    """How the Newton search for the proposal's centre ended."""
+
+    iterations: int  # Newton steps taken from the start (ln max(xbar, 0.5), 1)
+    decrement: float  # the Newton decrement g'(-H)^-1 g at the mode
+    on_floor: bool  # the mode is on nu = NU_FLOOR, where the target still rises toward lower nu
+
+
+@dataclass(frozen=True)
 class Draws:
     """Retained posterior draws on the natural scale, (chains x keep)."""
 
@@ -107,11 +126,14 @@ class Draws:
     divergences: np.ndarray  # per chain, post-warmup proposals rejected for a numerical reason
     # per chain, post-warmup proposals rejected for each reason of priors.REJECTIONS
     rejections: Optional[dict[str, np.ndarray]] = None
+    # the same counts over the warmup proposals
+    warmup_rejections: Optional[dict[str, np.ndarray]] = None
     pareto_k: float = math.nan  # of the importance ratios of all the fit's proposals
     # the proposal: a t whose centre is the mode (ln lambda, nu), and the lower
     # Cholesky factor L = [[c00, 0], [c10, c11]] of its scale matrix as (c00, c10, c11)
     proposal_centre: Optional[np.ndarray] = None
     proposal_cholesky: Optional[np.ndarray] = None
+    mode_search: Optional[ModeSearch] = None  # how the search for the centre ended
 
     @property
     def n_kept(self) -> int:
@@ -158,21 +180,26 @@ def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
     # the Pareto k-hat are the canaries.
 
 
+def _inside(u: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Whether each point (u, nu) is in the support: nu >= NU_FLOOR and e^u in float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        lam = np.exp(u)
+    return (nu >= NU_FLOOR) & (lam > 0.0) & (lam < math.inf)
+
+
 def _make_target(spec, stats, policy):
     """The log target at arrays of (u, nu), and why each -inf row is rejected.
 
     Returns (values, reasons): log_posterior + u, and a REJECTIONS code per
-    row (0 where finite). Points with nu below NU_FLOOR or e^u out of float
-    range are outside_support and never reach the series.
+    row (0 where finite). Points outside the support (_inside) are
+    outside_support and never reach the series.
     """
     kernel, moments = kernel_series(spec, stats)
 
     def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(u.size, -math.inf)
         reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
-        with np.errstate(over="ignore", under="ignore"):
-            lam = np.exp(u)
-        inside = np.flatnonzero((nu >= NU_FLOOR) & (lam > 0.0) & (lam < math.inf))
+        inside = np.flatnonzero(_inside(u, nu))
         if inside.size:
             u_in, nu_in = u[inside], nu[inside]
             log_z = sums = None
@@ -186,76 +213,90 @@ def _make_target(spec, stats, policy):
     return target
 
 
-def _derivatives(x, form, jeffreys, policy):
-    """The target's gradient and Hessian at x = (u, nu), or None where a series fails."""
-    u, nu = x
-    a, b, c = form
-    if jeffreys:  # J on the 3 x 3 stencil; row 3 * i + j is (u + (i - 1) du, nu + (j - 1) dn)
-        du, dn = _FD_STEP, _FD_STEP * nu
-        offsets = np.arange(-1.0, 2.0)
-        us, nus = np.repeat(u + du * offsets, 3), np.tile(nu + dn * offsets, 3)
-    else:
-        us, nus = np.array([u]), np.array([nu])
-    _, sums, _ = series_arrays(us, nus, policy, moments=True)
-    e_x, e_x2, e_g, e_g2, e_xg = sums[us.size // 2]
-    var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
-    grad = np.array([a - c * e_x, c * e_g - b])
-    hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
-    if jeffreys:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            j = 0.5 * np.log(scaled_information_det(*sums.T)).reshape(3, 3)
-        grad += [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)]
-        cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
-        hess += [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
-                 [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]]
-    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-        return None
-    return grad, hess
+def _evaluator(spec, stats, policy):
+    """The target at a point x = (u, nu) with its gradient and Hessian, from one series call.
 
-
-def _laplace(target, spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray]:
-    """The target's mode (u, nu), its value there and its precision there, by Newton's method.
-
-    Raises ModeNotFoundError where the search ends at no finite mode.
+    Returns (value, (gradient, Hessian)): the value is the target's, the
+    kernel at the point's own row plus u (-inf outside the support, where no
+    series is summed), and the derivatives are None where the value or they
+    are not finite.
     """
-    form = conjugate_form(spec, stats)
+    kernel, _ = kernel_series(spec, stats)
+    a, b, c = conjugate_form(spec, stats)
     jeffreys = isinstance(spec, Jeffreys)
 
-    def value(x):
-        return float(target(x[:1], x[1:])[0][0])
+    def evaluate(x):
+        u, nu = x
+        if not _inside(u, nu):
+            return -math.inf, None
+        if jeffreys:  # J on the 3 x 3 stencil; row 3 * i + j is (u + (i - 1) du, nu + (j - 1) dn)
+            du, dn = _FD_STEP, _FD_STEP * nu
+            offsets = np.arange(-1.0, 2.0)
+            us, nus = np.repeat(u + du * offsets, 3), np.tile(nu + dn * offsets, 3)
+        else:
+            us, nus = np.array([u]), np.array([nu])
+        log_z, sums, _ = series_arrays(us, nus, policy, moments=True)
+        at = slice(us.size // 2, us.size // 2 + 1)  # the point's own row
+        value = float(kernel(us[at], nus[at], log_z[at], sums[at])[0][0] + u)
+        if not math.isfinite(value):  # no derivative arithmetic on inf or nan
+            return value, None
+        e_x, e_x2, e_g, e_g2, e_xg = sums[at][0]
+        var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
+        grad = np.array([a - c * e_x, c * e_g - b])
+        hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
+        if jeffreys:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                j = 0.5 * np.log(scaled_information_det(*sums.T)).reshape(3, 3)
+            grad += [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)]
+            cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
+            hess += [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
+                     [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]]
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            return value, None
+        return value, (grad, hess)
 
+    return evaluate
+
+
+def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSearch]:
+    """The target's mode (u, nu), its value and precision there, and how the search ended.
+
+    Newton's method, one series call per point it visits. Raises
+    ModeNotFoundError where the search ends at no finite mode.
+    """
+    evaluate = _evaluator(spec, stats, policy)
     x = np.array([math.log(max(stats.xbar, 0.5)), 1.0])
-    f = value(x)
-    decrement = math.inf
-    for step_count in range(_NEWTON_STEPS + 1):
-        found = math.isfinite(f) and _derivatives(x, form, jeffreys, policy)
-        if not found:
-            break
-        grad, hess = found
+    f, derivatives = evaluate(x)
+    decrement, iterations = math.inf, 0
+    while derivatives is not None:
+        grad, hess = derivatives
         eigenvalues, vectors = np.linalg.eigh(hess)
         # Newton's step with the Hessian's eigenvalues made negative, so it ascends;
         # in u alone where the target falls through the nu floor
-        curvature = np.maximum(np.abs(eigenvalues), 1e-12 * np.abs(eigenvalues).max())
-        if x[1] <= NU_FLOOR and grad[1] <= 0.0:
-            step = np.array([grad[0] / max(abs(hess[0, 0]), curvature[0]), 0.0])
+        smallest = 1e-12 * np.abs(eigenvalues).max()
+        on_floor = x[1] <= NU_FLOOR and grad[1] <= 0.0
+        if on_floor:
+            step = np.array([grad[0] / max(abs(hess[0, 0]), smallest), 0.0])
         else:
-            step = vectors @ ((vectors.T @ grad) / curvature)
-        decrement = float(grad @ step)
-        if decrement <= _NEWTON_TOL or step_count == _NEWTON_STEPS:
+            step = vectors @ ((vectors.T @ grad) / np.maximum(np.abs(eigenvalues), smallest))
+        previous, decrement = decrement, float(grad @ step)
+        if (decrement <= _NEWTON_TOL or iterations == _NEWTON_STEPS
+                or _MODE_TOL >= decrement > _STALL * previous):
             break
         t = 1.0
         while t > 1e-10:
             trial = x + t * step
             trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
-            f_trial = value(trial)
-            if f_trial > f or (decrement <= _MODE_TOL and math.isfinite(f_trial)):
+            f_trial, found = evaluate(trial)
+            if found is not None and (f_trial > f or decrement <= _MODE_TOL):
                 break
             t *= 0.5
         else:
             break  # the target rises no further along the step
-        x, f = trial, f_trial
-    precision = -hess if decrement <= _MODE_TOL else None
-    if precision is not None and x[1] <= NU_FLOOR and grad[1] <= 0.0:
+        x, f, derivatives = trial, f_trial, found
+        iterations += 1
+    precision = -hess if derivatives is not None and decrement <= _MODE_TOL else None
+    if precision is not None and on_floor:
         # on the floor the posterior falls at rate |g_nu|, as an exponential of
         # variance 1 / g_nu^2 does where its curvature is small
         precision[1, 1] = max(precision[1, 1], 0.0) + grad[1] ** 2
@@ -263,7 +304,7 @@ def _laplace(target, spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray
         raise ModeNotFoundError(
             "found no finite posterior mode to centre the proposal on (the Newton search "
             f"ended at ln lambda = {x[0]:.17g}, nu = {x[1]:.17g}, with target {f!r})")
-    return x, f, precision
+    return x, f, precision, ModeSearch(iterations, decrement, bool(on_floor))
 
 
 def pareto_khat(log_ratios: np.ndarray) -> float:
@@ -343,11 +384,12 @@ def run_chains(
     """
     _check_propriety(spec, stats)
     target = _make_target(spec, stats, policy)
-    centre, top, precision = _laplace(target, spec, stats, policy)
+    centre, top, precision, search = _laplace(spec, stats, policy)
     (c00, _), (c10, c11) = np.linalg.cholesky(_SCALE ** 2 * np.linalg.inv(precision)).tolist()
     steps, warmup = config.warmup + config.keep, config.warmup
     lam, nus, accept_rate, log_ratios = [], [], [], []
-    rejected = np.zeros((config.chains, len(REJECTIONS) + 1), dtype=np.int64)
+    # per chain, the rejections by code over the warmup steps and over the kept steps
+    rejected = np.zeros((2, config.chains, len(REJECTIONS) + 1), dtype=np.int64)
     for c in range(config.chains):
         g = make_generator(seed.master_seed, seed.stream_id, c)
         u, nu, log_q, log_u = _proposals(g, steps, centre, (c00, c10, c11))
@@ -366,14 +408,18 @@ def run_chains(
         lam.append(np.exp(np.where(state < 0, centre[0], u[state])))
         nus.append(np.where(state < 0, centre[1], nu[state]))
         accept_rate.append((len(accepted) - bisect_left(accepted, warmup)) / config.keep)
-        rejected[c] = np.bincount(reasons[warmup:], minlength=len(REJECTIONS) + 1)
-    if bool((rejected[:, 1:].sum(axis=1) >= config.keep).all()):
+        for phase, rows in enumerate((reasons[:warmup], reasons[warmup:])):
+            rejected[phase, c] = np.bincount(rows, minlength=len(REJECTIONS) + 1)
+    warmup_rejected, kept_rejected = rejected
+    if bool((kept_rejected[:, 1:].sum(axis=1) >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     return Draws(lam=np.array(lam), nu=np.array(nus), accept_rate=np.array(accept_rate),
-                 divergences=rejected[:, _NUMERICAL].sum(axis=1),
-                 rejections={r: rejected[:, i + 1] for i, r in enumerate(REJECTIONS)},
+                 divergences=kept_rejected[:, _NUMERICAL].sum(axis=1),
+                 rejections={r: kept_rejected[:, i + 1] for i, r in enumerate(REJECTIONS)},
+                 warmup_rejections={r: warmup_rejected[:, i + 1]
+                                    for i, r in enumerate(REJECTIONS)},
                  pareto_k=pareto_khat(np.concatenate(log_ratios)), proposal_centre=centre,
-                 proposal_cholesky=np.array([c00, c10, c11]))
+                 proposal_cholesky=np.array([c00, c10, c11]), mode_search=search)
 
 
 def _split_rhat_matrix(x: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from cmpbayes import (
     pmf_table,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS
+from cmpbayes.core import MAX_TERMS, series_arrays
 
 # lambda x nu grid containing all three simulation-study settings
 STUDY_GRID = [(lam, nu) for lam in (0.5, 3.0, 4.0) for nu in (0.5, 1.0, 2.0)]
@@ -246,6 +246,19 @@ class TestAdaptiveTruncation:
         table = pmf_table(p)
         assert table.size > 101
         assert_allclose(log_normalizer(p), -math.log1p(-0.9), atol=1e-10)
+
+    def test_geometric_rows_are_summed_to_the_ulp(self):
+        # a geometric row is sized from its tail, so it omits less than 2^-53 of its
+        # weights wherever that length is below the cap: ln Z is -log1p(-lambda) to 2
+        # ulp from lambda = 0.5 up (below it, one block omits less than 2^-100, and
+        # what error there is comes from rounding ln lambda); at lambda = 0.796 one
+        # block would pass the tail test 6.2e-11 low
+        cap = math.exp(-53.0 * math.log(2.0) / (MAX_TERMS - 2))
+        lam = np.concatenate(([0.7960590295147574], np.linspace(0.5, cap, 2001)))
+        log_z, _, _ = series_arrays(np.log(lam), np.zeros(lam.size))
+        ref = -np.log1p(-lam)
+        assert (np.abs(log_z - ref) <= 2 * np.spacing(ref)).all()
+        assert log_normalizer(CmpParams(lam[0], 0.0)) == log_z[0]
 
     def test_grid_reuse_consistency(self):
         # moment weights are the normalized pmf on the lnZ grid

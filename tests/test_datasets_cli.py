@@ -215,6 +215,13 @@ class TestCli:
                                              "overflow"}
         assert all(len(counts) == 2 for counts in report["rejections"].values())
         assert report["pareto_k"] < 0.7
+        # the same counts over the warmup proposals, and how the mode search ended
+        assert set(report["warmup_rejections"]) == set(report["rejections"])
+        assert all(len(counts) == 2 for counts in report["warmup_rejections"].values())
+        search = report["mode_search"]
+        assert set(search) == {"iterations", "decrement", "on_floor"}
+        assert 0 < search["iterations"] <= 12 and search["decrement"] <= 1e-8
+        assert search["on_floor"] is False
 
     def test_fit_text_output(self, capsys):
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",
@@ -222,6 +229,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "dataset: textile-faults (n = 32)" in out
         assert "lambda" in out and "nu" in out
+        assert "\nrejected warmup proposals: outside_support " in out
+        assert "\nmode search: 6 Newton steps, decrement " in out
 
     def test_fit_custom_hyper(self, capsys):
         assert main(["fit", "textile-faults", "--a", "2", "--b", "0.7", "--c", "2",
@@ -254,7 +263,9 @@ class TestCli:
         assert main(["fit", "crab-satellites", "--prior", "conj-1", "--seed", "1",
                      "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
+        assert report["mode_search"]["on_floor"] is True
         assert sum(report["rejections"]["outside_support"]) > 0.3 * report["n_kept"]
+        assert sum(report["warmup_rejections"]["outside_support"]) > 0.3 * 4 * 2000
         assert report["divergences"] == [0, 0, 0, 0]
         assert report["divergence_warning"] is False
 

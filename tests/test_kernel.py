@@ -299,10 +299,12 @@ def scalar_series(log_lam, nu, moments):
 @example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 303 and 101 terms
 @example(points=[(math.log(30.0), 0.7), (math.log(30.0), 0.7)], moments=True)
 @example(points=[(math.log(2.0), 1e-3), (1.0, 1.0)], moments=True)  # a row that cannot converge
-@example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric tail: doubles
+@example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric: 404 terms
 @example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1111 terms beside 101
-# 101 terms that fail the tail test re-enter at 202, beside a row sized to 202
-@example(points=[(math.log(0.8), 0.0), (math.log(20.0), 0.75)], moments=True)
+# 101 terms that fail the tail test re-enter at 202, beside rows sized to 202 (the
+# geometric one from its tail)
+@example(points=[(math.log(0.8), 1e-4), (math.log(20.0), 0.75), (math.log(0.8), 0.0)],
+         moments=True)
 # largest-term bound nu * lambda^(1/nu) just under and just over 600: unshifted and shifted
 @example(points=[(20.0 * math.log(30.0) - 1e-9, 20.0), (20.0 * math.log(30.0) + 1e-9, 20.0)],
          moments=True)
@@ -357,11 +359,11 @@ PINNED_ROWS = {
         "0x1.55304e2e294e5p+4",
         ["0x1.852894b699e7dp+5", "0x1.36c0f6aae0540p+11", "0x1.20d16aa997b18p+7",
          "0x1.62457c812509ep+14", "0x1.d430f2f8dfde7p+12"]),
-    (math.log(0.9), 0.0): (  # geometric tail: doubled twice
+    (math.log(0.9), 0.0): (  # geometric: sized from its tail to 404 terms
         "0x1.26bb1bbb55516p+1",
         ["0x1.1fffffffffffep+3", "0x1.55ffffffffffep+7", "0x1.0c82cc05aae30p+4",
          "0x1.dc30a480c77afp+9", "0x1.880180a377f53p+8"]),
-    (math.log(0.999), 0.0): None,  # doubled to MAX_TERMS and still unconverged
+    (math.log(0.999), 0.0): None,  # sized to MAX_TERMS and still unconverged
     (math.log(2.0), 1e-3): None,  # term ratio >= 1 at the cap: refused before summing
     (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5): None,  # ratio just above 1 at the cap
 }
@@ -603,17 +605,16 @@ def proposals_of(monkeypatch):
 def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
     # every proposal is the reported centre plus sqrt(5 / chi2) * L z, from the
     # chain's own normals and chi-square in their draw order, and each chain's
-    # proposals (fewer than mcmc._CHUNK) are evaluated in one call after the mode
-    # search's single points
+    # proposals (fewer than mcmc._CHUNK) are evaluated in one call of the target,
+    # which the mode search does not call
     calls = proposals_of(monkeypatch)
     stats = sufficient_stats(bundled_dataset("textile-faults").counts)
     config = McmcConfig(chains=3, warmup=50, keep=100)
     d = run_chains(get_preset("jeffreys"), stats, config, SeedSpec(2, 1))
-    searched = len(calls) - config.chains
-    assert [u.size for u, _ in calls[:searched]] == [1] * searched
+    assert len(calls) == config.chains
     c00, c10, c11 = d.proposal_cholesky
     assert c00 > 0.0 and c11 > 0.0 and c10 != 0.0
-    for c, (u, nu) in enumerate(calls[searched:]):
+    for c, (u, nu) in enumerate(calls):
         g = make_generator(2, 1, c)
         z = g.standard_normal((150, 2))
         scale = np.sqrt(5.0 / g.chisquare(5, 150))
@@ -624,8 +625,9 @@ def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
 
 
 def test_rejected_proposal_counts_as_divergence(monkeypatch):
-    # the kept proposals' rejections count per chain by reason; only the numerical
-    # ones are divergences; a rejected proposal leaves the state where it is
+    # the kept proposals' rejections count per chain by reason, and so do the warmup
+    # proposals'; only the kept numerical ones are divergences; a rejected proposal
+    # leaves the state where it is
     make_target = mcmc._make_target
     pattern = [TRUNCATION, OUTSIDE_SUPPORT, JEFFREYS_DET, OVERFLOW, 0]
 
@@ -633,11 +635,9 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
         target = make_target(*args)
 
         def patterned(u, nu):
-            values, reasons = target(u, nu)
-            if u.size > 1:  # a chain's proposals, not the mode search's points
-                reasons = np.resize(np.array(pattern, dtype=np.int8), u.size)
-                values = np.where(reasons == 0, values, -math.inf)
-            return values, reasons
+            values, _ = target(u, nu)
+            reasons = np.resize(np.array(pattern, dtype=np.int8), u.size)
+            return np.where(reasons == 0, values, -math.inf), reasons
 
         return patterned
 
@@ -645,10 +645,12 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
     stats = sufficient_stats(bundled_dataset("textile-faults").counts)
     config = McmcConfig(chains=2, warmup=150, keep=100)
     d = run_chains(get_preset("conj-1"), stats, config, SeedSpec(0))
-    kept = [np.resize(np.array(pattern), 250)[150:]] * 2
+    steps = np.resize(np.array(pattern), 250)
+    kept = [steps[150:]] * 2
     for reason, code in (("truncation", TRUNCATION), ("outside_support", OUTSIDE_SUPPORT),
                          ("jeffreys_det", JEFFREYS_DET), ("overflow", OVERFLOW)):
         assert d.rejections[reason].tolist() == [int((k == code).sum()) for k in kept]
+        assert d.warmup_rejections[reason].tolist() == [int((steps[:150] == code).sum())] * 2
     assert d.divergences.tolist() == [60, 60]
     assert d.rejections["outside_support"].tolist() == [20, 20]
     for c in range(2):
@@ -658,7 +660,7 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
-    # the mode search sums a few rows at a time (nine for the Jeffreys stencil); then
+    # the mode search sums one row per point (nine for the Jeffreys stencil); then
     # each chain's proposals inside the support (fewer than mcmc._CHUNK) are summed
     # in one call: its rows' lengths once each, shortest first, a row that fails its
     # tail test re-entering at double length; and no one-point series runs
@@ -717,11 +719,14 @@ def test_draws_do_not_depend_on_the_grid_bound_or_the_chain_count(monkeypatch, c
 
 def test_chain_without_finite_start_raises(monkeypatch):
     # the chains start at the posterior's mode; where the mode search finds no finite
-    # target to start from, the fit is refused by name before any draw
-    def nowhere_finite(*args):
-        return lambda u, nu: (np.full(u.size, -math.inf), np.full(u.size, TRUNCATION, np.int8))
+    # target to start from (here no series sums anywhere), the fit is refused by name
+    # before any draw
+    def nowhere_summable(log_lam, nu, policy, moments=False):
+        rows = np.full(log_lam.size, np.nan)
+        sums = np.full((log_lam.size, 5), np.nan) if moments else None
+        return rows, sums, np.zeros(log_lam.size, dtype=np.int64)
 
-    monkeypatch.setattr(mcmc, "_make_target", nowhere_finite)
+    monkeypatch.setattr(mcmc, "series_arrays", nowhere_summable)
     monkeypatch.setattr(mcmc, "make_generator", lambda *key: pytest.fail("a chain drew"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     with pytest.raises(ModeNotFoundError, match="^found no finite posterior mode"):

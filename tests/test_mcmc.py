@@ -262,10 +262,11 @@ class TestRunChains:
 
     # A fit on a sized posterior: near CMP(30, 0.7) the term mode is about 129,
     # so nearly every row is sized past base_terms (textile-faults rows are
-    # nearly all base rows).
+    # nearly all base rows). The Jeffreys pin was re-frozen when its mode search
+    # came to stop at the noise floor of J's differences (medians moved 2.4e-8).
     @pytest.mark.parametrize("prior, accepted, lam_median, nu_median", [
         ("conj-1", [111, 117], 13.231151614250486, 0.530247646137656),
-        ("jeffreys", [111, 117], 32.64376255367156, 0.7150841892220845),
+        ("jeffreys", [111, 117], 32.64376176791258, 0.7150841871850664),
     ], ids=["conj-1", "jeffreys"])
     def test_draws_pinned_sized(self, prior, accepted, lam_median, nu_median):
         counts = sample_cmp(CmpParams(30.0, 0.7), 500, SeedSpec(7))

@@ -14,7 +14,8 @@ Nested trapezoid rules give the parameter's marginal density at each row and its
 cumulative distribution, and so its median and 95% interval ends. Each MCMC
 quantile must lie within BOUND Monte Carlo standard errors of it, the standard
 error estimated from the spread of the per-chain quantiles, as criterion 5 does
-for medians.
+for medians. The mode searches behind those fits are checked too: each sums one
+series per point it visits and ends within MAX_NEWTON_STEPS steps.
 """
 
 import importlib.util
@@ -27,7 +28,7 @@ import pytest
 from cmpbayes import McmcConfig, SeedSpec, bundled_dataset, get_preset, mcmc, run_chains
 from cmpbayes import sufficient_stats
 from cmpbayes.core import DEFAULT_POLICY, series_arrays
-from cmpbayes.mcmc import NU_FLOOR
+from cmpbayes.mcmc import _MODE_TOL, NU_FLOOR
 from cmpbayes.posterior import kernel_series
 
 GRID = 161
@@ -39,6 +40,7 @@ CHAINS = 16
 BOUND = 5.0
 PRIORS = ("conj-1", "flat", "jeffreys")
 DATASETS = ("textile-faults", "slovak-poem", "crab-satellites", "hungarian-words")
+MAX_NEWTON_STEPS = 12
 
 
 def long_series_counts(seed):
@@ -99,8 +101,7 @@ def posterior_density(spec, stats):
 
 def quadrature(spec, stats):
     """QUANTILES of lambda and of nu by quadrature, and the larger edge weight."""
-    target = mcmc._make_target(spec, stats, DEFAULT_POLICY)
-    mode, _, precision = mcmc._laplace(target, spec, stats, DEFAULT_POLICY)
+    mode, _, precision, _ = mcmc._laplace(spec, stats, DEFAULT_POLICY)
     cov = np.linalg.inv(precision)
     density = posterior_density(spec, stats)
     (u, edge_u), (nu, edge_nu) = (marginal_quantiles(density, mode, cov, axis) for axis in (0, 1))
@@ -130,3 +131,51 @@ def test_bundled_fit_quantiles_match_quadrature(dataset, prior):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_long_series_quantiles_match_quadrature(seed, prior):
     check_against_quadrature(get_preset(prior), sufficient_stats(long_series_counts(seed)))
+
+
+def fit_stats(counts):
+    """A bundled dataset's, or long-series-<seed>'s, sufficient statistics."""
+    if counts.startswith("long-series-"):
+        return sufficient_stats(long_series_counts(int(counts.rsplit("-", 1)[1])))
+    return sufficient_stats(bundled_dataset(counts).counts)
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+@pytest.mark.parametrize("counts", [*DATASETS, "long-series-1", "long-series-2",
+                                    "long-series-3"])
+def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
+    # each point the search visits costs one series call, with moments, which gives
+    # its value, gradient and Hessian; no point is visited twice; and the search
+    # ends in a few Newton steps: crab-satellites' on the nu floor, where the step in
+    # u is Newton's, and Jeffreys' at the noise floor of J's differences
+    points, centres = [], []
+    evaluator, series = mcmc._evaluator, mcmc.series_arrays
+
+    def counted_evaluator(*args):
+        evaluate = evaluator(*args)
+        return lambda x: points.append(tuple(x)) or evaluate(x)
+
+    def counted_series(log_lam, nu, policy, moments=False):
+        assert moments and log_lam.size == (9 if prior == "jeffreys" else 1)
+        centres.append((log_lam[log_lam.size // 2], nu[nu.size // 2]))
+        return series(log_lam, nu, policy, moments)
+
+    monkeypatch.setattr(mcmc, "_evaluator", counted_evaluator)
+    monkeypatch.setattr(mcmc, "series_arrays", counted_series)
+    mode, _, _, search = mcmc._laplace(get_preset(prior), fit_stats(counts), DEFAULT_POLICY)
+    assert centres == points and len(set(points)) == len(points)
+    assert tuple(mode) in points
+    assert search.iterations <= MAX_NEWTON_STEPS
+    assert search.decrement <= _MODE_TOL
+    assert search.on_floor is (counts == "crab-satellites")
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_crab_mode_is_on_the_floor(prior):
+    # the posterior still rises toward lower nu at the floor, so the mode is the
+    # floor's best point: the target's u-gradient is 0 there
+    spec, stats = get_preset(prior), fit_stats("crab-satellites")
+    mode, _, _, search = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+    _, (grad, _) = mcmc._evaluator(spec, stats, DEFAULT_POLICY)(mode)
+    assert mode[1] == NU_FLOOR and search.on_floor
+    assert abs(grad[0]) <= 1e-8 and grad[1] < 0.0

@@ -208,8 +208,8 @@ def _add_common_mcmc_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trunc-terms", type=int, default=None,
-                   help="minimum number of series terms, and the block that every "
-                        "series length is a whole number of (default 101)")
+                   help="shortest series grid, and the first of the lengths, each "
+                        "2^(1/4) times the last, that grids are sized to (default 16)")
     p.add_argument("--tail-tol", type=float, default=None,
                    help="relative tail tolerance for the series (default 1e-10)")
 

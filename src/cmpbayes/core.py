@@ -10,35 +10,38 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed over a grid whose length, a whole number of base_terms blocks, is
-chosen from (ln lambda, nu) before summing (see TruncationPolicy), so one sum
-almost always suffices. j and lnGamma(j + 1) are rows 0 and 2 of a read-only
-(5, MAX_TERMS) table of the moment integrands j, j^2, lnGamma(j + 1),
-lnGamma(j + 1)^2 and j*lnGamma(j + 1), built at import. series_arrays is the
-one summation routine: it takes arrays of points in (ln lambda, nu), the
-sampler's coordinates, sizes every row in array operations (_sizes), and sums
-the rows length by length, each length as (B, K) grids of at most _MAX_CELLS
-cells, so a fit's thousands of proposals cost a few numpy calls per grid
-rather than Python per row. A grid's log terms are one einsum of its rows'
-(ln lambda, -nu) with the table rows j and lnGamma(j + 1); there is no max
-pass: the weights are exp(t) and ln Z = log1p(sum of the weights past t_0),
-since t_0 = 0 weighs 1, which keeps ln Z's relative precision where it is
-near 0. lnGamma(j + 1) >= j ln j - j bounds every term by nu * lambda^(1/nu)
-(by 0 where lambda <= 1), so no weight overflows while that bound is at most
-_MAX_UNSHIFTED; the rare row above it is first shifted by its exact largest
-term. The weights overwrite the log terms in place; the moments are one
-einsum of the weights with the table over the grid that gave ln Z, divided
-by the weights' sums that gave ln Z, which keeps them self-consistent. Each
-row is tail-tested against its grid's last two terms, and a row that fails
-re-enters at double length. Every step is elementwise or along a row, so no
-point's result depends on the other points or on the grid bound, and the
-one-point entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row
-calls of series_arrays.
+summed over a grid whose length is chosen from (ln lambda, nu) before summing
+(see TruncationPolicy): the first rung of a ladder of lengths, each 2^(1/4)
+times the last, from base_terms, that reaches where the terms have fallen an
+ulp's worth below the largest, so one sum suffices. j and lnGamma(j + 1) are
+rows 0 and 2 of a read-only (5, MAX_TERMS) table of the moment integrands j,
+j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1), built at import.
+series_arrays is the one summation routine: it takes arrays of points in
+(ln lambda, nu), the sampler's coordinates, sizes every row in array
+operations (_sizes), and forms the rows' grids length by length, each length
+as (B, K) grids of at most _MAX_CELLS cells, so a fit's thousands of
+proposals cost a few numpy calls per grid rather than Python per row. A
+grid's log terms are one einsum of its rows' (ln lambda, -nu) with the table
+rows j and lnGamma(j + 1); there is no max pass: the weights are exp(t) and
+ln Z = log1p(sum of the weights past t_0), since t_0 = 0 weighs 1, which keeps
+ln Z's relative precision where it is near 0. lnGamma(j + 1) >= j ln j - j
+bounds every term by nu * lambda^(1/nu) (by 0 where lambda <= 1), so no weight
+overflows while that bound is at most _MAX_UNSHIFTED; the rare row above it is
+first shifted by its exact largest term. The weights overwrite the log terms
+in place; the moments are one einsum of the weights with the table, over a
+grid sized _MOMENT_MARGIN log-units further, divided by the weights' sums that
+gave ln Z, which keeps them self-consistent. ln Z, the moments' division and
+each row's tail test, against the last two terms of ln Z's grid, run once per
+call over all rows. Every step is elementwise or along a row, so no point's
+result depends on the other points or on the grid bound, and the one-point
+entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row calls of
+series_arrays.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -50,10 +53,12 @@ from .errors import InvalidParamsError, TruncationError
 
 MAX_TERMS = 10_000  # a series still unconverged at this length raises TruncationError
 _LOG_LAST_J = math.log(MAX_TERMS - 1)
-_SIZE_MARGIN = 5.0  # log-units past -ln(tail_tol) at which a sized grid ends
-# a geometric (nu = 0) row's terms are lambda^j: its grid ends where they have fallen
-# 53 ln 2 log-units, so that the terms it omits weigh less than an ulp of those it sums
-_GEOMETRIC_REACH = 53.0 * math.log(2.0)
+# a grid ends where its terms have fallen 53 ln 2 log-units below its largest, so that
+# the terms it omits weigh less than an ulp of those it sums, with a margin for the
+# tail's length; moment sums reach further, since j^2 and lnGamma(j + 1)^2 grow into it
+_ULP_REACH = 53.0 * math.log(2.0)
+_REACH_MARGIN = 3.0
+_MOMENT_MARGIN = 16.0
 # a row's weights are exp(t) unshifted while its largest log term is at most this:
 # e^600 times K terms and lnGamma(j + 1)^2 <= 6.7e9 keeps its moment sums below e^632
 _MAX_UNSHIFTED = 600.0
@@ -89,22 +94,25 @@ class CmpParams:
 class TruncationPolicy:
     """Controls how many series terms are used when evaluating Z(lambda, nu).
 
-    base_terms is the minimum grid and its block: every grid length is a whole
-    number of base_terms blocks, or the fixed cap MAX_TERMS. The grid reaches
-    j* + sqrt(2 j* (5 - ln tail_tol) / nu), with j* = lambda^(1/nu) the term
-    mode, rounded up to the next block and at least one block: the mode plus
-    the distance at which a peak of log-curvature nu / j* has fallen by -ln
-    tail_tol, with 5 log-units to spare; at nu = 0, where the terms are
-    lambda^j, it reaches where they have fallen by 2^-53. A grid is accepted
-    once its terms are decaying and a geometric bound on the omitted tail,
-    term * r / (1 - r) with r the last consecutive-term ratio, falls below
-    tail_tol relative to the partial sum (term ratios lambda / (j+1)^nu
-    decrease in j, so the bound is valid); until then the grid doubles and is
-    summed afresh. A series whose last term ratio is still >= 1 at MAX_TERMS,
-    or that is unconverged there, raises TruncationError.
+    base_terms is the shortest grid and the anchor of the ladder of grid
+    lengths ceil(base_terms * 2^(i/4)), i = 0, 1, ..., capped at MAX_TERMS.
+    Each row's grid is the first rung at or past its reach: where its terms
+    have fallen R = 53 ln 2 + 3 log-units below the largest (R + 16 when its
+    moments are summed), so that the terms it omits weigh less than an ulp of
+    its sum. Past the term mode m = lambda^(1/nu) the log terms fall at least
+    nu m h(j/m - 1), h(x) = (1 + x) ln(1 + x) - x, and below lambda = 1 at
+    least j (-ln lambda); the reach is where either bound passes R. The sum
+    is then checked: it is accepted once its terms are decaying and a
+    geometric bound on the omitted tail, term * r / (1 - r) with r the last
+    consecutive-term ratio, falls below tail_tol relative to the partial sum
+    (term ratios lambda / (j+1)^nu decrease in j, so the bound is valid). R is
+    -ln tail_tol + ln(MAX_TERMS - 1) where that is larger, so that only a
+    grid cut at MAX_TERMS can fail the check. A series whose last term ratio
+    is still >= 1 at MAX_TERMS, or that fails the check there, raises
+    TruncationError.
     """
 
-    base_terms: int = 101
+    base_terms: int = 16
     tail_tol: float = 1e-10
 
     def __post_init__(self):
@@ -182,18 +190,51 @@ def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tr
     )
 
 
-def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy):
-    """Each row's first grid length (0 where it cannot be summed) and shift.
+def _reach(log_lam: np.ndarray, nu: np.ndarray, mode: np.ndarray,
+           log_reach: np.ndarray) -> np.ndarray:
+    """An index by which each row's log terms have fallen log_reach below its largest.
 
-    The length is the term mode lambda^(1/nu) plus the width TruncationPolicy
-    describes, rounded up to a whole number of base_terms blocks: at least
-    one block, at most MAX_TERMS. A geometric row (nu = 0, whose mode is 0 and
-    width 0/0) reaches 1 + _GEOMETRIC_REACH / -ln lambda instead, so that
-    lambda^(K - 1), the share of the weights past t_0 that it omits, is at
-    most 2^-53 and its ln Z is -log1p(-lambda) to the ulp. The length is 0,
-    before any sum, where the term ratio lambda / j^nu is still >= 1 at the
-    cap. The shift is what the row's log terms are less before they are
-    weighed: lnGamma(j + 1) >= j ln j - j bounds the largest term by
+    log_reach is a column of reaches, each a row of the result. Past the term
+    mode m = lambda^(1/nu) the log terms fall by at least nu * m * h(j/m - 1)
+    at j, with h(x) = (1 + x) ln(1 + x) - x, so m (1 + x) reaches where x is
+    at or above the root of nu * m * h(x) = log_reach: Bennett's bound
+    h(x) >= x^2 / (2 (1 + x/3)) gives a root above it, and three Newton steps
+    on the convex h come down towards it without passing it. Below lambda = 1
+    the terms are at most lambda^j of t_0 = 0, the largest, so
+    log_reach / -ln lambda reaches too, and the lesser is taken; it is the
+    only reach at nu = 0. nan where neither is finite (a mode past float
+    range).
+    """
+    with np.errstate(all="ignore"):
+        c = log_reach / (nu * mode)
+        x = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c)
+        for _ in range(3):  # x - (h(x) - c) / h'(x), with h'(x) = ln(1 + x)
+            x = (x + c) / np.log1p(x) - 1.0
+        return np.fmin(mode * (1.0 + x), np.where(log_lam < 0.0, log_reach / -log_lam, np.nan))
+
+
+@lru_cache(maxsize=None)
+def _ladder(base_terms: int) -> np.ndarray:
+    """The grid lengths ceil(base_terms * 2^(i/4)), i = 0, 1, ..., ending at MAX_TERMS."""
+    steps = 4 * math.ceil(math.log2(MAX_TERMS / base_terms)) + 1
+    rungs = np.ceil(base_terms * 2.0 ** (np.arange(steps) / 4))
+    ladder = np.unique(np.minimum(rungs, MAX_TERMS)).astype(np.int64)
+    ladder.flags.writeable = False  # one array, shared by every call
+    return ladder
+
+
+def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moments: bool = False):
+    """Each row's grid length (0 where it cannot be summed), shift and ln Z's length.
+
+    ln Z's length is the first rung of _ladder(base_terms) whose last index
+    is past the row's _reach of R (see TruncationPolicy); a row shorter than
+    MAX_TERMS then passes the tail test, whose bound, term * r / (1 - r), is
+    at most e^-R (K - 1) / R of its sum. With moments the grid reaches
+    _MOMENT_MARGIN further, since j^2 and lnGamma(j + 1)^2 grow into the
+    tail; without, it is ln Z's. Both are MAX_TERMS where the reach passes
+    it, and 0, before any sum, where the term ratio lambda / j^nu is still
+    >= 1 at the cap. The shift is what the row's log terms are less before
+    they are weighed: lnGamma(j + 1) >= j ln j - j bounds the largest term by
     nu * lambda^(1/nu), nu times the mode, and where that bound passes
     _MAX_UNSHIFTED (only at ln lambda > 0) the shift is the largest term
     itself, the largest of the three at floor(mode) - 1, floor(mode) and
@@ -201,22 +242,21 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy):
     Elsewhere it is 0.0 and every weight exp(t) and moment sum stays in float
     range.
     """
-    b = policy.base_terms
-    margin = _SIZE_MARGIN - math.log(policy.tail_tol)
+    ladder = _ladder(policy.base_terms)
+    summable = log_lam < nu * _LOG_LAST_J
     with np.errstate(all="ignore"):
         mode = np.exp(log_lam / nu)
-        reach = np.where(nu == 0.0, np.ceil(_GEOMETRIC_REACH / -log_lam) + 1.0,
-                         np.floor(mode + np.sqrt(2.0 * margin * mode / nu)) + 2.0)
-        sized = np.minimum(np.ceil(reach / b) * b, MAX_TERMS)
-    summable = log_lam < nu * _LOG_LAST_J
-    k = np.where(summable, np.where(reach > b, sized, b), 0).astype(np.int64)
+    log_reach = max(_ULP_REACH, _LOG_LAST_J - math.log(policy.tail_tol)) + _REACH_MARGIN
+    reaches = np.array([[log_reach], [log_reach + _MOMENT_MARGIN]])[:1 + moments]
+    need = np.fmin(np.floor(_reach(log_lam, nu, mode, reaches)) + 2.0, MAX_TERMS)
+    lengths = np.where(summable, ladder[np.searchsorted(ladder, need)], 0)  # (1 or 2, rows)
     shift = np.zeros(log_lam.size)
     big = np.flatnonzero(summable & (log_lam > 0.0) & (nu * mode > _MAX_UNSHIFTED))
     if big.size:
         j = np.floor(mode[big])[:, None] + np.arange(-1.0, 2.0)
         t = log_lam[big, None] * j - nu[big, None] * _LGAMMA[j.astype(np.int64)]
         shift[big] = t.max(axis=1)
-    return k, shift
+    return lengths[-1], shift, lengths[0]
 
 
 def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -226,61 +266,71 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     Returns (ln Z, moment sums, grid lengths): ln Z of each row, nan where
     the series cannot be summed; with moments, a (rows, 5) array of the five
     CmpMoments expectations in its order (nan rows likewise), else None; and
-    the length of the grid that gave each row. Rows are sized in one pass
-    (_sizes) and summed length by length, shortest first, each length as
-    (B, K) grids of at most _MAX_CELLS cells: t is one einsum of the rows'
-    (ln lambda, -nu) with the table rows j and lnGamma(j + 1), the weights are
-    exp(t - shift), and ln Z = log1p(sum of the weights past t_0) for an
-    unshifted row (its t_0 = 0 has weight 1, and log1p keeps ln Z's relative
-    precision where it is near 0) and shift + ln(sum of the weights) for a
-    shifted one. The moments are one einsum of the weights with
-    _MOMENT_TABLE, divided by the same sums. A row is accepted once its terms
-    decay at its last two and a geometric bound on the omitted tail falls
-    below tail_tol relative to the sum; otherwise it re-enters at double
-    length (at most MAX_TERMS), beside the rows of that length, and one
-    unconverged at MAX_TERMS is nan. Every operation is elementwise or along
-    a row, so a row's result depends on its own point alone, whatever the
-    batch and the grid bound.
+    the length of the grid each row was summed over. Rows are sized in one
+    pass (_sizes) and their grids formed length by length, shortest first,
+    each length as (B, K) grids of at most _MAX_CELLS cells: t is one einsum
+    of the rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1),
+    the weights are exp(t - shift), the sum of the weights past t_0 is
+    reduced over ln Z's length, and with moments the weights' einsum with
+    _MOMENT_TABLE runs over the whole grid. Then, once over all rows: ln Z is
+    log1p of that sum for an unshifted row (its t_0 = 0 has weight 1, and
+    log1p keeps ln Z's relative precision where it is near 0) and shift +
+    ln(e^-shift + the sum) for a shifted one, the moments are divided by the
+    same weights' sum, and a row is kept once its terms decay at the last
+    two of ln Z's length and a geometric bound on the omitted tail falls
+    below tail_tol relative to the sum; a row that fails it, which only a
+    MAX_TERMS one can, is nan. Every operation is elementwise or along a
+    row, so a row's result depends on its own point alone, whatever the batch
+    and the grid bound, and its ln Z is the same with and without moments.
     """
     log_lam = np.asarray(log_lam, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     log_z = np.full(log_lam.size, np.nan)
     sums = np.full((log_lam.size, 5), np.nan) if moments else None
-    k, shift = _sizes(log_lam, nu, policy)
-    log_tol = math.log(policy.tail_tol)
-    todo = np.flatnonzero(k)
-    while todo.size:
-        length = int(k[todo].min())  # a doubled row joins a length not yet summed
-        here = todo[k[todo] == length]
-        todo = todo[k[todo] != length]
+    k, shift, k_z = _sizes(log_lam, nu, policy, moments)
+    rows = np.flatnonzero(k)
+    if not rows.size:
+        return log_z, sums, k
+    rows = rows[np.lexsort((k_z[rows], k[rows]))]
+    lengths, z_lengths, c = k[rows], k_z[rows], shift[rows]
+    coef = np.stack((log_lam[rows], -nu[rows]))
+    rest = np.empty(rows.size)
+    moment_sums = np.empty((rows.size, 5)) if moments else None
+    # the sorted rows' runs of one grid length, of one ln Z length, and their shifted rows
+    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), rows.size]
+    z_bounds = [0, *(np.flatnonzero(np.diff(z_lengths) != 0) + 1).tolist(), rows.size]
+    shifted = np.flatnonzero(c).tolist()
+    for first, end in zip(bounds[:-1], bounds[1:]):
+        length = int(lengths[first])
         j_lgamma, table = _tables(length)
         step = max(1, _MAX_CELLS // length)
-        failed = []
-        for first in range(0, here.size, step):
-            rows = here[first:first + step]
-            w = np.einsum("ib,ik->bk", (log_lam[rows], -nu[rows]), j_lgamma)
-            prev, last = w[:, -2].copy(), w[:, -1].copy()
-            c = shift[rows]
-            if c.any():
-                w -= c[:, None]
+        for a in range(first, end, step):
+            b = min(a + step, end)
+            w = np.einsum("ib,ik->bk", coef[:, a:b], j_lgamma)
+            if bisect_left(shifted, b) > bisect_left(shifted, a):
+                w -= c[a:b, None]
             np.exp(w, out=w)  # the weights overwrite the log terms
-            rest = np.add.reduce(w[:, 1:], axis=1)
-            total = w[:, 0] + rest
-            lz = np.where(c == 0.0, np.log1p(rest), c + np.log(total))
-            # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-            with np.errstate(all="ignore"):
-                log_r = last - prev
-                ratio = np.exp(log_r)
-                ok = (log_r < 0.0) & (ratio < 1.0) & (
-                    (last - lz) + log_r - np.log1p(-ratio) < log_tol)
-            log_z[rows[ok]] = lz[ok]
+            run = bisect_right(z_bounds, a)
+            lo = a
+            while lo < b:  # the weights past t_0 summed over each run's ln Z length
+                hi = min(b, z_bounds[run])
+                np.add.reduce(w[lo - a:hi - a, 1:z_lengths[lo]], axis=1, out=rest[lo:hi])
+                lo, run = hi, run + 1
             if moments:
-                sums[rows[ok]] = (np.einsum("bk,ck->bc", w, table) / total[:, None])[ok]
-            failed.append(rows[~ok])
-        if length < MAX_TERMS:
-            failed = np.concatenate(failed)
-            k[failed] = min(2 * length, MAX_TERMS)
-            todo = np.concatenate((todo, failed))
+                np.einsum("bk,ck->bc", w, table, out=moment_sums[a:b])
+    total = np.exp(-c) + rest  # t_0 = 0 weighs e^-shift
+    with np.errstate(all="ignore"):
+        lz = np.where(c == 0.0, np.log1p(rest), c + np.log(total))
+        # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
+        j = z_lengths - 1
+        last = coef[0] * j + coef[1] * _LGAMMA[j]
+        log_r = last - (coef[0] * (j - 1) + coef[1] * _LGAMMA[j - 1])
+        ratio = np.exp(log_r)
+        ok = (log_r < 0.0) & (ratio < 1.0) & (
+            (last - lz) + log_r - np.log1p(-ratio) < math.log(policy.tail_tol))
+    log_z[rows[ok]] = lz[ok]
+    if moments:
+        sums[rows[ok]] = (moment_sums / total[:, None])[ok]
     return log_z, sums, k
 
 

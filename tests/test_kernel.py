@@ -78,7 +78,7 @@ LOG_Z_TOL = dict(rel=1e-12, abs=1e-14)
 
 @settings(max_examples=150, deadline=None)
 @given(lam=st.floats(1e-8, 500.0))
-@example(lam=49.53397669883494)  # a base grid whose omitted tail is near tail_tol
+@example(lam=49.53397669883494)  # one 101-term block left a tail near tail_tol
 @example(lam=300.0)  # sized past base_terms
 def test_log_z_of_poisson_is_lambda(lam):
     p = CmpParams(lam, 1.0)
@@ -92,8 +92,8 @@ def test_log_z_of_poisson_is_lambda(lam):
 
 @settings(max_examples=150, deadline=None)
 @given(lam=st.floats(1e-8, 0.99))
-@example(lam=0.7960590295147574)  # a base grid whose omitted tail is near tail_tol
-@example(lam=0.99)  # doubled to 3 232 terms
+@example(lam=0.7960590295147574)  # one 101-term block left a tail near tail_tol
+@example(lam=0.99)  # sized from its tail to 4 096 terms
 def test_log_z_of_geometric_is_minus_log1m_lambda(lam):
     p = CmpParams(lam, 0.0)
     log_z = log_normalizer(p, POLICY)
@@ -144,9 +144,9 @@ def reference_ladder(log_lam, nu, policy):
         k = min(2 * k, MAX_TERMS)
 
 
-def first_length(log_lam, nu):
-    """The length of the first grid a row is summed over; 0 where it cannot be summed."""
-    return int(core._sizes(np.array([log_lam]), np.array([nu]), POLICY)[0][0])
+def first_length(log_lam, nu, moments=False):
+    """The length of the grid a row is summed over; 0 where it cannot be summed."""
+    return int(core._sizes(np.array([log_lam]), np.array([nu]), POLICY, moments)[0][0])
 
 
 def sized_series(log_lam, nu):
@@ -179,26 +179,102 @@ def test_sized_log_z_matches_twice_the_grid(log_lam, nu):
     assert abs(log_z - logsumexp(log_lam * j - nu * gammaln(j + 1.0))) <= 1e-9
 
 
+# R, the log-units by which a grid's last term has fallen below its largest
+REACH = 53.0 * math.log(2.0) + 3.0
+MOMENT_REACH = REACH + 16.0
+
+
+def rungs(base_terms):
+    """The grid lengths ceil(base_terms * 2^(i/4)), capped at MAX_TERMS."""
+    return sorted({min(math.ceil(base_terms * 2.0 ** (i / 4)), MAX_TERMS) for i in range(60)})
+
+
+def certified_fall(log_lam, nu, j):
+    """The closed-form bound on t_max - t_j: nu m h(j/m - 1) past the mode m, h(x) =
+    (1 + x) ln(1 + x) - x, and j (-ln lambda) below lambda = 1."""
+    fall = -j * log_lam if log_lam < 0.0 else 0.0
+    if nu > 0.0:
+        m = math.exp(log_lam / nu)
+        if 0.0 < m < j:
+            x = j / m - 1.0
+            fall = max(fall, nu * m * ((1.0 + x) * math.log1p(x) - x))
+    return fall
+
+
+def sizing_reach(log_lam, nu, reach):
+    """The index the sizing rule reaches: the root of Bennett's bound h(x) >= x^2 / (2 (1 +
+    x/3)) for nu m h(x) = reach, three Newton steps on h from there, times the mode and
+    plus it; below lambda = 1, at most reach / -ln lambda."""
+    last = reach / -log_lam if log_lam < 0.0 else math.inf
+    m = math.exp(log_lam / nu) if nu > 0.0 else 0.0
+    if m > 0.0:
+        c = reach / (nu * m)
+        x = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c)
+        for _ in range(3):
+            x = (x + c) / math.log1p(x) - 1.0
+        last = min(last, m * (1.0 + x))  # nan (c past float range) leaves the tail's
+    return last
+
+
 @settings(max_examples=150, deadline=None)
-@given(**SIZING)
-@example(log_lam=1.0, nu=1.0)  # ln Z(e, 1) = 2.718281828459045, the double nearest e
-@example(log_lam=math.log(0.8), nu=0.0)  # geometric tail: 101 terms double to 202
-def test_small_mode_is_the_old_ladder(log_lam, nu):
-    # a row whose mode plus its sized width is within base_terms starts at base_terms,
-    # unsized, and doubles from there until its tail test passes
+@given(log_lam=st.floats(-3.0, 4.5), nu=st.floats(0.0, 4.0), moments=st.booleans())
+@example(log_lam=1.0, nu=1.0, moments=False)  # 32 terms
+@example(log_lam=math.log(0.8), nu=0.0, moments=True)  # geometric: its tail reach alone
+@example(log_lam=math.log(0.8), nu=1e-4, moments=False)  # near-geometric
+@example(log_lam=math.log(30.0), nu=0.7, moments=True)
+def test_first_length_is_the_first_rung_past_the_reach(log_lam, nu, moments):
+    # a row's grid is the shortest rung of the ladder ceil(base_terms * 2^(i/4)) that
+    # holds the index the sizing rule reaches, R past the largest term (R + 16 with
+    # moments); the closed-form bound on the fall puts its last term that far down
+    assume(nu > 0.0 or log_lam < 0.0)
+    k = first_length(log_lam, nu, moments)
+    assume(0 < k < MAX_TERMS)
+    reach = MOMENT_REACH if moments else REACH
+    assert k == min(rung for rung in rungs(POLICY.base_terms)
+                    if rung >= math.floor(sizing_reach(log_lam, nu, reach)) + 2)
+    assert certified_fall(log_lam, nu, k - 1) >= reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_lam=st.floats(-3.0, 4.5), nu=st.floats(0.0, 4.0))
+@example(log_lam=math.log(0.7960590295147574), nu=1e-4)
+@example(log_lam=math.log(0.8), nu=0.01)
+@example(log_lam=math.log(0.592), nu=0.0)
+@example(log_lam=math.log(49.53397669883494), nu=1.0)
+def test_sized_grid_omits_less_than_an_ulp(log_lam, nu):
+    # the grid's last term is at most e^-R times its largest, and the terms past it
+    # (up to 4x its length, summed exactly) move ln Z by at most 1 ulp
+    assume(nu > 0.0 or log_lam < 0.0)
     t, log_z = sized_series(log_lam, nu)
-    assume(first_length(log_lam, nu) == POLICY.base_terms)
-    t_ref, log_z_ref = reference_ladder(log_lam, nu, POLICY)
-    assert np.array_equal(t, t_ref)
-    assert log_z == log_z_ref
+    assume(t.size < MAX_TERMS)
+    assert t[-1] - t.max() <= -REACH
+    j = np.arange(4 * t.size, dtype=np.float64)
+    shift = float(core._sizes(np.array([log_lam]), np.array([nu]), POLICY)[1][0])
+    w = np.exp(log_lam * j - nu * gammaln(j + 1.0) - shift)
+    assert math.fsum(w[t.size:]) / math.fsum(w) <= math.ulp(log_z)
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-30])
+def test_only_a_row_cut_at_the_cap_fails_the_tail_test(tail_tol):
+    # R is 53 ln 2 + 3, or -ln tail_tol + ln(MAX_TERMS - 1) + 3 where that is larger, so
+    # a row shorter than MAX_TERMS has a tail bound term * r / (1 - r) under tail_tol
+    # and is never nan; its series is summed once, at its sized length
+    rng = np.random.default_rng(0)
+    nu = np.exp(rng.uniform(math.log(1e-4), math.log(20.0), 4000))
+    nu[:400] = 0.0
+    log_lam = np.where(nu == 0.0, -np.exp(rng.uniform(-7.0, 3.0, nu.size)),
+                       rng.uniform(-8.0, 8.0, nu.size) * np.maximum(nu, 0.05))
+    for moments in (False, True):
+        log_z, _, k = series_arrays(log_lam, nu, TruncationPolicy(tail_tol=tail_tol), moments)
+        short = (k > 0) & (k < MAX_TERMS)
+        assert short.sum() > 3000
+        assert not np.isnan(log_z[short]).any()
 
 
 def test_base_grid_keeps_the_sizing_margin():
-    # lambda = 49.53 at nu = 1 has its mode within base_terms / 2, but 101 terms leave a
-    # tail just under tail_tol (ln Z was 9.6e-11 low): the grid reaches the mode plus
-    # the sized width, as a sized one does, and is summed over 202 terms
+    # lambda = 49.53 at nu = 1 had its mode within one 101-term block, whose tail was
+    # just under tail_tol (ln Z was 9.6e-11 low); its grid now reaches R past the mode
     lam = 49.53397669883494
-    assert first_length(math.log(lam), 1.0) == 2 * POLICY.base_terms
     assert log_normalizer(CmpParams(lam, 1.0), POLICY) == pytest.approx(lam, rel=1e-15)
 
 
@@ -296,13 +372,12 @@ def scalar_series(log_lam, nu, moments):
 @settings(max_examples=150, deadline=None)
 @given(points=st.lists(st.tuples(*SIZING.values()), min_size=1, max_size=6),
        moments=st.booleans())
-@example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 303 and 101 terms
+@example(points=[(math.log(30.0), 0.7), (1.0, 1.0)], moments=False)  # 305 and 32 terms
 @example(points=[(math.log(30.0), 0.7), (math.log(30.0), 0.7)], moments=True)
 @example(points=[(math.log(2.0), 1e-3), (1.0, 1.0)], moments=True)  # a row that cannot converge
-@example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric: 404 terms
-@example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1111 terms beside 101
-# 101 terms that fail the tail test re-enter at 202, beside rows sized to 202 (the
-# geometric one from its tail)
+@example(points=[(math.log(0.9), 0.0), (1.0, 1.0)], moments=True)  # geometric: 609 terms
+@example(points=[(2.99, 0.45), (3.96, 1.07)], moments=False)  # 1218 terms beside 108
+# near-geometric, mode-sized and geometric rows, each on its own rung
 @example(points=[(math.log(0.8), 1e-4), (math.log(20.0), 0.75), (math.log(0.8), 0.0)],
          moments=True)
 # largest-term bound nu * lambda^(1/nu) just under and just over 600: unshifted and shifted
@@ -313,8 +388,8 @@ def scalar_series(log_lam, nu, moments):
 # the near-cap row, shifted
 @example(points=[(50.0 * math.log(0.99 * MAX_TERMS), 50.0), (1.0, 1.0)], moments=True)
 def test_series_rows_match_each_series(points, moments):
-    # every row, of any length and however often it doubles, is its one-point
-    # series bit for bit: one routine sums both
+    # every row, of any length, is its one-point series bit for bit: one routine sums
+    # both
     got = series_rows(points, POLICY, moments)
     assert got == [scalar_series(log_lam, nu, moments) for log_lam, nu in points]
     assert got == [series_rows([point], POLICY, moments)[0] for point in points]
@@ -326,11 +401,14 @@ def test_series_rows_match_each_series(points, moments):
 # log1p of its weights past t_0 and base grids kept the sizing margin: ln Z moved by at
 # most 5 ulp (at (-2, 3), now 1 ulp from its 50-digit sum, 6 before), and each moment
 # sum by at most 3.0e-16 relative; (4.7, 0.4) is now sized to 202 terms, not doubled.
+# The moment sums were re-frozen when grids came to be sized to their ulp reach on the
+# 2^(1/4) ladder, with 16 more log-units for the moments: 14 of them moved, by at most
+# 1.65e-15 relative (at (2.5, e^-1)), and no ln Z moved. Lengths below: ln Z's (moments').
 PINNED_ROWS = {
-    (1.0, 1.0): (  # base: 101 terms
+    (1.0, 1.0): (  # 32 terms (39 with moments)
         "0x1.5bf0a8b145769p+1",
-        ["0x1.5bf0a8b14576ap+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4c0p+0",
-         "0x1.f1fbbf7925a9fp+2", "0x1.0bf884a5bbbb6p+3"]),
+        ["0x1.5bf0a8b145769p+1", "0x1.436f4ff2f84b0p+3", "0x1.e091817f1a4bfp+0",
+         "0x1.f1fbbf7925a9ep+2", "0x1.0bf884a5bbbb6p+3"]),
     (math.log(0.5), 0.5): (
         "0x1.1ccddbf31a5aap-1",
         ["0x1.3bfb63a2486d3p-1", "0x1.211db1a1574d4p+0", "0x1.40cb06ff5feddp-3",
@@ -339,30 +417,30 @@ PINNED_ROWS = {
         "0x1.0818519cb6888p-3",
         ["0x1.f7e0c8d87cf1bp-4", "0x1.044e7b9951f3ap-3", "0x1.726e05fd05c79p-10",
          "0x1.060309a1c6d41p-10", "0x1.74d10c705b172p-9"]),
-    (math.log(20.0), 0.75): (  # sized: mode 54, 202 terms
+    (math.log(20.0), 0.75): (  # mode 54: 153 terms (182)
         "0x1.4cb59b5c8cbbap+5",
         ["0x1.b3a5220eec471p+5", "0x1.7bb994d7a933dp+11", "0x1.4d9c1b804118dp+7",
          "0x1.c4eaf0e157e61p+14", "0x1.24ebd9ab22f7cp+13"]),
-    (math.log(30.0), 0.7): (  # sized: mode 129, 303 terms
+    (math.log(30.0), 0.7): (  # mode 129: 305 terms (305)
         "0x1.6d958f2054b46p+6",
-        ["0x1.022e942772250p+7", "0x1.07425a47de168p+14", "0x1.f66b5fd374732p+8",
-         "0x1.f58760e51e1cfp+17", "0x1.00d964840fc7fp+16"]),
-    (2.5, math.exp(-1.0)): (  # sized: mode 894
+        ["0x1.022e942772250p+7", "0x1.07425a47de167p+14", "0x1.f66b5fd374731p+8",
+         "0x1.f58760e51e1cep+17", "0x1.00d964840fc7ep+16"]),
+    (2.5, math.exp(-1.0)): (  # mode 894: 1449 terms (1723)
         "0x1.4c1cc952824e0p+8",
-        ["0x1.bf6dded86bff3p+9", "0x1.8830342c4a60fp+19", "0x1.448dea3b44cf0p+12",
-         "0x1.9d2e214447de3p+24", "0x1.1ca1a45046c9dp+22"]),
+        ["0x1.bf6dded86bff7p+9", "0x1.8830342c4a617p+19", "0x1.448dea3b44cf4p+12",
+         "0x1.9d2e214447defp+24", "0x1.1ca1a45046ca4p+22"]),
     (50.0 * math.log(0.99 * MAX_TERMS), 50.0): (  # sized near the cap, shifted
         "0x1.e321e6fb92dcdp+18",
         ["0x1.355c1478acae9p+13", "0x1.75d79c0a093d1p+26", "0x1.3d1fe46ae5eb4p+16",
          "0x1.88d84121a2ee4p+32", "0x1.7f39c8745b775p+29"]),
-    (math.log(4.7), 0.4): (  # sized: mode 48 plus its width passes 101, so 202 terms
+    (math.log(4.7), 0.4): (  # mode 48: 182 terms (216)
         "0x1.55304e2e294e5p+4",
         ["0x1.852894b699e7dp+5", "0x1.36c0f6aae0540p+11", "0x1.20d16aa997b18p+7",
          "0x1.62457c812509ep+14", "0x1.d430f2f8dfde7p+12"]),
-    (math.log(0.9), 0.0): (  # geometric: sized from its tail to 404 terms
+    (math.log(0.9), 0.0): (  # geometric, sized from its tail: 431 terms (609)
         "0x1.26bb1bbb55516p+1",
         ["0x1.1fffffffffffep+3", "0x1.55ffffffffffep+7", "0x1.0c82cc05aae30p+4",
-         "0x1.dc30a480c77afp+9", "0x1.880180a377f53p+8"]),
+         "0x1.dc30a480c77b7p+9", "0x1.880180a377f57p+8"]),
     (math.log(0.999), 0.0): None,  # sized to MAX_TERMS and still unconverged
     (math.log(2.0), 1e-3): None,  # term ratio >= 1 at the cap: refused before summing
     (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5): None,  # ratio just above 1 at the cap
@@ -412,6 +490,107 @@ def test_pins_are_near_50_digit_sums():
             assert off <= 8
         else:
             assert off <= 2
+
+
+# The five CmpMoments expectations at each summable pinned row and at (ln 0.8, 1e-4), to 50
+# digits from the same independent sums as LNZ_50_DIGITS (each g(j) weighed by the terms'
+# exp(t_j - ln Z)), and the most ulp any of a point's five was off before grids were
+# sized to their ulp reach (when each was a whole number of 101-term blocks).
+MOMENTS_50_DIGITS = {
+    (1.0, 1.0): (1, [
+        "2.7182818284590452353602874713526624977572470937",
+        "10.107337927389695462590714931927670310937562664252",
+        "1.8772202430066468576195204876195548983555700899007",
+        "7.7809904749944095614413330732398559552901176909803",
+        "8.3740866887072623665470706306495191038124413838581"]),
+    (math.log(0.5), 0.5): (1, [
+        "0.61715232234947797815941789608786266334946780009125",
+        "1.1293593424700718459711354617651606825117986798165",
+        "0.15663724390832716210021133787387752385385082229015",
+        "0.27467534522253641091977423142698269275117483764619",
+        "0.44807937049433638467470353941673559943141777624795"]),
+    (-2.0, 3.0): (2, [
+        "0.12301710563025061589158618767497455637180047097007",
+        "0.12710281907697567558372554032243012632970033741271",
+        "0.0014130774645815513820816498951608835802737274703152",
+        "0.00099949594773003681859128289482885279105673166321505",
+        "0.0028443648990814031559046815552628280512948992854949"]),
+    (math.log(20.0), 0.75): (5, [
+        "54.455631367288252825904585815058177201802543367936",
+        "3037.7994192414041330464603829960733644455119920267",
+        "166.80489731592801042688911521778072765593436704052",
+        "28986.735234616695073744978524423269563288397380374",
+        "9373.4812834484032876857438683098635439158920239756"]),
+    (math.log(30.0), 0.7): (29, [
+        "129.09097407596960814615043513850988740457953356862",
+        "16848.588164777918074858004911378877836153134175539",
+        "502.4194309386549503053660154969756768766973637693",
+        "256782.75699211598739758440000900977554410803204421",
+        "65753.392640100986505522333692313419314639033199329"]),
+    (2.5, math.exp(-1.0)): (5, [
+        "894.85836320184071095902093772826850521872781467249",
+        "803201.63040656082471082826161296396460515786840241",
+        "5192.8696854293659783875312995957389324768056870799",
+        "27078177.266721628668178455429101358152968744555875",
+        "4663401.0783950396686080761183734173049162973950394"]),
+    (50.0 * math.log(0.99 * MAX_TERMS), 50.0): (790, [
+        "9899.5099957929149444041205211522426771139760479957",
+        "98000496.156803923001892370254966623633145232685414",
+        "81183.892256131270288608494786995011685848608261043",
+        "6590841121.6356943329488114234802470786438295788775",
+        "803682574.54457445815431836782565865092054708791626"]),
+    (math.log(4.7), 0.4): (4, [
+        "48.644814898082593397552652451097043420329232565701",
+        "2486.0301107770362345887109605407197926016386774857",
+        "144.40901689507228574621517918375157419407498353746",
+        "22673.371586397868402721435135240772403374745848214",
+        "7491.0593193764565252311230107313118673201107836943"]),
+    (math.log(0.9), 0.0): (13, [
+        "9.0000000000000017875326233757137897394004872165419",
+        "171.00000000000006613870706490141661090357729193493",
+        "16.781932851923732914342334638411113818140358073718",
+        "952.38002023449330511058700768100950000035122001599",
+        "392.0058691184873643733790853336207337567063098683"]),
+    (math.log(0.8), 1e-4): (3, [
+        "3.9961280386975161786116082701884983198365732124708",
+        "35.925517594773944886537954865596825353728320225258",
+        "5.0098634298993514519742013189673483341840958243462",
+        "105.4171620203636447235879907398563912684793607474",
+        "58.68654127838797149774495711928957097798442586049"]),
+}
+
+
+def test_moment_sums_are_near_50_digit_sums():
+    # a moment grid too short shows as sums further off than the same sums over 4x the
+    # grid (without the moment reach's 16 log-units, E((ln X!)^2) at (ln 0.8, 1e-4) was
+    # 92 ulp off, against 1 over 4x its grid); the rest is the rounding of the log terms,
+    # which no grid length removes and whose summation order moves each sum by a few ulp
+    summable = {p for p, frozen in PINNED_ROWS.items() if frozen is not None}
+    assert set(MOMENTS_50_DIGITS) == summable | {(math.log(0.8), 1e-4)}
+    for (log_lam, nu), (before, digits) in MOMENTS_50_DIGITS.items():
+        point = (np.array([log_lam]), np.array([nu]))
+        _, sums, k = series_arrays(*point, POLICY, moments=True)
+        longer = TruncationPolicy(base_terms=min(4 * int(k[0]), MAX_TERMS))
+        _, longer_sums, _ = series_arrays(*point, longer, moments=True)
+        for got, at_4x, ref in zip(sums[0], longer_sums[0], map(float, digits)):
+            off = abs(got - ref) / math.ulp(ref)
+            assert off <= abs(at_4x - ref) / math.ulp(ref) + 2, (log_lam, nu)
+            assert off <= before + 4, (log_lam, nu)
+
+
+# ln Z to 50 digits, from the same independent sums, at two near-geometric rows: their
+# term mode lambda^(1/nu) is near 0, and one 101-term block used to pass the tail test
+# with ln Z 6.0e-11 and 2.3e-12 relative low
+NEAR_GEOMETRIC_LNZ = {
+    (0.7960590295147574, 1e-4): "1.5894419025855050138301914539257657581536181313082",
+    (0.8, 0.01): "1.5628981549359581818699193538486343054619240076277",
+}
+
+
+@pytest.mark.parametrize("lam, nu", list(NEAR_GEOMETRIC_LNZ))
+def test_near_geometric_rows_are_summed_to_the_ulp(lam, nu):
+    ref = float(NEAR_GEOMETRIC_LNZ[lam, nu])
+    assert abs(log_normalizer(CmpParams(lam, nu), POLICY) - ref) <= 2 * math.ulp(ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -662,8 +841,9 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
 def test_one_series_per_target_evaluation(monkeypatch, prior):
     # the mode search sums one row per point (nine for the Jeffreys stencil); then
     # each chain's proposals inside the support (fewer than mcmc._CHUNK) are summed
-    # in one call: its rows' lengths once each, shortest first, a row that fails its
-    # tail test re-entering at double length; and no one-point series runs
+    # in one call, each row once over the grid it was sized to and each length's
+    # grids formed once, shortest first: no row is summed again at a longer length;
+    # and no one-point series runs
     calls = proposals_of(monkeypatch)
     sizes, grids = [], []
     series, tables = mcmc.series_arrays, core._tables
@@ -672,12 +852,10 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
         sizes.append(log_lam.size)
         grids.clear()
         out = series(log_lam, nu, policy, moments)
-        ladders = [[k] if k else [] for k in core._sizes(log_lam, nu, policy)[0].tolist()]
-        for lengths, last in zip(ladders, out[2].tolist()):
-            while lengths and lengths[-1] < last:
-                lengths.append(min(2 * lengths[-1], MAX_TERMS))
-        assert grids == sorted({k for lengths in ladders for k in lengths})
-        sizes.append(sum(len(lengths) > 1 for lengths in ladders))
+        sized = core._sizes(log_lam, nu, policy, moments)[0]
+        assert np.array_equal(out[2], sized)
+        assert not np.isnan(out[0][(sized > 0) & (sized < MAX_TERMS)]).any()
+        assert grids == sorted(set(sized[sized > 0].tolist()))
         return out
 
     monkeypatch.setattr(mcmc, "series_arrays", counted)
@@ -686,14 +864,46 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     d = run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300),
                    SeedSpec(3))
-    summed, doubled = sizes[-4::2], sizes[-3::2]
     outside = [int((nu < NU_FLOOR).sum()) for _, nu in calls[-2:]]
     assert [u.size for u, _ in calls[-2:]] == [800, 800]
-    assert summed == [800 - n for n in outside]
+    assert sizes[-2:] == [800 - n for n in outside]
     assert (np.array(outside) >= d.rejections["outside_support"]).all()
     assert d.rejections["outside_support"].sum() > 0
-    assert sum(doubled) > 0
-    assert max(sizes[:-4:2]) <= (9 if prior == "jeffreys" else 1)
+    assert max(sizes[:-2]) <= (9 if prior == "jeffreys" else 1)
+
+
+def test_no_weight_leaves_the_normal_range():
+    # numpy's SIMD exp leaves its fast path for any vector holding an input below
+    # ln(DBL_MIN) = -708.4 (subnormal or zero results), so no grid a fit sums may reach
+    # that far: a row's log terms, less its shift, are unimodal, so the least is at
+    # j = 0 or at the grid's last term. Rows of hungarian-words and slovak-poem need only
+    # a few dozen terms; one 101-term block reached below -1 397 there.
+    series = mcmc.series_arrays
+    lengths, least = [], []
+
+    def recorded(log_lam, nu, policy, moments=False):
+        out = series(log_lam, nu, policy, moments)
+        k = out[2]
+        summed = k > 0
+        j = k[summed] - 1
+        shift = core._sizes(log_lam, nu, policy)[1][summed]
+        last = log_lam[summed] * j - nu[summed] * core._LGAMMA[j] - shift
+        lengths.append(k[summed])
+        least.append(np.minimum(last, -shift))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcmc, "series_arrays", recorded)
+        for name in ("textile-faults", "slovak-poem", "crab-satellites", "hungarian-words"):
+            stats = sufficient_stats(bundled_dataset(name).counts)
+            for prior in ("conj-1", "flat", "jeffreys"):
+                lengths.clear()
+                least.clear()
+                run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=200, keep=200),
+                           SeedSpec(1))
+                assert np.concatenate(least).min() >= math.log(np.finfo(float).tiny), (name, prior)
+                if name in ("hungarian-words", "slovak-poem"):
+                    assert np.concatenate(lengths).mean() <= 32, (name, prior)
 
 
 @pytest.mark.parametrize("chunk, cells", [(97, 1_000), (1 << 20, 1 << 20)])

@@ -2,7 +2,8 @@
 
 Every subcommand that consumes randomness takes --seed (and --stream), and a
 run with the same arguments reproduces its output byte for byte. JSON is the
-machine format; text output is meant for eyeballing.
+machine format; text output is meant for eyeballing. A fit's report reads its
+diagnostics from its Draws. A path that cannot be read or written exits 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -45,26 +46,16 @@ DIVERGENCE_WARN_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything needed to reproduce and read one posterior fit."""
+    """Everything needed to reproduce and read one fit; it reads the diagnostics from its Draws."""
 
     dataset: str
     n: int
     prior: str
     summary: PosteriorSummary
-    accept_rate: tuple[float, ...]
-    divergences: tuple[int, ...]
+    draws: Draws
     config: McmcConfig
     policy: TruncationPolicy
     seed: SeedSpec
-    # per reason of priors.REJECTIONS, each chain's rejected kept proposals, and warmup ones
-    rejections: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    warmup_rejections: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    pareto_k: float = math.nan
-    # the proposal (see Draws): its centre (ln lambda, nu) and (c00, c10, c11)
-    proposal_centre: tuple[float, ...] = ()
-    proposal_cholesky: tuple[float, ...] = ()
-    # how the search for the proposal's centre ended (see mcmc.ModeSearch)
-    mode_search: dict = field(default_factory=dict)
 
     @property
     def divergence_warning(self) -> bool:
@@ -73,9 +64,11 @@ class FitReport:
         Divergences are the numerical rejections; a proposal outside the
         support (nu below the floor) is not one.
         """
-        return sum(self.divergences) / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
+        divergent = int(self.draws.divergences.sum())
+        return divergent / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
 
     def to_dict(self) -> dict:
+        draws = self.draws
         return {
             "dataset": self.dataset,
             "n": self.n,
@@ -83,16 +76,17 @@ class FitReport:
             "lambda": asdict(self.summary.lam),
             "nu": asdict(self.summary.nu),
             "n_kept": self.summary.n_kept,
-            "accept_rate": list(self.accept_rate),
-            "divergences": list(self.divergences),
+            "accept_rate": draws.accept_rate.tolist(),
+            "divergences": draws.divergences.tolist(),
             "divergence_warning": self.divergence_warning,
-            "rejections": {reason: list(counts) for reason, counts in self.rejections.items()},
-            "warmup_rejections": {reason: list(counts)
-                                  for reason, counts in self.warmup_rejections.items()},
-            "pareto_k": self.pareto_k,
-            "proposal_centre": list(self.proposal_centre),
-            "proposal_cholesky": list(self.proposal_cholesky),
-            "mode_search": dict(self.mode_search),
+            "rejections": {reason: counts.tolist()
+                           for reason, counts in draws.rejections.items()},
+            "warmup_rejections": {reason: counts.tolist()
+                                  for reason, counts in draws.warmup_rejections.items()},
+            "pareto_k": draws.pareto_k,
+            "proposal_centre": draws.proposal_centre.tolist(),
+            "proposal_cholesky": draws.proposal_cholesky.tolist(),
+            "mode_search": asdict(draws.mode_search),
             "config": asdict(self.config),
             "truncation": asdict(self.policy),
             "seed": asdict(self.seed),
@@ -102,6 +96,7 @@ class FitReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
+        draws = self.draws
         lines = [
             f"dataset: {self.dataset} (n = {self.n})",
             f"prior: {self.prior}",
@@ -112,20 +107,17 @@ class FitReport:
             cri = f"({ps.cri_low:.3f}, {ps.cri_high:.3f})"
             lines.append(f"{name:<11}{ps.median:>9.3f}  {cri:<22}{ps.rhat:>7.3f}")
         lines.append(
-            "acceptance per chain: " + " ".join(f"{a:.2f}" for a in self.accept_rate)
+            "acceptance per chain: " + " ".join(f"{a:.2f}" for a in draws.accept_rate)
         )
-        for phase, counts_by_reason in (("", self.rejections),
-                                        ("warmup ", self.warmup_rejections)):
+        for phase, counts_by_reason in (("", draws.rejections),
+                                        ("warmup ", draws.warmup_rejections)):
             lines.append(f"rejected {phase}proposals: " + ", ".join(
-                f"{reason} {sum(counts)}" for reason, counts in counts_by_reason.items()))
-        if self.mode_search:
-            search = self.mode_search
-            lines.append(f"mode search: {search['iterations']} Newton steps, decrement "
-                         f"{search['decrement']:.2g}"
-                         + (", on the nu floor" if search["on_floor"] else ""))
-        lines.append(f"Pareto k-hat of the proposal: {self.pareto_k:.2f}")
-        total = sum(self.divergences)
-        lines.append(f"divergent proposals: {total} / {self.summary.n_kept}")
+                f"{reason} {counts.sum()}" for reason, counts in counts_by_reason.items()))
+        search = draws.mode_search
+        lines.append(f"mode search: {search.iterations} Newton steps, decrement "
+                     f"{search.decrement:.2g}" + (", on the nu floor" if search.on_floor else ""))
+        lines.append(f"Pareto k-hat of the proposal: {draws.pareto_k:.2f}")
+        lines.append(f"divergent proposals: {draws.divergences.sum()} / {self.summary.n_kept}")
         if self.divergence_warning:
             lines.append(
                 f"WARNING: more than {DIVERGENCE_WARN_FRACTION:.0%} of proposals were "
@@ -143,31 +135,9 @@ def fit_command(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[FitReport, Draws]:
     """sufficient_stats -> run_chains -> summarize, packaged as a FitReport."""
-    stats = sufficient_stats(dataset.counts)
-    draws = run_chains(spec, stats, config, seed, policy)
-    summary = summarize(draws)
-    return (
-        FitReport(
-            dataset=dataset.name,
-            n=dataset.n,
-            prior=prior_name,
-            summary=summary,
-            accept_rate=tuple(float(a) for a in draws.accept_rate),
-            divergences=tuple(int(d) for d in draws.divergences),
-            config=config,
-            policy=policy,
-            seed=seed,
-            rejections={reason: tuple(counts.tolist())
-                        for reason, counts in draws.rejections.items()},
-            warmup_rejections={reason: tuple(counts.tolist())
-                               for reason, counts in draws.warmup_rejections.items()},
-            pareto_k=draws.pareto_k,
-            proposal_centre=tuple(draws.proposal_centre.tolist()),
-            proposal_cholesky=tuple(draws.proposal_cholesky.tolist()),
-            mode_search=asdict(draws.mode_search),
-        ),
-        draws,
-    )
+    draws = run_chains(spec, sufficient_stats(dataset.counts), config, seed, policy)
+    return FitReport(dataset.name, dataset.n, prior_name, summarize(draws), draws,
+                     config, policy, seed), draws
 
 
 def check_prior_text(a: float, b: float, c: float) -> tuple[str, bool]:
@@ -366,7 +336,7 @@ def main(argv=None) -> int:
     except ImproperPosteriorError as exc:
         print(f"error: improper posterior: {exc}", file=sys.stderr)
         return 2
-    except (CmpError, FileNotFoundError, KeyError) as exc:
+    except (CmpError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

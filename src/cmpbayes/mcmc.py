@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -118,22 +117,28 @@ class ModeSearch:
 
 @dataclass(frozen=True)
 class Draws:
-    """Retained posterior draws on the natural scale, (chains x keep)."""
+    """One fit's retained draws on the natural scale, (chains x keep), and its diagnostics.
+
+    run_chains makes every Draws; cli.FitReport reports the diagnostics from here.
+    """
 
     lam: np.ndarray
     nu: np.ndarray
     accept_rate: np.ndarray  # per chain, post-warmup
-    divergences: np.ndarray  # per chain, post-warmup proposals rejected for a numerical reason
     # per chain, post-warmup proposals rejected for each reason of priors.REJECTIONS
-    rejections: Optional[dict[str, np.ndarray]] = None
-    # the same counts over the warmup proposals
-    warmup_rejections: Optional[dict[str, np.ndarray]] = None
-    pareto_k: float = math.nan  # of the importance ratios of all the fit's proposals
+    rejections: dict[str, np.ndarray]
+    warmup_rejections: dict[str, np.ndarray]  # the same counts over the warmup proposals
+    pareto_k: float  # of the importance ratios of all the fit's proposals
     # the proposal: a t whose centre is the mode (ln lambda, nu), and the lower
     # Cholesky factor L = [[c00, 0], [c10, c11]] of its scale matrix as (c00, c10, c11)
-    proposal_centre: Optional[np.ndarray] = None
-    proposal_cholesky: Optional[np.ndarray] = None
-    mode_search: Optional[ModeSearch] = None  # how the search for the centre ended
+    proposal_centre: np.ndarray
+    proposal_cholesky: np.ndarray
+    mode_search: ModeSearch  # how the search for the centre ended
+
+    @property
+    def divergences(self) -> np.ndarray:
+        """Per chain, the post-warmup proposals rejected for a numerical reason."""
+        return sum(self.rejections[REJECTIONS[code - 1]] for code in _NUMERICAL)
 
     @property
     def n_kept(self) -> int:
@@ -414,7 +419,6 @@ def run_chains(
     if bool((kept_rejected[:, 1:].sum(axis=1) >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     return Draws(lam=np.array(lam), nu=np.array(nus), accept_rate=np.array(accept_rate),
-                 divergences=kept_rejected[:, _NUMERICAL].sum(axis=1),
                  rejections={r: kept_rejected[:, i + 1] for i, r in enumerate(REJECTIONS)},
                  warmup_rejections={r: warmup_rejected[:, i + 1]
                                     for i, r in enumerate(REJECTIONS)},

@@ -96,8 +96,9 @@ class TestLogNormalizer:
 
     @pytest.mark.parametrize("lam, nu", list(LNZ_SIZED))
     def test_sized_series_oracle(self, lam, nu):
-        # a sized grid ends in a whole base_terms block, past the mode-plus-width
-        # length, so its omitted tail is far below one ulp of ln Z
+        # a sized grid ends at the first length-ladder rung past the row's reach, where
+        # its terms have fallen 53 ln 2 + 3 log-units, so its omitted tail is far below
+        # one ulp of ln Z
         assert_allclose(log_normalizer(CmpParams(lam, nu)), LNZ_SIZED[lam, nu], rtol=1e-14)
 
     def test_truncation_not_converged(self):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from cmpbayes import (
     TruncationPolicy,
     bundled_dataset,
     core,
+    get_preset,
     load_dataset,
     log_pmf,
     resolve_dataset,
     sufficient_stats,
 )
-from cmpbayes.cli import FitReport, main
+from cmpbayes.cli import FitReport, fit_command, main
 from cmpbayes.datasets import DATA_DIR_ENV, parse_counts
-from cmpbayes.mcmc import ParamSummary, PosteriorSummary
+from cmpbayes.mcmc import Draws, ModeSearch, ParamSummary, PosteriorSummary
 
 # Ingestion-time sufficient statistics of the bundled data, frozen.
 GOLDEN_STATS = {
@@ -179,18 +181,57 @@ class TestCli:
     @pytest.mark.parametrize("divergences, warning", [((20, 20, 20, 20), False),
                                                       ((20, 20, 20, 21), True)])
     def test_divergence_warning_from_counts(self, divergences, warning):
+        # the counts are split between truncation and overflow; the 500 proposals per
+        # chain outside the support are rejections but not divergences
+        truncation = np.array([10, 10, 10, 10])
+        zeros = np.zeros(4, dtype=np.int64)
+        rejections = {"outside_support": np.full(4, 500), "truncation": truncation,
+                      "jeffreys_det": zeros, "overflow": np.array(divergences) - truncation}
+        draws = Draws(lam=np.ones((4, 2000)), nu=np.ones((4, 2000)),
+                      accept_rate=np.full(4, 0.3), rejections=rejections,
+                      warmup_rejections={reason: zeros for reason in rejections},
+                      pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
+                      proposal_cholesky=np.array([0.1, 0.0, 0.1]),
+                      mode_search=ModeSearch(iterations=5, decrement=1e-21, on_floor=False))
         ps = ParamSummary(median=1.0, cri_low=0.5, cri_high=2.0, rhat=1.0)
         report = FitReport(
             dataset="d", n=10, prior="conj-1",
-            summary=PosteriorSummary(lam=ps, nu=ps, n_kept=8000),
-            accept_rate=(0.3,) * 4, divergences=divergences,
+            summary=PosteriorSummary(lam=ps, nu=ps, n_kept=8000), draws=draws,
             config=McmcConfig(), policy=TruncationPolicy(), seed=SeedSpec(0))
         assert report.divergence_warning is warning
+        assert report.to_dict()["divergences"] == list(divergences)
         assert report.to_dict()["divergence_warning"] is warning
         text = report.to_text()
         assert f"divergent proposals: {sum(divergences)} / 8000\n" in text
         assert text.endswith("WARNING: more than 1% of proposals were divergent; "
                              "treat this posterior with suspicion\n") is warning
+
+    def test_report_reads_its_draws(self):
+        report, draws = fit_command(bundled_dataset("textile-faults"), "jeffreys",
+                                    get_preset("jeffreys"),
+                                    McmcConfig(chains=2, warmup=200, keep=200), SeedSpec(1))
+        assert report.draws is draws
+        fit = json.loads(report.to_json())
+        assert fit == report.to_dict()  # every value is plain JSON
+        assert fit["n_kept"] == draws.n_kept == 400
+        assert fit["accept_rate"] == draws.accept_rate.tolist()
+        for key in ("rejections", "warmup_rejections"):
+            assert fit[key] == {reason: counts.tolist()
+                                for reason, counts in getattr(draws, key).items()}
+        assert fit["pareto_k"] == draws.pareto_k
+        assert fit["proposal_centre"] == draws.proposal_centre.tolist()
+        assert fit["proposal_cholesky"] == draws.proposal_cholesky.tolist()
+        assert fit["mode_search"] == asdict(draws.mode_search)
+        numerical = ("truncation", "jeffreys_det", "overflow")
+        assert fit["divergences"] == draws.divergences.tolist() == [
+            sum(fit["rejections"][reason][chain] for reason in numerical) for chain in (0, 1)]
+        text = report.to_text()
+        search = draws.mode_search
+        assert (f"\nmode search: {search.iterations} Newton steps, "
+                f"decrement {search.decrement:.2g}\n") in text
+        warmup = ", ".join(f"{reason} {counts.sum()}"
+                           for reason, counts in draws.warmup_rejections.items())
+        assert f"\nrejected warmup proposals: {warmup}\n" in text
 
     def test_fit_json_reproducible(self, tmp_path, capsys):
         args = ["fit", "textile-faults", "--prior", "conj-1", "--chains", "2",
@@ -317,6 +358,21 @@ class TestCli:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "setting,parameter,n,prior,bias,mse,coverage,n_failed"
         assert len(lines) == 3  # lambda and nu rows
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "textile-faults", "--chains", "2", "--warmup", "200", "--keep", "200",
+         "--out"],
+        ["fit", "textile-faults", "--chains", "2", "--warmup", "200", "--keep", "200",
+         "--draws-csv"],
+        ["pmf", "--lam", "4", "--nu", "1", "--out"],
+        ["study", "--settings", "equi:3:1", "--sizes", "20", "--replicates", "1",
+         "--priors", "conj-1", "--chains", "2", "--warmup", "200", "--keep", "100",
+         "--progress"],
+    ], ids=["fit-out", "fit-draws-csv", "pmf-out", "study-progress"])
+    def test_directory_path_exit_code(self, tmp_path, capsys, argv):
+        # a directory where a file is to be written is an error line, not a traceback
+        assert main([*argv, str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
     def test_rand_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "draws.txt"

@@ -30,7 +30,8 @@ from cmpbayes import (
     summarize,
     updated_hyper,
 )
-from cmpbayes.mcmc import NU_FLOOR, _split_rhat_matrix, pareto_khat
+from cmpbayes.mcmc import NU_FLOOR, ModeSearch, _split_rhat_matrix, pareto_khat
+from cmpbayes.priors import REJECTIONS
 
 FAST = McmcConfig(chains=2, warmup=500, keep=300)
 
@@ -38,9 +39,12 @@ FAST = McmcConfig(chains=2, warmup=500, keep=300)
 def make_draws(lam, nu=None):
     lam = np.asarray(lam, dtype=float)
     nu = lam.copy() if nu is None else np.asarray(nu, dtype=float)
-    n_chains = lam.shape[0]
-    return Draws(lam=lam, nu=nu, accept_rate=np.full(n_chains, 0.3),
-                 divergences=np.zeros(n_chains, dtype=np.int64))
+    zeros = np.zeros(lam.shape[0], dtype=np.int64)
+    counts = {reason: zeros for reason in REJECTIONS}
+    return Draws(lam=lam, nu=nu, accept_rate=np.full(lam.shape[0], 0.3), rejections=counts,
+                 warmup_rejections=counts, pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
+                 proposal_cholesky=np.array([0.1, 0.0, 0.1]),
+                 mode_search=ModeSearch(iterations=5, decrement=0.0, on_floor=False))
 
 
 def pinned_fit(prior, warmup, accepted, divergences, counts=None, outside=None):

@@ -183,7 +183,8 @@ def _tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _MOMENT_TABLE[0:3:2, :k], _MOMENT_TABLE[:, :k]
 
 
-def _truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
+def truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> TruncationError:
+    """The error for a series at (ln lambda, nu) that cannot be summed."""
     return TruncationError(
         f"normalizing series for (ln lambda={log_lam}, nu={nu}) did not "
         f"converge within {MAX_TERMS} terms (tail_tol={policy.tail_tol})"
@@ -342,7 +343,7 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool =
     """
     log_z, sums, k = series_arrays(np.array([log_lam]), np.array([nu]), policy, moments)
     if math.isnan(log_z[0]):
-        raise _truncation_error(log_lam, nu, policy)
+        raise truncation_error(log_lam, nu, policy)
     if moments:
         return sums[0].tolist(), float(log_z[0])
     t = np.einsum("ib,ik->bk", ([log_lam], [-nu]), _MOMENT_TABLE[0:3:2, :k[0]])[0]
@@ -356,7 +357,12 @@ def log_normalizer_at(log_lam: float, nu: float,
 
 
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """ln Z(lambda, nu) via log-sum-exp over the mode-sized truncation grid."""
+    """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder.
+
+    ln Z = log1p(sum of the unshifted weights past t_0 = 0); the rare point
+    whose largest term may pass _MAX_UNSHIFTED is summed with its weights
+    shifted by that term (see series_arrays).
+    """
     return log_normalizer_at(math.log(params.lam), params.nu, policy)
 
 

@@ -42,7 +42,7 @@ class ImproperPosteriorError(CmpError, ValueError):
 
 
 class AllDivergentError(CmpError, RuntimeError):
-    """Every proposal (or every initialization attempt) hit a non-finite target."""
+    """Every post-warmup proposal of every chain was rejected: outside the support or non-finite."""
 
 
 class ModeNotFoundError(AllDivergentError):

@@ -1,16 +1,17 @@
 """Posterior sampling by independence Metropolis-Hastings from a Laplace fit, with diagnostics.
 
 Chains move on (u, nu) = (ln lambda, nu): the Jacobian of lambda = e^u adds
-u alone to the target, the posterior's log kernel (posterior.kernel_series).
+u alone to the target, the posterior's log kernel, whose rows
+posterior.log_kernel evaluates with one series call per batch of points.
 Every posterior is the conjugate kernel at some (a, b, c)
 (posterior.conjugate_form), so with the Jacobian the target is
 a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
 under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
--c Cov(X, -ln X!) are the moments core.series_arrays sums with ln Z; J's are
-central differences on a 3 x 3 stencil summed in the same call. A Newton
-search from (ln max(xbar, 0.5), 1) finds the mode on nu >= NU_FLOOR, with one
-series call per point it visits: the point's own row, through the posterior's
-kernel plus u, gives the target's value there, and the moment sums its
+-c Cov(X, -ln X!) are the moment sums the kernel's rows return beside their
+values; J's are central differences on a 3 x 3 stencil evaluated in the same
+call. A Newton search from (ln max(xbar, 0.5), 1) finds the mode on
+nu >= NU_FLOOR, with one series call per point it visits: the point's own
+row plus u gives the target's value there, and its moment sums the target's
 gradient and Hessian. Each step is Newton's, with the Hessian's eigenvalues
 made negative so that it ascends, and stops on the floor where it would cross
 it; on the floor, where the target still rises toward lower nu
@@ -33,7 +34,7 @@ precision (Tierney 1994; Rue, Martino & Chopin 2009). Proposals do not depend on
 state, so each chain draws them all first from its own Philox stream, in this
 order: every step's pair of normals, then every step's chi-square(_DF) for
 the t scale, then one uniform per step. Its proposals are then evaluated
-_CHUNK at a time, each chunk in one call of the target (which
+_CHUNK at a time, each chunk in one call of the target (whose rows
 core.series_arrays sums in grids of at most core._MAX_CELLS cells) followed
 by a float-only accept scan: a chain starts at the mode, and proposal i
 replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, DEFAULT_POLICY, series_arrays
+from .core import TruncationPolicy, DEFAULT_POLICY
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
@@ -66,8 +67,8 @@ from .errors import (
     ModeNotFoundError,
     ZeroVarianceError,
 )
-from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriety,
-                        kernel_series, updated_hyper)
+from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriety, log_kernel,
+                        updated_hyper)
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
 from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, Conjugate,
                      Flat, Jeffreys, PriorSpec, conjugate_propriety, scaled_information_det)
@@ -199,20 +200,16 @@ def _make_target(spec, stats, policy):
     row (0 where finite). Points outside the support (_inside) are
     outside_support and never reach the series.
     """
-    kernel, moments = kernel_series(spec, stats)
+    rows = log_kernel(spec, stats, policy)
 
     def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(u.size, -math.inf)
         reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
         inside = np.flatnonzero(_inside(u, nu))
         if inside.size:
-            u_in, nu_in = u[inside], nu[inside]
-            log_z = sums = None
-            if moments is not None:
-                log_z, sums, _ = series_arrays(u_in, nu_in, policy, moments)
-            kept, why = kernel(u_in, nu_in, log_z, sums)
+            u_in = u[inside]
+            kept, reasons[inside], _ = rows(u_in, nu[inside])
             values[inside] = kept + u_in
-            reasons[inside] = why
         return values, reasons
 
     return target
@@ -222,11 +219,11 @@ def _evaluator(spec, stats, policy):
     """The target at a point x = (u, nu) with its gradient and Hessian, from one series call.
 
     Returns (value, (gradient, Hessian)): the value is the target's, the
-    kernel at the point's own row plus u (-inf outside the support, where no
-    series is summed), and the derivatives are None where the value or they
-    are not finite.
+    posterior's log kernel at the point's own row plus u (-inf outside the
+    support, where no series is summed), and the derivatives are None where
+    the value or they are not finite.
     """
-    kernel, _ = kernel_series(spec, stats)
+    rows = log_kernel(spec, stats, policy)
     a, b, c = conjugate_form(spec, stats)
     jeffreys = isinstance(spec, Jeffreys)
 
@@ -240,12 +237,12 @@ def _evaluator(spec, stats, policy):
             us, nus = np.repeat(u + du * offsets, 3), np.tile(nu + dn * offsets, 3)
         else:
             us, nus = np.array([u]), np.array([nu])
-        log_z, sums, _ = series_arrays(us, nus, policy, moments=True)
-        at = slice(us.size // 2, us.size // 2 + 1)  # the point's own row
-        value = float(kernel(us[at], nus[at], log_z[at], sums[at])[0][0] + u)
+        values, _, sums = rows(us, nus, moments=True)
+        at = us.size // 2  # the point's own row
+        value = float(values[at] + u)
         if not math.isfinite(value):  # no derivative arithmetic on inf or nan
             return value, None
-        e_x, e_x2, e_g, e_g2, e_xg = sums[at][0]
+        e_x, e_x2, e_g, e_g2, e_xg = sums[at]
         var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
         grad = np.array([a - c * e_x, c * e_g - b])
         hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])

@@ -2,33 +2,32 @@
 
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
-SufficientStats. Every posterior is one log kernel in (ln lambda, nu), a
-formula over many points and their ln Z series (kernel_series), and the prior
-is the posterior of no data. Under a conjugate prior it is the conjugate
-kernel at the shifted hyperparameters (a + S1, b + S2, c + n); under the flat
-prior it is the conjugate kernel at (S1, S2, n), which is proper exactly when
-those values satisfy the conjugate propriety condition; under Jeffreys it is
-the conjugate kernel at (S1, S2, n) plus the Jeffreys log density
-(conjugate_form gives (a, b, c)). The sampler hands the kernel arrays of a
-fit's proposals and the series core.series_arrays summed for them;
-log_posterior and log_prior_density hand it one point and its one-point
-series.
+SufficientStats, and the prior is the posterior of no data. Every posterior
+is the conjugate kernel (a - 1)*ln(lambda) - b*nu - c*ln Z at some (a, b, c)
+(conjugate_form): at the shifted hyperparameters (a + S1, b + S2, c + n)
+under a conjugate prior, and at (S1, S2, n) under the flat prior, which is
+proper exactly when those values satisfy the conjugate propriety condition,
+and under Jeffreys, which adds the Jeffreys log density. log_kernel binds a
+posterior to that one formula over many points: it sums the points' series
+(core.series_arrays) and evaluates the formula on them in array operations.
+The sampler hands it a fit's proposals and its mode search's stencils;
+log_posterior and log_prior_density hand it one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer_at
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, truncation_error, series_arrays
 from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
-from .errors import EmptyDataError, InvalidParamsError
-from .priors import Conjugate, ConjugateHyper, Flat, Jeffreys, PriorSpec, conjugate_propriety
-from .priors import RowKernel, conjugate_log_kernel, jeffreys_log_kernel, jeffreys_series
+from .errors import EmptyDataError, InvalidParamsError, NonpositiveDeterminantError
+from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
+                     Jeffreys, PriorSpec, conjugate_propriety, scaled_information_det)
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
@@ -113,19 +112,48 @@ def _as_float(count: int) -> float:
         return math.inf
 
 
-def kernel_series(spec: PriorSpec, stats: SufficientStats) -> tuple[RowKernel, Optional[bool]]:
-    """The unnormalized log posterior as a formula over rows, and the series it reads.
+def log_kernel(spec: PriorSpec, stats: SufficientStats,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> Callable:
+    """The unnormalized log posterior as a formula over rows: rows(log_lam, nu, moments=False).
 
-    The formula maps arrays of the rows' ln lambda and nu and their series to
-    their values, -inf where it is undefined, and the reasons (see priors).
-    The flag is core.series_arrays' moments argument: True where the formula
-    reads the moment sums and ln Z (Jeffreys), False where it reads ln Z, and
-    None where it reads no series (the flat prior of no data).
+    rows takes float arrays of the rows' ln lambda and nu (nu > 0 under
+    Jeffreys, unvalidated) and returns (values, reasons, sums): each row's
+    (a - 1)*ln(lambda) - b*nu - c*ln Z at conjugate_form's (a, b, c), plus
+    0.5 * ln(lambda^2 * information determinant) under Jeffreys; a REJECTIONS
+    code per row (see priors), 0 where the value is finite; and the rows'
+    moment sums as core.series_arrays gives them, summed under Jeffreys or
+    when asked, else None. It sums the rows' series in one call, and none for
+    the flat prior of no data. A row is -inf where its series could not be
+    summed (truncation), where the determinant is not positive and finite
+    (jeffreys_det: the density is undefined there, nothing is clamped) and
+    where the arithmetic overflows.
     """
     a, b, c = conjugate_form(spec, stats)
-    if isinstance(spec, Jeffreys):
-        return jeffreys_log_kernel(a, b, c), True
-    return conjugate_log_kernel(a, b, c), (False if c else None)
+    jeffreys = isinstance(spec, Jeffreys)
+    reads_z = jeffreys or c != 0.0  # all but the flat prior of no data
+
+    def rows(log_lam: np.ndarray, nu: np.ndarray, moments: bool = False):
+        moments = moments or jeffreys
+        log_z = sums = None
+        if reads_z or moments:
+            log_z, sums, _ = series_arrays(log_lam, nu, policy, moments)
+        reasons = np.zeros(log_lam.size, dtype=np.int8)
+        with np.errstate(all="ignore"):
+            if jeffreys:
+                det = scaled_information_det(*sums.T)
+                values = (0.5 * np.log(det) - log_lam) + (a * log_lam - nu * b - c * log_z)
+                reasons[~((det > 0.0) & np.isfinite(det))] = JEFFREYS_DET
+            else:
+                values = (a - 1.0) * log_lam - nu * b
+                if c != 0.0:
+                    values = values - c * log_z
+        if reads_z:
+            reasons[np.isnan(log_z)] = TRUNCATION
+        reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
+        values[reasons != 0] = -math.inf
+        return values, reasons, sums
+
+    return rows
 
 
 def log_posterior(
@@ -136,19 +164,20 @@ def log_posterior(
 ) -> float:
     """Unnormalized log posterior: log prior density plus log likelihood.
 
-    kernel_series' formula at one point, with that point's own series; -inf
-    where its arithmetic overflows. Raises TruncationError where the series
-    cannot be summed and, under Jeffreys, what priors.jeffreys_series raises.
+    log_kernel's formula at one point; -inf where its arithmetic overflows.
+    Raises TruncationError where the series cannot be summed and, under
+    Jeffreys, InvalidParamsError at nu <= 0 and NonpositiveDeterminantError
+    where the information determinant is not positive and finite.
     """
-    kernel, moments = kernel_series(spec, stats)
     log_lam, nu = math.log(params.lam), params.nu
-    log_z = sums = None
-    if moments:
-        row, z = jeffreys_series(log_lam, nu, policy)
-        log_z, sums = np.array([z]), np.array([row])
-    elif moments is not None:
-        log_z = np.array([log_normalizer_at(log_lam, nu, policy)])
-    values, _ = kernel(np.array([log_lam]), np.array([nu]), log_z, sums)
+    if isinstance(spec, Jeffreys) and nu <= 0.0:
+        raise InvalidParamsError("Jeffreys prior requires nu > 0")
+    values, reasons, _ = log_kernel(spec, stats, policy)(np.array([log_lam]), np.array([nu]))
+    if reasons[0] == TRUNCATION:
+        raise truncation_error(log_lam, nu, policy)
+    if reasons[0] == JEFFREYS_DET:
+        raise NonpositiveDeterminantError(
+            f"information determinant not positive at (ln lambda={log_lam}, nu={nu})")
     return float(values[0])
 
 

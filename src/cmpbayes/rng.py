@@ -31,7 +31,8 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not (0 <= v < _MAX_SEED):
+            # a float would be truncated to an integer stream, one another seed names too
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < _MAX_SEED):
                 raise InvalidParamsError(f"{name} must be a 64-bit unsigned integer, got {v}")
 
 

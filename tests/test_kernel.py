@@ -31,6 +31,7 @@ from cmpbayes import (
     mcmc,
     moments,
     pmf_table,
+    posterior,
     run_chains,
     sufficient_stats,
 )
@@ -846,7 +847,7 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
     # and no one-point series runs
     calls = proposals_of(monkeypatch)
     sizes, grids = [], []
-    series, tables = mcmc.series_arrays, core._tables
+    series, tables = posterior.series_arrays, core._tables
 
     def counted(log_lam, nu, policy, moments=False):
         sizes.append(log_lam.size)
@@ -858,7 +859,7 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
         assert grids == sorted(set(sized[sized > 0].tolist()))
         return out
 
-    monkeypatch.setattr(mcmc, "series_arrays", counted)
+    monkeypatch.setattr(posterior, "series_arrays", counted)
     monkeypatch.setattr(core, "_tables", lambda k: grids.append(k) or tables(k))
     monkeypatch.setattr(core, "_series", lambda *args: pytest.fail("a one-point series ran"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
@@ -878,7 +879,7 @@ def test_no_weight_leaves_the_normal_range():
     # that far: a row's log terms, less its shift, are unimodal, so the least is at
     # j = 0 or at the grid's last term. Rows of hungarian-words and slovak-poem need only
     # a few dozen terms; one 101-term block reached below -1 397 there.
-    series = mcmc.series_arrays
+    series = posterior.series_arrays
     lengths, least = [], []
 
     def recorded(log_lam, nu, policy, moments=False):
@@ -893,7 +894,7 @@ def test_no_weight_leaves_the_normal_range():
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mcmc, "series_arrays", recorded)
+        patch.setattr(posterior, "series_arrays", recorded)
         for name in ("textile-faults", "slovak-poem", "crab-satellites", "hungarian-words"):
             stats = sufficient_stats(bundled_dataset(name).counts)
             for prior in ("conj-1", "flat", "jeffreys"):
@@ -936,7 +937,7 @@ def test_chain_without_finite_start_raises(monkeypatch):
         sums = np.full((log_lam.size, 5), np.nan) if moments else None
         return rows, sums, np.zeros(log_lam.size, dtype=np.int64)
 
-    monkeypatch.setattr(mcmc, "series_arrays", nowhere_summable)
+    monkeypatch.setattr(posterior, "series_arrays", nowhere_summable)
     monkeypatch.setattr(mcmc, "make_generator", lambda *key: pytest.fail("a chain drew"))
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     with pytest.raises(ModeNotFoundError, match="^found no finite posterior mode"):

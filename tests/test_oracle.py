@@ -3,7 +3,7 @@
 A posterior in two parameters can be integrated on a grid (the idea behind INLA:
 Rue, Martino & Chopin 2009). Each reference here is the posterior density in
 (ln lambda, nu): its log kernel plus the Jacobian ln lambda, on the sampler's
-support nu >= NU_FLOOR, assembled here from posterior.kernel_series rather than by
+support nu >= NU_FLOOR, assembled here from posterior.log_kernel rather than by
 the sampler. It is integrated on 161 x 161 grids laid on the Laplace fit that the
 sampler's mode search finds. For each parameter, the grid's rows run along it over
 +-HALF_WIDTH standard deviations of the fit, and each row's points run along the
@@ -27,9 +27,10 @@ import pytest
 
 from cmpbayes import McmcConfig, SeedSpec, bundled_dataset, get_preset, mcmc, run_chains
 from cmpbayes import sufficient_stats
-from cmpbayes.core import DEFAULT_POLICY, series_arrays
+from cmpbayes import posterior
+from cmpbayes.core import DEFAULT_POLICY
 from cmpbayes.mcmc import _MODE_TOL, NU_FLOOR
-from cmpbayes.posterior import kernel_series
+from cmpbayes.posterior import log_kernel
 
 GRID = 161
 HALF_WIDTH = 8.0
@@ -87,13 +88,10 @@ def posterior_density(spec, stats):
     The posterior's log kernel plus the Jacobian ln lambda of lambda = e^u,
     assembled here rather than by the sampler's target.
     """
-    kernel, moments = kernel_series(spec, stats)
+    rows = log_kernel(spec, stats, DEFAULT_POLICY)
 
     def log_density(u, nu):
-        log_z = sums = None
-        if moments is not None:
-            log_z, sums, _ = series_arrays(u, nu, DEFAULT_POLICY, moments)
-        values, _ = kernel(u, nu, log_z, sums)
+        values, _, _ = rows(u, nu)
         return np.where(nu >= NU_FLOOR, values + u, -np.inf), None
 
     return log_density
@@ -149,7 +147,7 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
     # ends in a few Newton steps: crab-satellites' on the nu floor, where the step in
     # u is Newton's, and Jeffreys' at the noise floor of J's differences
     points, centres = [], []
-    evaluator, series = mcmc._evaluator, mcmc.series_arrays
+    evaluator, series = mcmc._evaluator, posterior.series_arrays
 
     def counted_evaluator(*args):
         evaluate = evaluator(*args)
@@ -161,7 +159,7 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
         return series(log_lam, nu, policy, moments)
 
     monkeypatch.setattr(mcmc, "_evaluator", counted_evaluator)
-    monkeypatch.setattr(mcmc, "series_arrays", counted_series)
+    monkeypatch.setattr(posterior, "series_arrays", counted_series)
     mode, _, _, search = mcmc._laplace(get_preset(prior), fit_stats(counts), DEFAULT_POLICY)
     assert centres == points and len(set(points)) == len(points)
     assert tuple(mode) in points

@@ -15,6 +15,7 @@ from cmpbayes import (
     Flat,
     InvalidParamsError,
     Jeffreys,
+    NonpositiveDeterminantError,
     SufficientStats,
     TruncationError,
     TruncationPolicy,
@@ -187,6 +188,22 @@ class TestLogPosterior:
         # nu = 1e-3 with lambda = 2: the term ratio is still above 1 at MAX_TERMS
         with pytest.raises(TruncationError):
             log_posterior(spec, sufficient_stats([3, 1, 4, 1, 5]), CmpParams(2.0, 1e-3))
+
+    @pytest.mark.parametrize("lam, nu, error", [
+        (1.0, 1e8, NonpositiveDeterminantError),  # the Bernoulli limit: det = 0
+        (0.5, 0.0, InvalidParamsError),  # the Jeffreys density needs nu > 0
+    ])
+    def test_jeffreys_refusals(self, lam, nu, error):
+        # with data as without (test_priors): where the Jeffreys density is undefined,
+        # the posterior raises the error that names why
+        with pytest.raises(error):
+            log_posterior(Jeffreys(), sufficient_stats([3, 1, 4, 1, 5]), CmpParams(lam, nu))
+
+    def test_overflow_is_minus_inf(self):
+        # (a - 1) ln(lambda) = 2e308 overflows: the posterior is -inf there, not an error
+        spec = Conjugate(ConjugateHyper(1e308, 1.0, 1.0))
+        p = CmpParams(math.exp(2.0), 1.0)
+        assert log_posterior(spec, SufficientStats.empty(), p) == -math.inf
 
     def test_adding_zero_count_shifts_by_log_z(self):
         base = sufficient_stats([3, 1, 4])

@@ -27,6 +27,15 @@ class TestSeedSpec:
         with pytest.raises(InvalidParamsError):
             SeedSpec(0, 2**64)
 
+    def test_integers_only(self):
+        # SeedSpec(1.5) would name SeedSpec(1)'s streams; numpy integers name their own
+        SeedSpec(np.uint64(2**64 - 1), np.int64(3))
+        for bad in (1.5, 1.0, np.float64(2.0), "1", None):
+            with pytest.raises(InvalidParamsError):
+                SeedSpec(bad)
+            with pytest.raises(InvalidParamsError):
+                SeedSpec(0, bad)
+
 
 class TestStreams:
     def test_streams_reproducible(self):

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -67,6 +68,12 @@ class FitReport:
         divergent = int(self.draws.divergences.sum())
         return divergent / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
 
+    @property
+    def warmup_tv_bound(self) -> float:
+        """(1 - 1/w)^warmup at the estimate w of sup pi/q: an estimate of the
+        total-variation distance from the posterior left after the warmup (mcmc)."""
+        return (1.0 - 1.0 / self.draws.weight_sup) ** self.config.warmup
+
     def to_dict(self) -> dict:
         draws = self.draws
         return {
@@ -87,6 +94,9 @@ class FitReport:
             "proposal_centre": draws.proposal_centre.tolist(),
             "proposal_cholesky": draws.proposal_cholesky.tolist(),
             "mode_search": asdict(draws.mode_search),
+            "weight_sup": draws.weight_sup,
+            "start_is_heaviest": draws.start_is_heaviest,
+            "warmup_tv_bound": self.warmup_tv_bound,
             "config": asdict(self.config),
             "truncation": asdict(self.policy),
             "seed": asdict(self.seed),
@@ -117,6 +127,11 @@ class FitReport:
         lines.append(f"mode search: {search.iterations} Newton steps, decrement "
                      f"{search.decrement:.2g}" + (", on the nu floor" if search.on_floor else ""))
         lines.append(f"Pareto k-hat of the proposal: {draws.pareto_k:.2f}")
+        lines.append(f"warmup TV bound estimate: {self.warmup_tv_bound:.2g} after "
+                     f"{self.config.warmup} steps, weight sup {draws.weight_sup:.3g}"
+                     + ("" if draws.start_is_heaviest else
+                        "; a proposal outweighs the mode, so weight sup may be far below "
+                        "sup pi/q and the bound estimate is not to be trusted"))
         lines.append(f"divergent proposals: {draws.divergences.sum()} / {self.summary.n_kept}")
         if self.divergence_warning:
             lines.append(
@@ -328,17 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one plain line, in the style of the error lines."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ImproperPosteriorError as exc:
-        print(f"error: improper posterior: {exc}", file=sys.stderr)
-        return 2
-    except (CmpError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ImproperPosteriorError as exc:
+            print(f"error: improper posterior: {exc}", file=sys.stderr)
+            return 2
+        except (CmpError, OSError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

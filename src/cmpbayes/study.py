@@ -159,6 +159,8 @@ def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
             rec["reason"] = type(exc).__name__
         else:
             rec["failed"] = False
+            rec["weight_sup"] = draws.weight_sup
+            rec["start_is_heaviest"] = draws.start_is_heaviest
             for pname, ps in (("lambda", summary.lam), ("nu", summary.nu)):
                 rec[pname] = {
                     "median": ps.median,

@@ -21,6 +21,7 @@ from cmpbayes import (
     resolve_dataset,
     sufficient_stats,
 )
+from cmpbayes import mcmc
 from cmpbayes.cli import FitReport, fit_command, main
 from cmpbayes.datasets import DATA_DIR_ENV, parse_counts
 from cmpbayes.mcmc import Draws, ModeSearch, ParamSummary, PosteriorSummary
@@ -192,7 +193,8 @@ class TestCli:
                       warmup_rejections={reason: zeros for reason in rejections},
                       pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                       proposal_cholesky=np.array([0.1, 0.0, 0.1]),
-                      mode_search=ModeSearch(iterations=5, decrement=1e-21, on_floor=False))
+                      mode_search=ModeSearch(iterations=5, decrement=1e-21, on_floor=False),
+                      weight_sup=2.0, start_is_heaviest=True)
         ps = ParamSummary(median=1.0, cri_low=0.5, cri_high=2.0, rhat=1.0)
         report = FitReport(
             dataset="d", n=10, prior="conj-1",
@@ -222,6 +224,10 @@ class TestCli:
         assert fit["proposal_centre"] == draws.proposal_centre.tolist()
         assert fit["proposal_cholesky"] == draws.proposal_cholesky.tolist()
         assert fit["mode_search"] == asdict(draws.mode_search)
+        assert fit["weight_sup"] == draws.weight_sup
+        assert fit["start_is_heaviest"] is draws.start_is_heaviest is True
+        assert fit["warmup_tv_bound"] == report.warmup_tv_bound == (
+            (1.0 - 1.0 / draws.weight_sup) ** 200)
         numerical = ("truncation", "jeffreys_det", "overflow")
         assert fit["divergences"] == draws.divergences.tolist() == [
             sum(fit["rejections"][reason][chain] for reason in numerical) for chain in (0, 1)]
@@ -232,6 +238,42 @@ class TestCli:
         warmup = ", ".join(f"{reason} {counts.sum()}"
                            for reason, counts in draws.warmup_rejections.items())
         assert f"\nrejected warmup proposals: {warmup}\n" in text
+        assert (f"\nwarmup TV bound estimate: {report.warmup_tv_bound:.2g} after 200 steps, "
+                f"weight sup {draws.weight_sup:.3g}\n") in text
+
+    @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
+    @pytest.mark.parametrize("name", ["textile-faults", "slovak-poem", "crab-satellites",
+                                      "hungarian-words"])
+    def test_default_warmup_bound_on_bundled_fits(self, name, prior):
+        # every chain starts at the mode, the heaviest state, so it is stationary after
+        # its first acceptance; at the default warmup the chance it has not accepted
+        # is at most 6e-22 (crab-satellites, jeffreys: weight sup 4.6)
+        report, _ = fit_command(bundled_dataset(name), prior, get_preset(prior), McmcConfig(),
+                                SeedSpec(1))
+        fit = report.to_dict()
+        assert fit["config"]["warmup"] == 200
+        assert 1.0 <= fit["weight_sup"] < 5.0
+        assert fit["start_is_heaviest"] is True
+        assert fit["warmup_tv_bound"] <= 1e-20
+
+    def test_narrow_proposal_bound_not_trusted(self, monkeypatch):
+        # a proposal of 0.3 times the Laplace scale has lighter tails than the posterior,
+        # so ratios rise away from the mode, a proposal outweighs it, and the text report
+        # says the bound estimate is not to be trusted
+        args = (bundled_dataset("textile-faults"), "conj-1", get_preset("conj-1"),
+                McmcConfig(chains=2, warmup=500, keep=300), SeedSpec(1))
+        _, wide = fit_command(*args)
+        monkeypatch.setattr(mcmc, "_SCALE", 0.3)
+        report, draws = fit_command(*args)
+        assert wide.start_is_heaviest is True
+        assert draws.weight_sup > wide.weight_sup >= 1.0
+        fit = report.to_dict()
+        assert fit["start_is_heaviest"] is draws.start_is_heaviest is False
+        assert fit["warmup_tv_bound"] == (1.0 - 1.0 / draws.weight_sup) ** 500
+        assert (f"\nwarmup TV bound estimate: {report.warmup_tv_bound:.2g} after 500 steps, "
+                f"weight sup {draws.weight_sup:.3g}; a proposal outweighs the mode, so "
+                "weight sup may be far below sup pi/q and the bound estimate is not to be "
+                "trusted\n") in report.to_text()
 
     def test_fit_json_reproducible(self, tmp_path, capsys):
         args = ["fit", "textile-faults", "--prior", "conj-1", "--chains", "2",
@@ -306,7 +348,9 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["mode_search"]["on_floor"] is True
         assert sum(report["rejections"]["outside_support"]) > 0.3 * report["n_kept"]
-        assert sum(report["warmup_rejections"]["outside_support"]) > 0.3 * 4 * 2000
+        config = report["config"]
+        assert (sum(report["warmup_rejections"]["outside_support"])
+                > 0.3 * config["chains"] * config["warmup"])
         assert report["divergences"] == [0, 0, 0, 0]
         assert report["divergence_warning"] is False
 

@@ -44,13 +44,15 @@ def make_draws(lam, nu=None):
     return Draws(lam=lam, nu=nu, accept_rate=np.full(lam.shape[0], 0.3), rejections=counts,
                  warmup_rejections=counts, pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                  proposal_cholesky=np.array([0.1, 0.0, 0.1]),
-                 mode_search=ModeSearch(iterations=5, decrement=0.0, on_floor=False))
+                 mode_search=ModeSearch(iterations=5, decrement=0.0, on_floor=False),
+                 weight_sup=2.0, start_is_heaviest=True)
 
 
 def pinned_fit(prior, warmup, accepted, divergences, counts=None, outside=None):
     """2 chains of warmup + 200 at SeedSpec(7) on counts (default textile-faults).
 
-    Checks the accept, divergence and outside-support counts, returns the summary.
+    Checks the accept, divergence and outside-support counts, and that the mode, where
+    the chains start, outweighs every proposal; returns the summary.
     """
     if counts is None:
         counts = bundled_dataset("textile-faults").counts
@@ -60,6 +62,7 @@ def pinned_fit(prior, warmup, accepted, divergences, counts=None, outside=None):
     assert [round(a * 200) for a in d.accept_rate] == accepted
     assert d.divergences.tolist() == divergences
     assert d.rejections["outside_support"].tolist() == (outside or [0, 0])
+    assert d.weight_sup >= 1.0 and d.start_is_heaviest is True
     return summarize(d)
 
 
@@ -73,7 +76,7 @@ ACCEPT_BAND = (0.45, 0.70)
 class TestConfig:
     def test_defaults(self):
         c = McmcConfig()
-        assert (c.chains, c.warmup, c.keep) == (4, 2000, 2000)
+        assert (c.chains, c.warmup, c.keep) == (4, 200, 2000)
         # the sampler's tuning values are constants of mcmc, not config
         assert [f.name for f in fields(c)] == ["chains", "warmup", "keep"]
 

@@ -334,6 +334,21 @@ class TestProgressFile:
             assert run_study(cfg, progress_path=str(progress)) == resumed
         assert len(progress.read_text().splitlines()) == len(lines)
 
+    def test_cli_reports_torn_line_as_one_plain_line(self, tmp_path, capsys):
+        progress = tmp_path / "progress.jsonl"
+        argv = ["study", "--settings", "over:3:0.5", "--sizes", "25", "--replicates", "2",
+                "--priors", "conj-1,flat", "--chains", "2", "--warmup", "200", "--keep", "100",
+                "--seed", "3", "--progress", str(progress), "--format", "csv"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert first.err == ""
+        lines = progress.read_text().splitlines(keepends=True)
+        progress.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        assert main(argv) == 0
+        resumed = capsys.readouterr()
+        assert resumed.err == f"warning: {progress}: dropping torn final line {len(lines)}\n"
+        assert resumed.out == first.out
+
     def test_final_line_missing_newline_is_kept(self, tmp_path):
         cfg = small_config()
         progress, lines = self.run_to_file(small_config(priors=("conj-1",)), tmp_path)
@@ -352,6 +367,34 @@ class TestProgressFile:
         progress.write_text("".join(lines))
         with pytest.raises(json.JSONDecodeError):
             run_study(cfg, progress_path=str(progress))
+
+
+OVER, UNDER = StudySetting("over", 3.0, 0.5), StudySetting("under", 3.0, 2.0)
+
+
+class TestWarmupBound:
+    """The default warmup of 200 steps against each fit's convergence bound estimate."""
+
+    @pytest.mark.parametrize("settings, sizes, replicates, priors, seed", [
+        # the benchmark's study cell: both settings and sizes, all six priors
+        ((OVER, UNDER), (25, 75), 2, study.PRESET_NAMES, 1),
+        # acceptance criterion 6's two cells
+        ((OVER,), (75,), 25, ("conj-1",), 0),
+        ((UNDER,), (25,), 25, ("jeffreys",), 0),
+    ])
+    def test_records_hold_the_bound(self, tmp_path, settings, sizes, replicates, priors, seed):
+        # every record's mode outweighs its proposals and (1 - 1/weight_sup)^200 <= 1e-20
+        cfg = StudyConfig(settings=settings, sample_sizes=sizes, replicates=replicates,
+                          priors=priors, master_seed=seed)
+        assert cfg.mcmc == McmcConfig() and cfg.mcmc.warmup == 200
+        progress = tmp_path / "progress.jsonl"
+        run_study(cfg, progress_path=str(progress))
+        records = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert len(records) == len(settings) * len(sizes) * replicates * len(priors)
+        for rec in records:
+            assert rec["failed"] is False
+            assert rec["start_is_heaviest"] is True
+            assert 1.0 <= rec["weight_sup"] and (1.0 - 1.0 / rec["weight_sup"]) ** 200 <= 1e-20
 
 
 class TestResume:

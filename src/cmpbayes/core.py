@@ -10,32 +10,18 @@ of log-domain terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed over a grid whose length is chosen from (ln lambda, nu) before summing
-(see TruncationPolicy): the first rung of a ladder of lengths, each 2^(1/4)
-times the last, from base_terms, that reaches where the terms have fallen an
-ulp's worth below the largest, so one sum suffices. j and lnGamma(j + 1) are
-rows 0 and 2 of a read-only (5, MAX_TERMS) table of the moment integrands j,
-j^2, lnGamma(j + 1), lnGamma(j + 1)^2 and j*lnGamma(j + 1), built at import.
-series_arrays is the one summation routine: it takes arrays of points in
-(ln lambda, nu), the sampler's coordinates, sizes every row in array
-operations (_sizes), and forms the rows' grids length by length, each length
-as (B, K) grids of at most _MAX_CELLS cells, so a fit's thousands of
-proposals cost a few numpy calls per grid rather than Python per row. A
-grid's log terms are one einsum of its rows' (ln lambda, -nu) with the table
-rows j and lnGamma(j + 1); there is no max pass: the weights are exp(t) and
-ln Z = log1p(sum of the weights past t_0), since t_0 = 0 weighs 1, which keeps
-ln Z's relative precision where it is near 0. lnGamma(j + 1) >= j ln j - j
-bounds every term by nu * lambda^(1/nu) (by 0 where lambda <= 1), so no weight
-overflows while that bound is at most _MAX_UNSHIFTED; the rare row above it is
-first shifted by its exact largest term. The weights overwrite the log terms
-in place; the moments are one einsum of the weights with the table, over a
-grid sized _MOMENT_MARGIN log-units further, divided by the weights' sums that
-gave ln Z, which keeps them self-consistent. ln Z, the moments' division and
-each row's tail test, against the last two terms of ln Z's grid, run once per
-call over all rows. Every step is elementwise or along a row, so no point's
-result depends on the other points or on the grid bound, and the one-point
-entries (log_normalizer_at, moment_sums_at, pmf_table) are one-row calls of
-series_arrays.
+summed over a grid whose length is chosen from (ln lambda, nu) before summing,
+to where the terms have fallen an ulp's worth below the largest (TruncationPolicy),
+so one sum suffices. j and lnGamma(j + 1) are rows 0 and 2 of _MOMENT_TABLE,
+the read-only table of the five moment integrands, built at import.
+series_arrays is the one summation routine, over arrays of points in
+(ln lambda, nu), the sampler's coordinates, so that a fit's thousands of
+proposals cost a few numpy calls per grid length rather than Python per row;
+its docstring says how it sizes, weighs and sums them. Every step is
+elementwise or along a row, so no point's result depends on the other points
+or on the grid bound, and the one-point entries (log_normalizer_at,
+moment_sums_at, pmf_table) are one-row calls of series_arrays. The third and
+fourth moments, which the table does not hold, are central_moments'.
 """
 
 from __future__ import annotations
@@ -346,8 +332,27 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool =
         raise truncation_error(log_lam, nu, policy)
     if moments:
         return sums[0].tolist(), float(log_z[0])
-    t = np.einsum("ib,ik->bk", ([log_lam], [-nu]), _MOMENT_TABLE[0:3:2, :k[0]])[0]
-    return t, float(log_z[0])
+    return _log_terms(log_lam, nu, k[0]), float(log_z[0])
+
+
+def _log_terms(log_lam: float, nu: float, k: int) -> np.ndarray:
+    """A row's log terms t_j = j ln lambda - nu lnGamma(j + 1), j < k, as series_arrays' einsum."""
+    return np.einsum("ib,ik->bk", ([log_lam], [-nu]), _MOMENT_TABLE[0:3:2, :k])[0]
+
+
+def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float, e_g: float,
+                    beta: float) -> np.ndarray:
+    """E d_x^(m - q) d_y^q, m = 2, 3, 4 and q = 0..m, of d = s - E s, s = (X, -ln X! - beta X).
+
+    At a row, on its grid, from the ln Z, length, E(X) and E(ln X!) series_arrays gave it,
+    with nothing sized or summed again. At beta = Cov(X, -ln X!) / Var(X) the two are
+    uncorrelated, which keeps the digits that X and ln X!'s near-collinearity cancels.
+    """
+    j, lgamma = _MOMENT_TABLE[0:3:2, :k]
+    dx, dg = j - e_x, e_g - lgamma - beta * (j - e_x)
+    x2, xg, g2 = dx * dx, dx * dg, dg * dg
+    return np.stack([x2, xg, g2, x2 * dx, x2 * dg, xg * dg, g2 * dg, x2 * x2, x2 * xg,
+                     x2 * g2, xg * g2, g2 * g2]) @ np.exp(_log_terms(log_lam, nu, k) - log_z)
 
 
 def log_normalizer_at(log_lam: float, nu: float,
@@ -357,12 +362,7 @@ def log_normalizer_at(log_lam: float, nu: float,
 
 
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder.
-
-    ln Z = log1p(sum of the unshifted weights past t_0 = 0); the rare point
-    whose largest term may pass _MAX_UNSHIFTED is summed with its weights
-    shifted by that term (see series_arrays).
-    """
+    """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder (series_arrays)."""
     return log_normalizer_at(math.log(params.lam), params.nu, policy)
 
 

@@ -8,25 +8,20 @@ Every posterior is the conjugate kernel at some (a, b, c)
 a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
 under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
 -c Cov(X, -ln X!) are the moment sums the kernel's rows return beside their
-values; J's are central differences on a 3 x 3 stencil evaluated in the same
-call. A Newton search from (ln max(xbar, 0.5), 1) finds the mode on
-nu >= NU_FLOOR, with one series call per point it visits: the point's own
-row plus u gives the target's value there, and its moment sums the target's
-gradient and Hessian. Each step is Newton's, with the Hessian's eigenvalues
-made negative so that it ascends, and stops on the floor where it would cross
-it; on the floor, where the target still rises toward lower nu
-(crab-satellites), the step is Newton's in u alone, g_u / |H_uu|, so the mode
-is the floor's best point. A step is halved until the target rises, and taken
-whole once the Newton decrement g'(-H)^-1 g is below _MODE_TOL. The search
-stops when the decrement is below _NEWTON_TOL, or when, below _MODE_TOL, it
-fell less than 1 / _STALL-fold in the last step: conjugate and flat searches
-fall quadratically to _NEWTON_TOL, while a Jeffreys search stops at the noise
-floor of J's differences. Draws.mode_search says how it ended. The precision
-there is -H; at a mode on the floor its nu entry adds g_nu^2, the curvature
-of an exponential falling from the floor at the gradient's rate (all-zero
-counts fall so, almost without curvature). Where the search ends above
-_MODE_TOL, or the precision is not positive definite, the fit is refused
-with ModeNotFoundError before any draw.
+values, and J's are exact, from central moments on the same row's grid
+(priors.jeffreys_derivatives). A Newton search from (ln max(xbar, 0.5), 1)
+finds the mode on nu >= NU_FLOOR with one one-row series call per point. Each
+step is Newton's, with the Hessian's eigenvalues made negative so that it
+ascends, and stops on the floor where it would cross it; on the floor, where
+the target still rises toward lower nu (crab-satellites), the step is Newton's
+in u alone, g_u / |H_uu|, so the mode is the floor's best point. A step is
+halved until the target rises, and taken whole below a Newton decrement
+g'(-H)^-1 g of _MODE_TOL, where the target's rounding hides its rise. The mode
+is where the decrement falls to _NEWTON_TOL (Draws.mode_search). Its precision
+is -H; on the floor its nu entry adds g_nu^2, the curvature of an exponential
+falling from the floor at the gradient's rate (all-zero counts fall so, almost
+without curvature). A search that ends above _NEWTON_TOL, or a precision that
+is not positive definite, refuses the fit with ModeNotFoundError before any draw.
 
 The proposal is a bivariate t with _DF degrees of freedom, centred on the
 mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
@@ -77,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TruncationPolicy, DEFAULT_POLICY
+from .core import TruncationPolicy, DEFAULT_POLICY, central_moments
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
@@ -89,7 +84,7 @@ from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriet
                         updated_hyper)
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
 from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, Conjugate,
-                     Flat, Jeffreys, PriorSpec, conjugate_propriety, scaled_information_det)
+                     Flat, Jeffreys, PriorSpec, conjugate_propriety, jeffreys_derivatives)
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
@@ -98,12 +93,8 @@ NU_FLOOR = 1e-4
 _DF = 5  # degrees of freedom of the t proposal
 _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
-_NEWTON_TOL = 1e-20  # Newton decrement at which the mode search stops
-_MODE_TOL = 1e-8  # the largest decrement a mode may keep (J's differences are noisy)
-# a decrement at most _MODE_TOL that falls less than 1 / _STALL-fold in a step is at
-# the noise floor of J's differences: the search stops there
-_STALL = 1e-3
-_FD_STEP = 1e-3  # the stencil's step: in u, and relative to nu
+_NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
+_MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in f's rounding
 _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
 _CHUNK = 2048  # a chain's proposals per target call and scan: no large temporaries
 
@@ -237,12 +228,10 @@ def _make_target(spec, stats, policy):
 
 
 def _evaluator(spec, stats, policy):
-    """The target at a point x = (u, nu) with its gradient and Hessian, from one series call.
+    """The target at a point x = (u, nu) with its gradient and Hessian, from one series row.
 
-    Returns (value, (gradient, Hessian)): the value is the target's, the
-    posterior's log kernel at the point's own row plus u (-inf outside the
-    support, where no series is summed), and the derivatives are None where
-    the value or they are not finite.
+    Returns (value, (gradient, Hessian)), the value -inf outside the support (where
+    no series is summed) and the derivatives None where the value or they are not finite.
     """
     rows = log_kernel(spec, stats, policy)
     a, b, c = conjugate_form(spec, stats)
@@ -252,28 +241,18 @@ def _evaluator(spec, stats, policy):
         u, nu = x
         if not _inside(u, nu):
             return -math.inf, None
-        if jeffreys:  # J on the 3 x 3 stencil; row 3 * i + j is (u + (i - 1) du, nu + (j - 1) dn)
-            du, dn = _FD_STEP, _FD_STEP * nu
-            offsets = np.arange(-1.0, 2.0)
-            us, nus = np.repeat(u + du * offsets, 3), np.tile(nu + dn * offsets, 3)
-        else:
-            us, nus = np.array([u]), np.array([nu])
-        values, _, sums = rows(us, nus, moments=True)
-        at = us.size // 2  # the point's own row
-        value = float(values[at] + u)
+        values, _, ((log_z,), sums, (k,)) = rows(np.array([u]), np.array([nu]), moments=True)
+        value = float(values[0] + u)
         if not math.isfinite(value):  # no derivative arithmetic on inf or nan
             return value, None
-        e_x, e_x2, e_g, e_g2, e_xg = sums[at]
+        e_x, e_x2, e_g, e_g2, e_xg = sums[0]
         var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
         grad = np.array([a - c * e_x, c * e_g - b])
         hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
-        if jeffreys:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                j = 0.5 * np.log(scaled_information_det(*sums.T)).reshape(3, 3)
-            grad += [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)]
-            cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
-            hess += [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
-                     [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]]
+        if jeffreys:  # in the basis (X, -ln X! - beta X) that Cov(X, -ln X!) leaves uncorrelated
+            beta = -cov / var_x
+            dj, d2j = jeffreys_derivatives(central_moments(u, nu, log_z, k, e_x, e_g, beta), beta)
+            grad, hess = grad + dj, hess + d2j
         if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             return value, None
         return value, (grad, hess)
@@ -284,8 +263,8 @@ def _evaluator(spec, stats, policy):
 def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSearch]:
     """The target's mode (u, nu), its value and precision there, and how the search ended.
 
-    Newton's method, one series call per point it visits. Raises
-    ModeNotFoundError where the search ends at no finite mode.
+    Newton's method, one series row per point it visits. Raises ModeNotFoundError
+    where the search ends above a decrement of _NEWTON_TOL or at no finite mode.
     """
     evaluate = _evaluator(spec, stats, policy)
     x = np.array([math.log(max(stats.xbar, 0.5)), 1.0])
@@ -302,9 +281,8 @@ def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSe
             step = np.array([grad[0] / max(abs(hess[0, 0]), smallest), 0.0])
         else:
             step = vectors @ ((vectors.T @ grad) / np.maximum(np.abs(eigenvalues), smallest))
-        previous, decrement = decrement, float(grad @ step)
-        if (decrement <= _NEWTON_TOL or iterations == _NEWTON_STEPS
-                or _MODE_TOL >= decrement > _STALL * previous):
+        decrement = float(grad @ step)
+        if decrement <= _NEWTON_TOL or iterations == _NEWTON_STEPS:
             break
         t = 1.0
         while t > 1e-10:
@@ -318,7 +296,7 @@ def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSe
             break  # the target rises no further along the step
         x, f, derivatives = trial, f_trial, found
         iterations += 1
-    precision = -hess if derivatives is not None and decrement <= _MODE_TOL else None
+    precision = -hess if derivatives is not None and decrement <= _NEWTON_TOL else None
     if precision is not None and on_floor:
         # on the floor the posterior falls at rate |g_nu|, as an exponential of
         # variance 1 / g_nu^2 does where its curvature is small

@@ -10,8 +10,8 @@ proper exactly when those values satisfy the conjugate propriety condition,
 and under Jeffreys, which adds the Jeffreys log density. log_kernel binds a
 posterior to that one formula over many points: it sums the points' series
 (core.series_arrays) and evaluates the formula on them in array operations.
-The sampler hands it a fit's proposals and its mode search's stencils;
-log_posterior and log_prior_density hand it one point.
+The sampler hands it a fit's proposals and each point its mode search
+visits; log_posterior and log_prior_density hand it one point.
 """
 
 from __future__ import annotations
@@ -117,16 +117,16 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
     """The unnormalized log posterior as a formula over rows: rows(log_lam, nu, moments=False).
 
     rows takes float arrays of the rows' ln lambda and nu (nu > 0 under
-    Jeffreys, unvalidated) and returns (values, reasons, sums): each row's
+    Jeffreys, unvalidated) and returns (values, reasons, series): each row's
     (a - 1)*ln(lambda) - b*nu - c*ln Z at conjugate_form's (a, b, c), plus
     0.5 * ln(lambda^2 * information determinant) under Jeffreys; a REJECTIONS
     code per row (see priors), 0 where the value is finite; and the rows'
-    moment sums as core.series_arrays gives them, summed under Jeffreys or
-    when asked, else None. It sums the rows' series in one call, and none for
-    the flat prior of no data. A row is -inf where its series could not be
-    summed (truncation), where the determinant is not positive and finite
-    (jeffreys_det: the density is undefined there, nothing is clamped) and
-    where the arithmetic overflows.
+    (ln Z, moment sums, grid lengths) as core.series_arrays gives them, with
+    moments under Jeffreys or when asked. It sums the rows' series in one
+    call, and none (series None) for the flat prior of no data. A row is -inf
+    where its series could not be summed (truncation), where the determinant
+    is not positive and finite (jeffreys_det: the density is undefined there,
+    nothing is clamped) and where the arithmetic overflows.
     """
     a, b, c = conjugate_form(spec, stats)
     jeffreys = isinstance(spec, Jeffreys)
@@ -134,9 +134,9 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
 
     def rows(log_lam: np.ndarray, nu: np.ndarray, moments: bool = False):
         moments = moments or jeffreys
-        log_z = sums = None
+        series = None
         if reads_z or moments:
-            log_z, sums, _ = series_arrays(log_lam, nu, policy, moments)
+            series = log_z, sums, _ = series_arrays(log_lam, nu, policy, moments)
         reasons = np.zeros(log_lam.size, dtype=np.int8)
         with np.errstate(all="ignore"):
             if jeffreys:
@@ -151,7 +151,7 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
             reasons[np.isnan(log_z)] = TRUNCATION
         reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
         values[reasons != 0] = -math.inf
-        return values, reasons, sums
+        return values, reasons, series
 
     return rows
 

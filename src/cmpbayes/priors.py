@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
 from scipy.special import gammaln
 
 from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, moment_sums_at
@@ -62,6 +63,8 @@ PriorSpec = Union[Conjugate, Flat, Jeffreys]
 # the points it does not evaluate.
 REJECTIONS = ("outside_support", "truncation", "jeffreys_det", "overflow")
 OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = 1, 2, 3, 4
+# core.central_moments' order-m moments, from 0, 3 and 7, as a 2 x .. x 2 tensor (q nu indices)
+_ORDER = {m: start + np.indices((2,) * m).sum(axis=0) for m, start in ((2, 0), (3, 3), (4, 7))}
 
 # The six study priors, keyed by their CLI-facing names, in study order.
 # conj-data is the two-hypothetical-observations prior built from counts
@@ -115,6 +118,25 @@ def scaled_information_det(e_x, e_x2, e_g, e_g2, e_xg):
     """
     cov = e_xg - e_x * e_g
     return (e_x2 - e_x * e_x) * (e_g2 - e_g * e_g) - cov * cov
+
+
+def jeffreys_derivatives(mu, beta):
+    """The gradient and Hessian of J = 0.5 ln(lambda^2 det I) in (ln lambda, nu) at a row.
+
+    lambda^2 det I = det Sigma, Sigma = Cov(s), and ln Z is s's cumulant function, so
+    d_k Sigma_ij = k3_ijk and d_k d_l Sigma_ij = k4_ijkl: d_k J = 0.5 tr(Sigma^-1 k3_k),
+    d_k d_l J = 0.5 [tr(Sigma^-1 k4_kl) - tr(Sigma^-1 k3_k Sigma^-1 k3_l)]. k4 is the
+    fourth central moment less Sigma_ij Sigma_kl + Sigma_ik Sigma_jl + Sigma_il Sigma_jk,
+    which Sigma^-1 contracts to 4 Sigma_kl. mu is a row's core.central_moments at beta,
+    of s = T (X, -ln X!), T = [[1, 0], [-beta, 1]]: det T = 1, and the derivatives in
+    s's natural parameter T^-T (ln lambda, nu) are mapped back by T^-1.
+    """
+    inverse = np.array([[mu[2], -mu[1]], [-mu[1], mu[0]]]) / (mu[0] * mu[2] - mu[1] * mu[1])
+    d = np.einsum("ia,ajk->ijk", inverse, mu[_ORDER[3]])  # Sigma^-1 k3_k, by k
+    tr_k4 = np.einsum("ij,ijkl->kl", inverse, mu[_ORDER[4]]) - 4.0 * mu[_ORDER[2]]
+    back = np.array([[1.0, 0.0], [beta, 1.0]])
+    return (back @ (0.5 * np.einsum("iik->k", d)),
+            back @ (0.5 * (tr_k4 - np.einsum("ijk,jil->kl", d, d))) @ back.T)
 
 
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

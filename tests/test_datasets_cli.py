@@ -303,7 +303,7 @@ class TestCli:
         assert all(len(counts) == 2 for counts in report["warmup_rejections"].values())
         search = report["mode_search"]
         assert set(search) == {"iterations", "decrement", "on_floor"}
-        assert 0 < search["iterations"] <= 12 and search["decrement"] <= 1e-8
+        assert 0 < search["iterations"] <= 12 and search["decrement"] <= 1e-20
         assert search["on_floor"] is False
 
     def test_fit_text_output(self, capsys):

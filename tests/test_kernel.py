@@ -35,7 +35,8 @@ from cmpbayes import (
     run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS, _series, log_normalizer_at, moment_sums_at, series_arrays
+from cmpbayes.core import (MAX_TERMS, _series, central_moments, log_normalizer_at,
+                           moment_sums_at, series_arrays)
 from cmpbayes.errors import ModeNotFoundError, NonpositiveDeterminantError
 from cmpbayes.mcmc import NU_FLOOR, _make_target
 from cmpbayes.priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION
@@ -579,6 +580,84 @@ def test_moment_sums_are_near_50_digit_sums():
             assert off <= before + 4, (log_lam, nu)
 
 
+# The central moments E d_x^(m - q) d_g^q, m = 2, 3, 4 and q = 0..m, of d = s - E s for
+# s = (X, -ln X!), which give the Jeffreys derivatives: at each point to 50 digits from
+# the same independent sums as LNZ_50_DIGITS (mpmath at 70 digits, each deviation
+# weighed by exp(t_j - ln Z) about the 70-digit means).
+CENTRAL_50_DIGITS = {
+    (math.log(9.0), 1.0): [  # Poisson(9): variance and k3 9, mu4 3 * 81 + 9
+        "9.0000000000000016328335023002755557181755101992113",
+        "-20.285680304506191141089913743249266475295056128372",
+        "46.182742724484659366609297024871563533997462771824",
+        "9.0000000000000016328335023002755557181755101992113",
+        "-28.762258514765263234790470729258540666359692289746",
+        "83.980509824476020514218276747553350589050351732268",
+        "-233.4281648693456684176399477840360099067156525141",
+        "252.00000000000008980584262651516356293539176350856",
+        "-585.50774272930274901408576945977306852836946854056",
+        "1379.2196077171058597734434420874477269288396453412",
+        "-3288.3017302329825695957741189691178204517646110067",
+        "7922.705172662729965826457278465855257192350442227"],
+    (math.log(30.0), 0.7): [  # term mode 129
+        "184.10857689526064911683550439109873441413268618391",
+        "-895.57890553567742725953024962466052727107912639945",
+        "4357.4724073941163183106453815172588343248307889427",
+        "263.01367396334547649850526949159103092284450965725",
+        "-1540.9543661554513492981520275200121061270923427532",
+        "8768.1195807783025379470568717179431700861637402791",
+        "-48843.574393468000555061774871527816041105185634645",
+        "102063.63597735736102148840120884779560548368994147",
+        "-497228.37043885491142042930268567706069779690098538",
+        "2423295.6671692228732097038898126769775276655751437",
+        "-11814670.571776739195740261942945216712618477275971",
+        "57623619.000949845494208627011893806439530254297987"],
+    (math.log(0.8), 1e-4): [  # near the geometric floor
+        "19.956478293109487525434498604626008981214466589482",
+        "-38.666485556121864847505400320206414179819453981483",
+        "80.318430434120750783651955626932122197905550997935",
+        "179.33496323368357658037495360910026719124074391501",
+        "-434.30970655650615564818653614884272214125577927391",
+        "1060.9016546862734756334979324613134421482889114596",
+        "-2621.97949076436235290967141715330079787247537645",
+        "3601.7917630422518831227770165031909234975983667751",
+        "-8946.0934936593664669747264214718675486365631499381",
+        "22702.723032864943616529812432984437306603160260923",
+        "-58666.107530244988144833287501571590646310950890131",
+        "154024.84159822913428571834133561781543559153659674"],
+    (2.5, math.exp(-1.0)): [  # term mode 894
+        "2430.1402142833592789973161760343429245822467124479",
+        "-16518.211371259767835705840857158577854687164917982",
+        "112281.69687034629711614735038594524263936070881218",
+        "6605.8104262846620734704529925024729386033306952308",
+        "-51496.936960947148364825842723814585308439301945163",
+        "394869.14184078060982962119093026736382944144084644",
+        "-2988773.7585577273424163852892865152175064622834602",
+        "17734700.825491294306569889073632309141787624204694",
+        "-120582648.76370706250633937769164622467992464690136",
+        "819916157.99317664651241829200588995309652954430902",
+        "-5575421664.7325267592746079003666169059143694189224",
+        "37914873617.615218947832868073327316824828117909706"],
+}
+
+
+def test_central_moments_are_near_50_digit_sums():
+    # the two-pass central moments on a row's own grid are as close to the 50-digit
+    # sums as the same moments over 4x the grid, and within 1e-12 of them relative:
+    # the rest is the rounding of the log terms, as for the raw sums
+    for (log_lam, nu), digits in CENTRAL_50_DIGITS.items():
+        def central(policy):  # of (X, -ln X!) itself: beta = 0
+            log_z, sums, k = series_arrays(np.array([log_lam]), np.array([nu]), policy, True)
+            mu = central_moments(log_lam, nu, log_z[0], k[0], sums[0, 0], sums[0, 2], 0.0)
+            return mu, int(k[0])
+
+        got, k = central(POLICY)
+        at_4x, _ = central(TruncationPolicy(base_terms=min(4 * k, MAX_TERMS)))
+        for value, longer, ref in zip(got, at_4x, map(float, digits)):
+            off = abs(value - ref)
+            assert off <= abs(longer - ref) + 2 * math.ulp(ref), (log_lam, nu)
+            assert off <= 1e-12 * abs(ref), (log_lam, nu)
+
+
 # ln Z to 50 digits, from the same independent sums, at two near-geometric rows: their
 # term mode lambda^(1/nu) is near 0, and one 101-term block used to pass the tail test
 # with ln Z 6.0e-11 and 2.3e-12 relative low
@@ -840,7 +919,7 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
-    # the mode search sums one row per point (nine for the Jeffreys stencil); then
+    # the mode search sums one row per point, under every prior; then
     # each chain's proposals inside the support (fewer than mcmc._CHUNK) are summed
     # in one call, each row once over the grid it was sized to and each length's
     # grids formed once, shortest first: no row is summed again at a longer length;
@@ -870,7 +949,7 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
     assert sizes[-2:] == [800 - n for n in outside]
     assert (np.array(outside) >= d.rejections["outside_support"]).all()
     assert d.rejections["outside_support"].sum() > 0
-    assert max(sizes[:-2]) <= (9 if prior == "jeffreys" else 1)
+    assert set(sizes[:-2]) == {1}
 
 
 def test_no_weight_leaves_the_normal_range():

@@ -251,31 +251,30 @@ class TestRunChains:
         s = pinned_fit("conj-1", warmup, accepted, [0, 0], outside=outside)
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
-    # The same fit under flat and jeffreys. The Jeffreys proposal comes from central
-    # differences of its log density, which an ulp of the moment sums moves more.
+    # The same fit under flat and jeffreys. The Jeffreys pins were re-frozen when its
+    # mode search took J's derivatives exactly from the series' central moments, not
+    # from central differences, which had amplified an ulp of the moment sums.
     @pytest.mark.parametrize("prior, warmup, accepted, divergences, outside, lam_median, "
                              "nu_median", [
         ("flat", 300, [108, 119], [0, 0], [15, 13], 1.7010007307972823, 0.27475328612967254),
         ("flat", 1, [115, 121], [0, 0], [17, 10], 1.6920318694894299, 0.2643623563355866),
-        ("jeffreys", 300, [108, 118], [0, 1], [16, 16], 1.5967577376626714,
-         0.24538773285414905),
-        ("jeffreys", 1, [115, 122], [0, 0], [18, 11], 1.6060319206956555,
-         0.23589566386193644),
+        ("jeffreys", 300, [108, 118], [0, 1], [16, 16], 1.5967581494389285,
+         0.24538782643551255),
+        ("jeffreys", 1, [115, 122], [0, 0], [18, 11], 1.6060323279789301,
+         0.2358958023862538),
     ], ids=["flat-warmup300", "flat-warmup1", "jeffreys-warmup300", "jeffreys-warmup1"])
     def test_draws_pinned_flat_jeffreys(self, prior, warmup, accepted, divergences, outside,
                                         lam_median, nu_median):
         s = pinned_fit(prior, warmup, accepted, divergences, outside=outside)
-        assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-9)
+        assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
     # A fit on a sized posterior: near CMP(30, 0.7) the term mode is about 129,
     # so rows are hundreds of terms long (textile-faults rows a few dozen). The
-    # Jeffreys pin was re-frozen when its mode search came to stop at the noise floor
-    # of J's differences (medians moved 2.4e-8), and again when grids were sized to
-    # their ulp reach (the lambda median moved 7.4e-8 relative and the nu median
-    # 7.8e-9: its moment sums moved by an ulp or two, which J's differences amplify).
+    # Jeffreys pin was last re-frozen when J's derivatives became exact (the lambda
+    # median moved 2.4e-8 relative and the nu median 6.5e-9).
     @pytest.mark.parametrize("prior, accepted, lam_median, nu_median", [
         ("conj-1", [111, 117], 13.231151614250486, 0.530247646137656),
-        ("jeffreys", [111, 117], 32.6437641782593, 0.7150841927538738),
+        ("jeffreys", [111, 117], 32.64376341054411, 0.7150841973977461),
     ], ids=["conj-1", "jeffreys"])
     def test_draws_pinned_sized(self, prior, accepted, lam_median, nu_median):
         counts = sample_cmp(CmpParams(30.0, 0.7), 500, SeedSpec(7))
@@ -285,13 +284,13 @@ class TestRunChains:
     # The warmup-300 textile-faults fit's proposal as float.hex: Draws.proposal_centre
     # (ln lambda, nu) and proposal_cholesky (c00, c10, c11). The medians above pass at
     # rtol 1e-12 even if the mode search's last step or the Cholesky factor moves a
-    # bit; these do not. Re-frozen when grids were sized to their ulp reach: the
-    # moment sums the mode search reads moved by an ulp or two.
+    # bit; these do not. The Jeffreys kernel was re-frozen when J's derivatives
+    # became exact, and conj-1's is the same since grids were sized to their ulp reach.
     PINNED_KERNELS = {
         "conj-1": (["0x1.a848997b135e2p-2", "0x1.bface8f50d2bcp-3"],
                    ["0x1.22273cdc07ad7p-2", "0x1.ed8b25035525ep-4", "0x1.500fbfc649fe7p-6"]),
-        "jeffreys": (["0x1.c3f27e6f9e30bp-2", "0x1.cd6e2312f59aep-3"],
-                     ["0x1.32c63bfff6169p-2", "0x1.042d3d4fdfeeap-3", "0x1.4e5d7f52ce9a5p-6"]),
+        "jeffreys": (["0x1.c3f291108e22bp-2", "0x1.cd6e33159d3e0p-3"],
+                     ["0x1.32c62d1fb85f1p-2", "0x1.042d307dca9bbp-3", "0x1.4e5d8362534edp-6"]),
     }
 
     @pytest.mark.parametrize("prior", sorted(PINNED_KERNELS))

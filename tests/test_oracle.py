@@ -29,7 +29,7 @@ from cmpbayes import McmcConfig, SeedSpec, bundled_dataset, get_preset, mcmc, ru
 from cmpbayes import sufficient_stats
 from cmpbayes import posterior
 from cmpbayes.core import DEFAULT_POLICY
-from cmpbayes.mcmc import _MODE_TOL, NU_FLOOR
+from cmpbayes.mcmc import NU_FLOOR
 from cmpbayes.posterior import log_kernel
 
 GRID = 161
@@ -142,10 +142,11 @@ def fit_stats(counts):
 @pytest.mark.parametrize("counts", [*DATASETS, "long-series-1", "long-series-2",
                                     "long-series-3"])
 def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
-    # each point the search visits costs one series call, with moments, which gives
-    # its value, gradient and Hessian; no point is visited twice; and the search
-    # ends in a few Newton steps: crab-satellites' on the nu floor, where the step in
-    # u is Newton's, and Jeffreys' at the noise floor of J's differences
+    # each point the search visits costs one one-row series call, with moments, which
+    # gives its value, gradient and Hessian (under Jeffreys too: J's derivatives are
+    # central moments on that row's grid); no point is visited twice; and the search
+    # ends in a few Newton steps at a decrement of at most 1e-20, crab-satellites' on
+    # the nu floor, where the step in u is Newton's
     points, centres = [], []
     evaluator, series = mcmc._evaluator, posterior.series_arrays
 
@@ -154,8 +155,8 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
         return lambda x: points.append(tuple(x)) or evaluate(x)
 
     def counted_series(log_lam, nu, policy, moments=False):
-        assert moments and log_lam.size == (9 if prior == "jeffreys" else 1)
-        centres.append((log_lam[log_lam.size // 2], nu[nu.size // 2]))
+        assert moments and log_lam.size == 1
+        centres.append((log_lam[0], nu[0]))
         return series(log_lam, nu, policy, moments)
 
     monkeypatch.setattr(mcmc, "_evaluator", counted_evaluator)
@@ -164,7 +165,7 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
     assert centres == points and len(set(points)) == len(points)
     assert tuple(mode) in points
     assert search.iterations <= MAX_NEWTON_STEPS
-    assert search.decrement <= _MODE_TOL
+    assert search.decrement <= 1e-20
     assert search.on_floor is (counts == "crab-satellites")
 
 
@@ -177,3 +178,24 @@ def test_crab_mode_is_on_the_floor(prior):
     _, (grad, _) = mcmc._evaluator(spec, stats, DEFAULT_POLICY)(mode)
     assert mode[1] == NU_FLOOR and search.on_floor
     assert abs(grad[0]) <= 1e-8 and grad[1] < 0.0
+
+
+@pytest.mark.parametrize("dataset", ["crab-satellites", "textile-faults"])
+def test_jeffreys_proposal_holds_still_under_an_ulp_of_the_series(monkeypatch, dataset):
+    # moving every series result by an ulp (ln Z to the next float up, each moment sum
+    # times 1 + 2^-52) moves the Jeffreys Laplace fit's Cholesky factor by less than
+    # 1e-9 relative: J's derivatives are exact, so nothing amplifies the ulp (central
+    # differences of J moved crab-satellites' factor 5.8e-4 and textile-faults' 6.5e-9)
+    spec, stats, series = get_preset("jeffreys"), fit_stats(dataset), posterior.series_arrays
+
+    def factor():
+        _, _, precision, _ = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        return np.linalg.cholesky(np.linalg.inv(precision))
+
+    def moved(log_lam, nu, policy, moments=False):
+        log_z, sums, k = series(log_lam, nu, policy, moments)
+        return np.nextafter(log_z, np.inf), sums * (1.0 + 2.0 ** -52), k
+
+    before = factor()
+    monkeypatch.setattr(posterior, "series_arrays", moved)
+    assert np.abs(factor() - before).max() < 1e-9 * np.abs(before).max()

@@ -16,6 +16,7 @@ from cmpbayes import (
     Jeffreys,
     NonpositiveDeterminantError,
     PRESET_NAMES,
+    SufficientStats,
     TruncationPolicy,
     conjugate_propriety,
     get_preset,
@@ -23,6 +24,7 @@ from cmpbayes import (
     log_likelihood,
     log_normalizer,
     log_prior_density,
+    mcmc,
     preset_priors,
     propriety_bound,
     sufficient_stats,
@@ -164,6 +166,28 @@ class TestLogPriorDensity:
     def test_information_det_positive_on_grid(self):
         for lam, nu in STUDY_GRID:
             assert jeffreys_information_det(CmpParams(lam, nu)) > 0.0
+
+    # the mode search's exact derivatives of J = 0.5 ln(lambda^2 det I), the Jeffreys
+    # log density in (ln lambda, nu), from the series' central moments, against central
+    # differences of log_prior_density with steps 1e-3 in ln lambda and 1e-3 * nu in nu
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.floats(-2.0, 2.0), nu=st.floats(0.5, 3.0))
+    def test_jeffreys_derivatives_match_central_differences(self, u, nu):
+        du, dn = 1e-3, 1e-3 * nu
+
+        def j(i, k):  # J at (u + i du, nu + k dn), the log density plus the Jacobian
+            x = u + i * du
+            return log_prior_density(Jeffreys(), CmpParams(math.exp(x), nu + k * dn)) + x
+
+        # with no data the target is J itself
+        _, (grad, hess) = mcmc._evaluator(Jeffreys(), SufficientStats.empty(),
+                                          TruncationPolicy())(np.array([u, nu]))
+        cross = (j(1, 1) - j(1, -1) - j(-1, 1) + j(-1, -1)) / (4 * du * dn)
+        assert_allclose(grad, [(j(1, 0) - j(-1, 0)) / (2 * du), (j(0, 1) - j(0, -1)) / (2 * dn)],
+                        rtol=1e-5, atol=1e-5 * np.abs(grad).max())
+        assert_allclose(hess, [[(j(1, 0) - 2 * j(0, 0) + j(-1, 0)) / du ** 2, cross],
+                               [cross, (j(0, 1) - 2 * j(0, 0) + j(0, -1)) / dn ** 2]],
+                        rtol=1e-4, atol=1e-4 * np.abs(hess).max())
 
 
 class TestConjugacyProperty:

@@ -51,6 +51,7 @@ _MAX_UNSHIFTED = 600.0
 # rows x terms of one summed grid: 256 KiB of float64 per (rows, K) array, so a
 # fit's thousands of rows never make one large temporary
 _MAX_CELLS = 1 << 15
+_LAST_TWO = np.array([[1], [2]])  # K less these: the last two indices of a grid of length K
 
 
 @dataclass(frozen=True)
@@ -177,43 +178,51 @@ def truncation_error(log_lam: float, nu: float, policy: TruncationPolicy) -> Tru
     )
 
 
-def _reach(log_lam: np.ndarray, nu: np.ndarray, mode: np.ndarray,
+def _reach(log_lam: np.ndarray, nu_mode: np.ndarray, mode: np.ndarray,
            log_reach: np.ndarray) -> np.ndarray:
     """An index by which each row's log terms have fallen log_reach below its largest.
 
-    log_reach is a column of reaches, each a row of the result. Past the term
-    mode m = lambda^(1/nu) the log terms fall by at least nu * m * h(j/m - 1)
-    at j, with h(x) = (1 + x) ln(1 + x) - x, so m (1 + x) reaches where x is
-    at or above the root of nu * m * h(x) = log_reach: Bennett's bound
-    h(x) >= x^2 / (2 (1 + x/3)) gives a root above it, and three Newton steps
-    on the convex h come down towards it without passing it. Below lambda = 1
-    the terms are at most lambda^j of t_0 = 0, the largest, so
-    log_reach / -ln lambda reaches too, and the lesser is taken; it is the
-    only reach at nu = 0. nan where neither is finite (a mode past float
-    range).
+    log_reach is a column of reaches, each a row of the result, and nu_mode
+    is nu times the term mode m = lambda^(1/nu). Past the mode the log terms
+    fall by at least nu * m * h(j/m - 1) at j, with h(x) = (1 + x) ln(1 + x) - x,
+    so m (1 + x) reaches where x is at or above the root of nu * m * h(x) =
+    log_reach: Bennett's bound h(x) >= x^2 / (2 (1 + x/3)) gives a root above
+    it, and three Newton steps on the convex h come down towards it without
+    passing it. Below lambda = 1 the terms are at most lambda^j of t_0 = 0,
+    the largest, so log_reach / -ln lambda reaches too, and the lesser is
+    taken; it is the only reach at nu = 0. nan where neither is finite (a
+    mode past float range). Its caller (_sizes) silences the floating-point
+    warnings of those rows.
     """
-    with np.errstate(all="ignore"):
-        c = log_reach / (nu * mode)
-        x = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c)
-        for _ in range(3):  # x - (h(x) - c) / h'(x), with h'(x) = ln(1 + x)
-            x = (x + c) / np.log1p(x) - 1.0
-        return np.fmin(mode * (1.0 + x), np.where(log_lam < 0.0, log_reach / -log_lam, np.nan))
+    c = log_reach / nu_mode
+    x = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c)
+    for _ in range(3):  # x - (h(x) - c) / h'(x), with h'(x) = ln(1 + x)
+        x = (x + c) / np.log1p(x) - 1.0
+    return np.fmin(mode * (1.0 + x), np.where(log_lam < 0.0, log_reach / -log_lam, np.nan))
 
 
 @lru_cache(maxsize=None)
-def _ladder(base_terms: int) -> np.ndarray:
-    """The grid lengths ceil(base_terms * 2^(i/4)), i = 0, 1, ..., ending at MAX_TERMS."""
-    steps = 4 * math.ceil(math.log2(MAX_TERMS / base_terms)) + 1
-    rungs = np.ceil(base_terms * 2.0 ** (np.arange(steps) / 4))
+def _sizing(policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The first grid length at or past each n = 0 .. MAX_TERMS, and the column of reaches.
+
+    The lengths are the ladder ceil(base_terms * 2^(i/4)), i = 0, 1, ..., ending
+    at MAX_TERMS; the reaches are R and R + _MOMENT_MARGIN (see TruncationPolicy).
+    """
+    steps = 4 * math.ceil(math.log2(MAX_TERMS / policy.base_terms)) + 1
+    rungs = np.ceil(policy.base_terms * 2.0 ** (np.arange(steps) / 4))
     ladder = np.unique(np.minimum(rungs, MAX_TERMS)).astype(np.int64)
-    ladder.flags.writeable = False  # one array, shared by every call
-    return ladder
+    rung = ladder[np.searchsorted(ladder, np.arange(MAX_TERMS + 1))]
+    log_reach = max(_ULP_REACH, _LOG_LAST_J - math.log(policy.tail_tol)) + _REACH_MARGIN
+    reaches = np.array([[log_reach], [log_reach + _MOMENT_MARGIN]])
+    for table in (rung, reaches):
+        table.flags.writeable = False  # one array, shared by every call
+    return rung, reaches
 
 
 def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moments: bool = False):
     """Each row's grid length (0 where it cannot be summed), shift and ln Z's length.
 
-    ln Z's length is the first rung of _ladder(base_terms) whose last index
+    ln Z's length is the first rung of the ladder (_sizing) whose last index
     is past the row's _reach of R (see TruncationPolicy); a row shorter than
     MAX_TERMS then passes the tail test, whose bound, term * r / (1 - r), is
     at most e^-R (K - 1) / R of its sum. With moments the grid reaches
@@ -229,16 +238,16 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moment
     Elsewhere it is 0.0 and every weight exp(t) and moment sum stays in float
     range.
     """
-    ladder = _ladder(policy.base_terms)
+    rung, reaches = _sizing(policy)
     summable = log_lam < nu * _LOG_LAST_J
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # nu = 0, and modes past float range
         mode = np.exp(log_lam / nu)
-    log_reach = max(_ULP_REACH, _LOG_LAST_J - math.log(policy.tail_tol)) + _REACH_MARGIN
-    reaches = np.array([[log_reach], [log_reach + _MOMENT_MARGIN]])[:1 + moments]
-    need = np.fmin(np.floor(_reach(log_lam, nu, mode, reaches)) + 2.0, MAX_TERMS)
-    lengths = np.where(summable, ladder[np.searchsorted(ladder, need)], 0)  # (1 or 2, rows)
+        nu_mode = nu * mode
+        reach = _reach(log_lam, nu_mode, mode, reaches[:1 + moments])
+    need = np.fmin(np.floor(reach) + 2.0, MAX_TERMS)  # whole numbers in [2, MAX_TERMS]
+    lengths = np.where(summable, rung[need.astype(np.intp)], 0)  # (1 or 2, rows)
     shift = np.zeros(log_lam.size)
-    big = np.flatnonzero(summable & (log_lam > 0.0) & (nu * mode > _MAX_UNSHIFTED))
+    big = np.flatnonzero(summable & (log_lam > 0.0) & (nu_mode > _MAX_UNSHIFTED))
     if big.size:
         j = np.floor(mode[big])[:, None] + np.arange(-1.0, 2.0)
         t = log_lam[big, None] * j - nu[big, None] * _LGAMMA[j.astype(np.int64)]
@@ -275,17 +284,18 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     log_z = np.full(log_lam.size, np.nan)
     sums = np.full((log_lam.size, 5), np.nan) if moments else None
     k, shift, k_z = _sizes(log_lam, nu, policy, moments)
-    rows = np.flatnonzero(k)
-    if not rows.size:
+    summed = np.count_nonzero(k)
+    if not summed:
         return log_z, sums, k
-    rows = rows[np.lexsort((k_z[rows], k[rows]))]
+    # the summed rows by grid length, then by ln Z's length: the unsummed (0, 0) sort first
+    rows = np.argsort(k * (MAX_TERMS + 1) + k_z, kind="stable")[k.size - summed:]
     lengths, z_lengths, c = k[rows], k_z[rows], shift[rows]
-    coef = np.stack((log_lam[rows], -nu[rows]))
+    coef = np.concatenate((log_lam[rows], -nu[rows])).reshape(2, -1)
     rest = np.empty(rows.size)
     moment_sums = np.empty((rows.size, 5)) if moments else None
     # the sorted rows' runs of one grid length, of one ln Z length, and their shifted rows
-    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), rows.size]
-    z_bounds = [0, *(np.flatnonzero(np.diff(z_lengths) != 0) + 1).tolist(), rows.size]
+    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), rows.size]
+    z_bounds = [0, *(np.flatnonzero(z_lengths[1:] != z_lengths[:-1]) + 1).tolist(), rows.size]
     shifted = np.flatnonzero(c).tolist()
     for first, end in zip(bounds[:-1], bounds[1:]):
         length = int(lengths[first])
@@ -307,24 +317,27 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
                 np.einsum("bk,ck->bc", w, table, out=moment_sums[a:b])
     total = np.exp(-c) + rest  # t_0 = 0 weighs e^-shift
     with np.errstate(all="ignore"):
-        lz = np.where(c == 0.0, np.log1p(rest), c + np.log(total))
+        lz = np.log1p(rest)
+        if shifted:
+            lz[shifted] = c[shifted] + np.log(total[shifted])
         # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-        j = z_lengths - 1
-        last = coef[0] * j + coef[1] * _LGAMMA[j]
-        log_r = last - (coef[0] * (j - 1) + coef[1] * _LGAMMA[j - 1])
+        j = z_lengths - _LAST_TWO
+        last, prev = coef[0] * j + coef[1] * _LGAMMA[j]
+        log_r = last - prev
         ratio = np.exp(log_r)
-        ok = (log_r < 0.0) & (ratio < 1.0) & (
-            (last - lz) + log_r - np.log1p(-ratio) < math.log(policy.tail_tol))
-    log_z[rows[ok]] = lz[ok]
+        # ratio < 1 holds only where log_r < 0: the terms decay
+        ok = (ratio < 1.0) & ((last - lz) + log_r - np.log1p(-ratio) < math.log(policy.tail_tol))
+    kept = rows[ok]
+    log_z[kept] = lz[ok]
     if moments:
-        sums[rows[ok]] = (moment_sums / total[:, None])[ok]
+        sums[kept] = (moment_sums / total[:, None])[ok]
     return log_z, sums, k
 
 
 def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool = False) -> tuple:
     """The series at one point: (its grid's log terms t, ln Z), or with moments (moments, ln Z).
 
-    A one-row call of series_arrays; t is that row's einsum at its grid's
+    A one-row call of series_arrays; t is that row's _log_terms at its grid's
     length. Raises TruncationError where the series cannot be summed.
     """
     log_z, sums, k = series_arrays(np.array([log_lam]), np.array([nu]), policy, moments)
@@ -336,8 +349,12 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool =
 
 
 def _log_terms(log_lam: float, nu: float, k: int) -> np.ndarray:
-    """A row's log terms t_j = j ln lambda - nu lnGamma(j + 1), j < k, as series_arrays' einsum."""
-    return np.einsum("ib,ik->bk", ([log_lam], [-nu]), _MOMENT_TABLE[0:3:2, :k])[0]
+    """A row's log terms t_j = j ln lambda - nu lnGamma(j + 1), j < k: series_arrays' einsum's.
+
+    The same two products and sum, so the same values; t_0 may be -0.0 for the einsum's 0.0.
+    """
+    j, lgamma = _MOMENT_TABLE[0:3:2, :k]
+    return log_lam * j - nu * lgamma
 
 
 def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float, e_g: float,
@@ -349,9 +366,10 @@ def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float,
     uncorrelated, which keeps the digits that X and ln X!'s near-collinearity cancels.
     """
     j, lgamma = _MOMENT_TABLE[0:3:2, :k]
-    dx, dg = j - e_x, e_g - lgamma - beta * (j - e_x)
+    dx = j - e_x
+    dg = e_g - lgamma - beta * dx
     x2, xg, g2 = dx * dx, dx * dg, dg * dg
-    return np.stack([x2, xg, g2, x2 * dx, x2 * dg, xg * dg, g2 * dg, x2 * x2, x2 * xg,
+    return np.array([x2, xg, g2, x2 * dx, x2 * dg, xg * dg, g2 * dg, x2 * x2, x2 * xg,
                      x2 * g2, xg * g2, g2 * g2]) @ np.exp(_log_terms(log_lam, nu, k) - log_z)
 
 

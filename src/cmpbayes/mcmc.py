@@ -29,13 +29,15 @@ precision (Tierney 1994; Rue, Martino & Chopin 2009). Proposals do not depend on
 state, so each chain draws them all first from its own Philox stream, in this
 order: every step's pair of normals, then every step's chi-square(_DF) for
 the t scale, then one uniform per step. Its proposals are then evaluated
-_CHUNK at a time, each chunk in one call of the target (whose rows
-core.series_arrays sums in grids of at most core._MAX_CELLS cells) followed
-by a float-only accept scan: a chain starts at the mode, and proposal i
-replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
-density). A row's value does not depend on the other rows, so a chain's
-draws are the same whatever the two bounds and whichever chains run beside
-it. Warmup steps are drawn and discarded; keep steps are kept.
+_CHUNK at a time, so that a default chain's 2 200 are one call of the target
+(whose rows core.series_arrays sums in grids of at most core._MAX_CELLS
+cells), each call followed by a float-only accept scan: a chain starts at the
+mode, and proposal i replaces the state when ln U_i < r_i - r_state, r =
+target - ln(proposal density). A rejected proposal's r is -inf, which never
+passes, so the scan visits only the finite ratios. A row's value does not
+depend on the other rows, so a chain's draws are the same whatever the two
+bounds and whichever chains run beside it. Warmup steps are drawn and
+discarded; keep steps are kept.
 
 Proposals the target rejects count per chain by reason (priors.REJECTIONS),
 over the warmup steps and over the kept steps: outside_support (nu below
@@ -96,7 +98,9 @@ _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
 _MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in f's rounding
 _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
-_CHUNK = 2048  # a chain's proposals per target call and scan: no large temporaries
+# a chain's proposals per target call and accept scan (of their finite ratios): a default
+# chain's 2 200 are one call, and a longer chain's temporaries stay bounded
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,7 @@ def _evaluator(spec, stats, policy):
         value = float(values[0] + u)
         if not math.isfinite(value):  # no derivative arithmetic on inf or nan
             return value, None
-        e_x, e_x2, e_g, e_g2, e_xg = sums[0]
+        e_x, e_x2, e_g, e_g2, e_xg = sums[0].tolist()
         var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
         grad = np.array([a - c * e_x, c * e_g - b])
         hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
@@ -317,13 +321,15 @@ def pareto_khat(log_ratios: np.ndarray) -> float:
     ratios have finite variance; above 0.7 their tail is too heavy for the
     draws to be trusted. -inf where the ratios have no tail (all equal).
     """
-    x = np.sort(log_ratios)
-    s = x.size
+    s = log_ratios.size
     m = math.ceil(min(0.2 * s, 3.0 * math.sqrt(s)))
-    if m < 5 or not math.isfinite(x[-1]):
+    if m < 5:
+        return math.nan
+    x = np.sort(np.partition(log_ratios, s - m - 1)[s - m - 1:])  # the largest m + 1, in order
+    if not math.isfinite(x[-1]):
         return math.nan
     with np.errstate(all="ignore"):
-        y = np.exp(x[s - m:] - x[-1]) - math.exp(x[s - m - 1] - x[-1])
+        y = np.exp(x[1:] - x[-1]) - math.exp(x[0] - x[-1])
         if not y[-1] > 0.0:
             return -math.inf
         grid = 30 + int(math.sqrt(m))
@@ -354,16 +360,17 @@ def _proposals(generator, steps: int, centre: np.ndarray, chol: tuple[float, flo
     return u, nu, log_q, log_u
 
 
-def _scan(log_ratios: list, log_u: list, first: int, current: float, accepted: list) -> float:
-    """An independence chain's accept scan over steps first, first + 1, ...
+def _scan(steps: list, log_ratios: list, log_u: list, current: float, accepted: list) -> float:
+    """An independence chain's accept scan over the given steps, in order.
 
     Appends each step it accepts to accepted; current is the log ratio of the
     state before the first step, and the state's after the last is returned.
     """
-    for i, r, lu in zip(range(first, first + len(log_ratios)), log_ratios, log_u):
+    accept = accepted.append
+    for i, r, lu in zip(steps, log_ratios, log_u):
         if lu < r - current:
             current = r
-            accepted.append(i)
+            accept(i)
     return current
 
 
@@ -400,11 +407,14 @@ def run_chains(
             rows = slice(first, first + _CHUNK)
             values, reasons[rows] = target(u[rows], nu[rows])
             ratios[rows] = values - log_q[rows]
-            current = _scan(ratios[rows].tolist(), log_u[rows].tolist(), first, current, accepted)
+            # ln U < -inf - current never holds, so only the finite ratios are scanned
+            finite = np.flatnonzero(values > -math.inf) + first
+            current = _scan(finite.tolist(), ratios[finite].tolist(), log_u[finite].tolist(),
+                            current, accepted)
         log_ratios.append(ratios)
         # the state after each step: the last accepted proposal, or the mode (-1)
-        state = np.full(steps, -1)
-        state[accepted] = accepted
+        state, taken = np.full(steps, -1), np.array(accepted, dtype=np.intp)
+        state[taken] = taken
         state = np.maximum.accumulate(state)[warmup:]
         lam.append(np.exp(np.where(state < 0, centre[0], u[state])))
         nus.append(np.where(state < 0, centre[1], nu[state]))
@@ -464,15 +474,8 @@ def summarize(draws: Draws) -> PosteriorSummary:
     Quantiles use numpy's linear-interpolation definition (position
     (n-1)*q on the sorted pooled draws).
     """
-    out = {}
-    for name in ("lam", "nu"):
-        x = getattr(draws, name)
-        pooled = x.ravel()
-        lo, med, hi = np.quantile(pooled, [0.025, 0.5, 0.975])
-        out[name] = ParamSummary(
-            median=float(med),
-            cri_low=float(lo),
-            cri_high=float(hi),
-            rhat=_split_rhat_matrix(x),
-        )
-    return PosteriorSummary(lam=out["lam"], nu=out["nu"], n_kept=draws.n_kept)
+    pooled = np.stack((draws.lam, draws.nu)).reshape(2, -1)
+    quantiles = np.quantile(pooled, [0.025, 0.5, 0.975], axis=1).T.tolist()
+    lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=_split_rhat_matrix(x))
+               for (lo, med, hi), x in zip(quantiles, (draws.lam, draws.nu)))
+    return PosteriorSummary(lam=lam, nu=nu, n_kept=draws.n_kept)

@@ -23,7 +23,8 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, truncation_error, series_arrays
+from .core import (MAX_TERMS, CmpParams, TruncationPolicy, DEFAULT_POLICY, _LGAMMA,
+                   truncation_error, series_arrays)
 from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
 from .errors import EmptyDataError, InvalidParamsError, NonpositiveDeterminantError
 from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
@@ -69,7 +70,10 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     An ndarray is used as given; any other iterable is read into one. Every
     count must be at most 2^63 - 1, the bound datasets.parse_counts applies,
     whatever the input's type. S1 is summed in int64 only where n * max(x)
-    fits in it, and as Python ints otherwise, so it never wraps.
+    fits in it, and as Python ints otherwise, so it never wraps. S2 sums
+    lnGamma(x + 1) read from core's table of it where every count is below
+    MAX_TERMS (the table holds gammaln of the same floats, so S2 is the same),
+    and from gammaln above.
     """
     x = data if isinstance(data, np.ndarray) else np.asarray(list(data))
     if x.size == 0:
@@ -86,7 +90,8 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     n = int(x.size)
     # an int64 sum wraps without error, so past its range the counts are summed as Python ints
     s1 = int(x.sum()) if n * int(high) <= _MAX_COUNT else sum(x.tolist())
-    return SufficientStats(n=n, s1=s1, s2=float(gammaln(x + 1.0).sum()))
+    lgamma = _LGAMMA[x] if high < MAX_TERMS else gammaln(x + 1.0)
+    return SufficientStats(n=n, s1=s1, s2=float(lgamma.sum()))
 
 
 def conjugate_form(spec: PriorSpec, stats: SufficientStats) -> tuple[float, float, float]:

@@ -63,8 +63,6 @@ PriorSpec = Union[Conjugate, Flat, Jeffreys]
 # the points it does not evaluate.
 REJECTIONS = ("outside_support", "truncation", "jeffreys_det", "overflow")
 OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = 1, 2, 3, 4
-# core.central_moments' order-m moments, from 0, 3 and 7, as a 2 x .. x 2 tensor (q nu indices)
-_ORDER = {m: start + np.indices((2,) * m).sum(axis=0) for m, start in ((2, 0), (3, 3), (4, 7))}
 
 # The six study priors, keyed by their CLI-facing names, in study order.
 # conj-data is the two-hypothetical-observations prior built from counts
@@ -129,14 +127,22 @@ def jeffreys_derivatives(mu, beta):
     fourth central moment less Sigma_ij Sigma_kl + Sigma_ik Sigma_jl + Sigma_il Sigma_jk,
     which Sigma^-1 contracts to 4 Sigma_kl. mu is a row's core.central_moments at beta,
     of s = T (X, -ln X!), T = [[1, 0], [-beta, 1]]: det T = 1, and the derivatives in
-    s's natural parameter T^-T (ln lambda, nu) are mapped back by T^-1.
+    s's natural parameter T^-T (ln lambda, nu) are mapped back by T^-1. The moment of
+    order m with q indices on the second coordinate is mu[start + q], start = 0, 3, 7 for
+    m = 2, 3, 4; each contraction is a float sum over its indices in lexicographic order.
     """
-    inverse = np.array([[mu[2], -mu[1]], [-mu[1], mu[0]]]) / (mu[0] * mu[2] - mu[1] * mu[1])
-    d = np.einsum("ia,ajk->ijk", inverse, mu[_ORDER[3]])  # Sigma^-1 k3_k, by k
-    tr_k4 = np.einsum("ij,ijkl->kl", inverse, mu[_ORDER[4]]) - 4.0 * mu[_ORDER[2]]
+    m = mu.tolist()
+    det = m[0] * m[2] - m[1] * m[1]
+    inverse = ((m[2] / det, -m[1] / det), (-m[1] / det, m[0] / det))
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    d = [[[sum(inverse[i][a] * m[3 + a + j + k] for a in (0, 1)) for k in (0, 1)]
+          for j in (0, 1)] for i in (0, 1)]  # d[i][j][k] = (Sigma^-1 k3_k)_ij
+    gradient = [0.5 * sum(d[i][i][k] for i in (0, 1)) for k in (0, 1)]
+    hessian = [[0.5 * ((sum(inverse[i][j] * m[7 + i + j + k + l] for i, j in pairs)
+                        - 4.0 * m[k + l]) - sum(d[i][j][k] * d[j][i][l] for i, j in pairs))
+                for l in (0, 1)] for k in (0, 1)]
     back = np.array([[1.0, 0.0], [beta, 1.0]])
-    return (back @ (0.5 * np.einsum("iik->k", d)),
-            back @ (0.5 * (tr_k4 - np.einsum("ijk,jil->kl", d, d))) @ back.T)
+    return back @ np.array(gradient), back @ np.array(hessian) @ back.T
 
 
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -301,6 +301,7 @@ def test_large_mode_is_summed_once(monkeypatch):
 @pytest.mark.parametrize("log_lam, nu", [
     (math.log(1.01), 1e-4),  # near the geometric boundary: mode e^99
     (0.5 * math.log(MAX_TERMS - 1) + 1e-9, 0.5),  # ratio lambda / j^nu just above 1 at the cap
+    (1.0, 0.0),  # geometric past lambda = 1: nu times its infinite mode is sized without a warning
 ])
 def test_unconvergeable_series_raises_before_summing(monkeypatch, log_lam, nu):
     with pytest.raises(TruncationError) as before:
@@ -950,6 +951,54 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
     assert (np.array(outside) >= d.rejections["outside_support"]).all()
     assert d.rejections["outside_support"].sum() > 0
     assert set(sizes[:-2]) == {1}
+
+
+def test_default_chain_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
+    # a McmcConfig() chain's 2 200 proposals are one call of the target, whose rows
+    # inside the support reach series_arrays in one call; the accept scan visits only
+    # the finite ratios, and accepts the same steps as a scan over every step, since
+    # ln U < -inf - r never holds: on crab-satellites about half the proposals fall
+    # below the nu floor
+    calls = proposals_of(monkeypatch)
+    sizes, drawn = [], []
+    series, proposals = posterior.series_arrays, mcmc._proposals
+
+    def counted(log_lam, nu, policy, moments=False):
+        sizes.append(log_lam.size)
+        return series(log_lam, nu, policy, moments)
+
+    def recorded(*args):
+        drawn.append(proposals(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(posterior, "series_arrays", counted)
+    monkeypatch.setattr(mcmc, "_proposals", recorded)
+    spec, stats = get_preset("conj-1"), sufficient_stats(bundled_dataset("crab-satellites").counts)
+    config = McmcConfig()
+    d = run_chains(spec, stats, config, SeedSpec(1))
+    steps = config.warmup + config.keep
+    assert steps == 2_200 and [u.size for u, _ in calls] == [steps] * config.chains
+    outside = [int((nu < NU_FLOOR).sum()) for _, nu in calls]
+    assert sizes[-config.chains:] == [steps - n for n in outside]
+    assert set(sizes[:-config.chains]) == {1}  # the mode search's points
+    assert d.rejections["outside_support"].sum() > 0
+    target = _make_target(spec, stats, POLICY)
+    centre = d.proposal_centre
+    top = target(centre[:1], centre[1:])[0][0]  # the mode's log ratio: its log q is 0
+    for c, (u, nu, log_q, log_u) in enumerate(drawn):
+        ratios = target(u, nu)[0] - log_q
+        assert np.isneginf(ratios).sum() == outside[c] > 0
+        current, accepted = top, []
+        for i in range(steps):
+            if log_u[i] < ratios[i] - current:
+                current = ratios[i]
+                accepted.append(i)
+        state = np.full(steps, -1)
+        state[accepted] = accepted
+        state = np.maximum.accumulate(state)[config.warmup:]  # the last accepted step, or -1
+        assert np.array_equal(d.lam[c], np.exp(np.where(state < 0, centre[0], u[state])))
+        assert np.array_equal(d.nu[c], np.where(state < 0, centre[1], nu[state]))
+        assert d.accept_rate[c] == sum(i >= config.warmup for i in accepted) / config.keep
 
 
 def test_no_weight_leaves_the_normal_range():

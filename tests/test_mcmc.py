@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cmpbayes import (
@@ -348,6 +350,68 @@ class TestParetoKhat:
         ratios = self.log_ratios(0.3)
         with_zeros = np.concatenate((ratios, np.full(100, -np.inf)))
         assert pareto_khat(with_zeros) > 0.7
+
+
+def sorted_khat(log_ratios):
+    """pareto_khat's fit, from a full sort of the ratios: the reference of its partition."""
+    x = np.sort(log_ratios)
+    s = x.size
+    m = math.ceil(min(0.2 * s, 3.0 * math.sqrt(s)))
+    if m < 5 or not math.isfinite(x[-1]):
+        return math.nan
+    with np.errstate(all="ignore"):
+        y = np.exp(x[s - m:] - x[-1]) - math.exp(x[s - m - 1] - x[-1])
+        if not y[-1] > 0.0:
+            return -math.inf
+        grid = 30 + int(math.sqrt(m))
+        theta = 1.0 - np.sqrt(grid / (np.arange(1, grid + 1) - 0.5))
+        theta = theta / (3.0 * y[int(m / 4 + 0.5) - 1]) + 1.0 / y[-1]
+        k = np.log1p(-theta[:, None] * y).mean(axis=1)
+        profile = m * (np.log(-theta / k) - k - 1.0)
+        weights = 1.0 / np.exp(profile - profile[:, None]).sum(axis=1)
+        keep = weights >= 10.0 * np.finfo(float).eps
+        theta_hat = float((theta[keep] * weights[keep]).sum() / weights[keep].sum())
+        k_hat = float(np.log1p(-theta_hat * y).mean())
+    return (m * k_hat + 10 * 0.5) / (m + 10)
+
+
+# log ratios with ties (a few values repeated) and -inf entries, of any length from 0
+LOG_RATIOS = st.integers(0, 200).flatmap(lambda size: st.lists(
+    st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-math.inf, 0.0, 1.5, -2.25])),
+    min_size=size, max_size=size)).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_ratios=LOG_RATIOS, seed=st.integers(0, 2**32 - 1), size=st.integers(0, 9_000),
+       chains=st.integers(2, 4), keep=st.integers(100, 300), states=st.integers(2, 60))
+@example(log_ratios=np.full(200, 1.5), seed=0, size=0, chains=2, keep=100, states=2)  # -inf
+@example(log_ratios=np.full(200, -math.inf), seed=0, size=0, chains=2, keep=100, states=2)
+@example(log_ratios=np.arange(24.0), seed=0, size=0, chains=2, keep=100, states=2)  # m = 4
+@example(log_ratios=np.arange(25.0), seed=0, size=0, chains=2, keep=100, states=2)  # m = 5
+def test_khat_and_summary_match_their_sorted_references(log_ratios, seed, size, chains, keep,
+                                                         states):
+    # pareto_khat takes its tail from np.partition and sorts only the tail: the same
+    # bits as a full sort (k-hat -inf where all are equal, nan below m = 5 or with no
+    # finite ratio); summarize takes both parameters' quantiles from one np.quantile
+    # call: the same bits as one call per parameter
+    assert repr(pareto_khat(log_ratios)) == repr(sorted_khat(log_ratios))  # to the bit, or nan
+    # a fit's thousands of ratios: about half -inf (crab-satellites' nu floor), some tied
+    rng = np.random.default_rng(seed)
+    fit = np.round(rng.standard_normal(size) * rng.uniform(0.1, 3.0), int(rng.integers(1, 17)))
+    fit[rng.random(size) < rng.uniform(0.0, 0.6)] = -math.inf
+    assert repr(pareto_khat(fit)) == repr(sorted_khat(fit))
+    # an independence chain's draws repeat its states, so they hold many ties
+    lam = rng.choice(rng.lognormal(size=states), (chains, keep))
+    nu = rng.choice(rng.gamma(2.0, size=states), (chains, keep))
+    try:
+        summary = summarize(make_draws(lam, nu))
+    except ZeroVarianceError:  # a half-chain of one state has no R-hat
+        assume(False)
+    for param, x in ((summary.lam, lam), (summary.nu, nu)):
+        got = (param.cri_low, param.median, param.cri_high)
+        assert [type(v) for v in got] == [float] * 3
+        assert [v.hex() for v in got] == [float(v).hex()
+                                          for v in np.quantile(x.ravel(), [0.025, 0.5, 0.975])]
 
 
 class TestDrawsExport:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from cmpbayes import (
     CmpParams,
@@ -29,6 +30,7 @@ from cmpbayes import (
     sufficient_stats,
     updated_hyper,
 )
+from cmpbayes.core import MAX_TERMS
 
 
 class TestSufficientStats:
@@ -130,6 +132,27 @@ class TestSufficientStats:
         s = sufficient_stats(bundled_dataset(name).counts)
         assert (s.n, s.s1, s.s2) == (n, s1, float.fromhex(s2))
         assert type(s.s1) is int
+
+    # counts below MAX_TERMS read lnGamma(x + 1) from core's table, the others gammaln:
+    # each side of the bound, and an array spanning it, sums to gammaln's S2 to the bit
+    @pytest.mark.parametrize("counts", [
+        [0], [1], [9_999], [0, 1, 9_999, 9_998], [10_000], [10**6], [10_000, 10**6],
+        [3, 9_999, 10_000, 0, 10**6, 1], list(range(10_000)), list(range(0, 20_000, 7)),
+    ], ids=["0", "1", "9999", "table", "10000", "10^6", "gammaln", "spanning", "every-entry",
+            "range-spanning"])
+    def test_table_lngamma_is_gammaln_to_the_bit(self, counts):
+        x = np.array(counts, dtype=np.int64)
+        want = float(gammaln(x + 1.0).sum())
+        assert sufficient_stats(x).s2.hex() == want.hex()
+        assert sufficient_stats(counts).s2.hex() == want.hex()
+
+    def test_hungarian_words_s2_from_the_table(self):
+        # 57 459 counts, all below MAX_TERMS, so S2 is read from the table
+        counts = bundled_dataset("hungarian-words").counts
+        assert counts.max() < MAX_TERMS
+        want = self.BUNDLED_STATS["hungarian-words"][2]
+        assert sufficient_stats(counts).s2.hex() == want
+        assert float(gammaln(counts + 1.0).sum()).hex() == want
 
     def test_xbar_exact(self):
         s = sufficient_stats([3, 1, 4, 1, 5])

@@ -124,8 +124,9 @@ class FitReport:
             lines.append(f"rejected {phase}proposals: " + ", ".join(
                 f"{reason} {counts.sum()}" for reason, counts in counts_by_reason.items()))
         search = draws.mode_search
-        lines.append(f"mode search: {search.iterations} Newton steps, decrement "
-                     f"{search.decrement:.2g}" + (", on the nu floor" if search.on_floor else ""))
+        lines.append(f"mode search: {search.iterations} Newton steps, {search.points} points, "
+                     f"decrement {search.decrement:.2g}"
+                     + (", on the nu floor" if search.on_floor else ""))
         lines.append(f"Pareto k-hat of the proposal: {draws.pareto_k:.2f}")
         lines.append(f"warmup TV bound estimate: {self.warmup_tv_bound:.2g} after "
                      f"{self.config.warmup} steps, weight sup {draws.weight_sup:.3g}"

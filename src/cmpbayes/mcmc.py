@@ -9,19 +9,22 @@ a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
 under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
 -c Cov(X, -ln X!) are the moment sums the kernel's rows return beside their
 values, and J's are exact, from central moments on the same row's grid
-(priors.jeffreys_derivatives). A Newton search from (ln max(xbar, 0.5), 1)
-finds the mode on nu >= NU_FLOOR with one one-row series call per point. Each
-step is Newton's, with the Hessian's eigenvalues made negative so that it
-ascends, and stops on the floor where it would cross it; on the floor, where
-the target still rises toward lower nu (crab-satellites), the step is Newton's
-in u alone, g_u / |H_uu|, so the mode is the floor's best point. A step is
-halved until the target rises, and taken whole below a Newton decrement
+(priors.jeffreys_derivatives). A Newton search finds the mode on nu >= NU_FLOOR
+with one one-row series call per point. It starts where the asymptotic CMP moments
+solve the mode's equations E X = a/c, E ln X! = b/c (_starts), and where that
+search fails, once more from (ln max(xbar, 0.5), 1). Each step is Newton's, with
+the Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
+negative so that it ascends, and stops on the floor where it would cross it; on
+the floor, where the target still rises toward lower nu (crab-satellites), the
+step is Newton's in u alone, g_u / |H_uu|, so the mode is the floor's best point.
+A step is halved until the target rises, and taken whole below a Newton decrement
 g'(-H)^-1 g of _MODE_TOL, where the target's rounding hides its rise. The mode
 is where the decrement falls to _NEWTON_TOL (Draws.mode_search). Its precision
 is -H; on the floor its nu entry adds g_nu^2, the curvature of an exponential
 falling from the floor at the gradient's rate (all-zero counts fall so, almost
-without curvature). A search that ends above _NEWTON_TOL, or a precision that
-is not positive definite, refuses the fit with ModeNotFoundError before any draw.
+without curvature). Where every search ends above _NEWTON_TOL, or at a precision
+that is not positive definite, the fit is refused with ModeNotFoundError before
+any draw.
 
 The proposal is a bivariate t with _DF degrees of freedom, centred on the
 mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
@@ -73,6 +76,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, polygamma
 
 from .core import TruncationPolicy, DEFAULT_POLICY, central_moments
 from .errors import (
@@ -124,7 +128,8 @@ class McmcConfig:
 class ModeSearch:
     """How the Newton search for the proposal's centre ended."""
 
-    iterations: int  # Newton steps taken from the start (ln max(xbar, 0.5), 1)
+    iterations: int  # Newton steps taken, from the moment-matched start and any retry (_starts)
+    points: int  # target points evaluated, one series row each, the retry's included
     decrement: float  # the Newton decrement g'(-H)^-1 g at the mode
     on_floor: bool  # the mode is on nu = NU_FLOOR, where the target still rises toward lower nu
 
@@ -264,52 +269,101 @@ def _evaluator(spec, stats, policy):
     return evaluate
 
 
+def _eigen2(p: float, q: float, r: float) -> tuple[float, float, float, float]:
+    """The eigenvalues of the symmetric [[p, q], [q, r]] and the first one's eigenvector.
+
+    Returns (l1, l2, c, s): l1 >= l2, l1's unit eigenvector is (c, s) = (cos t, sin t)
+    at the Jacobi angle t = atan2(2q, p - r) / 2, and l2's is (-s, c).
+    """
+    angle = 0.5 * math.atan2(2.0 * q, p - r)
+    mean, radius = 0.5 * (p + r), math.hypot(0.5 * (p - r), q)
+    return mean + radius, mean - radius, math.cos(angle), math.sin(angle)
+
+
+def _starts(spec, stats) -> list[tuple[float, float]]:
+    """Where the mode search starts: the moment match of (a, b, c), then (ln max(xbar, 0.5), 1).
+
+    The mode solves E X = m = a/c and E ln X! = b/c. With the asymptotic mean
+    mu - (nu - 1)/(2 nu) and variance mu/nu, mu = lambda^(1/nu) (Gaunt et al. 2019),
+    and E ln X! ~ ln Gamma(m + 1) + psi'(m + 1) V/2, the variance is V =
+    2 (b/c - ln Gamma(m + 1)) / psi'(m + 1), mu is the larger root of
+    mu^2 - (m + 1/2) mu + V/2 and nu = mu / V. Past the roots (over-dispersion beyond
+    any nu) the start is the floor's geometric match, lambda = m / (1 + m).
+    """
+    fallback = (math.log(max(stats.xbar, 0.5)), 1.0)
+    a, b, c = conjugate_form(spec, stats)
+    m = a / c if c > 0.0 else 0.0
+    if not 0.0 < m < math.inf:
+        return [fallback]
+    variance = 2.0 * (b / c - float(gammaln(m + 1.0))) / float(polygamma(1, m + 1.0))
+    if not variance > 0.0:
+        return [fallback]
+    discriminant = (m + 0.5) ** 2 - 2.0 * variance
+    if discriminant < 0.0:
+        return [(math.log(m / (1.0 + m)), NU_FLOOR), fallback]
+    mu = 0.5 * (m + 0.5 + math.sqrt(discriminant))
+    nu = mu / variance
+    return [(nu * math.log(mu), nu), fallback]
+
+
 def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSearch]:
     """The target's mode (u, nu), its value and precision there, and how the search ended.
 
-    Newton's method, one series row per point it visits. Raises ModeNotFoundError
-    where the search ends above a decrement of _NEWTON_TOL or at no finite mode.
+    Newton's method, one series row per point it visits, from each of _starts in turn
+    until a search ends at a decrement of at most _NEWTON_TOL with a positive definite
+    precision. Raises ModeNotFoundError where none does.
     """
     evaluate = _evaluator(spec, stats, policy)
-    x = np.array([math.log(max(stats.xbar, 0.5)), 1.0])
-    f, derivatives = evaluate(x)
-    decrement, iterations = math.inf, 0
-    while derivatives is not None:
-        grad, hess = derivatives
-        eigenvalues, vectors = np.linalg.eigh(hess)
-        # Newton's step with the Hessian's eigenvalues made negative, so it ascends;
-        # in u alone where the target falls through the nu floor
-        smallest = 1e-12 * np.abs(eigenvalues).max()
-        on_floor = x[1] <= NU_FLOOR and grad[1] <= 0.0
-        if on_floor:
-            step = np.array([grad[0] / max(abs(hess[0, 0]), smallest), 0.0])
-        else:
-            step = vectors @ ((vectors.T @ grad) / np.maximum(np.abs(eigenvalues), smallest))
-        decrement = float(grad @ step)
-        if decrement <= _NEWTON_TOL or iterations == _NEWTON_STEPS:
-            break
-        t = 1.0
-        while t > 1e-10:
-            trial = x + t * step
-            trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
-            f_trial, found = evaluate(trial)
-            if found is not None and (f_trial > f or decrement <= _MODE_TOL):
+    iterations = points = 0
+    for start in _starts(spec, stats):
+        x = np.array(start)
+        f, derivatives = evaluate(x)
+        points += 1
+        decrement, steps = math.inf, 0
+        while derivatives is not None:
+            grad, hess = derivatives
+            (h00, h01), (_, h11) = hess.tolist()
+            l1, l2, c, s = _eigen2(h00, h01, h11)
+            # Newton's step with the Hessian's eigenvalues made negative, so it ascends;
+            # in u alone where the target falls through the nu floor
+            least = 1e-12 * max(abs(l1), abs(l2))
+            on_floor = x[1] <= NU_FLOOR and grad[1] <= 0.0
+            if on_floor:
+                step = np.array([grad[0] / max(abs(h00), least), 0.0])
+            else:
+                g0, g1 = grad.tolist()
+                w1 = (c * g0 + s * g1) / max(abs(l1), least)
+                w2 = (c * g1 - s * g0) / max(abs(l2), least)
+                step = np.array([c * w1 - s * w2, s * w1 + c * w2])
+            decrement = float(grad @ step)
+            if decrement <= _NEWTON_TOL or steps == _NEWTON_STEPS:
                 break
-            t *= 0.5
-        else:
-            break  # the target rises no further along the step
-        x, f, derivatives = trial, f_trial, found
-        iterations += 1
-    precision = -hess if derivatives is not None and decrement <= _NEWTON_TOL else None
-    if precision is not None and on_floor:
-        # on the floor the posterior falls at rate |g_nu|, as an exponential of
-        # variance 1 / g_nu^2 does where its curvature is small
-        precision[1, 1] = max(precision[1, 1], 0.0) + grad[1] ** 2
-    if precision is None or not (np.linalg.eigvalsh(precision) > 0.0).all():
-        raise ModeNotFoundError(
-            "found no finite posterior mode to centre the proposal on (the Newton search "
-            f"ended at ln lambda = {x[0]:.17g}, nu = {x[1]:.17g}, with target {f!r})")
-    return x, f, precision, ModeSearch(iterations, decrement, bool(on_floor))
+            t = 1.0
+            while t > 1e-10:
+                trial = x + t * step
+                trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
+                f_trial, found = evaluate(trial)
+                points += 1
+                if found is not None and (f_trial > f or decrement <= _MODE_TOL):
+                    break
+                t *= 0.5
+            else:
+                break  # the target rises no further along the step
+            x, f, derivatives = trial, f_trial, found
+            steps += 1
+        iterations += steps
+        if derivatives is not None and decrement <= _NEWTON_TOL:
+            precision = -hess
+            if on_floor:
+                # on the floor the posterior falls at rate |g_nu|, as an exponential of
+                # variance 1 / g_nu^2 does where its curvature is small
+                precision[1, 1] = max(precision[1, 1], 0.0) + grad[1] ** 2
+            (p00, p01), (_, p11) = precision.tolist()
+            if _eigen2(p00, p01, p11)[1] > 0.0:
+                return x, f, precision, ModeSearch(iterations, points, decrement, bool(on_floor))
+    raise ModeNotFoundError(
+        "found no finite posterior mode to centre the proposal on (the Newton search "
+        f"ended at ln lambda = {x[0]:.17g}, nu = {x[1]:.17g}, with target {f!r})")
 
 
 def pareto_khat(log_ratios: np.ndarray) -> float:

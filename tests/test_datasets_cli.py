@@ -193,7 +193,8 @@ class TestCli:
                       warmup_rejections={reason: zeros for reason in rejections},
                       pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                       proposal_cholesky=np.array([0.1, 0.0, 0.1]),
-                      mode_search=ModeSearch(iterations=5, decrement=1e-21, on_floor=False),
+                      mode_search=ModeSearch(iterations=5, points=6, decrement=1e-21,
+                                             on_floor=False),
                       weight_sup=2.0, start_is_heaviest=True)
         ps = ParamSummary(median=1.0, cri_low=0.5, cri_high=2.0, rhat=1.0)
         report = FitReport(
@@ -233,7 +234,7 @@ class TestCli:
             sum(fit["rejections"][reason][chain] for reason in numerical) for chain in (0, 1)]
         text = report.to_text()
         search = draws.mode_search
-        assert (f"\nmode search: {search.iterations} Newton steps, "
+        assert (f"\nmode search: {search.iterations} Newton steps, {search.points} points, "
                 f"decrement {search.decrement:.2g}\n") in text
         warmup = ", ".join(f"{reason} {counts.sum()}"
                            for reason, counts in draws.warmup_rejections.items())
@@ -302,8 +303,9 @@ class TestCli:
         assert set(report["warmup_rejections"]) == set(report["rejections"])
         assert all(len(counts) == 2 for counts in report["warmup_rejections"].values())
         search = report["mode_search"]
-        assert set(search) == {"iterations", "decrement", "on_floor"}
-        assert 0 < search["iterations"] <= 12 and search["decrement"] <= 1e-20
+        assert set(search) == {"iterations", "points", "decrement", "on_floor"}
+        assert 0 < search["iterations"] < search["points"] <= 6
+        assert search["decrement"] <= 1e-20
         assert search["on_floor"] is False
 
     def test_fit_text_output(self, capsys):
@@ -313,7 +315,7 @@ class TestCli:
         assert "dataset: textile-faults (n = 32)" in out
         assert "lambda" in out and "nu" in out
         assert "\nrejected warmup proposals: outside_support " in out
-        assert "\nmode search: 6 Newton steps, decrement " in out
+        assert "\nmode search: 3 Newton steps, 4 points, decrement " in out
 
     def test_fit_custom_hyper(self, capsys):
         assert main(["fit", "textile-faults", "--a", "2", "--b", "0.7", "--c", "2",

@@ -32,8 +32,10 @@ from cmpbayes import (
     summarize,
     updated_hyper,
 )
+from cmpbayes import mcmc
+from cmpbayes.core import DEFAULT_POLICY, series_arrays
 from cmpbayes.mcmc import NU_FLOOR, ModeSearch, _split_rhat_matrix, pareto_khat
-from cmpbayes.priors import REJECTIONS
+from cmpbayes.priors import PRESET_NAMES, REJECTIONS
 
 FAST = McmcConfig(chains=2, warmup=500, keep=300)
 
@@ -46,7 +48,8 @@ def make_draws(lam, nu=None):
     return Draws(lam=lam, nu=nu, accept_rate=np.full(lam.shape[0], 0.3), rejections=counts,
                  warmup_rejections=counts, pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                  proposal_cholesky=np.array([0.1, 0.0, 0.1]),
-                 mode_search=ModeSearch(iterations=5, decrement=0.0, on_floor=False),
+                 mode_search=ModeSearch(iterations=5, points=6, decrement=0.0,
+                                        on_floor=False),
                  weight_sup=2.0, start_is_heaviest=True)
 
 
@@ -243,27 +246,26 @@ class TestRunChains:
             assert all(low <= a <= high for a in d.accept_rate), name
 
     # One short fit frozen, so a sampler change that moves its draws fails;
-    # warmup=1 is the smallest allowed warmup. Re-frozen when the sampler became an
-    # independence chain from the Laplace fit.
+    # warmup=1 is the smallest allowed warmup. Every pin below was last re-frozen when
+    # the mode search began at the posterior's moment match and took closed-form 2 x 2
+    # eigen steps, which moved the mode in its last bits (7e-12 at most in ln lambda).
     @pytest.mark.parametrize("warmup, accepted, outside, lam_median, nu_median", [
-        (300, [109, 119], [16, 14], 1.5519583379911064, 0.23721474245472135),
-        (1, [114, 120], [17, 10], 1.5426733235599688, 0.22804550749595792),
+        (300, [109, 119], [16, 14], 1.5519583379902318, 0.23721474245447405),
+        (1, [114, 120], [17, 10], 1.5426733235591041, 0.22804550749571686),
     ], ids=["warmup300", "warmup1"])
     def test_draws_pinned(self, warmup, accepted, outside, lam_median, nu_median):
         s = pinned_fit("conj-1", warmup, accepted, [0, 0], outside=outside)
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
-    # The same fit under flat and jeffreys. The Jeffreys pins were re-frozen when its
-    # mode search took J's derivatives exactly from the series' central moments, not
-    # from central differences, which had amplified an ulp of the moment sums.
+    # The same fit under flat and jeffreys.
     @pytest.mark.parametrize("prior, warmup, accepted, divergences, outside, lam_median, "
                              "nu_median", [
-        ("flat", 300, [108, 119], [0, 0], [15, 13], 1.7010007307972823, 0.27475328612967254),
-        ("flat", 1, [115, 121], [0, 0], [17, 10], 1.6920318694894299, 0.2643623563355866),
-        ("jeffreys", 300, [108, 118], [0, 1], [16, 16], 1.5967581494389285,
-         0.24538782643551255),
-        ("jeffreys", 1, [115, 122], [0, 0], [18, 11], 1.6060323279789301,
-         0.2358958023862538),
+        ("flat", 300, [108, 119], [0, 0], [15, 13], 1.7010007308086565, 0.27475328613309374),
+        ("flat", 1, [115, 121], [0, 0], [17, 10], 1.6920318695006824, 0.2643623563389021),
+        ("jeffreys", 300, [108, 118], [0, 1], [16, 16], 1.5967581494389254,
+         0.24538782643551016),
+        ("jeffreys", 1, [115, 122], [0, 0], [18, 11], 1.6060323279789264,
+         0.23589580238625557),
     ], ids=["flat-warmup300", "flat-warmup1", "jeffreys-warmup300", "jeffreys-warmup1"])
     def test_draws_pinned_flat_jeffreys(self, prior, warmup, accepted, divergences, outside,
                                         lam_median, nu_median):
@@ -271,12 +273,10 @@ class TestRunChains:
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
     # A fit on a sized posterior: near CMP(30, 0.7) the term mode is about 129,
-    # so rows are hundreds of terms long (textile-faults rows a few dozen). The
-    # Jeffreys pin was last re-frozen when J's derivatives became exact (the lambda
-    # median moved 2.4e-8 relative and the nu median 6.5e-9).
+    # so rows are hundreds of terms long (textile-faults rows a few dozen).
     @pytest.mark.parametrize("prior, accepted, lam_median, nu_median", [
-        ("conj-1", [111, 117], 13.231151614250486, 0.530247646137656),
-        ("jeffreys", [111, 117], 32.64376341054411, 0.7150841973977461),
+        ("conj-1", [111, 117], 13.231151614249663, 0.530247646137609),
+        ("jeffreys", [111, 117], 32.64376341056687, 0.7150841973978976),
     ], ids=["conj-1", "jeffreys"])
     def test_draws_pinned_sized(self, prior, accepted, lam_median, nu_median):
         counts = sample_cmp(CmpParams(30.0, 0.7), 500, SeedSpec(7))
@@ -286,13 +286,12 @@ class TestRunChains:
     # The warmup-300 textile-faults fit's proposal as float.hex: Draws.proposal_centre
     # (ln lambda, nu) and proposal_cholesky (c00, c10, c11). The medians above pass at
     # rtol 1e-12 even if the mode search's last step or the Cholesky factor moves a
-    # bit; these do not. The Jeffreys kernel was re-frozen when J's derivatives
-    # became exact, and conj-1's is the same since grids were sized to their ulp reach.
+    # bit; these do not.
     PINNED_KERNELS = {
-        "conj-1": (["0x1.a848997b135e2p-2", "0x1.bface8f50d2bcp-3"],
-                   ["0x1.22273cdc07ad7p-2", "0x1.ed8b25035525ep-4", "0x1.500fbfc649fe7p-6"]),
-        "jeffreys": (["0x1.c3f291108e22bp-2", "0x1.cd6e33159d3e0p-3"],
-                     ["0x1.32c62d1fb85f1p-2", "0x1.042d307dca9bbp-3", "0x1.4e5d8362534edp-6"]),
+        "conj-1": (["0x1.a848997b10ed1p-2", "0x1.bface8f50b102p-3"],
+                   ["0x1.22273cdc07243p-2", "0x1.ed8b250354211p-4", "0x1.500fbfc649718p-6"]),
+        "jeffreys": (["0x1.c3f291108e22bp-2", "0x1.cd6e33159d3e2p-3"],
+                     ["0x1.32c62d1fb846ap-2", "0x1.042d307dca86ap-3", "0x1.4e5d836253537p-6"]),
     }
 
     @pytest.mark.parametrize("prior", sorted(PINNED_KERNELS))
@@ -325,6 +324,112 @@ class TestRunChains:
                 np.median(getattr(empty, param), axis=1).std(ddof=1) / 2.0,
             )
             assert abs(m1 - m2) < 3.0 * max(se, 1e-3)
+
+
+
+def same_bits(x, y) -> bool:
+    """Whether two Draws field values are equal to the bit (arrays in dtype too)."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same_bits(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+FIT, IMPROPER, NO_MODE = "fit", ImproperPosteriorError, ModeNotFoundError
+
+
+class TestModeSearch:
+    # Each preset's verdict (PRESET_NAMES order: conj-1, conj-data, conj-0.1, conj-0.01,
+    # flat, jeffreys) on small and extreme data: FIT, or the error that refuses the fit.
+    # These are the verdicts of the search from (ln max(xbar, 0.5), 1) alone.
+    @pytest.mark.parametrize("counts, verdicts", [
+        ([0] * 30, (FIT, FIT, FIT, FIT, IMPROPER, FIT)),
+        ([1] * 30, (FIT, FIT, FIT, FIT, IMPROPER, FIT)),
+        ([0, 1] * 15, (FIT, FIT, FIT, FIT, IMPROPER, FIT)),
+        ([0], (FIT, FIT, FIT, FIT, IMPROPER, NO_MODE)),
+        ([1], (FIT, FIT, FIT, FIT, IMPROPER, NO_MODE)),
+        ([5], (FIT, FIT, FIT, FIT, IMPROPER, NO_MODE)),
+        ([0, 7], (FIT, FIT, FIT, FIT, FIT, NO_MODE)),
+        ([1_000_000, 1_000_003, 999_990], (NO_MODE,) * 6),
+    ], ids=["zeros", "ones", "zero-one", "0", "1", "5", "0-7", "huge"])
+    def test_fit_or_refuse_verdicts(self, counts, verdicts):
+        stats = sufficient_stats(counts)
+        for name, verdict in zip(PRESET_NAMES, verdicts):
+            def fit():
+                return run_chains(get_preset(name), stats,
+                                  McmcConfig(chains=2, warmup=1, keep=100), SeedSpec(1))
+            if verdict == FIT:
+                assert fit().mode_search.decrement <= 1e-20, name
+            else:
+                with pytest.raises(verdict):
+                    fit()
+
+    # the moment start of 30 zeros or 30 ones under the tightest presets lands at nu
+    # 78-1 451, and a search from there alone is refused; the retry from
+    # (ln max(xbar, 0.5), 1) fits, and the first search's points count with its own
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("prior", ["conj-0.1", "conj-0.01"])
+    def test_retry_fits_where_the_moment_start_diverges(self, monkeypatch, count, prior):
+        spec, stats = get_preset(prior), sufficient_stats([count] * 30)
+        starts = mcmc._starts(spec, stats)
+        assert len(starts) == 2 and starts[0][1] > 50.0
+        mode, _, _, search = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[1:])
+        retry_mode, _, _, retry = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        assert np.array_equal(mode, retry_mode) and search.decrement == retry.decrement
+        assert search.points > retry.points and search.iterations >= retry.iterations
+        monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[:1])
+        with pytest.raises(ModeNotFoundError):
+            mcmc._laplace(spec, stats, DEFAULT_POLICY)
+
+    def test_conjugate_posterior_is_its_updated_prior_to_the_bit(self):
+        # the search starts from (a, b, c) alone, which Conjugate(h) on data and
+        # Conjugate(updated_hyper(h, stats)) on no data share, so the two fits are one
+        data = sample_cmp(CmpParams(3.0, 1.0), 40, SeedSpec(9, 0))
+        stats = sufficient_stats(data)
+        h = ConjugateHyper(1.3, 0.9, 2.0)
+        with_data = run_chains(Conjugate(h), stats, McmcConfig(), SeedSpec(77, 0))
+        empty = run_chains(Conjugate(updated_hyper(h, stats)), SufficientStats.empty(),
+                           McmcConfig(), SeedSpec(77, 0))
+        for field in fields(Draws):
+            name = field.name
+            assert same_bits(getattr(with_data, name), getattr(empty, name)), name
+
+    # (a, b, c) = c (E X, E ln X!, 1) at CMP(mode^nu, nu): the conjugate posterior whose
+    # mode is that point. The asymptotic moments put the start within 3% of it in nu
+    # and 0.05 in ln lambda from term mode 10 on (0.2% and 0.002 at term mode 1 000)
+    @pytest.mark.parametrize("mode", [10, 30, 100, 1000])
+    @pytest.mark.parametrize("nu", [0.3, 0.7, 1.0, 1.5, 3.0])
+    def test_moment_start_is_near_the_mode(self, mode, nu):
+        u = nu * math.log(mode)
+        _, sums, _ = series_arrays(np.array([u]), np.array([nu]), DEFAULT_POLICY, moments=True)
+        e_x, _, e_g, _, _ = sums[0].tolist()
+        spec = Conjugate(ConjugateHyper(100.0 * e_x, 100.0 * e_g, 100.0))
+        (u_start, nu_start), _ = mcmc._starts(spec, SufficientStats.empty())
+        assert abs(nu_start / nu - 1.0) < 0.03 and abs(u_start - u) < 0.05
+
+    def test_over_dispersed_start_is_the_floor_geometric_match(self):
+        # crab-satellites is too over-dispersed for any nu's asymptotic moments: the
+        # search starts on the floor at the geometric law of mean m = a/c
+        stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
+        (u_start, nu_start), _ = mcmc._starts(get_preset("flat"), stats)
+        m = stats.s1 / stats.n
+        assert nu_start == NU_FLOOR and u_start == math.log(m / (1.0 + m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
+    @example(0.0, 0.0, 0.0)
+    @example(-3.0, 0.0, -3.0)
+    @example(-1.0, -0.999999999, -1.0)
+    def test_closed_form_eigen_step_is_the_eigendecomposition(self, p, q, r):
+        l1, l2, c, s = mcmc._eigen2(p, q, r)
+        hess = np.array([[p, q], [q, r]])
+        vectors = np.array([[c, -s], [s, c]])
+        scale = 4e-15 * max(abs(l1), abs(l2)) + 1e-300  # a few ulp of the larger eigenvalue
+        assert l1 >= l2 and abs(c * c + s * s - 1.0) <= 1e-15
+        assert_allclose(vectors @ np.diag([l1, l2]) @ vectors.T, hess, rtol=0, atol=scale)
+        assert_allclose([l2, l1], np.linalg.eigvalsh(hess), rtol=0, atol=scale)
 
 
 class TestParetoKhat:

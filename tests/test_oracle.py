@@ -41,7 +41,7 @@ CHAINS = 16
 BOUND = 5.0
 PRIORS = ("conj-1", "flat", "jeffreys")
 DATASETS = ("textile-faults", "slovak-poem", "crab-satellites", "hungarian-words")
-MAX_NEWTON_STEPS = 12
+MAX_NEWTON_STEPS = 6
 
 
 def long_series_counts(seed):
@@ -144,9 +144,10 @@ def fit_stats(counts):
 def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
     # each point the search visits costs one one-row series call, with moments, which
     # gives its value, gradient and Hessian (under Jeffreys too: J's derivatives are
-    # central moments on that row's grid); no point is visited twice; and the search
-    # ends in a few Newton steps at a decrement of at most 1e-20, crab-satellites' on
-    # the nu floor, where the step in u is Newton's
+    # central moments on that row's grid); no point is visited twice, and
+    # ModeSearch.points counts them; and the search ends in a few Newton steps at a
+    # decrement of at most 1e-20, crab-satellites' on the nu floor, where the step in
+    # u is Newton's
     points, centres = [], []
     evaluator, series = mcmc._evaluator, posterior.series_arrays
 
@@ -162,11 +163,21 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
     monkeypatch.setattr(mcmc, "_evaluator", counted_evaluator)
     monkeypatch.setattr(posterior, "series_arrays", counted_series)
     mode, _, _, search = mcmc._laplace(get_preset(prior), fit_stats(counts), DEFAULT_POLICY)
-    assert centres == points and len(set(points)) == len(points)
+    assert centres == points and len(set(points)) == len(points) == search.points
     assert tuple(mode) in points
     assert search.iterations <= MAX_NEWTON_STEPS
     assert search.decrement <= 1e-20
     assert search.on_floor is (counts == "crab-satellites")
+
+
+def test_fit_matrix_searches_visit_at_most_50_points():
+    # the benchmark's fit matrix (the bundled datasets under conj-1, flat and jeffreys)
+    # starts its 12 searches at the posterior's moment match: 47 points and 35 Newton
+    # steps in all, where the start (ln max(xbar, 0.5), 1) took 107 points and 80 steps
+    searches = [mcmc._laplace(get_preset(prior), fit_stats(dataset), DEFAULT_POLICY)[3]
+                for dataset in DATASETS for prior in PRIORS]
+    assert sum(search.points for search in searches) <= 50
+    assert sum(search.iterations for search in searches) <= 40
 
 
 @pytest.mark.parametrize("prior", PRIORS)

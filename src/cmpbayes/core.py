@@ -19,8 +19,8 @@ series_arrays is the one summation routine, over arrays of points in
 proposals cost a few numpy calls per grid length rather than Python per row;
 its docstring says how it sizes, weighs and sums them. Every step is
 elementwise or along a row, so no point's result depends on the other points
-or on the grid bound, and the one-point entries (log_normalizer_at,
-moment_sums_at, pmf_table) are one-row calls of series_arrays. The third and
+or on the grid bound, and the one-point entries (log_normalizer, moments,
+pmf_table) are one-row calls of series_arrays (_series). The third and
 fourth moments, which the table does not hold, are central_moments'.
 """
 
@@ -373,15 +373,9 @@ def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float,
                      x2 * g2, xg * g2, g2 * g2]) @ np.exp(_log_terms(log_lam, nu, k) - log_z)
 
 
-def log_normalizer_at(log_lam: float, nu: float,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """ln Z at (ln lambda, nu), unvalidated: the kernel behind log_normalizer."""
-    return _series(log_lam, nu, policy)[1]
-
-
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder (series_arrays)."""
-    return log_normalizer_at(math.log(params.lam), params.nu, policy)
+    return _series(math.log(params.lam), params.nu, policy)[1]
 
 
 def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -415,15 +409,9 @@ def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_
     )
 
 
-def moment_sums_at(log_lam: float, nu: float,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> tuple[list[float], float]:
-    """The five CmpMoments expectations as floats, in its order, and ln Z, unvalidated."""
-    return _series(log_lam, nu, policy, moments=True)
-
-
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
     """Probability-weighted truncated sums for the moments in CmpMoments."""
-    sums, log_z = moment_sums_at(math.log(params.lam), params.nu, policy)
+    sums, log_z = _series(math.log(params.lam), params.nu, policy, moments=True)
     return CmpMoments(*sums, log_z=log_z)
 
 

@@ -1,19 +1,19 @@
 """Posterior sampling by independence Metropolis-Hastings from a Laplace fit, with diagnostics.
 
-Chains move on (u, nu) = (ln lambda, nu): the Jacobian of lambda = e^u adds
-u alone to the target, the posterior's log kernel, whose rows
-posterior.log_kernel evaluates with one series call per batch of points.
-Every posterior is the conjugate kernel at some (a, b, c)
-(posterior.conjugate_form), so with the Jacobian the target is
-a*u - b*nu - c*ln Z, plus the Jeffreys log density J = 0.5 ln(lambda^2 det I)
-under Jeffreys. Its gradient (a - c E X, -b + c E ln X!) and Hessian
--c Cov(X, -ln X!) are the moment sums the kernel's rows return beside their
-values, and J's are exact, from central moments on the same row's grid
-(priors.jeffreys_derivatives). A Newton search finds the mode on nu >= NU_FLOOR
-with one one-row series call per point. It starts where the asymptotic CMP moments
-solve the mode's equations E X = a/c, E ln X! = b/c (_starts), and where that
-search fails, once more from (ln max(xbar, 0.5), 1). Each step is Newton's, with
-the Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
+Chains move on (u, nu) = (ln lambda, nu), the coordinates of the posterior's
+log kernel (posterior.log_kernel): its rows are the density of (u, nu), the
+density in lambda (log_posterior) plus the Jacobian u, with one series call
+per batch of points, and with derivatives they give each row's gradient and
+Hessian too. This module knows only the sampler's support (_inside), the
+mode search and the chains: run_chains builds the kernel's rows once per fit
+and hands them to the chains' target (_make_target) and to the mode search
+(_laplace).
+
+A Newton search finds the mode on nu >= NU_FLOOR with one one-row series call
+per point. It starts where the asymptotic CMP moments solve the mode's
+equations E X = a/c, E ln X! = b/c (_starts), and where that search fails,
+once more from (ln max(xbar, 0.5), 1). Each step is Newton's, with the
+Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
 negative so that it ascends, and stops on the floor where it would cross it; on
 the floor, where the target still rises toward lower nu (crab-satellites), the
 step is Newton's in u alone, g_u / |H_uu|, so the mode is the floor's best point.
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, polygamma
 
-from .core import TruncationPolicy, DEFAULT_POLICY, central_moments
+from .core import TruncationPolicy, DEFAULT_POLICY
 from .errors import (
     AllDivergentError,
     ImproperPosteriorError,
@@ -90,7 +90,7 @@ from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriet
                         updated_hyper)
 from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
 from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, Conjugate,
-                     Flat, Jeffreys, PriorSpec, conjugate_propriety, jeffreys_derivatives)
+                     Flat, PriorSpec, conjugate_propriety)
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
@@ -214,59 +214,23 @@ def _inside(u: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return (nu >= NU_FLOOR) & (lam > 0.0) & (lam < math.inf)
 
 
-def _make_target(spec, stats, policy):
+def _make_target(rows):
     """The log target at arrays of (u, nu), and why each -inf row is rejected.
 
-    Returns (values, reasons): log_posterior + u, and a REJECTIONS code per
-    row (0 where finite). Points outside the support (_inside) are
-    outside_support and never reach the series.
+    Returns (values, reasons): the posterior's log_kernel rows' values, and a
+    REJECTIONS code per row (0 where finite). Points outside the support
+    (_inside) are outside_support and never reach the series.
     """
-    rows = log_kernel(spec, stats, policy)
 
     def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = np.full(u.size, -math.inf)
         reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
         inside = np.flatnonzero(_inside(u, nu))
         if inside.size:
-            u_in = u[inside]
-            kept, reasons[inside], _ = rows(u_in, nu[inside])
-            values[inside] = kept + u_in
+            values[inside], reasons[inside], _ = rows(u[inside], nu[inside])
         return values, reasons
 
     return target
-
-
-def _evaluator(spec, stats, policy):
-    """The target at a point x = (u, nu) with its gradient and Hessian, from one series row.
-
-    Returns (value, (gradient, Hessian)), the value -inf outside the support (where
-    no series is summed) and the derivatives None where the value or they are not finite.
-    """
-    rows = log_kernel(spec, stats, policy)
-    a, b, c = conjugate_form(spec, stats)
-    jeffreys = isinstance(spec, Jeffreys)
-
-    def evaluate(x):
-        u, nu = x
-        if not _inside(u, nu):
-            return -math.inf, None
-        values, _, ((log_z,), sums, (k,)) = rows(np.array([u]), np.array([nu]), moments=True)
-        value = float(values[0] + u)
-        if not math.isfinite(value):  # no derivative arithmetic on inf or nan
-            return value, None
-        e_x, e_x2, e_g, e_g2, e_xg = sums[0].tolist()
-        var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
-        grad = np.array([a - c * e_x, c * e_g - b])
-        hess = np.array([[-c * var_x, c * cov], [c * cov, -c * var_g]])
-        if jeffreys:  # in the basis (X, -ln X! - beta X) that Cov(X, -ln X!) leaves uncorrelated
-            beta = -cov / var_x
-            dj, d2j = jeffreys_derivatives(central_moments(u, nu, log_z, k, e_x, e_g, beta), beta)
-            grad, hess = grad + dj, hess + d2j
-        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-            return value, None
-        return value, (grad, hess)
-
-    return evaluate
 
 
 def _eigen2(p: float, q: float, r: float) -> tuple[float, float, float, float]:
@@ -306,14 +270,25 @@ def _starts(spec, stats) -> list[tuple[float, float]]:
     return [(nu * math.log(mu), nu), fallback]
 
 
-def _laplace(spec, stats, policy) -> tuple[np.ndarray, float, np.ndarray, ModeSearch]:
+def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSearch]:
     """The target's mode (u, nu), its value and precision there, and how the search ended.
 
-    Newton's method, one series row per point it visits, from each of _starts in turn
-    until a search ends at a decrement of at most _NEWTON_TOL with a positive definite
-    precision. Raises ModeNotFoundError where none does.
+    Newton's method, one series row per point it visits (the posterior's log_kernel
+    rows, with derivatives), from each of _starts in turn until a search ends at a
+    decrement of at most _NEWTON_TOL with a positive definite precision. Raises
+    ModeNotFoundError where none does.
     """
-    evaluate = _evaluator(spec, stats, policy)
+
+    def evaluate(x):
+        """(value, (gradient, Hessian)) at x: -inf off the support, None where not finite."""
+        if not _inside(x[0], x[1]):
+            return -math.inf, None
+        (value,), _, ((grad,), (hess,)) = rows(x[:1], x[1:], derivatives=True)
+        value = float(value)
+        if not (math.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+            return value, None
+        return value, (grad, hess)
+
     iterations = points = 0
     for start in _starts(spec, stats):
         x = np.array(start)
@@ -445,8 +420,9 @@ def run_chains(
     in every chain was rejected.
     """
     _check_propriety(spec, stats)
-    target = _make_target(spec, stats, policy)
-    centre, top, precision, search = _laplace(spec, stats, policy)
+    kernel = log_kernel(spec, stats, policy)
+    target = _make_target(kernel)
+    centre, top, precision, search = _laplace(spec, stats, kernel)
     (c00, _), (c10, c11) = np.linalg.cholesky(_SCALE ** 2 * np.linalg.inv(precision)).tolist()
     steps, warmup = config.warmup + config.keep, config.warmup
     lam, nus, accept_rate, log_ratios = [], [], [], []

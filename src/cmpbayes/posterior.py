@@ -3,15 +3,19 @@
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
 SufficientStats, and the prior is the posterior of no data. Every posterior
-is the conjugate kernel (a - 1)*ln(lambda) - b*nu - c*ln Z at some (a, b, c)
-(conjugate_form): at the shifted hyperparameters (a + S1, b + S2, c + n)
-under a conjugate prior, and at (S1, S2, n) under the flat prior, which is
-proper exactly when those values satisfy the conjugate propriety condition,
-and under Jeffreys, which adds the Jeffreys log density. log_kernel binds a
-posterior to that one formula over many points: it sums the points' series
-(core.series_arrays) and evaluates the formula on them in array operations.
-The sampler hands it a fit's proposals and each point its mode search
-visits; log_posterior and log_prior_density hand it one point.
+is the conjugate kernel at some (a, b, c) (conjugate_form): at the shifted
+hyperparameters (a + S1, b + S2, c + n) under a conjugate prior, and at
+(S1, S2, n) under the flat prior, which is proper exactly when those values
+satisfy the conjugate propriety condition, and under Jeffreys, which adds
+the Jeffreys log density J = 0.5 ln(lambda^2 det I). log_kernel binds a
+posterior to that one formula over many points, as the density of
+(u, nu) = (ln lambda, nu), the sampler's coordinates: a*u - b*nu - c*ln Z,
+plus J. It sums the points' series (core.series_arrays), evaluates the
+formula on them in array operations and, when asked, its gradient and
+Hessian from the same rows' moment sums. The sampler hands it a fit's
+proposals and each point its mode search visits; log_posterior and
+log_prior_density hand it one point and subtract ln lambda, the Jacobian of
+lambda = e^u, to give the density in lambda.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (MAX_TERMS, CmpParams, TruncationPolicy, DEFAULT_POLICY, _LGAMMA,
-                   truncation_error, series_arrays)
+                   central_moments, truncation_error, series_arrays)
 from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
 from .errors import EmptyDataError, InvalidParamsError, NonpositiveDeterminantError
 from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
-                     Jeffreys, PriorSpec, conjugate_propriety, scaled_information_det)
+                     Jeffreys, PriorSpec, conjugate_propriety, jeffreys_derivatives,
+                     scaled_information_det)
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
@@ -95,11 +100,12 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
 
 
 def conjugate_form(spec: PriorSpec, stats: SufficientStats) -> tuple[float, float, float]:
-    """Floats (a, b, c) such that the log posterior is (a - 1)*ln(lambda) - b*nu - c*ln Z.
+    """Floats (a, b, c): the log posterior of (u, nu) = (ln lambda, nu) is a*u - b*nu - c*ln Z.
 
     Exactly so under a conjugate prior, at (a + S1, b + S2, c + n), and under
-    the flat prior, at (S1, S2, n); under Jeffreys the log posterior is this
-    at (S1, S2, n) plus 0.5 * ln(lambda^2 * information determinant).
+    the flat prior, at (S1, S2, n); under Jeffreys it is this at (S1, S2, n)
+    plus 0.5 * ln(lambda^2 * information determinant). The density in lambda
+    (log_posterior) is each less ln lambda.
     """
     if isinstance(spec, Conjugate):
         h = updated_hyper(spec.hyper, stats)
@@ -119,44 +125,59 @@ def _as_float(count: int) -> float:
 
 def log_kernel(spec: PriorSpec, stats: SufficientStats,
                policy: TruncationPolicy = DEFAULT_POLICY) -> Callable:
-    """The unnormalized log posterior as a formula over rows: rows(log_lam, nu, moments=False).
+    """The unnormalized log posterior of (ln lambda, nu) over rows: rows(u, nu, derivatives=False).
 
-    rows takes float arrays of the rows' ln lambda and nu (nu > 0 under
-    Jeffreys, unvalidated) and returns (values, reasons, series): each row's
-    (a - 1)*ln(lambda) - b*nu - c*ln Z at conjugate_form's (a, b, c), plus
-    0.5 * ln(lambda^2 * information determinant) under Jeffreys; a REJECTIONS
-    code per row (see priors), 0 where the value is finite; and the rows'
-    (ln Z, moment sums, grid lengths) as core.series_arrays gives them, with
-    moments under Jeffreys or when asked. It sums the rows' series in one
-    call, and none (series None) for the flat prior of no data. A row is -inf
-    where its series could not be summed (truncation), where the determinant
-    is not positive and finite (jeffreys_det: the density is undefined there,
-    nothing is clamped) and where the arithmetic overflows.
+    rows takes float arrays of the rows' u = ln lambda and nu (nu > 0 under
+    Jeffreys, unvalidated) and returns (values, reasons, derivatives): each
+    row's a*u - b*nu - c*ln Z at conjugate_form's (a, b, c), plus
+    J = 0.5 * ln(lambda^2 * information determinant) under Jeffreys; a
+    REJECTIONS code per row (see priors), 0 where the value is finite; and,
+    with derivatives, each row's gradient (a - c E X, c E ln X! - b) and
+    Hessian -c Cov(X, -ln X!) in (u, nu) as (rows, 2) and (rows, 2, 2)
+    arrays, plus J's (priors.jeffreys_derivatives, from central moments on
+    the row's own grid) under Jeffreys; else None. It sums the rows' series in
+    one call, with moments under Jeffreys or with derivatives, and none for
+    the flat prior of no data. A row is -inf where its series could not be
+    summed (truncation), where the determinant is not positive and finite
+    (jeffreys_det: the density is undefined there, nothing is clamped) and
+    where the arithmetic overflows; only a finite row's derivatives are
+    computed to mean anything, and they too may not be finite.
     """
     a, b, c = conjugate_form(spec, stats)
     jeffreys = isinstance(spec, Jeffreys)
     reads_z = jeffreys or c != 0.0  # all but the flat prior of no data
 
-    def rows(log_lam: np.ndarray, nu: np.ndarray, moments: bool = False):
-        moments = moments or jeffreys
-        series = None
+    def rows(u: np.ndarray, nu: np.ndarray, derivatives: bool = False):
+        moments = derivatives or jeffreys
         if reads_z or moments:
-            series = log_z, sums, _ = series_arrays(log_lam, nu, policy, moments)
-        reasons = np.zeros(log_lam.size, dtype=np.int8)
+            log_z, sums, k = series_arrays(u, nu, policy, moments)
+        reasons = np.zeros(u.size, dtype=np.int8)
         with np.errstate(all="ignore"):
+            values = a * u - nu * b
+            if c != 0.0:
+                values = values - c * log_z
             if jeffreys:
                 det = scaled_information_det(*sums.T)
-                values = (0.5 * np.log(det) - log_lam) + (a * log_lam - nu * b - c * log_z)
+                values = values + 0.5 * np.log(det)
                 reasons[~((det > 0.0) & np.isfinite(det))] = JEFFREYS_DET
-            else:
-                values = (a - 1.0) * log_lam - nu * b
-                if c != 0.0:
-                    values = values - c * log_z
-        if reads_z:
-            reasons[np.isnan(log_z)] = TRUNCATION
-        reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
-        values[reasons != 0] = -math.inf
-        return values, reasons, series
+            if reads_z:
+                reasons[np.isnan(log_z)] = TRUNCATION
+            reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
+            values[reasons != 0] = -math.inf
+            if not derivatives:
+                return values, reasons, None
+            e_x, e_x2, e_g, e_g2, e_xg = sums.T
+            var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
+            grad = np.stack((a - c * e_x, c * e_g - b), axis=1)
+            hess = np.stack((-c * var_x, c * cov, c * cov, -c * var_g), axis=1).reshape(-1, 2, 2)
+            if jeffreys:  # J's, in the basis (X, -ln X! - beta X) that leaves the two uncorrelated
+                beta = (-cov / var_x).tolist()
+                for i in np.flatnonzero(reasons == 0).tolist():
+                    mu = central_moments(u[i], nu[i], log_z[i], k[i], e_x[i], e_g[i], beta[i])
+                    dj, d2j = jeffreys_derivatives(mu, beta[i])
+                    grad[i] += dj
+                    hess[i] += d2j
+        return values, reasons, (grad, hess)
 
     return rows
 
@@ -167,12 +188,13 @@ def log_posterior(
     params: CmpParams,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Unnormalized log posterior: log prior density plus log likelihood.
+    """Unnormalized log posterior of (lambda, nu): log prior density plus log likelihood.
 
-    log_kernel's formula at one point; -inf where its arithmetic overflows.
-    Raises TruncationError where the series cannot be summed and, under
-    Jeffreys, InvalidParamsError at nu <= 0 and NonpositiveDeterminantError
-    where the information determinant is not positive and finite.
+    log_kernel's formula at one point less ln lambda; -inf where its
+    arithmetic overflows. Raises TruncationError where the series cannot be
+    summed and, under Jeffreys, InvalidParamsError at nu <= 0 and
+    NonpositiveDeterminantError where the information determinant is not
+    positive and finite.
     """
     log_lam, nu = math.log(params.lam), params.nu
     if isinstance(spec, Jeffreys) and nu <= 0.0:
@@ -183,7 +205,7 @@ def log_posterior(
     if reasons[0] == JEFFREYS_DET:
         raise NonpositiveDeterminantError(
             f"information determinant not positive at (ln lambda={log_lam}, nu={nu})")
-    return float(values[0])
+    return float(values[0]) - log_lam
 
 
 def log_prior_density(

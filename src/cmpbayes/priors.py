@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, moment_sums_at
+from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, moments
 from .core import log_normalizer, logz_hessian  # noqa: F401  (names bench/spans.py patches)
 from .errors import InvalidParamsError
 
@@ -150,5 +150,6 @@ def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAU
 
     det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2.
     """
-    sums, _ = moment_sums_at(math.log(params.lam), params.nu, policy)
-    return scaled_information_det(*sums) / params.lam**2
+    m = moments(params, policy)
+    return scaled_information_det(m.e_x, m.e_x2, m.e_lnfact, m.e_lnfact2,
+                                  m.e_x_lnfact) / params.lam**2

@@ -84,6 +84,7 @@ class StudyConfig:
             raise InvalidParamsError(f"at most {_SLOT_STRIDE - 1} priors")
         for name in self.priors:
             get_preset(name)  # fail fast on unknown preset names
+        SeedSpec(self.master_seed)  # and on a seed that names no stream, before any file
         # records are keyed by names and sizes, so a repeat would share them
         for axis, values in (("setting", [s.name for s in self.settings]),
                              ("sample size", self.sample_sizes), ("prior", self.priors)):

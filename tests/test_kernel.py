@@ -35,10 +35,10 @@ from cmpbayes import (
     run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import (MAX_TERMS, _series, central_moments, log_normalizer_at,
-                           moment_sums_at, series_arrays)
+from cmpbayes.core import MAX_TERMS, _series, central_moments, series_arrays
 from cmpbayes.errors import ModeNotFoundError, NonpositiveDeterminantError
 from cmpbayes.mcmc import NU_FLOOR, _make_target
+from cmpbayes.posterior import log_kernel
 from cmpbayes.priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION
 
 POLICY = TruncationPolicy()
@@ -308,7 +308,7 @@ def test_unconvergeable_series_raises_before_summing(monkeypatch, log_lam, nu):
         reference_ladder(log_lam, nu, POLICY)
     monkeypatch.setattr(core, "_tables", lambda k: pytest.fail("summed a series"))
     with pytest.raises(TruncationError) as after:
-        log_normalizer_at(log_lam, nu, POLICY)
+        _series(log_lam, nu, POLICY)
     assert str(after.value) == str(before.value)
 
 
@@ -346,10 +346,10 @@ def reference_moments(log_lam, nu):
 @example(log_lam=math.log(0.9), nu=0.2)  # geometric-like slow tail
 def test_moment_product_matches_five_sums(log_lam, nu):
     sized_series(log_lam, nu)
-    got, got_log_z = moment_sums_at(log_lam, nu, POLICY)
+    got, got_log_z = _series(log_lam, nu, POLICY, moments=True)
     expected, log_z = reference_moments(log_lam, nu)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
-    assert got_log_z == log_z == log_normalizer_at(log_lam, nu, POLICY)
+    assert got_log_z == log_z == _series(log_lam, nu, POLICY)[1]
 
 
 def series_rows(points, policy, moments=False):
@@ -366,10 +366,12 @@ def series_rows(points, policy, moments=False):
 
 
 def scalar_series(log_lam, nu, moments):
+    """_series at one point: ln Z or, with moments, the five moment sums and ln Z."""
     try:
-        return (moment_sums_at if moments else log_normalizer_at)(log_lam, nu, POLICY)
+        series = _series(log_lam, nu, POLICY, moments)
     except TruncationError:
         return None
+    return series if moments else series[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,6 +701,11 @@ def evaluate(target, points):
     return values.tolist(), [REJECTIONS[r - 1] if r else None for r in reasons.tolist()]
 
 
+def target_of(spec, stats=STATS):
+    """The sampler's target for a posterior: its log kernel's rows on the support."""
+    return _make_target(log_kernel(spec, stats, POLICY))
+
+
 def scalar_target(spec, u, nu):
     """log_posterior + u at one point, or -inf where the sampler rejects it."""
     if nu < NU_FLOOR:
@@ -741,7 +748,7 @@ REJECTED = st.sampled_from([
 @example(points=[(800.0, 1e8), (-800.0, 1e8), (1.0, 1.0)], spec=SPECS[0])
 @example(points=[(50.0 * math.log(0.99 * MAX_TERMS), 50.0), (1.0, 1.0)], spec=SPECS[0])
 def test_batch_equals_row(points, spec):
-    target = _make_target(spec, STATS, POLICY)
+    target = target_of(spec)
     values, reasons = evaluate(target, points)
     for (u, nu), value in zip(points, values):
         assert_is_scalar_target(value, spec, u, nu)
@@ -754,7 +761,7 @@ def test_batch_equals_row(points, spec):
 @settings(max_examples=60, deadline=None)
 @given(u=st.floats(-2.0, 3.5), nu=st.floats(0.35, 4.5), spec=st.sampled_from(SPECS))
 def test_target_is_log_posterior_plus_jacobian(u, nu, spec):
-    (value,), _ = evaluate(_make_target(spec, STATS, POLICY), [(u, nu)])
+    (value,), _ = evaluate(target_of(spec), [(u, nu)])
     assert_is_scalar_target(value, spec, u, nu)
 
 
@@ -765,20 +772,24 @@ def test_target_is_log_posterior_plus_jacobian(u, nu, spec):
 @example(lam=4.7, nu=0.4, spec=Jeffreys())
 def test_target_is_log_posterior_bit_for_bit(lam, nu, spec):
     # the sampler and log_posterior run one formula on one row of one summation
-    # routine; u = ln(lambda) is the formula's ln lambda in both, and the Jacobian
-    # of lambda = e^u is u
+    # routine: the kernel is the density of (u, nu) = (ln lambda, nu), the target is
+    # its rows inside the support, and log_posterior, the density in lambda, is the
+    # kernel less the Jacobian u of lambda = e^u
     u = math.log(lam)
-    (value,), _ = evaluate(_make_target(spec, STATS, POLICY), [(u, nu)])
+    rows = log_kernel(spec, STATS, POLICY)
+    (kernel,), _, _ = rows(np.array([u]), np.array([nu]))
+    (value,), _ = evaluate(_make_target(rows), [(u, nu)])
+    assert value == kernel
     try:
-        want = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY) + u
+        density = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY)
     except (TruncationError, NonpositiveDeterminantError):
-        want = -math.inf
-    assert value == want
+        density = -math.inf
+    assert density == kernel - u
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
-    target = _make_target(spec, STATS, POLICY)
+    target = target_of(spec)
     values, reasons = evaluate(target, [
         (1.0, 1.0),
         (1.0, NU_FLOOR * (1.0 - 1e-9)),  # nu below the floor
@@ -796,7 +807,7 @@ def test_target_rejections(spec):
 
 def test_target_rejects_nonpositive_jeffreys_determinant():
     # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0
-    target = _make_target(Jeffreys(), STATS, POLICY)
+    target = target_of(Jeffreys())
     values, reasons = evaluate(target, [(0.0, 1e8), (1.0, 1.0)])
     assert values[0] == -math.inf and math.isfinite(values[1])
     assert reasons == ["jeffreys_det", None]
@@ -804,7 +815,7 @@ def test_target_rejects_nonpositive_jeffreys_determinant():
 
 def test_target_rejects_non_finite_value():
     spec = Conjugate(ConjugateHyper(1e308, 1.0, 1.0))
-    target = _make_target(spec, SufficientStats.empty(), POLICY)
+    target = target_of(spec, SufficientStats.empty())
     assert evaluate(target, [(2.0, 1.0)]) == ([-math.inf], ["overflow"])
 
 
@@ -982,7 +993,7 @@ def test_default_chain_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
     assert sizes[-config.chains:] == [steps - n for n in outside]
     assert set(sizes[:-config.chains]) == {1}  # the mode search's points
     assert d.rejections["outside_support"].sum() > 0
-    target = _make_target(spec, stats, POLICY)
+    target = target_of(spec, stats)
     centre = d.proposal_centre
     top = target(centre[:1], centre[1:])[0][0]  # the mode's log ratio: its log q is 0
     for c, (u, nu, log_q, log_u) in enumerate(drawn):

@@ -35,6 +35,7 @@ from cmpbayes import (
 from cmpbayes import mcmc
 from cmpbayes.core import DEFAULT_POLICY, series_arrays
 from cmpbayes.mcmc import NU_FLOOR, ModeSearch, _split_rhat_matrix, pareto_khat
+from cmpbayes.posterior import log_kernel
 from cmpbayes.priors import PRESET_NAMES, REJECTIONS
 
 FAST = McmcConfig(chains=2, warmup=500, keep=300)
@@ -372,16 +373,17 @@ class TestModeSearch:
     @pytest.mark.parametrize("prior", ["conj-0.1", "conj-0.01"])
     def test_retry_fits_where_the_moment_start_diverges(self, monkeypatch, count, prior):
         spec, stats = get_preset(prior), sufficient_stats([count] * 30)
+        rows = log_kernel(spec, stats, DEFAULT_POLICY)
         starts = mcmc._starts(spec, stats)
         assert len(starts) == 2 and starts[0][1] > 50.0
-        mode, _, _, search = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        mode, _, _, search = mcmc._laplace(spec, stats, rows)
         monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[1:])
-        retry_mode, _, _, retry = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        retry_mode, _, _, retry = mcmc._laplace(spec, stats, rows)
         assert np.array_equal(mode, retry_mode) and search.decrement == retry.decrement
         assert search.points > retry.points and search.iterations >= retry.iterations
         monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[:1])
         with pytest.raises(ModeNotFoundError):
-            mcmc._laplace(spec, stats, DEFAULT_POLICY)
+            mcmc._laplace(spec, stats, rows)
 
     def test_conjugate_posterior_is_its_updated_prior_to_the_bit(self):
         # the search starts from (a, b, c) alone, which Conjugate(h) on data and

@@ -2,9 +2,9 @@
 
 A posterior in two parameters can be integrated on a grid (the idea behind INLA:
 Rue, Martino & Chopin 2009). Each reference here is the posterior density in
-(ln lambda, nu): its log kernel plus the Jacobian ln lambda, on the sampler's
-support nu >= NU_FLOOR, assembled here from posterior.log_kernel rather than by
-the sampler. It is integrated on 161 x 161 grids laid on the Laplace fit that the
+(ln lambda, nu), its log kernel, on the sampler's support nu >= NU_FLOOR,
+assembled here from posterior.log_kernel rather than by the sampler's target.
+It is integrated on 161 x 161 grids laid on the Laplace fit that the
 sampler's mode search finds. For each parameter, the grid's rows run along it over
 +-HALF_WIDTH standard deviations of the fit, and each row's points run along the
 other parameter over +-HALF_WIDTH conditional standard deviations about the fit's
@@ -85,21 +85,21 @@ def marginal_quantiles(log_density, mode, cov, axis):
 def posterior_density(spec, stats):
     """The log posterior density in (ln lambda, nu) on nu >= NU_FLOOR, from its kernel.
 
-    The posterior's log kernel plus the Jacobian ln lambda of lambda = e^u,
-    assembled here rather than by the sampler's target.
+    The posterior's log kernel, the density of (ln lambda, nu), assembled here
+    rather than by the sampler's target.
     """
     rows = log_kernel(spec, stats, DEFAULT_POLICY)
 
     def log_density(u, nu):
         values, _, _ = rows(u, nu)
-        return np.where(nu >= NU_FLOOR, values + u, -np.inf), None
+        return np.where(nu >= NU_FLOOR, values, -np.inf), None
 
     return log_density
 
 
 def quadrature(spec, stats):
     """QUANTILES of lambda and of nu by quadrature, and the larger edge weight."""
-    mode, _, precision, _ = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+    mode, _, precision, _ = mcmc._laplace(spec, stats, log_kernel(spec, stats, DEFAULT_POLICY))
     cov = np.linalg.inv(precision)
     density = posterior_density(spec, stats)
     (u, edge_u), (nu, edge_nu) = (marginal_quantiles(density, mode, cov, axis) for axis in (0, 1))
@@ -138,31 +138,39 @@ def fit_stats(counts):
     return sufficient_stats(bundled_dataset(counts).counts)
 
 
+def laplace(prior, counts):
+    """The mode search's (mode, value, precision, ModeSearch) for a preset on counts."""
+    spec, stats = get_preset(prior), fit_stats(counts)
+    return mcmc._laplace(spec, stats, log_kernel(spec, stats, DEFAULT_POLICY))
+
+
 @pytest.mark.parametrize("prior", PRIORS)
 @pytest.mark.parametrize("counts", [*DATASETS, "long-series-1", "long-series-2",
                                     "long-series-3"])
 def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
-    # each point the search visits costs one one-row series call, with moments, which
-    # gives its value, gradient and Hessian (under Jeffreys too: J's derivatives are
-    # central moments on that row's grid); no point is visited twice, and
-    # ModeSearch.points counts them; and the search ends in a few Newton steps at a
-    # decrement of at most 1e-20, crab-satellites' on the nu floor, where the step in
-    # u is Newton's
+    # each point the search visits (each it checks against the support) costs one
+    # one-row series call, with moments, which gives its value, gradient and Hessian
+    # (under Jeffreys too: J's derivatives are central moments on that row's grid); no
+    # point is visited twice, and ModeSearch.points counts them; and the search ends in
+    # a few Newton steps at a decrement of at most 1e-20, crab-satellites' on the nu
+    # floor, where the step in u is Newton's
     points, centres = [], []
-    evaluator, series = mcmc._evaluator, posterior.series_arrays
+    inside, series = mcmc._inside, posterior.series_arrays
 
-    def counted_evaluator(*args):
-        evaluate = evaluator(*args)
-        return lambda x: points.append(tuple(x)) or evaluate(x)
+    def counted_inside(u, nu):
+        points.append((u, nu))
+        return inside(u, nu)
 
     def counted_series(log_lam, nu, policy, moments=False):
         assert moments and log_lam.size == 1
         centres.append((log_lam[0], nu[0]))
         return series(log_lam, nu, policy, moments)
 
-    monkeypatch.setattr(mcmc, "_evaluator", counted_evaluator)
+    spec, stats = get_preset(prior), fit_stats(counts)
+    rows = log_kernel(spec, stats, DEFAULT_POLICY)
+    monkeypatch.setattr(mcmc, "_inside", counted_inside)
     monkeypatch.setattr(posterior, "series_arrays", counted_series)
-    mode, _, _, search = mcmc._laplace(get_preset(prior), fit_stats(counts), DEFAULT_POLICY)
+    mode, _, _, search = mcmc._laplace(spec, stats, rows)
     assert centres == points and len(set(points)) == len(points) == search.points
     assert tuple(mode) in points
     assert search.iterations <= MAX_NEWTON_STEPS
@@ -174,8 +182,7 @@ def test_fit_matrix_searches_visit_at_most_50_points():
     # the benchmark's fit matrix (the bundled datasets under conj-1, flat and jeffreys)
     # starts its 12 searches at the posterior's moment match: 47 points and 35 Newton
     # steps in all, where the start (ln max(xbar, 0.5), 1) took 107 points and 80 steps
-    searches = [mcmc._laplace(get_preset(prior), fit_stats(dataset), DEFAULT_POLICY)[3]
-                for dataset in DATASETS for prior in PRIORS]
+    searches = [laplace(prior, dataset)[3] for dataset in DATASETS for prior in PRIORS]
     assert sum(search.points for search in searches) <= 50
     assert sum(search.iterations for search in searches) <= 40
 
@@ -185,8 +192,9 @@ def test_crab_mode_is_on_the_floor(prior):
     # the posterior still rises toward lower nu at the floor, so the mode is the
     # floor's best point: the target's u-gradient is 0 there
     spec, stats = get_preset(prior), fit_stats("crab-satellites")
-    mode, _, _, search = mcmc._laplace(spec, stats, DEFAULT_POLICY)
-    _, (grad, _) = mcmc._evaluator(spec, stats, DEFAULT_POLICY)(mode)
+    rows = log_kernel(spec, stats, DEFAULT_POLICY)
+    mode, _, _, search = mcmc._laplace(spec, stats, rows)
+    _, _, ((grad,), _) = rows(mode[:1], mode[1:], derivatives=True)
     assert mode[1] == NU_FLOOR and search.on_floor
     assert abs(grad[0]) <= 1e-8 and grad[1] < 0.0
 
@@ -197,10 +205,10 @@ def test_jeffreys_proposal_holds_still_under_an_ulp_of_the_series(monkeypatch, d
     # times 1 + 2^-52) moves the Jeffreys Laplace fit's Cholesky factor by less than
     # 1e-9 relative: J's derivatives are exact, so nothing amplifies the ulp (central
     # differences of J moved crab-satellites' factor 5.8e-4 and textile-faults' 6.5e-9)
-    spec, stats, series = get_preset("jeffreys"), fit_stats(dataset), posterior.series_arrays
+    series = posterior.series_arrays
 
     def factor():
-        _, _, precision, _ = mcmc._laplace(spec, stats, DEFAULT_POLICY)
+        _, _, precision, _ = laplace("jeffreys", dataset)
         return np.linalg.cholesky(np.linalg.inv(precision))
 
     def moved(log_lam, nu, policy, moments=False):

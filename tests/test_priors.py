@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,17 +19,18 @@ from cmpbayes import (
     PRESET_NAMES,
     SufficientStats,
     TruncationPolicy,
+    bundled_dataset,
     conjugate_propriety,
     get_preset,
     jeffreys_information_det,
     log_likelihood,
     log_normalizer,
     log_prior_density,
-    mcmc,
     preset_priors,
     propriety_bound,
     sufficient_stats,
 )
+from cmpbayes.posterior import log_kernel
 
 STUDY_GRID = [(lam, nu) for lam in (0.5, 3.0, 4.0) for nu in (0.5, 1.0, 2.0)]
 
@@ -167,27 +169,31 @@ class TestLogPriorDensity:
         for lam, nu in STUDY_GRID:
             assert jeffreys_information_det(CmpParams(lam, nu)) > 0.0
 
-    # the mode search's exact derivatives of J = 0.5 ln(lambda^2 det I), the Jeffreys
-    # log density in (ln lambda, nu), from the series' central moments, against central
-    # differences of log_prior_density with steps 1e-3 in ln lambda and 1e-3 * nu in nu
+    # the kernel's exact gradient and Hessian in (ln lambda, nu), which the mode search
+    # reads, under each preset, of no data and of textile-faults, against central
+    # differences of the same rows' values with steps 1e-3 in ln lambda and 1e-3 * nu
+    # in nu: the conjugate kernel's from its moment sums, and J = 0.5 ln(lambda^2 det I)'s
+    # from the series' central moments
     @settings(max_examples=60, deadline=None)
     @given(u=st.floats(-2.0, 2.0), nu=st.floats(0.5, 3.0))
     def test_jeffreys_derivatives_match_central_differences(self, u, nu):
         du, dn = 1e-3, 1e-3 * nu
-
-        def j(i, k):  # J at (u + i du, nu + k dn), the log density plus the Jacobian
-            x = u + i * du
-            return log_prior_density(Jeffreys(), CmpParams(math.exp(x), nu + k * dn)) + x
-
-        # with no data the target is J itself
-        _, (grad, hess) = mcmc._evaluator(Jeffreys(), SufficientStats.empty(),
-                                          TruncationPolicy())(np.array([u, nu]))
-        cross = (j(1, 1) - j(1, -1) - j(-1, 1) + j(-1, -1)) / (4 * du * dn)
-        assert_allclose(grad, [(j(1, 0) - j(-1, 0)) / (2 * du), (j(0, 1) - j(0, -1)) / (2 * dn)],
-                        rtol=1e-5, atol=1e-5 * np.abs(grad).max())
-        assert_allclose(hess, [[(j(1, 0) - 2 * j(0, 0) + j(-1, 0)) / du ** 2, cross],
-                               [cross, (j(0, 1) - 2 * j(0, 0) + j(0, -1)) / dn ** 2]],
-                        rtol=1e-4, atol=1e-4 * np.abs(hess).max())
+        steps = np.array([-1.0, 0.0, 1.0])
+        grid_u, grid_nu = (x.ravel() for x in np.meshgrid(u + du * steps, nu + dn * steps,
+                                                          indexing="ij"))
+        data = {"no data": SufficientStats.empty(),
+                "textile-faults": sufficient_stats(bundled_dataset("textile-faults").counts)}
+        for (case, stats), name in itertools.product(data.items(), PRESET_NAMES):
+            rows = log_kernel(get_preset(name), stats, TruncationPolicy())
+            (value,), _, ((grad,), (hess,)) = rows(np.array([u]), np.array([nu]), True)
+            j = rows(grid_u, grid_nu)[0].reshape(3, 3)  # j[1 + i, 1 + k] at (u + i du, nu + k dn)
+            assert value == j[1, 1], (case, name)
+            cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
+            assert_allclose(grad, [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)],
+                            rtol=1e-5, atol=1e-5 * np.abs(grad).max(), err_msg=f"{case}, {name}")
+            assert_allclose(hess, [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
+                                   [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]],
+                            rtol=1e-4, atol=1e-4 * np.abs(hess).max(), err_msg=f"{case}, {name}")
 
 
 class TestConjugacyProperty:

@@ -96,6 +96,19 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not progress.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_the_stream_range_rejected(self, seed):
+        with pytest.raises(InvalidParamsError, match="master_seed must be"):
+            small_config(master_seed=seed)
+
+    def test_cli_rejects_a_bad_seed_before_the_progress_file(self, tmp_path, capsys):
+        # the seed is checked when the config is built, so no empty progress file is left
+        progress = tmp_path / "p.jsonl"
+        assert main(["study", "--seed", "-1", "--progress", str(progress)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "master_seed" in err
+        assert not progress.exists()
+
     # both pass the CMP domain check, but neither series sums within MAX_TERMS;
     # geo:0.9999:0 reaches the cap only by doubling its grid
     @pytest.mark.parametrize("bad", ["bad:2:0.01", "geo:0.9999:0"])

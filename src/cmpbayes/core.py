@@ -202,25 +202,28 @@ def _reach(log_lam: np.ndarray, nu_mode: np.ndarray, mode: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _sizing(policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """The first grid length at or past each n = 0 .. MAX_TERMS, and the column of reaches.
+def _sizing(policy: TruncationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid lengths by rung, the rung at or past each n = 0 .. MAX_TERMS, and the reaches.
 
-    The lengths are the ladder ceil(base_terms * 2^(i/4)), i = 0, 1, ..., ending
-    at MAX_TERMS; the reaches are R and R + _MOMENT_MARGIN (see TruncationPolicy).
+    The lengths are 0, then the ladder ceil(base_terms * 2^(i/4)), i = 0, 1, ...,
+    ending at MAX_TERMS, so rung 0 is a row that is not summed; each n's rung is
+    an int16 index of that table (the ladder has at most 53 rungs); the reaches
+    are the column R, R + _MOMENT_MARGIN (see TruncationPolicy).
     """
     steps = 4 * math.ceil(math.log2(MAX_TERMS / policy.base_terms)) + 1
     rungs = np.ceil(policy.base_terms * 2.0 ** (np.arange(steps) / 4))
-    ladder = np.unique(np.minimum(rungs, MAX_TERMS)).astype(np.int64)
-    rung = ladder[np.searchsorted(ladder, np.arange(MAX_TERMS + 1))]
+    lengths = np.unique(np.minimum(rungs, MAX_TERMS)).astype(np.int64)
+    rung = (np.searchsorted(lengths, np.arange(MAX_TERMS + 1)) + 1).astype(np.int16)
+    lengths = np.concatenate(([0], lengths))
     log_reach = max(_ULP_REACH, _LOG_LAST_J - math.log(policy.tail_tol)) + _REACH_MARGIN
     reaches = np.array([[log_reach], [log_reach + _MOMENT_MARGIN]])
-    for table in (rung, reaches):
+    for table in (lengths, rung, reaches):
         table.flags.writeable = False  # one array, shared by every call
-    return rung, reaches
+    return lengths, rung, reaches
 
 
 def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moments: bool = False):
-    """Each row's grid length (0 where it cannot be summed), shift and ln Z's length.
+    """Each row's grid length (0 where it cannot be summed), shift, ln Z's length and sort key.
 
     ln Z's length is the first rung of the ladder (_sizing) whose last index
     is past the row's _reach of R (see TruncationPolicy); a row shorter than
@@ -236,23 +239,26 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moment
     itself, the largest of the three at floor(mode) - 1, floor(mode) and
     floor(mode) + 1, since terms rise up to the mode and fall after it.
     Elsewhere it is 0.0 and every weight exp(t) and moment sum stays in float
-    range.
+    range. The key orders rows by grid length, then by ln Z's length: it is
+    i (rungs + 1) + i_z at their rungs i and i_z (_sizing), an int16 that numpy's
+    stable argsort radix-sorts, and 0 where the row cannot be summed.
     """
-    rung, reaches = _sizing(policy)
+    lengths, rung, reaches = _sizing(policy)
     summable = log_lam < nu * _LOG_LAST_J
     with np.errstate(all="ignore"):  # nu = 0, and modes past float range
         mode = np.exp(log_lam / nu)
         nu_mode = nu * mode
         reach = _reach(log_lam, nu_mode, mode, reaches[:1 + moments])
     need = np.fmin(np.floor(reach) + 2.0, MAX_TERMS)  # whole numbers in [2, MAX_TERMS]
-    lengths = np.where(summable, rung[need.astype(np.intp)], 0)  # (1 or 2, rows)
+    rungs = np.where(summable, rung[need.astype(np.intp)], 0)  # (1 or 2, rows)
+    k = lengths[rungs]
     shift = np.zeros(log_lam.size)
     big = np.flatnonzero(summable & (log_lam > 0.0) & (nu_mode > _MAX_UNSHIFTED))
     if big.size:
         j = np.floor(mode[big])[:, None] + np.arange(-1.0, 2.0)
         t = log_lam[big, None] * j - nu[big, None] * _LGAMMA[j.astype(np.int64)]
         shift[big] = t.max(axis=1)
-    return lengths[-1], shift, lengths[0]
+    return k[-1], shift, k[0], rungs[-1] * lengths.size + rungs[0]
 
 
 def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -283,12 +289,12 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     nu = np.asarray(nu, dtype=np.float64)
     log_z = np.full(log_lam.size, np.nan)
     sums = np.full((log_lam.size, 5), np.nan) if moments else None
-    k, shift, k_z = _sizes(log_lam, nu, policy, moments)
+    k, shift, k_z, key = _sizes(log_lam, nu, policy, moments)
     summed = np.count_nonzero(k)
     if not summed:
         return log_z, sums, k
-    # the summed rows by grid length, then by ln Z's length: the unsummed (0, 0) sort first
-    rows = np.argsort(k * (MAX_TERMS + 1) + k_z, kind="stable")[k.size - summed:]
+    # the summed rows by grid length, then by ln Z's length: the unsummed (key 0) sort first
+    rows = np.argsort(key, kind="stable")[k.size - summed:]
     lengths, z_lengths, c = k[rows], k_z[rows], shift[rows]
     coef = np.concatenate((log_lam[rows], -nu[rows])).reshape(2, -1)
     rest = np.empty(rows.size)

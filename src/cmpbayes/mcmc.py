@@ -105,6 +105,7 @@ _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are div
 # a chain's proposals per target call and accept scan (of their finite ratios): a default
 # chain's 2 200 are one call, and a longer chain's temporaries stay bounded
 _CHUNK = 4096
+_QUANTILES = np.array([0.025, 0.5, 0.975])  # summarize's: the 95% interval and the median
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,12 @@ def _make_target(rows):
     """
 
     def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inside = _inside(u, nu)
+        if inside.all():
+            return rows(u, nu)[:2]
         values = np.full(u.size, -math.inf)
         reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
-        inside = np.flatnonzero(_inside(u, nu))
+        inside = np.flatnonzero(inside)
         if inside.size:
             values[inside], reasons[inside], _ = rows(u[inside], nu[inside])
         return values, reasons
@@ -438,9 +442,14 @@ def run_chains(
             values, reasons[rows] = target(u[rows], nu[rows])
             ratios[rows] = values - log_q[rows]
             # ln U < -inf - current never holds, so only the finite ratios are scanned
-            finite = np.flatnonzero(values > -math.inf) + first
-            current = _scan(finite.tolist(), ratios[finite].tolist(), log_u[finite].tolist(),
-                            current, accepted)
+            finite = values > -math.inf
+            if finite.all():
+                current = _scan(range(first, first + values.size), ratios[rows].tolist(),
+                                log_u[rows].tolist(), current, accepted)
+            else:
+                finite = np.flatnonzero(finite) + first
+                current = _scan(finite.tolist(), ratios[finite].tolist(),
+                                log_u[finite].tolist(), current, accepted)
         log_ratios.append(ratios)
         # the state after each step: the last accepted proposal, or the mode (-1)
         state, taken = np.full(steps, -1), np.array(accepted, dtype=np.intp)
@@ -501,11 +510,21 @@ def split_rhat(draws: Draws, param: str) -> float:
 def summarize(draws: Draws) -> PosteriorSummary:
     """Pooled medians, equal-tailed 95% intervals, and per-parameter R-hat.
 
-    Quantiles use numpy's linear-interpolation definition (position
-    (n-1)*q on the sorted pooled draws).
+    Quantiles are np.quantile's linear ones, in its arithmetic, from one sort
+    of the pooled draws: at the virtual index (n - 1) q, between the sorted
+    draws a and b at its floor and the next index (at most n - 1), with gamma
+    the index less its floor and d = b - a, the value is a + d gamma, or
+    b - d (1 - gamma) where gamma >= 0.5.
     """
-    pooled = np.stack((draws.lam, draws.nu)).reshape(2, -1)
-    quantiles = np.quantile(pooled, [0.025, 0.5, 0.975], axis=1).T.tolist()
+    pooled = np.sort(np.stack((draws.lam, draws.nu)).reshape(2, -1), axis=1)
+    n = pooled.shape[1]
+    index = (n - 1) * _QUANTILES
+    low = np.floor(index)
+    gamma = index - low
+    low = low.astype(np.intp)
+    a, b = pooled[:, low], pooled[:, np.minimum(low + 1, n - 1)]
+    d = b - a
+    quantiles = np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma).tolist()
     lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=_split_rhat_matrix(x))
                for (lo, med, hi), x in zip(quantiles, (draws.lam, draws.nu)))
     return PosteriorSummary(lam=lam, nu=nu, n_kept=draws.n_kept)

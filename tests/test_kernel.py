@@ -237,6 +237,25 @@ def test_first_length_is_the_first_rung_past_the_reach(log_lam, nu, moments):
     assert certified_fall(log_lam, nu, k - 1) >= reach
 
 
+@settings(max_examples=60, deadline=None)
+@given(base_terms=st.integers(2, MAX_TERMS), seed=st.integers(0, 2 ** 32 - 1),
+       moments=st.booleans())
+@example(base_terms=2, seed=0, moments=True)  # the longest ladder: 49 rungs
+@example(base_terms=MAX_TERMS, seed=0, moments=False)  # one rung
+def test_grid_key_sorts_rows_as_their_lengths_do(base_terms, seed, moments):
+    # series_arrays orders its rows by _sizes' int16 key, which numpy's stable argsort
+    # radix-sorts: the order of (grid length, ln Z's length), ties in row order, with the
+    # unsummed rows (key 0) first
+    rng = np.random.default_rng(seed)
+    log_lam = rng.uniform(-5.0, 15.0, 2000)
+    nu = rng.uniform(0.0, 2.0, 2000) ** 2
+    k, _, k_z, key = core._sizes(log_lam, nu, TruncationPolicy(base_terms), moments)
+    assert key.dtype == np.int16
+    assert np.array_equal(key == 0, k == 0)
+    assert np.array_equal(np.argsort(key, kind="stable"),
+                          np.argsort(k * (MAX_TERMS + 1) + k_z, kind="stable"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(log_lam=st.floats(-3.0, 4.5), nu=st.floats(0.0, 4.0))
 @example(log_lam=math.log(0.7960590295147574), nu=1e-4)

@@ -17,7 +17,9 @@ Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
 negative so that it ascends, and stops on the floor where it would cross it; on
 the floor, where the target still rises toward lower nu (crab-satellites), the
 step is Newton's in u alone, g_u / |H_uu|, so the mode is the floor's best point.
-A step is halved until the target rises, and taken whole below a Newton decrement
+A step is halved until the target rises, at _TRIES lengths at most (at
+_FIRST_TRIES in a search that has the retry after it, since a moment start that
+fails halves to the end), and taken whole below a Newton decrement
 g'(-H)^-1 g of _MODE_TOL, where the target's rounding hides its rise. The mode
 is where the decrement falls to _NEWTON_TOL (Draws.mode_search). Its precision
 is -H; on the floor its nu entry adds g_nu^2, the curvature of an exponential
@@ -29,9 +31,15 @@ any draw.
 The proposal is a bivariate t with _DF degrees of freedom, centred on the
 mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
 precision (Tierney 1994; Rue, Martino & Chopin 2009). Proposals do not depend on a chain's
-state, so each chain draws them all first from its own Philox stream, in this
-order: every step's pair of normals, then every step's chi-square(_DF) for
-the t scale, then one uniform per step. Its proposals are then evaluated
+state, so each chain draws them all first from its own Philox stream, as three
+uniforms per step in one (3, steps) array: every step's radial uniform U_1, then
+every step's angle U_2, then every step's accept uniform U_3. A step's point is
+the t's radial construction (_proposals): the standardized |x|^2 / 2 is
+F(2, _DF), whose survival function at rho^2 / 2 is V = (1 + rho^2 / _DF)^(-_DF / 2),
+so V = 1 - U_1 gives rho^2 = _DF expm1(-(2 / _DF) ln V); the angle is 2 pi U_2,
+and the point is the mode plus L rho (cos, sin), L the scale's Cholesky factor.
+The log density less its constant, -(_DF + 2) / 2 log1p(rho^2 / _DF), is then
+((_DF + 2) / _DF) ln V, 0 at the mode. Its proposals are then evaluated
 _CHUNK at a time, so that a default chain's 2 200 are one call of the target
 (whose rows core.series_arrays sums in grids of at most core._MAX_CELLS
 cells), each call followed by a float-only accept scan: a chain starts at the
@@ -101,6 +109,10 @@ _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
 _MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in f's rounding
+# a line search tries t = 1, 1/2, ..., 2^-33 (down to 1e-10) along a Newton step; a search
+# with a retry after it hands over after t = 2^-5
+_TRIES = 34
+_FIRST_TRIES = 6
 _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
 # a chain's proposals per target call and accept scan (of their finite ratios): a default
 # chain's 2 200 are one call, and a longer chain's temporaries stay bounded
@@ -294,7 +306,9 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
         return value, (grad, hess)
 
     iterations = points = 0
-    for start in _starts(spec, stats):
+    starts = _starts(spec, stats)
+    for i, start in enumerate(starts):
+        tries = _TRIES if i == len(starts) - 1 else _FIRST_TRIES
         x = np.array(start)
         f, derivatives = evaluate(x)
         points += 1
@@ -318,7 +332,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
             if decrement <= _NEWTON_TOL or steps == _NEWTON_STEPS:
                 break
             t = 1.0
-            while t > 1e-10:
+            for _ in range(tries):
                 trial = x + t * step
                 trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
                 f_trial, found = evaluate(trial)
@@ -378,16 +392,20 @@ def pareto_khat(log_ratios: np.ndarray) -> float:
 
 
 def _proposals(generator, steps: int, centre: np.ndarray, chol: tuple[float, float, float]):
-    """One chain's proposals (u, nu), their log t densities less a constant, and ln U per step."""
-    z = generator.standard_normal((steps, 2))
-    chi2 = generator.chisquare(_DF, steps)
-    uniform = generator.random(steps)
+    """One chain's proposals (u, nu), their log t densities less a constant, and ln U per step.
+
+    From three uniforms per step, by the t's radial construction (see the module docstring);
+    V = 1 - U_1 lies in (0, 1], so ln V is finite.
+    """
+    radial, turn, uniform = generator.random((3, steps))
+    log_v = np.log(1.0 - radial)
+    radius = np.sqrt(_DF * np.expm1((-2.0 / _DF) * log_v))
+    angle = (2.0 * math.pi) * turn
+    z0, z1 = radius * np.cos(angle), radius * np.sin(angle)
     c00, c10, c11 = chol
-    scale = np.sqrt(_DF / chi2)
-    z0, z1 = z[:, 0], z[:, 1]
-    u = centre[0] + scale * (c00 * z0)
-    nu = centre[1] + scale * (c10 * z0 + c11 * z1)
-    log_q = -0.5 * (_DF + 2) * np.log1p((z0 * z0 + z1 * z1) / chi2)
+    u = centre[0] + c00 * z0
+    nu = centre[1] + (c10 * z0 + c11 * z1)
+    log_q = ((_DF + 2) / _DF) * log_v
     with np.errstate(divide="ignore"):  # U = 0, once in 2^53 draws, never accepts
         log_u = np.log(uniform)
     return u, nu, log_q, log_u

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln, logsumexp
+from scipy.stats import kstest
 
 from cmpbayes import (
     AllDivergentError,
@@ -839,19 +840,12 @@ def test_target_rejects_non_finite_value():
 
 
 class RecordingGenerator:
-    """A numpy Generator that records which method each draw came from, and its size."""
+    """A numpy Generator that records the size of each draw of uniforms, and offers no
+    other draw."""
 
     def __init__(self, seed):
         self._g = np.random.default_rng(seed)
         self.calls = []
-
-    def standard_normal(self, size=None):
-        self.calls.append(("normal", size))
-        return self._g.standard_normal(size)
-
-    def chisquare(self, df, size=None):
-        self.calls.append(("chisquare", df, size))
-        return self._g.chisquare(df, size)
 
     def random(self, size=None):
         self.calls.append(("uniform", size))
@@ -859,9 +853,9 @@ class RecordingGenerator:
 
 
 def test_draw_order_in_both_phases(monkeypatch):
-    # each chain draws its warmup and kept steps together, from its own stream: every
-    # step's pair of normals, then every step's chi-square(5) for the t scale, then
-    # one uniform per step, whether or not the step's proposal is finite
+    # each chain draws its warmup and kept steps together, from its own stream, as one
+    # (3, steps) array of uniforms: every step's radial uniform, then every step's angle,
+    # then every step's accept uniform, whether or not the step's proposal is finite
     generators = {}
     monkeypatch.setattr(mcmc, "make_generator",
                         lambda *key: generators.setdefault(key, RecordingGenerator(key[-1])))
@@ -871,7 +865,7 @@ def test_draw_order_in_both_phases(monkeypatch):
     assert d.rejections["outside_support"].sum() > 0
     assert list(generators) == [(3, 4, 0), (3, 4, 1)]
     for g in generators.values():
-        assert g.calls == [("normal", (105, 2)), ("chisquare", 5, 105), ("uniform", 105)]
+        assert g.calls == [("uniform", (3, 105))]
 
 
 def proposals_of(monkeypatch):
@@ -893,10 +887,11 @@ def proposals_of(monkeypatch):
 
 
 def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
-    # every proposal is the reported centre plus sqrt(5 / chi2) * L z, from the
-    # chain's own normals and chi-square in their draw order, and each chain's
-    # proposals (fewer than mcmc._CHUNK) are evaluated in one call of the target,
-    # which the mode search does not call
+    # every proposal is the reported centre plus rho L (cos theta, sin theta), from the
+    # chain's own three uniforms per step in their draw order: rho^2 = 5 expm1(-0.4 ln V)
+    # at V = 1 - U_1 and theta = 2 pi U_2; each chain's proposals (fewer than
+    # mcmc._CHUNK) are evaluated in one call of the target, which the mode search does
+    # not call
     calls = proposals_of(monkeypatch)
     stats = sufficient_stats(bundled_dataset("textile-faults").counts)
     config = McmcConfig(chains=3, warmup=50, keep=100)
@@ -905,13 +900,27 @@ def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
     c00, c10, c11 = d.proposal_cholesky
     assert c00 > 0.0 and c11 > 0.0 and c10 != 0.0
     for c, (u, nu) in enumerate(calls):
-        g = make_generator(2, 1, c)
-        z = g.standard_normal((150, 2))
-        scale = np.sqrt(5.0 / g.chisquare(5, 150))
-        np.testing.assert_allclose(u - d.proposal_centre[0], scale * c00 * z[:, 0],
+        radial, turn, _ = make_generator(2, 1, c).random((3, 150))
+        rho = np.sqrt(5.0 * np.expm1(-0.4 * np.log(1.0 - radial)))
+        z0, z1 = rho * np.cos(2.0 * np.pi * turn), rho * np.sin(2.0 * np.pi * turn)
+        np.testing.assert_allclose(u - d.proposal_centre[0], c00 * z0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nu - d.proposal_centre[1], c10 * z0 + c11 * z1,
                                    rtol=0, atol=1e-13)
-        np.testing.assert_allclose(nu - d.proposal_centre[1],
-                                   scale * (c10 * z[:, 0] + c11 * z[:, 1]), rtol=0, atol=1e-13)
+
+
+def test_proposals_follow_the_bivariate_t():
+    # 200 000 of a chain's proposals, standardized by the Cholesky factor to
+    # x = L^-1 (point - centre): |x|^2 / 2 follows F(2, 5), the angle of x is uniform,
+    # and each log q is the t(5) log density less its constant, -3.5 log1p(|x|^2 / 5);
+    # a factor of condition number near 3 keeps the rounding of x far below rtol
+    centre, (c00, c10, c11) = np.array([0.4, 0.2]), (0.3, 0.1, 0.2)
+    u, nu, log_q, _ = mcmc._proposals(make_generator(0), 200_000, centre, (c00, c10, c11))
+    x0 = (u - centre[0]) / c00
+    x1 = (nu - centre[1] - c10 * x0) / c11
+    radius2 = x0 * x0 + x1 * x1
+    assert kstest(radius2 / 2.0, "f", args=(2, 5)).pvalue > 1e-3
+    assert kstest(np.arctan2(x1, x0), "uniform", args=(-math.pi, 2.0 * math.pi)).pvalue > 1e-3
+    np.testing.assert_allclose(log_q, -3.5 * np.log1p(radius2 / 5.0), rtol=1e-12)
 
 
 def test_rejected_proposal_counts_as_divergence(monkeypatch):

@@ -170,29 +170,42 @@ class TestLogPriorDensity:
             assert jeffreys_information_det(CmpParams(lam, nu)) > 0.0
 
     # the kernel's exact gradient and Hessian in (ln lambda, nu), which the mode search
-    # reads, under each preset, of no data and of textile-faults, against central
-    # differences of the same rows' values with steps 1e-3 in ln lambda and 1e-3 * nu
-    # in nu: the conjugate kernel's from its moment sums, and J = 0.5 ln(lambda^2 det I)'s
-    # from the series' central moments
+    # reads, under each preset, of no data and of textile-faults, against Richardson's
+    # extrapolation (4 D(h / 2) - D(h)) / 3 of central differences D of the same rows'
+    # values, with steps h of 1e-3 in ln lambda and 1e-3 * nu in nu, whose error is
+    # O(h^4) where D(h)'s O(h^2) passed rtol at large u and small nu: the conjugate
+    # kernel's from its moment sums, and J = 0.5 ln(lambda^2 det I)'s from the series'
+    # central moments
     @settings(max_examples=60, deadline=None)
     @given(u=st.floats(-2.0, 2.0), nu=st.floats(0.5, 3.0))
     def test_jeffreys_derivatives_match_central_differences(self, u, nu):
         du, dn = 1e-3, 1e-3 * nu
-        steps = np.array([-1.0, 0.0, 1.0])
+        steps = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         grid_u, grid_nu = (x.ravel() for x in np.meshgrid(u + du * steps, nu + dn * steps,
                                                           indexing="ij"))
         data = {"no data": SufficientStats.empty(),
                 "textile-faults": sufficient_stats(bundled_dataset("textile-faults").counts)}
+
+        def differences(j, s):
+            """Central differences of j's values s grid points from its middle, s / 2 steps."""
+            hu, hn = 0.5 * s * du, 0.5 * s * dn
+            cross = (j[2 + s, 2 + s] - j[2 + s, 2 - s] - j[2 - s, 2 + s]
+                     + j[2 - s, 2 - s]) / (4 * hu * hn)
+            grad = [(j[2 + s, 2] - j[2 - s, 2]) / (2 * hu), (j[2, 2 + s] - j[2, 2 - s]) / (2 * hn)]
+            hess = [[(j[2 + s, 2] - 2 * j[2, 2] + j[2 - s, 2]) / hu ** 2, cross],
+                    [cross, (j[2, 2 + s] - 2 * j[2, 2] + j[2, 2 - s]) / hn ** 2]]
+            return np.array(grad), np.array(hess)
+
         for (case, stats), name in itertools.product(data.items(), PRESET_NAMES):
             rows = log_kernel(get_preset(name), stats, TruncationPolicy())
             (value,), _, ((grad,), (hess,)) = rows(np.array([u]), np.array([nu]), True)
-            j = rows(grid_u, grid_nu)[0].reshape(3, 3)  # j[1 + i, 1 + k] at (u + i du, nu + k dn)
-            assert value == j[1, 1], (case, name)
-            cross = (j[2, 2] - j[2, 0] - j[0, 2] + j[0, 0]) / (4 * du * dn)
-            assert_allclose(grad, [(j[2, 1] - j[0, 1]) / (2 * du), (j[1, 2] - j[1, 0]) / (2 * dn)],
+            # j[2 + 2 i, 2 + 2 k] at (u + i du, nu + k dn), i and k in -1, -1/2, 0, 1/2, 1
+            j = rows(grid_u, grid_nu)[0].reshape(5, 5)
+            assert value == j[2, 2], (case, name)
+            (grad_half, hess_half), (grad_whole, hess_whole) = differences(j, 1), differences(j, 2)
+            assert_allclose(grad, (4 * grad_half - grad_whole) / 3,
                             rtol=1e-5, atol=1e-5 * np.abs(grad).max(), err_msg=f"{case}, {name}")
-            assert_allclose(hess, [[(j[2, 1] - 2 * j[1, 1] + j[0, 1]) / du ** 2, cross],
-                                   [cross, (j[1, 2] - 2 * j[1, 1] + j[1, 0]) / dn ** 2]],
+            assert_allclose(hess, (4 * hess_half - hess_whole) / 3,
                             rtol=1e-4, atol=1e-4 * np.abs(hess).max(), err_msg=f"{case}, {name}")
 
 

@@ -172,8 +172,8 @@ class TestLogPriorDensity:
     # the kernel's exact gradient and Hessian in (ln lambda, nu), which the mode search
     # reads, under each preset, of no data and of textile-faults, against Richardson's
     # extrapolation (4 D(h / 2) - D(h)) / 3 of central differences D of the same rows'
-    # values, with steps h of 1e-3 in ln lambda and 1e-3 * nu in nu, whose error is
-    # O(h^4) where D(h)'s O(h^2) passed rtol at large u and small nu: the conjugate
+    # values, with steps h of 1e-3 in ln lambda and 1e-3 * nu in nu; its error is O(h^4),
+    # where D(h)'s own O(h^2) error passed rtol at large u and small nu: the conjugate
     # kernel's from its moment sums, and J = 0.5 ln(lambda^2 det I)'s from the series'
     # central moments
     @settings(max_examples=60, deadline=None)

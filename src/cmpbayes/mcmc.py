@@ -105,6 +105,9 @@ from .rng import SeedSpec, make_generator
 # geometric boundary nu = 0.
 NU_FLOOR = 1e-4
 _DF = 5  # degrees of freedom of the t proposal
+# how a chain's stream becomes its proposals and accept draws (_proposals); a study's progress
+# records carry it, so a resume refuses records drawn under another scheme
+DRAW_SCHEME = "t5-radial-3u"
 _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
@@ -236,12 +239,9 @@ def _make_target(rows):
     """
 
     def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inside = _inside(u, nu)
-        if inside.all():
-            return rows(u, nu)[:2]
         values = np.full(u.size, -math.inf)
         reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
-        inside = np.flatnonzero(inside)
+        inside = np.flatnonzero(_inside(u, nu))
         if inside.size:
             values[inside], reasons[inside], _ = rows(u[inside], nu[inside])
         return values, reasons
@@ -460,14 +460,9 @@ def run_chains(
             values, reasons[rows] = target(u[rows], nu[rows])
             ratios[rows] = values - log_q[rows]
             # ln U < -inf - current never holds, so only the finite ratios are scanned
-            finite = values > -math.inf
-            if finite.all():
-                current = _scan(range(first, first + values.size), ratios[rows].tolist(),
-                                log_u[rows].tolist(), current, accepted)
-            else:
-                finite = np.flatnonzero(finite) + first
-                current = _scan(finite.tolist(), ratios[finite].tolist(),
-                                log_u[finite].tolist(), current, accepted)
+            finite = np.flatnonzero(values > -math.inf) + first
+            current = _scan(finite.tolist(), ratios[finite].tolist(), log_u[finite].tolist(),
+                            current, accepted)
         log_ratios.append(ratios)
         # the state after each step: the last accepted proposal, or the mode (-1)
         state, taken = np.full(steps, -1), np.array(accepted, dtype=np.intp)

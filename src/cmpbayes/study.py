@@ -5,9 +5,9 @@ true CMP parameters; each requested prior is then fit by MCMC and scored by
 its posterior median (point estimate) and equal-tailed 95% interval
 (coverage). Each replicate's records can be appended to a JSON-lines file as
 it ends, so long runs are resumable; a record stores what made it (made_by),
-and a resume refuses records made under another config. Results are
-bit-reproducible functions of the config, including failure counts,
-regardless of worker count or resume history.
+and a resume refuses records made under another config or draw scheme
+(mcmc.DRAW_SCHEME). Results are bit-reproducible functions of the config,
+including failure counts, regardless of worker count or resume history.
 
 Stream layout: every task gets stream_id
     ((setting_idx * 64 + size_idx) * 2^20 + replicate) * 16 + slot
@@ -32,7 +32,7 @@ import numpy as np
 from .core import TruncationPolicy, DEFAULT_POLICY, CmpParams, log_normalizer
 from .errors import (AllDivergentError, ImproperPosteriorError, InvalidParamsError,
                      ZeroVarianceError)
-from .mcmc import McmcConfig, run_chains, summarize
+from .mcmc import DRAW_SCHEME, McmcConfig, run_chains, summarize
 from .posterior import sufficient_stats
 from .priors import PRESET_NAMES, get_preset
 from .rng import SeedSpec, sample_cmp
@@ -127,7 +127,7 @@ def _made_by(config: StudyConfig, fit: tuple[int, int, int, int]) -> dict:
     setting = config.settings[si]
     return {"seed": config.master_seed, "stream": _stream_id(si, ni, r, 1 + pi),
             "setting": [setting.lam, setting.nu], "mcmc": asdict(config.mcmc),
-            "policy": asdict(config.policy)}
+            "policy": asdict(config.policy), "draws": DRAW_SCHEME}
 
 
 def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
@@ -234,8 +234,8 @@ def run_study(
         elif rec.get("made_by") != _made_by(config, fit):
             raise InvalidParamsError(
                 f"{path}: the record of fit (setting, n, replicate, prior) = {key} was made "
-                "under another seed, setting, prior order, MCMC or truncation config; "
-                "start a new progress file")
+                "under another seed, setting, prior order, MCMC or truncation config, or "
+                "draw scheme; start a new progress file")
         else:
             done[fit] = rec
 

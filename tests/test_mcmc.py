@@ -385,6 +385,20 @@ class TestModeSearch:
         with pytest.raises(ModeNotFoundError):
             mcmc._laplace(spec, stats, rows)
 
+    # Jeffreys at term mode 1 000: its moment start fails, and cutting that first search
+    # at _FIRST_TRIES step lengths hands it to the retry sooner, at the same verdict and
+    # the same mode to the bit (the one search of the 180-dataset stress scan, CMP(m^nu, nu)
+    # for m 30-3 000, nu 0.3-1.5 and n 5-200 under six presets, that the cap changes)
+    def test_capped_first_search_finds_the_uncapped_mode(self, monkeypatch):
+        spec = get_preset("jeffreys")
+        stats = sufficient_stats(sample_cmp(CmpParams(1000.0 ** 1.5, 1.5), 5, SeedSpec(1, 7)))
+        rows = log_kernel(spec, stats, DEFAULT_POLICY)
+        mode, _, _, search = mcmc._laplace(spec, stats, rows)
+        monkeypatch.setattr(mcmc, "_FIRST_TRIES", mcmc._TRIES)
+        uncapped_mode, _, _, uncapped = mcmc._laplace(spec, stats, rows)
+        assert np.array_equal(mode, uncapped_mode) and search.decrement == uncapped.decrement
+        assert search.iterations == uncapped.iterations and search.points < uncapped.points
+
     def test_conjugate_posterior_is_its_updated_prior_to_the_bit(self):
         # the search starts from (a, b, c) alone, which Conjugate(h) on data and
         # Conjugate(updated_hyper(h, stats)) on no data share, so the two fits are one

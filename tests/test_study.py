@@ -19,7 +19,7 @@ from cmpbayes import (
     render_tables,
     run_study,
 )
-from cmpbayes import study
+from cmpbayes import mcmc, study
 from cmpbayes.cli import build_parser, config_from_args, main
 from cmpbayes.errors import ZeroVarianceError
 
@@ -442,6 +442,23 @@ class TestResume:
             del rec["made_by"]
         progress.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         with pytest.raises(InvalidParamsError, match="'over', 25, 0, 'conj-1'"):
+            run_study(small_config(), progress_path=str(progress))
+
+    # a file drawn under another scheme (the normal and chi-square t draws stored no
+    # "draws" entry) is refused, not resumed into a mix of two schemes
+    @pytest.mark.parametrize("draws", [None, "t5-normal-chisquare"])
+    def test_record_of_another_draw_scheme_refused(self, tmp_path, draws):
+        progress = tmp_path / "progress.jsonl"
+        run_study(small_config(), progress_path=str(progress))
+        records = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert all(rec["made_by"]["draws"] == mcmc.DRAW_SCHEME for rec in records)
+        for rec in records:
+            if draws is None:
+                del rec["made_by"]["draws"]
+            else:
+                rec["made_by"]["draws"] = draws
+        progress.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(InvalidParamsError, match="draw scheme"):
             run_study(small_config(), progress_path=str(progress))
 
     def test_cli_refusal_exits_2(self, tmp_path, capsys):

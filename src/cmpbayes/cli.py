@@ -16,9 +16,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import CmpParams, TruncationPolicy, DEFAULT_POLICY, log_normalizer, pmf_table
+from .core import CmpParams, DEFAULT_POLICY, TruncationPolicy, _log_terms, log_normalizer, pmf_table
 from .datasets import CountDataset, resolve_dataset
 from .errors import CmpError, ImproperPosteriorError
 from .mcmc import Draws, McmcConfig, PosteriorSummary, run_chains, summarize
@@ -249,19 +248,15 @@ def _cmd_pmf(args) -> int:
         raise CmpError(f"--max must be >= 0, got {args.max}")
     params = CmpParams(args.lam, args.nu)
     policy = config_from_args(args).policy
-    table = pmf_table(params, policy)
     if args.max is None:
         # default: stop once cumulative mass reaches 1 - 1e-9
+        table = pmf_table(params, policy)
         upto = min(int(np.searchsorted(np.cumsum(table), 1.0 - 1e-9)) + 1, table.size)
     else:
         upto = args.max + 1
-    rows = list(enumerate(table[:upto].tolist()))
-    if upto > table.size:
-        # rows past the truncation grid: log_pmf's terms, with ln Z summed once
-        xs = np.arange(table.size, upto)
-        log_p = (xs * math.log(params.lam) - params.nu * gammaln(xs + 1.0)
-                 - log_normalizer(params, policy))
-        rows += [(x, math.exp(lp)) for x, lp in zip(xs.tolist(), log_p.tolist())]
+    # every row is pmf_table's formula, exp(t_x - ln Z), on and past the truncation grid
+    log_p = _log_terms(math.log(params.lam), params.nu, np.arange(upto))
+    rows = list(enumerate(np.exp(log_p - log_normalizer(params, policy)).tolist()))
     if args.format == "json":
         text = json.dumps(
             {"lambda": args.lam, "nu": args.nu,

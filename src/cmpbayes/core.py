@@ -5,23 +5,22 @@ The CMP(lambda, nu) distribution has pmf
     P(X = x) = lambda^x / ((x!)^nu * Z(lambda, nu)),   x = 0, 1, 2, ...
 
 with normalizing function Z(lambda, nu) = sum_j lambda^j / (j!)^nu. The series
-has no closed form in general, so everything here works with a truncated grid
-of log-domain terms
+has no closed form in general, so everything here works with the log terms
 
     t_j = j*ln(lambda) - nu*lnGamma(j + 1),
 
-summed over a grid whose length is chosen from (ln lambda, nu) before summing,
-to where the terms have fallen an ulp's worth below the largest (TruncationPolicy),
-so one sum suffices. j and lnGamma(j + 1) are rows 0 and 2 of _MOMENT_TABLE,
-the read-only table of the five moment integrands, built at import.
-series_arrays is the one summation routine, over arrays of points in
-(ln lambda, nu), the sampler's coordinates, so that a fit's thousands of
-proposals cost a few numpy calls per grid length rather than Python per row;
-its docstring says how it sizes, weighs and sums them. Every step is
-elementwise or along a row, so no point's result depends on the other points
-or on the grid bound, and the one-point entries (log_normalizer, moments,
-pmf_table) are one-row calls of series_arrays (_series). The third and
-fourth moments, which the table does not hold, are central_moments'.
+spelled once, in _log_terms, but for series_arrays' einsum, its blocked form.
+They are summed over a grid whose length is chosen from (ln lambda, nu)
+before summing, to where the terms have fallen an ulp's worth below the
+largest (TruncationPolicy), so one sum suffices. series_arrays is the one
+summation routine, over arrays of points in (ln lambda, nu), the sampler's
+coordinates, so that a fit's thousands of proposals cost a few numpy calls per
+grid length rather than Python per row; its docstring says how it sizes,
+weighs and sums them. No point's result depends on the other points or on the
+grid bound, and the one-point entries (log_normalizer, moments, pmf_table)
+are one-row calls of series_arrays (_series). _MOMENT_TABLE, built at import,
+holds the five moment integrands; CmpMoments' second moments round as
+posterior.log_kernel's do, and the third and fourth are central_moments'.
 """
 
 from __future__ import annotations
@@ -134,11 +133,11 @@ class CmpMoments:
 
     @property
     def var_x(self) -> float:
-        return self.e_x2 - self.e_x**2
+        return self.e_x2 - self.e_x * self.e_x
 
     @property
     def var_lnfact(self) -> float:
-        return self.e_lnfact2 - self.e_lnfact**2
+        return self.e_lnfact2 - self.e_lnfact * self.e_lnfact
 
     @property
     def cov_x_lnfact(self) -> float:
@@ -162,6 +161,19 @@ _LGAMMA = gammaln(_J + 1.0)
 _MOMENT_TABLE = np.vstack([_J, _J * _J, _LGAMMA, _LGAMMA * _LGAMMA, _J * _LGAMMA])
 for _table in (_J, _LGAMMA, _MOMENT_TABLE):
     _table.flags.writeable = False
+
+
+def _log_factorial(j: np.ndarray) -> np.ndarray:
+    """ln j! at integers j >= 0 of any shape: from _LGAMMA below MAX_TERMS, else gammaln (equal)."""
+    return _LGAMMA[j] if j.max() < MAX_TERMS else gammaln(j + 1.0)
+
+
+def _log_terms(log_lam, nu, j: np.ndarray) -> np.ndarray:
+    """The CMP log terms t_j = j ln lambda - nu lnGamma(j + 1), broadcast over the three.
+
+    series_arrays' einsum gives the same values (a zero, 0.0 there, may be -0.0 here).
+    """
+    return log_lam * j - nu * _log_factorial(j)
 
 
 @lru_cache(maxsize=None)
@@ -255,9 +267,8 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moment
     shift = np.zeros(log_lam.size)
     big = np.flatnonzero(summable & (log_lam > 0.0) & (nu_mode > _MAX_UNSHIFTED))
     if big.size:
-        j = np.floor(mode[big])[:, None] + np.arange(-1.0, 2.0)
-        t = log_lam[big, None] * j - nu[big, None] * _LGAMMA[j.astype(np.int64)]
-        shift[big] = t.max(axis=1)
+        j = np.floor(mode[big]).astype(np.int64)[:, None] + np.arange(-1, 2)
+        shift[big] = _log_terms(log_lam[big, None], nu[big, None], j).max(axis=1)
     return k[-1], shift, k[0], rungs[-1] * lengths.size + rungs[0]
 
 
@@ -327,16 +338,17 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
         if shifted:
             lz[shifted] = c[shifted] + np.log(total[shifted])
         # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-        j = z_lengths - _LAST_TWO
-        last, prev = coef[0] * j + coef[1] * _LGAMMA[j]
+        last, prev = _log_terms(coef[0], -coef[1], z_lengths - _LAST_TWO)
         log_r = last - prev
         ratio = np.exp(log_r)
         # ratio < 1 holds only where log_r < 0: the terms decay
         ok = (ratio < 1.0) & ((last - lz) + log_r - np.log1p(-ratio) < math.log(policy.tail_tol))
-    kept = rows[ok]
-    log_z[kept] = lz[ok]
+    lz[~ok] = np.nan
+    log_z[rows] = lz
     if moments:
-        sums[kept] = (moment_sums / total[:, None])[ok]
+        moment_sums /= total[:, None]
+        moment_sums[~ok] = np.nan
+        sums[rows] = moment_sums
     return log_z, sums, k
 
 
@@ -351,16 +363,7 @@ def _series(log_lam: float, nu: float, policy: TruncationPolicy, moments: bool =
         raise truncation_error(log_lam, nu, policy)
     if moments:
         return sums[0].tolist(), float(log_z[0])
-    return _log_terms(log_lam, nu, k[0]), float(log_z[0])
-
-
-def _log_terms(log_lam: float, nu: float, k: int) -> np.ndarray:
-    """A row's log terms t_j = j ln lambda - nu lnGamma(j + 1), j < k: series_arrays' einsum's.
-
-    The same two products and sum, so the same values; t_0 may be -0.0 for the einsum's 0.0.
-    """
-    j, lgamma = _MOMENT_TABLE[0:3:2, :k]
-    return log_lam * j - nu * lgamma
+    return _log_terms(log_lam, nu, np.arange(k[0])), float(log_z[0])
 
 
 def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float, e_g: float,
@@ -371,12 +374,12 @@ def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float,
     with nothing sized or summed again. At beta = Cov(X, -ln X!) / Var(X) the two are
     uncorrelated, which keeps the digits that X and ln X!'s near-collinearity cancels.
     """
-    j, lgamma = _MOMENT_TABLE[0:3:2, :k]
+    j = np.arange(k)
     dx = j - e_x
-    dg = e_g - lgamma - beta * dx
+    dg = e_g - _LGAMMA[:k] - beta * dx
     x2, xg, g2 = dx * dx, dx * dg, dg * dg
     return np.array([x2, xg, g2, x2 * dx, x2 * dg, xg * dg, g2 * dg, x2 * x2, x2 * xg,
-                     x2 * g2, xg * g2, g2 * g2]) @ np.exp(_log_terms(log_lam, nu, k) - log_z)
+                     x2 * g2, xg * g2, g2 * g2]) @ np.exp(_log_terms(log_lam, nu, j) - log_z)
 
 
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -388,11 +391,8 @@ def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY
     """ln P(X = x) = x*ln(lambda) - nu*lnGamma(x+1) - ln Z."""
     if x < 0 or x != int(x):
         raise InvalidParamsError(f"x must be a nonnegative integer, got {x}")
-    return float(
-        x * math.log(params.lam)
-        - params.nu * gammaln(x + 1.0)
-        - log_normalizer(params, policy)
-    )
+    return float(_log_terms(math.log(params.lam), params.nu, np.asarray(int(x)))
+                 - log_normalizer(params, policy))
 
 
 def pmf_table(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:

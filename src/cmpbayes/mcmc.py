@@ -87,18 +87,12 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 
 from .core import TruncationPolicy, DEFAULT_POLICY
-from .errors import (
-    AllDivergentError,
-    ImproperPosteriorError,
-    InvalidParamsError,
-    ModeNotFoundError,
-    ZeroVarianceError,
-)
-from .posterior import (SufficientStats, conjugate_form, flat_posterior_propriety, log_kernel,
-                        updated_hyper)
-from .posterior import log_posterior  # noqa: F401  (a name bench/spans.py patches)
-from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, Conjugate,
-                     Flat, PriorSpec, conjugate_propriety)
+from .errors import AllDivergentError, InvalidParamsError, ModeNotFoundError, ZeroVarianceError
+from .posterior import SufficientStats, check_propriety, conjugate_form, log_kernel
+from .posterior import log_posterior, updated_hyper  # noqa: F401  (names bench/spans.py patches)
+from .posterior import flat_posterior_propriety  # noqa: F401  (a name bench/spans.py patches)
+from .priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, PriorSpec
+from .priors import conjugate_propriety  # noqa: F401  (a name bench/spans.py patches)
 from .rng import SeedSpec, make_generator
 
 # nu is floored inside the sampler: the truncated series degrades at the
@@ -203,24 +197,6 @@ class PosteriorSummary:
     lam: ParamSummary
     nu: ParamSummary
     n_kept: int
-
-
-def _check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
-    if isinstance(spec, Flat):
-        if not flat_posterior_propriety(stats):
-            raise ImproperPosteriorError(
-                "flat-prior posterior is improper for this data "
-                "(needs some count > 1 and mean ln(x!) above the floor bound)"
-            )
-    elif isinstance(spec, Conjugate):
-        if not conjugate_propriety(updated_hyper(spec.hyper, stats)):
-            raise ImproperPosteriorError(
-                "conjugate posterior hyperparameters fail the propriety condition"
-            )
-    elif stats.n == 0:
-        raise ImproperPosteriorError("the Jeffreys prior is improper; it needs data")
-    # Jeffreys propriety with data is not decidable here; the mode search and
-    # the Pareto k-hat are the canaries.
 
 
 def _inside(u: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -437,11 +413,11 @@ def run_chains(
     Per-chain streams derive from (seed.master_seed, seed.stream_id, chain
     index), so results do not depend on execution order and repeat runs are
     bit-identical. Raises ImproperPosteriorError before sampling when the
-    posterior is decidably improper, ModeNotFoundError when the mode search
-    finds no finite mode, and AllDivergentError if every post-warmup proposal
-    in every chain was rejected.
+    posterior is decidably improper (posterior.check_propriety), ModeNotFoundError
+    when the mode search finds no finite mode, and AllDivergentError if every
+    post-warmup proposal in every chain was rejected.
     """
-    _check_propriety(spec, stats)
+    check_propriety(spec, stats)
     kernel = log_kernel(spec, stats, policy)
     target = _make_target(kernel)
     centre, top, precision, search = _laplace(spec, stats, kernel)

@@ -1,21 +1,21 @@
-"""Log posteriors for any prior spec, and posterior propriety where decidable.
+"""Log posteriors for any prior spec, and posterior propriety for every prior.
 
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
 SufficientStats, and the prior is the posterior of no data. Every posterior
 is the conjugate kernel at some (a, b, c) (conjugate_form): at the shifted
-hyperparameters (a + S1, b + S2, c + n) under a conjugate prior, and at
-(S1, S2, n) under the flat prior, which is proper exactly when those values
-satisfy the conjugate propriety condition, and under Jeffreys, which adds
-the Jeffreys log density J = 0.5 ln(lambda^2 det I). log_kernel binds a
+hyperparameters (a + S1, b + S2, c + n) under a conjugate prior, at
+(S1, S2, n) under the flat prior and under Jeffreys, which adds the Jeffreys
+log density J = 0.5 ln(lambda^2 det I). check_propriety is the one place
+that decides from (a, b, c) whether a posterior is proper. log_kernel binds a
 posterior to that one formula over many points, as the density of
 (u, nu) = (ln lambda, nu), the sampler's coordinates: a*u - b*nu - c*ln Z,
 plus J. It sums the points' series (core.series_arrays), evaluates the
 formula on them in array operations and, when asked, its gradient and
-Hessian from the same rows' moment sums. The sampler hands it a fit's
-proposals and each point its mode search visits; log_posterior and
-log_prior_density hand it one point and subtract ln lambda, the Jacobian of
-lambda = e^u, to give the density in lambda.
+Hessian, taking J and the Hessian from one set of the rows' second moments.
+The sampler hands it a fit's proposals and each point its mode search
+visits; log_posterior and log_prior_density hand it one point and subtract
+ln lambda, the Jacobian of lambda = e^u, to give the density in lambda.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import (MAX_TERMS, CmpParams, TruncationPolicy, DEFAULT_POLICY, _LGAMMA,
-                   central_moments, truncation_error, series_arrays)
+from .core import (CmpParams, TruncationPolicy, DEFAULT_POLICY, _log_factorial, central_moments,
+                   truncation_error, series_arrays)
 from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
-from .errors import EmptyDataError, InvalidParamsError, NonpositiveDeterminantError
+from .errors import (EmptyDataError, ImproperPosteriorError, InvalidParamsError,
+                     NonpositiveDeterminantError)
 from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
                      Jeffreys, PriorSpec, conjugate_propriety, jeffreys_derivatives,
-                     scaled_information_det)
+                     propriety_bound)
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
@@ -76,9 +76,8 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     count must be at most 2^63 - 1, the bound datasets.parse_counts applies,
     whatever the input's type. S1 is summed in int64 only where n * max(x)
     fits in it, and as Python ints otherwise, so it never wraps. S2 sums
-    lnGamma(x + 1) read from core's table of it where every count is below
-    MAX_TERMS (the table holds gammaln of the same floats, so S2 is the same),
-    and from gammaln above.
+    lnGamma(x + 1) as core._log_factorial reads it: from core's table where
+    every count is below core.MAX_TERMS, else from gammaln of the same floats.
     """
     x = data if isinstance(data, np.ndarray) else np.asarray(list(data))
     if x.size == 0:
@@ -95,8 +94,7 @@ def sufficient_stats(data: Iterable[int]) -> SufficientStats:
     n = int(x.size)
     # an int64 sum wraps without error, so past its range the counts are summed as Python ints
     s1 = int(x.sum()) if n * int(high) <= _MAX_COUNT else sum(x.tolist())
-    lgamma = _LGAMMA[x] if high < MAX_TERMS else gammaln(x + 1.0)
-    return SufficientStats(n=n, s1=s1, s2=float(lgamma.sum()))
+    return SufficientStats(n=n, s1=s1, s2=float(_log_factorial(x).sum()))
 
 
 def conjugate_form(spec: PriorSpec, stats: SufficientStats) -> tuple[float, float, float]:
@@ -153,11 +151,14 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
             log_z, sums, k = series_arrays(u, nu, policy, moments)
         reasons = np.zeros(u.size, dtype=np.int8)
         with np.errstate(all="ignore"):
+            if moments:  # the second moments of (X, ln X!), for J and for the Hessian
+                e_x, e_x2, e_g, e_g2, e_xg = sums.T
+                var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
             values = a * u - nu * b
             if c != 0.0:
                 values = values - c * log_z
-            if jeffreys:
-                det = scaled_information_det(*sums.T)
+            if jeffreys:  # lambda^2 det I = Var(X) Var(ln X!) - Cov(X, ln X!)^2
+                det = var_x * var_g - cov * cov
                 values = values + 0.5 * np.log(det)
                 reasons[~((det > 0.0) & np.isfinite(det))] = JEFFREYS_DET
             if reads_z:
@@ -166,8 +167,6 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
             values[reasons != 0] = -math.inf
             if not derivatives:
                 return values, reasons, None
-            e_x, e_x2, e_g, e_g2, e_xg = sums.T
-            var_x, var_g, cov = e_x2 - e_x * e_x, e_g2 - e_g * e_g, e_xg - e_x * e_g
             grad = np.stack((a - c * e_x, c * e_g - b), axis=1)
             hess = np.stack((-c * var_x, c * cov, c * cov, -c * var_g), axis=1).reshape(-1, 2, 2)
             if jeffreys:  # J's, in the basis (X, -ln X! - beta X) that leaves the two uncorrelated
@@ -220,16 +219,34 @@ def log_prior_density(
     return log_posterior(spec, SufficientStats.empty(), params, policy)
 
 
-def flat_posterior_propriety(stats: SufficientStats) -> bool:
-    """Whether the flat-prior posterior for this data is proper.
+def check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
+    """Raise ImproperPosteriorError where the posterior is decidably improper.
 
-    Requires n, S1, S2 all positive (some observation must exceed 1) and the
-    conjugate propriety condition to hold at (S1, S2, n), i.e.
-    mean(ln x!) > ln(floor(xbar)!) + (xbar - floor(xbar)) * ln(floor(xbar)+1).
+    Under a conjugate or the flat prior it is the conjugate kernel at conjugate_form's
+    (a, b, c), proper exactly when all three are positive and conjugate_propriety holds.
+    Under Jeffreys it is improper without data, and with data not decidable here: the
+    mode search and the Pareto k-hat are the canaries.
     """
-    if stats.n <= 0 or stats.s1 <= 0 or stats.s2 <= 0.0:
+    if isinstance(spec, Jeffreys):
+        if stats.n == 0:
+            raise ImproperPosteriorError("the Jeffreys prior is improper; it needs data")
+        return
+    a, b, c = conjugate_form(spec, stats)
+    if not (a > 0.0 and b > 0.0 and c > 0.0):
+        raise ImproperPosteriorError(f"the posterior's (a, b, c) = ({a!r}, {b!r}, {c!r}) must "
+                                     "all be positive (under the flat prior, some count above 1)")
+    hyper = ConjugateHyper(a, b, c)
+    if not conjugate_propriety(hyper):
+        raise ImproperPosteriorError("b/c = %.10g must exceed %.10g" % propriety_bound(hyper))
+
+
+def flat_posterior_propriety(stats: SufficientStats) -> bool:
+    """Whether check_propriety accepts the flat prior's posterior: n, S1, S2 > 0, proper there."""
+    try:
+        check_propriety(Flat(), stats)
+    except ImproperPosteriorError:
         return False
-    return conjugate_propriety(ConjugateHyper(float(stats.s1), stats.s2, float(stats.n)))
+    return True
 
 
 def updated_hyper(hyper: ConjugateHyper, stats: SufficientStats) -> ConjugateHyper:

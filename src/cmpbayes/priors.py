@@ -4,13 +4,14 @@ The conjugate family has kernel
 
     pi(lambda, nu) ∝ lambda^(a-1) * exp(-nu*b) * Z(lambda, nu)^(-c),
 
-proper for a, b, c > 0 iff b/c exceeds a floor-interpolation bound (see
-propriety_bound). The flat prior lambda^(-1) is the (improper) limit of the
-conjugate kernel as (a, b, c) -> 0. The Jeffreys prior is the square root of
-the determinant of the single-observation Fisher information, assembled from
-the moments of X and ln X! (scaled_information_det). The priors' log
-densities, and the posteriors', are one formula over many points,
-posterior.log_kernel; REJECTIONS names why it is -inf at a point.
+proper for a, b, c > 0 iff b/c exceeds a floor-interpolation bound
+(conjugate_propriety; posterior.check_propriety applies it to any posterior).
+The flat prior lambda^(-1) is the (improper) limit of the conjugate kernel as
+(a, b, c) -> 0. The Jeffreys prior is the square root of the determinant of
+the single-observation Fisher information, from the second moments of X and
+ln X! (core.CmpMoments). The priors' log densities, and the posteriors', are one
+formula over many points, posterior.log_kernel; REJECTIONS names why it is
+-inf at a point.
 """
 
 from __future__ import annotations
@@ -109,15 +110,6 @@ def get_preset(name: str) -> PriorSpec:
     return _PRESETS[name]
 
 
-def scaled_information_det(e_x, e_x2, e_g, e_g2, e_xg):
-    """lambda^2 times the information determinant: Var(X)Var(G) - Cov(X, G)^2, G = ln X!.
-
-    Takes the five CmpMoments expectations in its order, as floats or arrays.
-    """
-    cov = e_xg - e_x * e_g
-    return (e_x2 - e_x * e_x) * (e_g2 - e_g * e_g) - cov * cov
-
-
 def jeffreys_derivatives(mu, beta):
     """The gradient and Hessian of J = 0.5 ln(lambda^2 det I) in (ln lambda, nu) at a row.
 
@@ -148,8 +140,8 @@ def jeffreys_derivatives(mu, beta):
 def jeffreys_information_det(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Determinant of the single-observation Fisher information matrix.
 
-    det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2.
+    det = [Var(X)/lambda^2] * Var(lnX!) - [Cov(X, lnX!)/lambda]^2, as posterior.log_kernel's.
     """
     m = moments(params, policy)
-    return scaled_information_det(m.e_x, m.e_x2, m.e_lnfact, m.e_lnfact2,
-                                  m.e_x_lnfact) / params.lam**2
+    cov = m.cov_x_lnfact
+    return (m.var_x * m.var_lnfact - cov * cov) / params.lam**2

@@ -1,19 +1,25 @@
+import contextlib
+import io
 import json
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cmpbayes import (
     CmpParams,
+    ConjugateHyper,
     DatasetParseError,
     EmptyDataError,
     McmcConfig,
     SeedSpec,
     TruncationPolicy,
     bundled_dataset,
+    conjugate_propriety,
     core,
     get_preset,
     load_dataset,
@@ -59,9 +65,11 @@ class TestParsing:
         assert err.value.line_number == 2
 
     def test_mixed_columns(self):
-        with pytest.raises(DatasetParseError) as err:
-            parse_counts("1\t2\n3\n", "t")
-        assert err.value.line_number == 2
+        # a later line with another column count, and a first line with neither 1 nor 2
+        for text, line in (("1\t2\n3\n", 2), ("# x\n1 2 3\n4\n", 2)):
+            with pytest.raises(DatasetParseError, match="columns") as err:
+                parse_counts(text, "t")
+            assert err.value.line_number == line
 
     def test_zero_frequency(self):
         with pytest.raises(DatasetParseError):
@@ -122,6 +130,15 @@ class TestCli:
         assert "improper" in out
         assert f"{math.log(6.0):.6f}"[:6] in out  # rhs = ln 3!
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3))
+    def test_check_prior_exit_code_is_the_condition(self, a, b, c):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check-prior", repr(a), repr(b), repr(c)])
+        assert code == (0 if conjugate_propriety(ConjugateHyper(a, b, c)) else 1)
+        assert out.getvalue().startswith("proper" if code == 0 else "improper")
+
     def test_check_prior_invalid(self, capsys):
         assert main(["check-prior", "1", "0", "1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -143,6 +160,13 @@ class TestCli:
         assert lines[0] == "x,pmf"
         total = sum(float(line.split(",")[1]) for line in lines[1:])
         assert abs(total - 1.0) < 1e-6
+        # the same rows as json, to the bit, stopping once the mass reaches 1 - 1e-9
+        assert main(["pmf", "--lam", "4", "--nu", "1", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["lambda"], doc["nu"]) == (4.0, 1.0)
+        assert [(row["x"], repr(row["p"])) for row in doc["pmf"]] == \
+            [(int(x), p) for x, p in (line.split(",") for line in lines[1:])]
+        assert sum(row["p"] for row in doc["pmf"]) >= 1.0 - 1e-9
 
     def test_pmf_max_flag(self, capsys):
         assert main(["pmf", "--lam", "0.5", "--nu", "0", "--max", "3"]) == 0
@@ -174,9 +198,10 @@ class TestCli:
         assert len(calls) <= 2
         rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
         assert [int(x) for x, _ in rows] == list(range(2001))
+        # every row, on the grid and past it, is exp of log_pmf's value, elementwise in numpy
         params = CmpParams(4.0, 1.0)
-        for x, p in rows[39:]:
-            assert float(p) == math.exp(log_pmf(int(x), params))
+        log_p = np.array([log_pmf(int(x), params) for x, _ in rows])
+        assert [float(p) for _, p in rows] == np.exp(log_p).tolist()
 
     # the warning needs more than 1% of the kept proposals: 80 of 8000 is not
     @pytest.mark.parametrize("divergences, warning", [((20, 20, 20, 20), False),
@@ -324,12 +349,23 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["prior"].startswith("conj(")
 
+    def test_fit_custom_hyper_needs_all_three(self, capsys):
+        assert main(["fit", "textile-faults", "--a", "2"]) == 2
+        assert capsys.readouterr().err == "error: --a, --b, and --c must be given together\n"
+
     def test_fit_improper_posterior_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "ones.txt"
-        path.write_text("1\n1\n1\n1\n")
-        assert main(["fit", str(path), "--prior", "flat", "--chains", "2",
-                     "--warmup", "300", "--keep", "150"]) == 2
-        assert "improper" in capsys.readouterr().err
+        # the flat prior on counts of at most 1, and a conjugate posterior that fails the
+        # condition: (a, b, c) = (5, 0.01, 1) on the one count 0 is (5, 0.01, 2)
+        for counts, prior, refusal in (
+                ("1\n1\n1\n1\n", ["--prior", "flat"],
+                 "the posterior's (a, b, c) = (4.0, 0.0, 4.0) must all be positive"),
+                ("0\n", ["--a", "5", "--b", "0.01", "--c", "1"],
+                 f"b/c = 0.005 must exceed {math.log(2.0) + 0.5 * math.log(3.0):.10g}")):
+            path = tmp_path / "counts.txt"
+            path.write_text(counts)
+            assert main(["fit", str(path), *prior, "--chains", "2",
+                         "--warmup", "300", "--keep", "150"]) == 2
+            assert capsys.readouterr().err.startswith(f"error: improper posterior: {refusal}")
 
     @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
     def test_fit_without_a_mode_exit_code(self, tmp_path, capsys, prior):

@@ -8,7 +8,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cmpbayes"
 # Imported only so that bench/spans.py can patch them where the module looks
 # them up; ROADMAP item 1 removes them once the tracer patches the kernels.
 BENCH_ONLY = {
+    ("mcmc", "conjugate_propriety"),
+    ("mcmc", "flat_posterior_propriety"),
     ("mcmc", "log_posterior"),
+    ("mcmc", "updated_hyper"),
     ("posterior", "log_likelihood"),
     ("priors", "log_normalizer"),
     ("priors", "logz_hessian"),

@@ -36,7 +36,7 @@ from cmpbayes import (
     run_chains,
     sufficient_stats,
 )
-from cmpbayes.core import MAX_TERMS, _series, central_moments, series_arrays
+from cmpbayes.core import MAX_TERMS, _log_terms, _series, central_moments, series_arrays
 from cmpbayes.errors import ModeNotFoundError, NonpositiveDeterminantError
 from cmpbayes.mcmc import NU_FLOOR, _make_target
 from cmpbayes.posterior import log_kernel
@@ -307,6 +307,35 @@ def test_log_z_near_zero_keeps_relative_precision(lam):
     assert log_normalizer(CmpParams(lam, 1.0), POLICY) == pytest.approx(lam, rel=1e-15)
     assert log_normalizer(CmpParams(lam, 0.0), POLICY) == pytest.approx(
         -math.log1p(-lam), rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_lam=st.floats(-50.0, 50.0), nu=st.floats(0.0, 10.0), rows=st.integers(1, 4),
+       k=st.integers(1, MAX_TERMS))
+def test_log_terms_are_the_einsums_to_the_bit(log_lam, nu, rows, k):
+    # series_arrays' blocked form of the term: the same products and sum, so the same
+    # bits, but for a term that is exactly 0 (t_0, and t_1 at ln lambda = -0.0, say),
+    # 0.0 there and possibly -0.0 here
+    coef = np.array([[log_lam], [-nu]]) * np.arange(1.0, rows + 1.0)
+    blocked = np.einsum("ib,ik->bk", coef, core._MOMENT_TABLE[0:3:2, :k])
+    direct = _log_terms(coef[0][:, None], -coef[1][:, None], np.arange(k))
+    assert (direct == blocked).all()
+    nonzero = blocked != 0.0
+    assert direct[nonzero].tobytes() == blocked[nonzero].tobytes()
+    assert direct[:, 0].tolist() == [0.0] * rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_lam=st.floats(-50.0, 50.0), nu=st.floats(0.0, 10.0),
+       j=st.lists(st.integers(0, 10**9), min_size=1, max_size=20))
+def test_log_terms_read_gammaln_past_the_table(log_lam, nu, j):
+    # below MAX_TERMS the table is gammaln of the same floats, so either read is gammaln's
+    j = np.array(j)
+    want = log_lam * j.astype(np.float64) - nu * gammaln(j + 1.0)
+    assert _log_terms(log_lam, nu, j).tobytes() == want.tobytes()
+    small = j % MAX_TERMS
+    want = log_lam * small.astype(np.float64) - nu * gammaln(small + 1.0)
+    assert _log_terms(log_lam, nu, small).tobytes() == want.tobytes()
 
 
 def test_large_mode_is_summed_once(monkeypatch):
@@ -1109,6 +1138,22 @@ def test_chain_without_finite_start_raises(monkeypatch):
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     with pytest.raises(ModeNotFoundError, match="^found no finite posterior mode"):
         run_chains(get_preset("conj-1"), stats, McmcConfig(chains=3), SeedSpec(3))
+
+
+def test_every_kept_proposal_rejected_raises(monkeypatch):
+    # the mode search's one-row series sum as usual; every chain row's series is nan, so
+    # every proposal is a truncation and the fit is refused after its draws
+    series = posterior.series_arrays
+
+    def chains_unsummable(log_lam, nu, policy, moments=False):
+        if log_lam.size == 1:
+            return series(log_lam, nu, policy, moments)
+        return np.full(log_lam.size, np.nan), None, np.zeros(log_lam.size, dtype=np.int64)
+
+    monkeypatch.setattr(posterior, "series_arrays", chains_unsummable)
+    stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+    with pytest.raises(AllDivergentError, match="^every post-warmup proposal"):
+        run_chains(get_preset("conj-1"), stats, McmcConfig(chains=2, keep=100), SeedSpec(3))
 
 
 def test_data_beyond_float_range_has_no_finite_start():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from cmpbayes import (
     ConjugateHyper,
     EmptyDataError,
     Flat,
+    ImproperPosteriorError,
     InvalidParamsError,
     Jeffreys,
     NonpositiveDeterminantError,
@@ -31,6 +33,7 @@ from cmpbayes import (
     updated_hyper,
 )
 from cmpbayes.core import MAX_TERMS
+from cmpbayes.posterior import check_propriety
 
 
 class TestSufficientStats:
@@ -159,6 +162,11 @@ class TestSufficientStats:
         assert s.xbar == s.s1 / s.n
         assert s.mean_lnfact == s.s2 / s.n
 
+    @pytest.mark.parametrize("n, s1, s2", [(-1, 0, 0.0), (1, -1, 0.0), (1, 0, -0.5)])
+    def test_negative_statistics_refused(self, n, s1, s2):
+        with pytest.raises(InvalidParamsError, match="must be nonnegative"):
+            SufficientStats(n=n, s1=s1, s2=s2)
+
     def test_empty_state(self):
         s = SufficientStats.empty()
         assert (s.n, s.s1, s.s2, s.xbar, s.mean_lnfact) == (0, 0, 0.0, 0.0, 0.0)
@@ -238,6 +246,18 @@ class TestLogPosterior:
             assert_allclose(delta, -log_normalizer(p), rtol=1e-10)
 
 
+def refuses(spec, stats) -> bool:
+    """Whether check_propriety refuses the posterior, with its refusal's wording checked."""
+    try:
+        check_propriety(spec, stats)
+    except ImproperPosteriorError as exc:
+        assert re.fullmatch(r"the Jeffreys prior is improper; it needs data|"
+                            r"the posterior's \(a, b, c\) = .* must all be positive .*|"
+                            r"b/c = \S+ must exceed \S+", str(exc)), str(exc)
+        return True
+    return False
+
+
 class TestFlatPosteriorPropriety:
     def test_no_count_above_one(self):
         assert not flat_posterior_propriety(sufficient_stats([0, 0, 1]))
@@ -266,8 +286,28 @@ class TestFlatPosteriorPropriety:
         else:
             expected = False
         assert flat_posterior_propriety(stats) == expected
+        assert refuses(Flat(), stats) == (not expected)
 
     def test_updated_hyper(self):
         stats = sufficient_stats([2, 0])
         up = updated_hyper(ConjugateHyper(1.0, 1.0, 1.0), stats)
         assert up == ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0)
+
+
+class TestCheckPropriety:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3), c=st.floats(1e-3, 1e3),
+           n=st.integers(0, 10**4), mean=st.floats(0.0, 50.0), spread=st.floats(-1.0, 1.0))
+    def test_conjugate_refusal_is_the_condition_at_the_updated_hyper(self, a, b, c, n, mean,
+                                                                     spread):
+        # S2 / n near ln(mean!), the bound's value, on either side, so both verdicts occur
+        s1 = round(n * mean)
+        s2 = n * max(float(gammaln(mean + 1.0)) + spread, 0.0) if n else 0.0
+        stats = SufficientStats(n=n, s1=s1 if n else 0, s2=s2)
+        h = ConjugateHyper(a, b, c)
+        assert refuses(Conjugate(h), stats) == (not conjugate_propriety(updated_hyper(h, stats)))
+
+    def test_jeffreys_refused_only_without_data(self):
+        assert refuses(Jeffreys(), SufficientStats.empty())
+        assert not refuses(Jeffreys(), sufficient_stats([1, 1, 1]))  # the flat posterior is not
+        assert refuses(Flat(), sufficient_stats([1, 1, 1]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -75,6 +77,9 @@ class TestSampleCmp:
     def test_overdispersed_direction(self):
         x = sample_cmp(CmpParams(3.0, 0.5), 100_000, SeedSpec(1, 2))
         assert dispersion_ratio(x) > 1.0
+
+    def test_dispersion_of_all_zero_draws_is_nan(self):
+        assert math.isnan(dispersion_ratio(np.zeros(50, dtype=np.int64)))
 
     def test_empirical_pmf_matches_exact(self):
         p = CmpParams(3.0, 0.5)

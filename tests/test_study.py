@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(InvalidParamsError):
             StudyConfig(replicates=0)
 
+    # one past each bound that keeps every fit's seed stream apart
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(settings=tuple(StudySetting(f"s{i}", 3.0, 0.5) for i in range(65))),
+         "at most 64 settings and sample sizes"),
+        (dict(sample_sizes=tuple(range(1, 66))), "at most 64 settings and sample sizes"),
+        (dict(replicates=2**20 + 1), f"at most {2**20} replicates"),
+        (dict(priors=("conj-1",) * 16), "at most 15 priors"),
+    ])
+    def test_stream_bounds_rejected(self, kwargs, message):
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            StudyConfig(**kwargs)
+
     @pytest.mark.parametrize("axis, values, repeated", [
         # two settings named "over" would share records and be scored alike
         ("settings", (StudySetting("over", 3.0, 0.5), StudySetting("over", 9.0, 0.5)), "'over'"),
@@ -237,6 +249,8 @@ class TestRenderTables:
     def test_unknown_format(self):
         with pytest.raises(InvalidParamsError):
             render_tables(self.sample_results(), "xml")
+        with pytest.raises(InvalidParamsError, match="cannot parse format 'text'"):
+            parse_tables(render_tables(self.sample_results(), "text"), "text")
 
 
 class TestConfigFile:
@@ -372,6 +386,14 @@ class TestProgressFile:
             assert resumed == run_study(cfg)
             assert run_study(cfg, progress_path=str(progress)) == resumed
         assert len(progress.read_text().splitlines()) == 2 * len(lines)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cfg = small_config()
+        progress, lines = self.run_to_file(cfg, tmp_path)
+        progress.write_text("\n" + "\n \n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_study(cfg, progress_path=str(progress)) == run_study(cfg)
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         cfg = small_config()

@@ -2,8 +2,9 @@
 
 Every subcommand that consumes randomness takes --seed (and --stream), and a
 run with the same arguments reproduces its output byte for byte. JSON is the
-machine format; text output is meant for eyeballing. A fit's report reads its
-diagnostics from its Draws. A path that cannot be read or written exits 2.
+machine format; text output is meant for eyeballing. A fit's JSON report is
+mcmc.fit_record's dict of its results and diagnostics, plus the keys that name
+its input. A path that cannot be read or written exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .core import CmpParams, DEFAULT_POLICY, TruncationPolicy, _log_terms, log_normalizer, pmf_table
 from .datasets import CountDataset, resolve_dataset
 from .errors import CmpError, ImproperPosteriorError
-from .mcmc import Draws, McmcConfig, PosteriorSummary, run_chains, summarize
+from .mcmc import (DIVERGENCE_WARN_FRACTION, Draws, McmcConfig, PosteriorSummary, fit_record,
+                   run_chains, summarize)
 from .posterior import sufficient_stats
 from .priors import (
     Conjugate,
@@ -41,12 +43,10 @@ from .study import (
     with_overrides,
 )
 
-DIVERGENCE_WARN_FRACTION = 0.01
-
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything needed to reproduce and read one fit; it reads the diagnostics from its Draws."""
+    """Everything needed to reproduce and read one fit; mcmc.fit_record reads its Draws."""
 
     dataset: str
     n: int
@@ -57,55 +57,17 @@ class FitReport:
     policy: TruncationPolicy
     seed: SeedSpec
 
-    @property
-    def divergence_warning(self) -> bool:
-        """More than DIVERGENCE_WARN_FRACTION of the kept proposals were divergent.
-
-        Divergences are the numerical rejections; a proposal outside the
-        support (nu below the floor) is not one.
-        """
-        divergent = int(self.draws.divergences.sum())
-        return divergent / max(1, self.summary.n_kept) > DIVERGENCE_WARN_FRACTION
-
-    @property
-    def warmup_tv_bound(self) -> float:
-        """(1 - 1/w)^warmup at the estimate w of sup pi/q: an estimate of the
-        total-variation distance from the posterior left after the warmup (mcmc)."""
-        return (1.0 - 1.0 / self.draws.weight_sup) ** self.config.warmup
-
     def to_dict(self) -> dict:
-        draws = self.draws
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "prior": self.prior,
-            "lambda": asdict(self.summary.lam),
-            "nu": asdict(self.summary.nu),
-            "n_kept": self.summary.n_kept,
-            "accept_rate": draws.accept_rate.tolist(),
-            "divergences": draws.divergences.tolist(),
-            "divergence_warning": self.divergence_warning,
-            "rejections": {reason: counts.tolist()
-                           for reason, counts in draws.rejections.items()},
-            "warmup_rejections": {reason: counts.tolist()
-                                  for reason, counts in draws.warmup_rejections.items()},
-            "pareto_k": draws.pareto_k,
-            "proposal_centre": draws.proposal_centre.tolist(),
-            "proposal_cholesky": draws.proposal_cholesky.tolist(),
-            "mode_search": asdict(draws.mode_search),
-            "weight_sup": draws.weight_sup,
-            "start_is_heaviest": draws.start_is_heaviest,
-            "warmup_tv_bound": self.warmup_tv_bound,
-            "config": asdict(self.config),
-            "truncation": asdict(self.policy),
-            "seed": asdict(self.seed),
-        }
+        inputs = {"dataset": self.dataset, "n": self.n, "prior": self.prior,
+                  "config": asdict(self.config), "truncation": asdict(self.policy),
+                  "seed": asdict(self.seed)}
+        return inputs | fit_record(self.draws, self.summary, self.config.warmup)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        draws = self.draws
+        draws, fit = self.draws, self.to_dict()
         lines = [
             f"dataset: {self.dataset} (n = {self.n})",
             f"prior: {self.prior}",
@@ -127,13 +89,13 @@ class FitReport:
                      f"decrement {search.decrement:.2g}"
                      + (", on the nu floor" if search.on_floor else ""))
         lines.append(f"Pareto k-hat of the proposal: {draws.pareto_k:.2f}")
-        lines.append(f"warmup TV bound estimate: {self.warmup_tv_bound:.2g} after "
+        lines.append(f"warmup TV bound estimate: {fit['warmup_tv_bound']:.2g} after "
                      f"{self.config.warmup} steps, weight sup {draws.weight_sup:.3g}"
                      + ("" if draws.start_is_heaviest else
                         "; a proposal outweighs the mode, so weight sup may be far below "
                         "sup pi/q and the bound estimate is not to be trusted"))
         lines.append(f"divergent proposals: {draws.divergences.sum()} / {self.summary.n_kept}")
-        if self.divergence_warning:
+        if fit["divergence_warning"]:
             lines.append(
                 f"WARNING: more than {DIVERGENCE_WARN_FRACTION:.0%} of proposals were "
                 "divergent; treat this posterior with suspicion"
@@ -355,7 +317,9 @@ def main(argv=None) -> int:
             print(f"error: improper posterior: {exc}", file=sys.stderr)
             return 2
         except (CmpError, OSError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            # a KeyError's str() is its message in quotes
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
             return 2
 
 

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln, polygamma
@@ -102,6 +102,11 @@ _DF = 5  # degrees of freedom of the t proposal
 # how a chain's stream becomes its proposals and accept draws (_proposals); a study's progress
 # records carry it, so a resume refuses records drawn under another scheme
 DRAW_SCHEME = "t5-radial-3u"
+# the shape of fit_record's dict, carried by a study's progress records in the same way:
+# bump it with fit_record's keys, so that a resume refuses records of another shape
+RECORD_VERSION = 2
+# a fit warns when more than this share of its kept proposals were divergent
+DIVERGENCE_WARN_FRACTION = 0.01
 _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
@@ -148,7 +153,7 @@ class ModeSearch:
 class Draws:
     """One fit's retained draws on the natural scale, (chains x keep), and its diagnostics.
 
-    run_chains makes every Draws; cli.FitReport reports the diagnostics from here.
+    run_chains makes every Draws; fit_record reports the diagnostics from here.
     """
 
     lam: np.ndarray
@@ -517,3 +522,35 @@ def summarize(draws: Draws) -> PosteriorSummary:
     lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=_split_rhat_matrix(x))
                for (lo, med, hi), x in zip(quantiles, (draws.lam, draws.nu)))
     return PosteriorSummary(lam=lam, nu=nu, n_kept=draws.n_kept)
+
+
+def fit_record(draws: Draws, summary: PosteriorSummary, warmup: int) -> dict:
+    """A fit's results and diagnostics as plain JSON types: the `fit` report less its input.
+
+    cli.FitReport adds the keys that name the input (dataset, n, prior, config,
+    truncation, seed), and a study's progress record its key and made_by.
+    divergence_warning says more than DIVERGENCE_WARN_FRACTION of the kept
+    proposals were divergent (a proposal outside the support is no divergence),
+    and warmup_tv_bound is (1 - 1/weight_sup)^warmup, the estimate of the
+    total-variation distance from the posterior left after the warmup.
+    """
+    divergences = draws.divergences
+    return {
+        "lambda": asdict(summary.lam),
+        "nu": asdict(summary.nu),
+        "n_kept": summary.n_kept,
+        "accept_rate": draws.accept_rate.tolist(),
+        "divergences": divergences.tolist(),
+        "divergence_warning":
+            int(divergences.sum()) / max(1, summary.n_kept) > DIVERGENCE_WARN_FRACTION,
+        "rejections": {reason: counts.tolist() for reason, counts in draws.rejections.items()},
+        "warmup_rejections": {reason: counts.tolist()
+                              for reason, counts in draws.warmup_rejections.items()},
+        "pareto_k": draws.pareto_k,
+        "proposal_centre": draws.proposal_centre.tolist(),
+        "proposal_cholesky": draws.proposal_cholesky.tolist(),
+        "mode_search": asdict(draws.mode_search),
+        "weight_sup": draws.weight_sup,
+        "start_is_heaviest": draws.start_is_heaviest,
+        "warmup_tv_bound": (1.0 - 1.0 / draws.weight_sup) ** warmup,
+    }

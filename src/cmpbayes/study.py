@@ -4,10 +4,14 @@ For every (setting, sample size, replicate) a dataset is simulated from the
 true CMP parameters; each requested prior is then fit by MCMC and scored by
 its posterior median (point estimate) and equal-tailed 95% interval
 (coverage). Each replicate's records can be appended to a JSON-lines file as
-it ends, so long runs are resumable; a record stores what made it (made_by),
-and a resume refuses records made under another config or draw scheme
-(mcmc.DRAW_SCHEME). Results are bit-reproducible functions of the config,
-including failure counts, regardless of worker count or resume history.
+it ends, so long runs are resumable. A fit's record is its key (setting, n,
+replicate, prior), what made it (made_by) and whether it failed; a fit that
+ended holds mcmc.fit_record's dict too, the `fit` report's results and
+diagnostics, and a failed one the exception's class name (reason) and message.
+A resume refuses records made under another config, draw scheme
+(mcmc.DRAW_SCHEME) or record shape (mcmc.RECORD_VERSION). Results are
+bit-reproducible functions of the config, including failure counts, regardless
+of worker count or resume history.
 
 Stream layout: every task gets stream_id
     ((setting_idx * 64 + size_idx) * 2^20 + replicate) * 16 + slot
@@ -32,7 +36,7 @@ import numpy as np
 from .core import TruncationPolicy, DEFAULT_POLICY, CmpParams, log_normalizer
 from .errors import (AllDivergentError, ImproperPosteriorError, InvalidParamsError,
                      ZeroVarianceError)
-from .mcmc import DRAW_SCHEME, McmcConfig, run_chains, summarize
+from .mcmc import DRAW_SCHEME, RECORD_VERSION, McmcConfig, fit_record, run_chains, summarize
 from .posterior import sufficient_stats
 from .priors import PRESET_NAMES, get_preset
 from .rng import SeedSpec, sample_cmp
@@ -127,7 +131,7 @@ def _made_by(config: StudyConfig, fit: tuple[int, int, int, int]) -> dict:
     setting = config.settings[si]
     return {"seed": config.master_seed, "stream": _stream_id(si, ni, r, 1 + pi),
             "setting": [setting.lam, setting.nu], "mcmc": asdict(config.mcmc),
-            "policy": asdict(config.policy), "draws": DRAW_SCHEME}
+            "policy": asdict(config.policy), "draws": DRAW_SCHEME, "record": RECORD_VERSION}
 
 
 def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
@@ -144,30 +148,16 @@ def _run_replicate(config: StudyConfig, replicate: tuple[int, int, int],
     for pi in prior_idxs:
         fit = (si, ni, r, pi)
         made_by = _made_by(config, fit)
-        rec = {
-            "setting": setting.name,
-            "n": n,
-            "replicate": r,
-            "prior": config.priors[pi],
-            "made_by": made_by,
-        }
+        rec = {"setting": setting.name, "n": n, "replicate": r, "prior": config.priors[pi],
+               "made_by": made_by}
         try:
             draws = run_chains(get_preset(config.priors[pi]), stats, config.mcmc,
                                SeedSpec(config.master_seed, made_by["stream"]), config.policy)
             summary = summarize(draws)
         except (ImproperPosteriorError, AllDivergentError, ZeroVarianceError) as exc:
-            rec["failed"] = True
-            rec["reason"] = type(exc).__name__
+            rec |= {"failed": True, "reason": type(exc).__name__, "message": str(exc)}
         else:
-            rec["failed"] = False
-            rec["weight_sup"] = draws.weight_sup
-            rec["start_is_heaviest"] = draws.start_is_heaviest
-            for pname, ps in (("lambda", summary.lam), ("nu", summary.nu)):
-                rec[pname] = {
-                    "median": ps.median,
-                    "cri_low": ps.cri_low,
-                    "cri_high": ps.cri_high,
-                }
+            rec |= {"failed": False} | fit_record(draws, summary, config.mcmc.warmup)
         records[fit] = rec
     return records
 
@@ -177,7 +167,8 @@ def _load_progress(path: Path) -> dict:
 
     An unparsable final line, torn by an interrupted run, is dropped with a
     warning and cut from the file so later records start on their own line;
-    an unparsable line elsewhere raises json.JSONDecodeError.
+    an unparsable line elsewhere, or a line that is no record, raises
+    InvalidParamsError naming the file and line.
     """
     done = {}
     if not path.exists():
@@ -188,13 +179,18 @@ def _load_progress(path: Path) -> dict:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError as exc:
             if any(rest.strip() for rest in lines[i + 1:]):
-                raise
+                raise InvalidParamsError(f"{path}:{i + 1}: unparsable line: {exc}") from None
             warnings.warn(f"{path}: dropping torn final line {i + 1}")
             os.truncate(path, sum(len(kept) for kept in lines[:i]))
             return done
-        done[rec["setting"], rec["n"], rec["replicate"], rec["prior"]] = rec
+        try:
+            done[rec["setting"], rec["n"], rec["replicate"], rec["prior"]] = rec
+        except (KeyError, TypeError):
+            raise InvalidParamsError(
+                f"{path}:{i + 1}: not a fit record keyed by setting, n, replicate and prior"
+            ) from None
     if lines and not lines[-1].endswith(b"\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")
@@ -234,8 +230,8 @@ def run_study(
         elif rec.get("made_by") != _made_by(config, fit):
             raise InvalidParamsError(
                 f"{path}: the record of fit (setting, n, replicate, prior) = {key} was made "
-                "under another seed, setting, prior order, MCMC or truncation config, or "
-                "draw scheme; start a new progress file")
+                "under another seed, setting, prior order, MCMC or truncation config, "
+                "draw scheme or record version; start a new progress file")
         else:
             done[fit] = rec
 

@@ -226,9 +226,9 @@ class TestCli:
             dataset="d", n=10, prior="conj-1",
             summary=PosteriorSummary(lam=ps, nu=ps, n_kept=8000), draws=draws,
             config=McmcConfig(), policy=TruncationPolicy(), seed=SeedSpec(0))
-        assert report.divergence_warning is warning
-        assert report.to_dict()["divergences"] == list(divergences)
-        assert report.to_dict()["divergence_warning"] is warning
+        fit = report.to_dict()
+        assert fit["divergences"] == list(divergences)
+        assert fit["divergence_warning"] is warning
         text = report.to_text()
         assert f"divergent proposals: {sum(divergences)} / 8000\n" in text
         assert text.endswith("WARNING: more than 1% of proposals were divergent; "
@@ -252,8 +252,7 @@ class TestCli:
         assert fit["mode_search"] == asdict(draws.mode_search)
         assert fit["weight_sup"] == draws.weight_sup
         assert fit["start_is_heaviest"] is draws.start_is_heaviest is True
-        assert fit["warmup_tv_bound"] == report.warmup_tv_bound == (
-            (1.0 - 1.0 / draws.weight_sup) ** 200)
+        assert fit["warmup_tv_bound"] == (1.0 - 1.0 / draws.weight_sup) ** 200
         numerical = ("truncation", "jeffreys_det", "overflow")
         assert fit["divergences"] == draws.divergences.tolist() == [
             sum(fit["rejections"][reason][chain] for reason in numerical) for chain in (0, 1)]
@@ -264,7 +263,7 @@ class TestCli:
         warmup = ", ".join(f"{reason} {counts.sum()}"
                            for reason, counts in draws.warmup_rejections.items())
         assert f"\nrejected warmup proposals: {warmup}\n" in text
-        assert (f"\nwarmup TV bound estimate: {report.warmup_tv_bound:.2g} after 200 steps, "
+        assert (f"\nwarmup TV bound estimate: {fit['warmup_tv_bound']:.2g} after 200 steps, "
                 f"weight sup {draws.weight_sup:.3g}\n") in text
 
     @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
@@ -296,7 +295,7 @@ class TestCli:
         fit = report.to_dict()
         assert fit["start_is_heaviest"] is draws.start_is_heaviest is False
         assert fit["warmup_tv_bound"] == (1.0 - 1.0 / draws.weight_sup) ** 500
-        assert (f"\nwarmup TV bound estimate: {report.warmup_tv_bound:.2g} after 500 steps, "
+        assert (f"\nwarmup TV bound estimate: {fit['warmup_tv_bound']:.2g} after 500 steps, "
                 f"weight sup {draws.weight_sup:.3g}; a proposal outweighs the mode, so "
                 "weight sup may be far below sup pi/q and the bound estimate is not to be "
                 "trusted\n") in report.to_text()

@@ -10,20 +10,32 @@ import pytest
 
 from cmpbayes import (
     CellResult,
+    CmpParams,
     InvalidParamsError,
     McmcConfig,
+    SeedSpec,
     StudyConfig,
     StudySetting,
+    get_preset,
     load_study_config,
     parse_tables,
     render_tables,
     run_study,
+    sample_cmp,
+    sufficient_stats,
 )
 from cmpbayes import mcmc, study
-from cmpbayes.cli import build_parser, config_from_args, main
-from cmpbayes.errors import ZeroVarianceError
+from cmpbayes.cli import build_parser, config_from_args, fit_command, main
+from cmpbayes.datasets import CountDataset
+from cmpbayes.errors import ImproperPosteriorError, ZeroVarianceError
+from cmpbayes.posterior import check_propriety
 
 FAST_MCMC = McmcConfig(chains=2, warmup=400, keep=200)
+
+
+# a study record's keys besides mcmc.fit_record's, and a fit report's
+STUDY_KEYS = {"setting", "n", "replicate", "prior", "made_by", "failed"}
+INPUT_KEYS = {"dataset", "n", "prior", "config", "truncation", "seed"}
 
 
 def small_config(**kwargs):
@@ -47,6 +59,13 @@ class TestConfig:
         assert c.sample_sizes == (25, 75, 125)
         assert c.replicates == 100
         assert len(c.priors) == 6
+
+    def test_cli_unknown_prior_message_unquoted(self, capsys):
+        # a KeyError's message is printed as it is, not in the quotes of its str()
+        assert main(["study", "--priors", "conj-1,nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown prior preset 'nope'; choose from "
+            f"{', '.join(study.PRESET_NAMES)}\n")
 
     def test_unknown_prior_rejected(self):
         with pytest.raises(KeyError):
@@ -179,7 +198,7 @@ class TestRunStudy:
             assert r.mse >= r.bias**2 - 1e-12
             assert 0.0 <= r.coverage <= 1.0
 
-    def test_failed_fits_counted(self):
+    def test_failed_fits_counted(self, tmp_path):
         # tiny Poisson rate at n=5 makes counts above 1 vanishingly rare, so
         # the flat posterior is improper and the fit is refused per replicate
         cfg = small_config(
@@ -188,10 +207,41 @@ class TestRunStudy:
             replicates=3,
             priors=("flat",),
         )
-        results = run_study(cfg)
+        progress = tmp_path / "progress.jsonl"
+        results = run_study(cfg, progress_path=str(progress))
         assert all(r.n_failed == 3 for r in results)
         assert all(r.bias is None and r.mse is None and r.coverage is None
                    for r in results)
+        # each record keeps the refusal: its class and check_propriety's message
+        records = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert [rec["replicate"] for rec in records] == [0, 1, 2]
+        for rec in records:
+            data = sample_cmp(CmpParams(0.05, 1.0), 5,
+                              SeedSpec(3, study._stream_id(0, 0, rec["replicate"], 0)))
+            with pytest.raises(ImproperPosteriorError) as refusal:
+                check_propriety(get_preset("flat"), sufficient_stats(data))
+            assert rec["failed"] is True
+            assert rec["reason"] == "ImproperPosteriorError"
+            assert rec["message"] == str(refusal.value)
+            assert set(rec) == STUDY_KEYS | {"reason", "message"}
+
+    def test_record_is_the_fit_record(self, tmp_path):
+        # a fit's study record less its study keys is the fit report less its input keys,
+        # for the same counts at the record's (seed, stream)
+        cfg = small_config(replicates=1, priors=("jeffreys",))
+        progress = tmp_path / "progress.jsonl"
+        run_study(cfg, progress_path=str(progress))
+        (line,) = progress.read_text().splitlines()
+        rec = json.loads(line)
+        assert rec["failed"] is False
+        made_by = rec["made_by"]
+        data = sample_cmp(CmpParams(3.0, 0.5), 25,
+                          SeedSpec(made_by["seed"], study._stream_id(0, 0, 0, 0)))
+        report, _ = fit_command(CountDataset("over", data), "jeffreys", get_preset("jeffreys"),
+                                cfg.mcmc, SeedSpec(made_by["seed"], made_by["stream"]),
+                                cfg.policy)
+        assert {k: v for k, v in rec.items() if k not in STUDY_KEYS} == {
+            k: v for k, v in report.to_dict().items() if k not in INPUT_KEYS}
 
 
 class TestCoverageAtLargeN:
@@ -400,8 +450,31 @@ class TestProgressFile:
         progress, lines = self.run_to_file(cfg, tmp_path)
         lines[1] = lines[1][:10] + "\n"
         progress.write_text("".join(lines))
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InvalidParamsError, match=re.escape(f"{progress}:2: unparsable")):
             run_study(cfg, progress_path=str(progress))
+
+    @pytest.mark.parametrize("bad, why", [
+        ("[1, 2]", "not a fit record"),  # JSON, but not an object
+        ('"over"', "not a fit record"),
+        ('{"setting": "over", "n": 25}', "not a fit record"),  # no replicate or prior
+        ('{"setting": ["over"], "n": 25, "replicate": 0, "prior": "flat"}', "not a fit record"),
+        ("{not json", "unparsable line"),  # before the last line, so not a torn one
+    ])
+    def test_malformed_line_exits_2(self, tmp_path, capsys, bad, why):
+        progress = tmp_path / "p.jsonl"
+        argv = ["study", "--settings", "over:3:0.5", "--sizes", "25", "--replicates", "1",
+                "--priors", "conj-1", "--chains", "2", "--warmup", "200", "--keep", "100",
+                "--seed", "3", "--progress", str(progress), "--format", "csv"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        line = progress.read_text()
+        progress.write_text(f"{line}{bad}\n{line}")
+        before = progress.read_bytes()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {progress}:2: {why}") and err.count("\n") == 1
+        assert progress.read_bytes() == before
 
 
 OVER, UNDER = StudySetting("over", 3.0, 0.5), StudySetting("under", 3.0, 2.0)
@@ -481,6 +554,23 @@ class TestResume:
                 rec["made_by"]["draws"] = draws
         progress.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         with pytest.raises(InvalidParamsError, match="draw scheme"):
+            run_study(small_config(), progress_path=str(progress))
+
+    # a file of another record shape (before RECORD_VERSION, records held the medians and
+    # CrI ends alone) is refused, not resumed into a mix of two shapes
+    @pytest.mark.parametrize("version", [None, 1])
+    def test_record_of_another_shape_refused(self, tmp_path, version):
+        progress = tmp_path / "progress.jsonl"
+        run_study(small_config(), progress_path=str(progress))
+        records = [json.loads(line) for line in progress.read_text().splitlines()]
+        assert all(rec["made_by"]["record"] == mcmc.RECORD_VERSION for rec in records)
+        for rec in records:
+            if version is None:
+                del rec["made_by"]["record"]
+            else:
+                rec["made_by"]["record"] = version
+        progress.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(InvalidParamsError, match="record version"):
             run_study(small_config(), progress_path=str(progress))
 
     def test_cli_refusal_exits_2(self, tmp_path, capsys):

@@ -39,16 +39,16 @@ F(2, _DF), whose survival function at rho^2 / 2 is V = (1 + rho^2 / _DF)^(-_DF /
 so V = 1 - U_1 gives rho^2 = _DF expm1(-(2 / _DF) ln V); the angle is 2 pi U_2,
 and the point is the mode plus L rho (cos, sin), L the scale's Cholesky factor.
 The log density less its constant, -(_DF + 2) / 2 log1p(rho^2 / _DF), is then
-((_DF + 2) / _DF) ln V, 0 at the mode. Its proposals are then evaluated
-_CHUNK at a time, so that a default chain's 2 200 are one call of the target
-(whose rows core.series_arrays sums in grids of at most core._MAX_CELLS
-cells), each call followed by a float-only accept scan: a chain starts at the
-mode, and proposal i replaces the state when ln U_i < r_i - r_state, r =
-target - ln(proposal density). A rejected proposal's r is -inf, which never
-passes, so the scan visits only the finite ratios. A row's value does not
-depend on the other rows, so a chain's draws are the same whatever the two
-bounds and whichever chains run beside it. Warmup steps are drawn and
-discarded; keep steps are kept.
+((_DF + 2) / _DF) ln V, 0 at the mode. Once every chain has drawn, the
+fit's proposals are evaluated chain-major, _CHUNK rows per target call, so
+that a default fit's 4 x 2 200 proposals are one call (whose rows
+core.series_arrays sums in grids of at most core._MAX_CELLS cells). Then each
+chain's float-only accept scan runs: a chain starts at the mode, and proposal
+i replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
+density). A rejected proposal's r is -inf, which never passes, so the scan
+visits only the finite ratios. A row's value depends only on its own point,
+so a chain's draws depend neither on the two bounds nor on which chains share
+its calls. Warmup steps are drawn and discarded; keep steps are kept.
 
 Proposals the target rejects count per chain by reason (priors.REJECTIONS),
 over the warmup steps and over the kept steps: outside_support (nu below
@@ -116,9 +116,9 @@ _MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in
 _TRIES = 34
 _FIRST_TRIES = 6
 _NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
-# a chain's proposals per target call and accept scan (of their finite ratios): a default
-# chain's 2 200 are one call, and a longer chain's temporaries stay bounded
-_CHUNK = 4096
+# the fit's proposals per target call, chain-major, so that one call may span chains: a
+# default fit's 4 x 2 200 are one call, and a longer fit's temporaries stay bounded
+_CHUNK = 8800
 _QUANTILES = np.array([0.025, 0.5, 0.975])  # summarize's: the 95% interval and the median
 
 
@@ -392,18 +392,19 @@ def _proposals(generator, steps: int, centre: np.ndarray, chol: tuple[float, flo
     return u, nu, log_q, log_u
 
 
-def _scan(steps: list, log_ratios: list, log_u: list, current: float, accepted: list) -> float:
+def _scan(steps: list, log_ratios: list, log_u: list, current: float) -> list:
     """An independence chain's accept scan over the given steps, in order.
 
-    Appends each step it accepts to accepted; current is the log ratio of the
-    state before the first step, and the state's after the last is returned.
+    Returns the steps it accepts; current is the log ratio of the state before
+    the first step.
     """
+    accepted = []
     accept = accepted.append
     for i, r, lu in zip(steps, log_ratios, log_u):
         if lu < r - current:
             current = r
             accept(i)
-    return current
+    return accepted
 
 
 def run_chains(
@@ -427,37 +428,39 @@ def run_chains(
     target = _make_target(kernel)
     centre, top, precision, search = _laplace(spec, stats, kernel)
     (c00, _), (c10, c11) = np.linalg.cholesky(_SCALE ** 2 * np.linalg.inv(precision)).tolist()
-    steps, warmup = config.warmup + config.keep, config.warmup
-    lam, nus, accept_rate, log_ratios = [], [], [], []
-    # per chain, the rejections by code over the warmup steps and over the kept steps
-    rejected = np.zeros((2, config.chains, len(REJECTIONS) + 1), dtype=np.int64)
-    for c in range(config.chains):
+    chains, steps, warmup = config.chains, config.warmup + config.keep, config.warmup
+    u, nu, log_q, log_u = np.empty((4, chains, steps))
+    for c in range(chains):
         g = make_generator(seed.master_seed, seed.stream_id, c)
-        u, nu, log_q, log_u = _proposals(g, steps, centre, (c00, c10, c11))
-        ratios, reasons = np.empty(steps), np.empty(steps, dtype=np.int8)
-        current, accepted = top, []
-        for first in range(0, steps, _CHUNK):
-            rows = slice(first, first + _CHUNK)
-            values, reasons[rows] = target(u[rows], nu[rows])
-            ratios[rows] = values - log_q[rows]
-            # ln U < -inf - current never holds, so only the finite ratios are scanned
-            finite = np.flatnonzero(values > -math.inf) + first
-            current = _scan(finite.tolist(), ratios[finite].tolist(), log_u[finite].tolist(),
-                            current, accepted)
-        log_ratios.append(ratios)
+        u[c], nu[c], log_q[c], log_u[c] = _proposals(g, steps, centre, (c00, c10, c11))
+    # chain-major target calls of up to _CHUNK rows, one of which may span chains
+    values, reasons = np.empty((chains, steps)), np.empty((chains, steps), dtype=np.int8)
+    for first in range(0, chains * steps, _CHUNK):
+        rows = slice(first, first + _CHUNK)
+        values.reshape(-1)[rows], reasons.reshape(-1)[rows] = target(u.reshape(-1)[rows],
+                                                                     nu.reshape(-1)[rows])
+    log_ratios = values - log_q
+    lam, nus, accept_rate = [], [], []
+    # per chain, the rejections by code over the warmup steps and over the kept steps
+    rejected = np.zeros((2, chains, len(REJECTIONS) + 1), dtype=np.int64)
+    for c in range(chains):
+        # ln U < -inf - current never holds, so only the finite ratios are scanned
+        finite = np.flatnonzero(values[c] > -math.inf)
+        accepted = _scan(finite.tolist(), log_ratios[c, finite].tolist(),
+                         log_u[c, finite].tolist(), top)
         # the state after each step: the last accepted proposal, or the mode (-1)
         state, taken = np.full(steps, -1), np.array(accepted, dtype=np.intp)
         state[taken] = taken
         state = np.maximum.accumulate(state)[warmup:]
-        lam.append(np.exp(np.where(state < 0, centre[0], u[state])))
-        nus.append(np.where(state < 0, centre[1], nu[state]))
+        lam.append(np.exp(np.where(state < 0, centre[0], u[c, state])))
+        nus.append(np.where(state < 0, centre[1], nu[c, state]))
         accept_rate.append((len(accepted) - bisect_left(accepted, warmup)) / config.keep)
-        for phase, rows in enumerate((reasons[:warmup], reasons[warmup:])):
+        for phase, rows in enumerate((reasons[c, :warmup], reasons[c, warmup:])):
             rejected[phase, c] = np.bincount(rows, minlength=len(REJECTIONS) + 1)
     warmup_rejected, kept_rejected = rejected
     if bool((kept_rejected[:, 1:].sum(axis=1) >= config.keep).all()):
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
-    log_ratios = np.concatenate(log_ratios)
+    log_ratios = log_ratios.reshape(-1)
     heaviest = float(log_ratios.max())
     # the largest ratio over the mean, the mode's (log ratio top: its log q is 0) included
     shift = max(heaviest, top)

@@ -237,7 +237,7 @@ def check_propriety(spec: PriorSpec, stats: SufficientStats) -> None:
                                      "all be positive (under the flat prior, some count above 1)")
     hyper = ConjugateHyper(a, b, c)
     if not conjugate_propriety(hyper):
-        raise ImproperPosteriorError("b/c = %.10g must exceed %.10g" % propriety_bound(hyper))
+        raise ImproperPosteriorError("b/c = %r does not exceed %r" % propriety_bound(hyper))
 
 
 def flat_posterior_propriety(stats: SufficientStats) -> bool:

@@ -359,7 +359,7 @@ class TestCli:
                 ("1\n1\n1\n1\n", ["--prior", "flat"],
                  "the posterior's (a, b, c) = (4.0, 0.0, 4.0) must all be positive"),
                 ("0\n", ["--a", "5", "--b", "0.01", "--c", "1"],
-                 f"b/c = 0.005 must exceed {math.log(2.0) + 0.5 * math.log(3.0):.10g}")):
+                 f"b/c = 0.005 does not exceed {math.log(2.0) + 0.5 * math.log(3.0)!r}")):
             path = tmp_path / "counts.txt"
             path.write_text(counts)
             assert main(["fit", str(path), *prior, "--chains", "2",

@@ -916,24 +916,26 @@ def proposals_of(monkeypatch):
 
 
 def test_reported_proposal_is_the_sampling_kernel(monkeypatch):
-    # every proposal is the reported centre plus rho L (cos theta, sin theta), from the
+    # every proposal is the reported centre plus rho L (cos theta, sin theta), from its
     # chain's own three uniforms per step in their draw order: rho^2 = 5 expm1(-0.4 ln V)
-    # at V = 1 - U_1 and theta = 2 pi U_2; each chain's proposals (fewer than
-    # mcmc._CHUNK) are evaluated in one call of the target, which the mode search does
+    # at V = 1 - U_1 and theta = 2 pi U_2; the fit's proposals (fewer than mcmc._CHUNK)
+    # are evaluated chain-major in one call of the target, which the mode search does
     # not call
     calls = proposals_of(monkeypatch)
     stats = sufficient_stats(bundled_dataset("textile-faults").counts)
     config = McmcConfig(chains=3, warmup=50, keep=100)
     d = run_chains(get_preset("jeffreys"), stats, config, SeedSpec(2, 1))
-    assert len(calls) == config.chains
+    [(u, nu)] = calls
+    assert u.size == config.chains * 150
     c00, c10, c11 = d.proposal_cholesky
     assert c00 > 0.0 and c11 > 0.0 and c10 != 0.0
-    for c, (u, nu) in enumerate(calls):
+    for c in range(config.chains):
+        rows = slice(150 * c, 150 * (c + 1))
         radial, turn, _ = make_generator(2, 1, c).random((3, 150))
         rho = np.sqrt(5.0 * np.expm1(-0.4 * np.log(1.0 - radial)))
         z0, z1 = rho * np.cos(2.0 * np.pi * turn), rho * np.sin(2.0 * np.pi * turn)
-        np.testing.assert_allclose(u - d.proposal_centre[0], c00 * z0, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(nu - d.proposal_centre[1], c10 * z0 + c11 * z1,
+        np.testing.assert_allclose(u[rows] - d.proposal_centre[0], c00 * z0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(nu[rows] - d.proposal_centre[1], c10 * z0 + c11 * z1,
                                    rtol=0, atol=1e-13)
 
 
@@ -989,7 +991,7 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])
 def test_one_series_per_target_evaluation(monkeypatch, prior):
     # the mode search sums one row per point, under every prior; then
-    # each chain's proposals inside the support (fewer than mcmc._CHUNK) are summed
+    # the fit's proposals inside the support (fewer than mcmc._CHUNK) are summed
     # in one call, each row once over the grid it was sized to and each length's
     # grids formed once, shortest first: no row is summed again at a longer length;
     # and no one-point series runs
@@ -1013,20 +1015,21 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
     stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
     d = run_chains(get_preset(prior), stats, McmcConfig(chains=2, warmup=500, keep=300),
                    SeedSpec(3))
-    outside = [int((nu < NU_FLOOR).sum()) for _, nu in calls[-2:]]
-    assert [u.size for u, _ in calls[-2:]] == [800, 800]
-    assert sizes[-2:] == [800 - n for n in outside]
-    assert (np.array(outside) >= d.rejections["outside_support"]).all()
+    u, nu = calls[-1]
+    assert u.size == 1_600
+    outside = (nu.reshape(2, 800) < NU_FLOOR).sum(axis=1)
+    assert sizes[-1] == 1_600 - outside.sum()
+    assert (outside >= d.rejections["outside_support"]).all()
     assert d.rejections["outside_support"].sum() > 0
-    assert set(sizes[:-2]) == {1}
+    assert set(sizes[:-1]) == {1}
 
 
-def test_default_chain_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
-    # a McmcConfig() chain's 2 200 proposals are one call of the target, whose rows
-    # inside the support reach series_arrays in one call; the accept scan visits only
-    # the finite ratios, and accepts the same steps as a scan over every step, since
-    # ln U < -inf - r never holds: on crab-satellites about half the proposals fall
-    # below the nu floor
+def test_default_fit_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
+    # a McmcConfig() fit's 4 x 2 200 proposals are one call of the target, chain-major,
+    # whose rows inside the support reach series_arrays in one call; each chain's accept
+    # scan visits only its finite ratios, and accepts the same steps as a scan over every
+    # step, since ln U < -inf - r never holds: on crab-satellites about half the
+    # proposals fall below the nu floor
     calls = proposals_of(monkeypatch)
     sizes, drawn = [], []
     series, proposals = posterior.series_arrays, mcmc._proposals
@@ -1045,10 +1048,13 @@ def test_default_chain_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
     config = McmcConfig()
     d = run_chains(spec, stats, config, SeedSpec(1))
     steps = config.warmup + config.keep
-    assert steps == 2_200 and [u.size for u, _ in calls] == [steps] * config.chains
-    outside = [int((nu < NU_FLOOR).sum()) for _, nu in calls]
-    assert sizes[-config.chains:] == [steps - n for n in outside]
-    assert set(sizes[:-config.chains]) == {1}  # the mode search's points
+    [(u, nu)] = calls
+    assert steps == 2_200 and u.size == config.chains * steps
+    assert np.array_equal(u, np.concatenate([p[0] for p in drawn]))
+    assert np.array_equal(nu, np.concatenate([p[1] for p in drawn]))
+    outside = [int((p[1] < NU_FLOOR).sum()) for p in drawn]
+    assert sizes[-1] == config.chains * steps - sum(outside)
+    assert set(sizes[:-1]) == {1}  # the mode search's points
     assert d.rejections["outside_support"].sum() > 0
     target = target_of(spec, stats)
     centre = d.proposal_centre
@@ -1122,6 +1128,27 @@ def test_draws_do_not_depend_on_the_grid_bound_or_the_chain_count(monkeypatch, c
         assert np.array_equal(got.rejections[reason][:2], per_chain)
     assert np.array_equal(got.proposal_centre, want.proposal_centre)
     assert np.array_equal(got.proposal_cholesky, want.proposal_cholesky)
+
+
+def test_fit_record_does_not_depend_on_the_chunk_bound(monkeypatch):
+    # a McmcConfig() fit's whole record, weight_sup, pareto_k, warmup_rejections and
+    # start_is_heaviest included, is the same whether a target call splits a chain (97),
+    # ends on a chain boundary (2 200), joins the four chains (8 800) or holds the fit
+    spec, stats = get_preset("conj-1"), sufficient_stats(bundled_dataset("crab-satellites").counts)
+    config = McmcConfig()
+    records = []
+    for chunk in (97, 2_200, 8_800, 1 << 20):
+        monkeypatch.setattr(mcmc, "_CHUNK", chunk)
+        calls = proposals_of(monkeypatch)
+        d = run_chains(spec, stats, config, SeedSpec(4))
+        assert len(calls) == -(-config.chains * 2_200 // chunk)
+        records.append((d.lam, d.nu, mcmc.fit_record(d, mcmc.summarize(d), config.warmup)))
+    want_lam, want_nu, want = records[0]
+    assert want["warmup_rejections"]["outside_support"] != [0] * config.chains
+    assert want["rejections"]["outside_support"] != [0] * config.chains
+    for lam, nu, record in records[1:]:
+        assert np.array_equal(lam, want_lam) and np.array_equal(nu, want_nu)
+        assert record == want
 
 
 def test_chain_without_finite_start_raises(monkeypatch):

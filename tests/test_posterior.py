@@ -34,6 +34,7 @@ from cmpbayes import (
 )
 from cmpbayes.core import MAX_TERMS
 from cmpbayes.posterior import check_propriety
+from cmpbayes.priors import propriety_bound
 
 
 class TestSufficientStats:
@@ -253,7 +254,7 @@ def refuses(spec, stats) -> bool:
     except ImproperPosteriorError as exc:
         assert re.fullmatch(r"the Jeffreys prior is improper; it needs data|"
                             r"the posterior's \(a, b, c\) = .* must all be positive .*|"
-                            r"b/c = \S+ must exceed \S+", str(exc)), str(exc)
+                            r"b/c = \S+ does not exceed \S+", str(exc)), str(exc)
         return True
     return False
 
@@ -306,6 +307,21 @@ class TestCheckPropriety:
         stats = SufficientStats(n=n, s1=s1 if n else 0, s2=s2)
         h = ConjugateHyper(a, b, c)
         assert refuses(Conjugate(h), stats) == (not conjugate_propriety(updated_hyper(h, stats)))
+
+    @pytest.mark.parametrize("counts", [[2, 3, 3, 2, 3], [1, 2, 2], [2, 2, 2, 2, 2]])
+    def test_flat_refusal_at_the_bound_prints_both_sides_exactly(self, counts):
+        # counts on one value or two adjacent ones put the flat posterior on its bound, where
+        # b/c equals it (or falls an ulp below), so 10 digits print one number twice; the
+        # refusal prints each side by repr and says b/c does not exceed the bound.
+        # [2, 3, 3, 2, 3] is replicate 0 of `cmpbayes study --settings under:3:2 --sizes 5
+        # --replicates 2 --priors flat --seed 3`
+        stats = sufficient_stats(counts)
+        lhs, rhs = propriety_bound(ConjugateHyper(float(stats.s1), stats.s2, float(stats.n)))
+        assert not lhs > rhs and f"{lhs:.10g}" == f"{rhs:.10g}"
+        with pytest.raises(ImproperPosteriorError) as refusal:
+            check_propriety(Flat(), stats)
+        assert str(refusal.value) == f"b/c = {lhs!r} does not exceed {rhs!r}"
+        assert refuses(Flat(), stats)
 
     def test_jeffreys_refused_only_without_data(self):
         assert refuses(Jeffreys(), SufficientStats.empty())

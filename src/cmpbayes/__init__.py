@@ -1,8 +1,9 @@
 """Bayesian inference for the Conway-Maxwell-Poisson count distribution.
 
 Library layers, bottom up: core (normalizing series, moments, derivatives),
-priors (conjugate / flat / Jeffreys with propriety checks), posterior
-(sufficient statistics and log posteriors), rng (reproducible CMP variates),
+priors (conjugate / flat / Jeffreys, the propriety rule, the rejection reasons
+and J's derivatives), posterior (sufficient statistics, the log kernel, the
+likelihood and log posteriors, check_propriety), rng (reproducible CMP variates),
 mcmc (independence Metropolis from a Laplace fit, with split R-hat), study (bias/MSE/coverage
 harness), datasets + cli (bundled data and the command-line surface).
 """
@@ -10,7 +11,6 @@ harness), datasets + cli (bundled data and the command-line surface).
 from .core import (
     CmpParams,
     TruncationPolicy,
-    log_likelihood,
     log_normalizer,
     log_pmf,
     logz_hessian,
@@ -40,6 +40,7 @@ from .mcmc import (
 from .posterior import (
     SufficientStats,
     flat_posterior_propriety,
+    log_likelihood,
     log_posterior,
     log_prior_density,
     sufficient_stats,

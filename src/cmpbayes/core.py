@@ -401,20 +401,6 @@ def pmf_table(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> n
     return np.exp(t - log_z)
 
 
-def log_likelihood(stats, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Log likelihood S1*ln(lambda) - nu*S2 - n*ln Z from sufficient statistics.
-
-    stats needs fields (n, s1, s2); n = 0 (empty data) gives 0.
-    """
-    if stats.n == 0:
-        return 0.0
-    return float(
-        stats.s1 * math.log(params.lam)
-        - params.nu * stats.s2
-        - stats.n * log_normalizer(params, policy)
-    )
-
-
 def moments(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> CmpMoments:
     """Probability-weighted truncated sums for the moments in CmpMoments."""
     sums, log_z = _series(math.log(params.lam), params.nu, policy, moments=True)

@@ -46,9 +46,12 @@ core.series_arrays sums in grids of at most core._MAX_CELLS cells). Then each
 chain's float-only accept scan runs: a chain starts at the mode, and proposal
 i replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
 density). A rejected proposal's r is -inf, which never passes, so the scan
-visits only the finite ratios. A row's value depends only on its own point,
-so a chain's draws depend neither on the two bounds nor on which chains share
-its calls. Warmup steps are drawn and discarded; keep steps are kept.
+visits only the finite ratios. The scans mark their accepted steps in one
+(chains, steps) state array; the draws, acceptance rates and rejection counts
+are whole-fit array operations on it and on the rows' reasons. A row's value
+depends only on its own point, so a chain's draws depend neither on the two
+bounds nor on which chains share its calls. Warmup steps are drawn and
+discarded; keep steps are kept.
 
 Proposals the target rejects count per chain by reason (priors.REJECTIONS),
 over the warmup steps and over the kept steps: outside_support (nu below
@@ -80,7 +83,6 @@ always the heaviest, so at the default warmup of 200 steps the bound is below
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -91,7 +93,7 @@ from .errors import AllDivergentError, InvalidParamsError, ModeNotFoundError, Ze
 from .posterior import SufficientStats, check_propriety, conjugate_form, log_kernel
 from .posterior import log_posterior, updated_hyper  # noqa: F401  (names bench/spans.py patches)
 from .posterior import flat_posterior_propriety  # noqa: F401  (a name bench/spans.py patches)
-from .priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION, PriorSpec
+from .priors import OUTSIDE_SUPPORT, REJECTIONS, PriorSpec
 from .priors import conjugate_propriety  # noqa: F401  (a name bench/spans.py patches)
 from .rng import SeedSpec, make_generator
 
@@ -115,7 +117,7 @@ _MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in
 # with a retry after it hands over after t = 2^-5
 _TRIES = 34
 _FIRST_TRIES = 6
-_NUMERICAL = [TRUNCATION, JEFFREYS_DET, OVERFLOW]  # the rejections that are divergences
+_NUMERICAL = ("truncation", "jeffreys_det", "overflow")  # the rejections that are divergences
 # the fit's proposals per target call, chain-major, so that one call may span chains: a
 # default fit's 4 x 2 200 are one call, and a longer fit's temporaries stay bounded
 _CHUNK = 8800
@@ -175,7 +177,7 @@ class Draws:
     @property
     def divergences(self) -> np.ndarray:
         """Per chain, the post-warmup proposals rejected for a numerical reason."""
-        return sum(self.rejections[REJECTIONS[code - 1]] for code in _NUMERICAL)
+        return sum(self.rejections[reason] for reason in _NUMERICAL)
 
     @property
     def n_kept(self) -> int:
@@ -439,37 +441,35 @@ def run_chains(
         rows = slice(first, first + _CHUNK)
         values.reshape(-1)[rows], reasons.reshape(-1)[rows] = target(u.reshape(-1)[rows],
                                                                      nu.reshape(-1)[rows])
+    warm, kept = reasons[:, :warmup], reasons[:, warmup:]
+    if kept.all():
+        raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     log_ratios = values - log_q
-    lam, nus, accept_rate = [], [], []
-    # per chain, the rejections by code over the warmup steps and over the kept steps
-    rejected = np.zeros((2, chains, len(REJECTIONS) + 1), dtype=np.int64)
+    # the state after each step: the last accepted proposal, or the mode (-1)
+    state = np.full((chains, steps), -1)
     for c in range(chains):
         # ln U < -inf - current never holds, so only the finite ratios are scanned
         finite = np.flatnonzero(values[c] > -math.inf)
-        accepted = _scan(finite.tolist(), log_ratios[c, finite].tolist(),
-                         log_u[c, finite].tolist(), top)
-        # the state after each step: the last accepted proposal, or the mode (-1)
-        state, taken = np.full(steps, -1), np.array(accepted, dtype=np.intp)
-        state[taken] = taken
-        state = np.maximum.accumulate(state)[warmup:]
-        lam.append(np.exp(np.where(state < 0, centre[0], u[c, state])))
-        nus.append(np.where(state < 0, centre[1], nu[c, state]))
-        accept_rate.append((len(accepted) - bisect_left(accepted, warmup)) / config.keep)
-        for phase, rows in enumerate((reasons[c, :warmup], reasons[c, warmup:])):
-            rejected[phase, c] = np.bincount(rows, minlength=len(REJECTIONS) + 1)
-    warmup_rejected, kept_rejected = rejected
-    if bool((kept_rejected[:, 1:].sum(axis=1) >= config.keep).all()):
-        raise AllDivergentError("every post-warmup proposal in every chain was rejected")
+        accepted = np.array(_scan(finite.tolist(), log_ratios[c, finite].tolist(),
+                                  log_u[c, finite].tolist(), top), dtype=np.intp)
+        state[c, accepted] = accepted
+    state = np.maximum.accumulate(state, axis=1)[:, warmup:]
+    # each kept state's position in the flattened (chains, steps) arrays; np.where masks the mode's
+    at = state + np.arange(0, chains * steps, steps)[:, None]
+    lam = np.exp(np.where(state < 0, centre[0], u.take(at)))
+    nus = np.where(state < 0, centre[1], nu.take(at))
     log_ratios = log_ratios.reshape(-1)
     heaviest = float(log_ratios.max())
     # the largest ratio over the mean, the mode's (log ratio top: its log q is 0) included
     shift = max(heaviest, top)
     weight_sup = (log_ratios.size + 1) / (float(np.exp(log_ratios - shift).sum())
                                           + math.exp(top - shift))
-    return Draws(lam=np.array(lam), nu=np.array(nus), accept_rate=np.array(accept_rate),
-                 rejections={r: kept_rejected[:, i + 1] for i, r in enumerate(REJECTIONS)},
-                 warmup_rejections={r: warmup_rejected[:, i + 1]
-                                    for i, r in enumerate(REJECTIONS)},
+    return Draws(lam=lam, nu=nus,
+                 accept_rate=(state == np.arange(warmup, steps)).sum(axis=1) / config.keep,
+                 rejections={r: (kept == code).sum(axis=1)
+                             for code, r in enumerate(REJECTIONS, 1)},
+                 warmup_rejections={r: (warm == code).sum(axis=1)
+                                    for code, r in enumerate(REJECTIONS, 1)},
                  pareto_k=pareto_khat(log_ratios), proposal_centre=centre,
                  proposal_cholesky=np.array([c00, c10, c11]), mode_search=search,
                  weight_sup=weight_sup, start_is_heaviest=heaviest <= top)

@@ -1,4 +1,4 @@
-"""Log posteriors for any prior spec, and posterior propriety for every prior.
+"""The log likelihood, log posteriors for any prior spec, and propriety for every prior.
 
 The likelihood depends on the data only through (n, S1, S2) with
 S1 = sum(x_i) and S2 = sum(ln x_i!), so posteriors are assembled from
@@ -14,8 +14,9 @@ plus J. It sums the points' series (core.series_arrays), evaluates the
 formula on them in array operations and, when asked, its gradient and
 Hessian, taking J and the Hessian from one set of the rows' second moments.
 The sampler hands it a fit's proposals and each point its mode search
-visits; log_posterior and log_prior_density hand it one point and subtract
-ln lambda, the Jacobian of lambda = e^u, to give the density in lambda.
+visits. _at_point reads its row at one point: log_likelihood is the flat
+prior's row, and log_posterior and log_prior_density subtract ln lambda, the
+Jacobian of lambda = e^u, to give the density in lambda.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .core import (CmpParams, TruncationPolicy, DEFAULT_POLICY, _log_factorial, central_moments,
                    truncation_error, series_arrays)
-from .core import log_likelihood  # noqa: F401  (a name bench/spans.py patches)
 from .errors import (EmptyDataError, ImproperPosteriorError, InvalidParamsError,
                      NonpositiveDeterminantError)
 from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
@@ -181,6 +181,24 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
     return rows
 
 
+def _at_point(spec: PriorSpec, stats: SufficientStats, params: CmpParams, policy) -> float:
+    """log_kernel's row at params as a float; raises its TruncationError or determinant error."""
+    log_lam, nu = math.log(params.lam), params.nu
+    values, reasons, _ = log_kernel(spec, stats, policy)(np.array([log_lam]), np.array([nu]))
+    if reasons[0] == TRUNCATION:
+        raise truncation_error(log_lam, nu, policy)
+    if reasons[0] == JEFFREYS_DET:
+        raise NonpositiveDeterminantError(
+            f"information determinant not positive at (ln lambda={log_lam}, nu={nu})")
+    return float(values[0])
+
+
+def log_likelihood(stats: SufficientStats, params: CmpParams,
+                   policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """Log likelihood S1*ln(lambda) - nu*S2 - n*ln Z: the flat prior's kernel row, 0 for no data."""
+    return _at_point(Flat(), stats, params, policy)
+
+
 def log_posterior(
     spec: PriorSpec,
     stats: SufficientStats,
@@ -195,16 +213,9 @@ def log_posterior(
     NonpositiveDeterminantError where the information determinant is not
     positive and finite.
     """
-    log_lam, nu = math.log(params.lam), params.nu
-    if isinstance(spec, Jeffreys) and nu <= 0.0:
+    if isinstance(spec, Jeffreys) and params.nu <= 0.0:
         raise InvalidParamsError("Jeffreys prior requires nu > 0")
-    values, reasons, _ = log_kernel(spec, stats, policy)(np.array([log_lam]), np.array([nu]))
-    if reasons[0] == TRUNCATION:
-        raise truncation_error(log_lam, nu, policy)
-    if reasons[0] == JEFFREYS_DET:
-        raise NonpositiveDeterminantError(
-            f"information determinant not positive at (ln lambda={log_lam}, nu={nu})")
-    return float(values[0]) - log_lam
+    return _at_point(spec, stats, params, policy) - math.log(params.lam)
 
 
 def log_prior_density(

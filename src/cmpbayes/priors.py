@@ -63,7 +63,7 @@ PriorSpec = Union[Conjugate, Flat, Jeffreys]
 # posterior.log_kernel gives the last three; a sampler gives outside_support to
 # the points it does not evaluate.
 REJECTIONS = ("outside_support", "truncation", "jeffreys_det", "overflow")
-OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = 1, 2, 3, 4
+OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = range(1, len(REJECTIONS) + 1)
 
 # The six study priors, keyed by their CLI-facing names, in study order.
 # conj-data is the two-hypothetical-observations prior built from counts

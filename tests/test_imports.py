@@ -12,7 +12,6 @@ BENCH_ONLY = {
     ("mcmc", "flat_posterior_propriety"),
     ("mcmc", "log_posterior"),
     ("mcmc", "updated_hyper"),
-    ("posterior", "log_likelihood"),
     ("priors", "log_normalizer"),
     ("priors", "logz_hessian"),
 }

@@ -26,7 +26,9 @@ from cmpbayes import (
     bundled_dataset,
     core,
     get_preset,
+    log_likelihood,
     log_normalizer,
+    log_pmf,
     log_posterior,
     make_generator,
     mcmc,
@@ -836,6 +838,20 @@ def test_target_is_log_posterior_bit_for_bit(lam, nu, spec):
     assert density == kernel - u
 
 
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.integers(0, 50), min_size=1, max_size=30),
+       lam=st.floats(0.05, 40.0), nu=st.floats(0.5, 4.0))
+def test_likelihood_is_the_flat_kernel(counts, lam, nu):
+    # the log likelihood is the flat prior's kernel row, bit for bit, and the sum of the
+    # counts' log pmfs; with no data it is 0 (the row S1 u - nu S2 may be -0.0 there)
+    p, stats = CmpParams(lam, nu), sufficient_stats(counts)
+    (row,), _, _ = log_kernel(Flat(), stats, POLICY)(np.array([math.log(lam)]), np.array([nu]))
+    assert log_likelihood(stats, p, POLICY) == row
+    assert log_likelihood(stats, p, POLICY) == pytest.approx(
+        sum(log_pmf(x, p, POLICY) for x in counts), rel=1e-12)
+    assert log_likelihood(SufficientStats.empty(), p, POLICY) == 0.0
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=["conj", "flat", "jeffreys"])
 def test_target_rejections(spec):
     target = target_of(spec)
@@ -986,6 +1002,55 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
     for c in range(2):
         moved = np.flatnonzero(np.diff(d.lam[c]) != 0.0) + 1
         assert (kept[c][moved] == 0).all()
+
+
+def test_one_wholly_rejected_chain(monkeypatch):
+    # every kept proposal of chain 0 is rejected, and chain 1's rows are left as they are:
+    # the fit is not refused, chain 0 stays at its state at the end of warmup, with no
+    # kept step accepted and every kept step counted, and chain 1 is as in a plain fit
+    config = McmcConfig(chains=2, warmup=150, keep=100)
+    spec, stats = get_preset("conj-1"), sufficient_stats(bundled_dataset("textile-faults").counts)
+    plain = run_chains(spec, stats, config, SeedSpec(0))
+    make_target, proposals, drawn = mcmc._make_target, mcmc._proposals, []
+
+    def rejecting(*args):
+        target = make_target(*args)
+
+        def chain_0_kept_rejected(u, nu):
+            assert u.size == config.chains * 250  # one chain-major call
+            values, reasons = target(u, nu)
+            values[150:250], reasons[150:250] = -math.inf, TRUNCATION
+            return values, reasons
+
+        return chain_0_kept_rejected
+
+    def recorded(*args):
+        drawn.append(proposals(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(mcmc, "_make_target", rejecting)
+    monkeypatch.setattr(mcmc, "_proposals", recorded)
+    d = run_chains(spec, stats, config, SeedSpec(0))
+    # chain 0's warmup scan, step by step from the mode, on its own rows
+    u, nu, log_q, log_u = drawn[0]
+    target = target_of(spec, stats)
+    ratios = target(u[:150], nu[:150])[0] - log_q[:150]
+    centre = d.proposal_centre
+    current, point = target(centre[:1], centre[1:])[0][0], (centre[0], centre[1])
+    for i in range(150):
+        if log_u[i] < ratios[i] - current:
+            current, point = ratios[i], (u[i], nu[i])
+    assert point != (centre[0], centre[1])
+    assert (d.lam[0] == d.lam[0, 0]).all() and (d.nu[0] == point[1]).all()
+    assert d.lam[0, 0] == pytest.approx(math.exp(point[0]), rel=1e-15)
+    assert d.accept_rate[0] == 0.0
+    assert sum(counts[0] for counts in d.rejections.values()) == config.keep
+    assert d.divergences[0] == config.keep
+    for reason in REJECTIONS:
+        assert d.warmup_rejections[reason].tolist() == plain.warmup_rejections[reason].tolist()
+        assert d.rejections[reason][1] == plain.rejections[reason][1]
+    assert np.array_equal(d.lam[1], plain.lam[1]) and np.array_equal(d.nu[1], plain.nu[1])
+    assert d.accept_rate[1] == plain.accept_rate[1] > 0.0
 
 
 @pytest.mark.parametrize("prior", ["conj-1", "flat", "jeffreys"])

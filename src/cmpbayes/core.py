@@ -389,7 +389,7 @@ def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY)
 
 def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """ln P(X = x) = x*ln(lambda) - nu*lnGamma(x+1) - ln Z."""
-    if x < 0 or x != int(x):
+    if x < 0 or not x < math.inf or x != int(x):  # not math.isfinite(x): it overflows on huge ints
         raise InvalidParamsError(f"x must be a nonnegative integer, got {x}")
     return float(_log_terms(math.log(params.lam), params.nu, np.asarray(int(x)))
                  - log_normalizer(params, policy))

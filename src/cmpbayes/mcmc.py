@@ -17,16 +17,14 @@ Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
 negative so that it ascends, and stops on the floor where it would cross it; on
 the floor, where the target still rises toward lower nu (crab-satellites), the
 step is Newton's in u alone, g_u / |H_uu|, so the mode is the floor's best point.
-A step is halved until the target rises, at _TRIES lengths at most (at
-_FIRST_TRIES in a search that has the retry after it, since a moment start that
-fails halves to the end), and taken whole below a Newton decrement
-g'(-H)^-1 g of _MODE_TOL, where the target's rounding hides its rise. The mode
-is where the decrement falls to _NEWTON_TOL (Draws.mode_search). Its precision
-is -H; on the floor its nu entry adds g_nu^2, the curvature of an exponential
-falling from the floor at the gradient's rate (all-zero counts fall so, almost
-without curvature). Where every search ends above _NEWTON_TOL, or at a precision
-that is not positive definite, the fit is refused with ModeNotFoundError before
-any draw.
+A step is halved until the target rises, at _TRIES lengths at most, and taken
+whole below a Newton decrement g'(-H)^-1 g of _MODE_TOL, where the target's
+rounding hides its rise. The mode is where the decrement falls to _NEWTON_TOL
+(Draws.mode_search). Its precision is -H; on the floor its nu entry adds
+g_nu^2, the curvature of an exponential falling from the floor at the
+gradient's rate (all-zero counts fall so, almost without curvature). Where
+every search ends above _NEWTON_TOL, or at a precision that is not positive
+definite, the fit is refused with ModeNotFoundError before any draw.
 
 The proposal is a bivariate t with _DF degrees of freedom, centred on the
 mode, with scale matrix _SCALE^2 times the Laplace covariance, the inverse
@@ -113,10 +111,7 @@ _SCALE = 1.5  # the proposal's scale over the Laplace fit's
 _NEWTON_STEPS = 100
 _NEWTON_TOL = 1e-20  # the Newton decrement at which the search has found the mode
 _MODE_TOL = 1e-8  # a step of this decrement is taken whole: its rise is lost in f's rounding
-# a line search tries t = 1, 1/2, ..., 2^-33 (down to 1e-10) along a Newton step; a search
-# with a retry after it hands over after t = 2^-5
-_TRIES = 34
-_FIRST_TRIES = 6
+_TRIES = 34  # a line search tries t = 1, 1/2, ..., 2^-33 (down to 1e-10) along a Newton step
 _NUMERICAL = ("truncation", "jeffreys_det", "overflow")  # the rejections that are divergences
 # the fit's proposals per target call, chain-major, so that one call may span chains: a
 # default fit's 4 x 2 200 are one call, and a longer fit's temporaries stay bounded
@@ -289,9 +284,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
         return value, (grad, hess)
 
     iterations = points = 0
-    starts = _starts(spec, stats)
-    for i, start in enumerate(starts):
-        tries = _TRIES if i == len(starts) - 1 else _FIRST_TRIES
+    for start in _starts(spec, stats):
         x = np.array(start)
         f, derivatives = evaluate(x)
         points += 1
@@ -315,7 +308,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
             if decrement <= _NEWTON_TOL or steps == _NEWTON_STEPS:
                 break
             t = 1.0
-            for _ in range(tries):
+            for _ in range(_TRIES):
                 trial = x + t * step
                 trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
                 f_trial, found = evaluate(trial)

@@ -208,7 +208,8 @@ def run_study(
     replicate, prior) fit: records made under this config are reused, others
     raise InvalidParamsError, and each replicate's new records are appended as
     it ends, so an interrupted study resumes without recomputation. workers > 1
-    spreads replicates over processes; tables and file are the same either way.
+    spreads replicates over a pool of at most one process per pending replicate;
+    tables and file are the same either way.
     A setting whose ln Z series cannot be summed under config.policy raises
     TruncationError before the progress file is read or written.
     """
@@ -238,6 +239,7 @@ def run_study(
     with ExitStack() as stack:
         out = stack.enter_context(path.open("a")) if path else None
         scheduler = map  # yields in task order, as pool.map does
+        workers = min(workers, len(tasks))
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             stack.callback(pool.shutdown, cancel_futures=True)

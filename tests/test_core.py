@@ -151,8 +151,9 @@ class TestLogPmf:
             assert abs(total - 1.0) < 1e-8
 
     def test_invalid_x(self):
-        with pytest.raises(InvalidParamsError):
-            log_pmf(-1, CmpParams(3.0, 0.5))
+        for x in (-1, math.nan, math.inf):  # nan and inf are refused before int(x) sees them
+            with pytest.raises(InvalidParamsError, match=f"got {x}"):
+                log_pmf(x, CmpParams(3.0, 0.5))
 
 
 class TestLogLikelihood:

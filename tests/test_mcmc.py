@@ -366,16 +366,13 @@ class TestModeSearch:
                 with pytest.raises(verdict):
                     fit()
 
-    # the moment start of 30 zeros or 30 ones under the tightest presets lands at nu
-    # 78-1 451, and a search from there alone is refused; the retry from
-    # (ln max(xbar, 0.5), 1) fits, and the first search's points count with its own
-    @pytest.mark.parametrize("count", [0, 1])
-    @pytest.mark.parametrize("prior", ["conj-0.1", "conj-0.01"])
-    def test_retry_fits_where_the_moment_start_diverges(self, monkeypatch, count, prior):
-        spec, stats = get_preset(prior), sufficient_stats([count] * 30)
+    @staticmethod
+    def moment_start_refused_retry_fits(monkeypatch, spec, stats):
+        """The two starts: the moment start's search alone is refused, and the full search
+        ends at the retry-only search's mode to the bit, its points counting with the retry's."""
         rows = log_kernel(spec, stats, DEFAULT_POLICY)
         starts = mcmc._starts(spec, stats)
-        assert len(starts) == 2 and starts[0][1] > 50.0
+        assert len(starts) == 2
         mode, _, _, search = mcmc._laplace(spec, stats, rows)
         monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[1:])
         retry_mode, _, _, retry = mcmc._laplace(spec, stats, rows)
@@ -384,20 +381,24 @@ class TestModeSearch:
         monkeypatch.setattr(mcmc, "_starts", lambda *args: starts[:1])
         with pytest.raises(ModeNotFoundError):
             mcmc._laplace(spec, stats, rows)
+        return starts
 
-    # Jeffreys at term mode 1 000: its moment start fails, and cutting that first search
-    # at _FIRST_TRIES step lengths hands it to the retry sooner, at the same verdict and
-    # the same mode to the bit (the one search of the 180-dataset stress scan, CMP(m^nu, nu)
-    # for m 30-3 000, nu 0.3-1.5 and n 5-200 under six presets, that the cap changes)
-    def test_capped_first_search_finds_the_uncapped_mode(self, monkeypatch):
-        spec = get_preset("jeffreys")
+    # the moment start of 30 zeros or 30 ones under the tightest presets lands at nu
+    # 78-1 451, and a search from there alone is refused; the retry from
+    # (ln max(xbar, 0.5), 1) fits, and the first search's points count with its own
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("prior", ["conj-0.1", "conj-0.01"])
+    def test_retry_fits_where_the_moment_start_diverges(self, monkeypatch, count, prior):
+        starts = self.moment_start_refused_retry_fits(
+            monkeypatch, get_preset(prior), sufficient_stats([count] * 30))
+        assert starts[0][1] > 50.0
+
+    # Jeffreys at term mode 1 000: of the stress scan's searches (CMP(m^nu, nu) for
+    # m 30-3 000, nu 0.3-1.5 and n 5-200 under six presets), the one Jeffreys fit whose
+    # verdict the retry decides, its moment start at nu 4.36
+    def test_retry_fits_the_jeffreys_stress_dataset(self, monkeypatch):
         stats = sufficient_stats(sample_cmp(CmpParams(1000.0 ** 1.5, 1.5), 5, SeedSpec(1, 7)))
-        rows = log_kernel(spec, stats, DEFAULT_POLICY)
-        mode, _, _, search = mcmc._laplace(spec, stats, rows)
-        monkeypatch.setattr(mcmc, "_FIRST_TRIES", mcmc._TRIES)
-        uncapped_mode, _, _, uncapped = mcmc._laplace(spec, stats, rows)
-        assert np.array_equal(mode, uncapped_mode) and search.decrement == uncapped.decrement
-        assert search.iterations == uncapped.iterations and search.points < uncapped.points
+        self.moment_start_refused_retry_fits(monkeypatch, get_preset("jeffreys"), stats)
 
     def test_conjugate_posterior_is_its_updated_prior_to_the_bit(self):
         # the search starts from (a, b, c) alone, which Conjugate(h) on data and

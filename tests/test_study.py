@@ -612,6 +612,29 @@ class TestRecordLoop:
         run_study(cfg, progress_path=str(two), workers=2)
         assert one.read_bytes() == two.read_bytes()
 
+    def test_pool_is_no_larger_than_its_work(self, tmp_path, monkeypatch):
+        # a stand-in executor that records its size and maps in process: no process starts
+        sizes = []
+
+        class InProcess:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", InProcess)
+        cfg = small_config(replicates=3, priors=("conj-1",))
+        fresh = run_study(cfg)
+        assert run_study(cfg, workers=64) == fresh and sizes == [3]
+        # one replicate left to fit on resume makes no pool
+        progress = tmp_path / "progress.jsonl"
+        run_study(replace(cfg, replicates=2), progress_path=str(progress))
+        assert run_study(cfg, progress_path=str(progress), workers=64) == fresh
+        assert sizes == [3]
+
     def test_pool_error_cancels_queued_replicates(self, tmp_path, monkeypatch):
         # forked workers inherit the patched name; each call leaves a marker
         cfg, workers = small_config(replicates=16, priors=("conj-1",)), 2

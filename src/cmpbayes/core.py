@@ -18,14 +18,16 @@ coordinates, so that a fit's thousands of proposals cost a few numpy calls per
 grid length rather than Python per row; its docstring says how it sizes,
 weighs and sums them. No point's result depends on the other points or on the
 grid bound, and the one-point entries (log_normalizer, moments, pmf_table)
-are one-row calls of series_arrays (_series). _MOMENT_TABLE, built at import,
-holds the five moment integrands; CmpMoments' second moments round as
-posterior.log_kernel's do, and the third and fourth are central_moments'.
+are one-row calls of series_arrays (the last two through _series).
+_MOMENT_TABLE, built at import, holds the five moment integrands; CmpMoments'
+second moments round as posterior.log_kernel's do, and the third and fourth
+are central_moments'.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,7 +52,7 @@ _MAX_UNSHIFTED = 600.0
 # rows x terms of one summed grid: 256 KiB of float64 per (rows, K) array, so a
 # fit's thousands of rows never make one large temporary
 _MAX_CELLS = 1 << 15
-_LAST_TWO = np.array([[1], [2]])  # K less these: the last two indices of a grid of length K
+_LAST_TWO = np.array([[MAX_TERMS - 1], [MAX_TERMS - 2]])  # a capped grid's last two indices
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,19 @@ def _reach(log_lam: np.ndarray, nu_mode: np.ndarray, mode: np.ndarray,
     warnings of those rows.
     """
     c = log_reach / nu_mode
-    x = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c)
+    x = c * c
+    x /= 9.0
+    x += 2.0 * c
+    np.sqrt(x, out=x)
+    x += c / 3.0
     for _ in range(3):  # x - (h(x) - c) / h'(x), with h'(x) = ln(1 + x)
-        x = (x + c) / np.log1p(x) - 1.0
-    return np.fmin(mode * (1.0 + x), np.where(log_lam < 0.0, log_reach / -log_lam, np.nan))
+        slope = np.log1p(x)
+        x += c
+        x /= slope
+        x -= 1.0
+    x += 1.0
+    x *= mode
+    return np.fmin(x, np.where(log_lam < 0.0, log_reach / -log_lam, np.nan), out=x)
 
 
 @lru_cache(maxsize=None)
@@ -289,12 +300,13 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     log1p of that sum for an unshifted row (its t_0 = 0 has weight 1, and
     log1p keeps ln Z's relative precision where it is near 0) and shift +
     ln(e^-shift + the sum) for a shifted one, the moments are divided by the
-    same weights' sum, and a row is kept once its terms decay at the last
-    two of ln Z's length and a geometric bound on the omitted tail falls
-    below tail_tol relative to the sum; a row that fails it, which only a
-    MAX_TERMS one can, is nan. Every operation is elementwise or along a
-    row, so a row's result depends on its own point alone, whatever the batch
-    and the grid bound, and its ln Z is the same with and without moments.
+    same weights' sum, and the rows whose ln Z length is MAX_TERMS, the only
+    ones that can fail it (TruncationPolicy), take the tail test: a row is
+    kept once its terms decay at its last two and a geometric bound on the
+    omitted tail falls below tail_tol relative to the sum, and is nan where
+    it fails. Every operation is elementwise or along a row, so a row's
+    result depends on its own point alone, whatever the batch and the grid
+    bound, and its ln Z is the same with and without moments.
     """
     log_lam = np.asarray(log_lam, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -337,17 +349,25 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
         lz = np.log1p(rest)
         if shifted:
             lz[shifted] = c[shifted] + np.log(total[shifted])
-        # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
-        last, prev = _log_terms(coef[0], -coef[1], z_lengths - _LAST_TWO)
-        log_r = last - prev
-        ratio = np.exp(log_r)
-        # ratio < 1 holds only where log_r < 0: the terms decay
-        ok = (ratio < 1.0) & ((last - lz) + log_r - np.log1p(-ratio) < math.log(policy.tail_tol))
-    lz[~ok] = np.nan
-    log_z[rows] = lz
     if moments:
         moment_sums /= total[:, None]
-        moment_sums[~ok] = np.nan
+    # only a row cut at MAX_TERMS can fail the tail test (TruncationPolicy); such rows sort last
+    cut = rows.size - np.count_nonzero(z_lengths == MAX_TERMS)
+    if cut < rows.size:
+        with np.errstate(all="ignore"):
+            # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
+            last, prev = _log_terms(coef[0, cut:], -coef[1, cut:], _LAST_TWO)
+            log_r = last - prev
+            ratio = np.exp(log_r)
+            # ratio < 1 holds only where log_r < 0: the terms decay
+            ok = (ratio < 1.0) & ((last - lz[cut:]) + log_r - np.log1p(-ratio)
+                                  < math.log(policy.tail_tol))
+        failed = cut + np.flatnonzero(~ok)
+        lz[failed] = np.nan
+        if moments:
+            moment_sums[failed] = np.nan
+    log_z[rows] = lz
+    if moments:
         sums[rows] = moment_sums
     return log_z, sums, k
 
@@ -383,14 +403,24 @@ def central_moments(log_lam: float, nu: float, log_z: float, k: int, e_x: float,
 
 
 def log_normalizer(params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder (series_arrays)."""
-    return _series(math.log(params.lam), params.nu, policy)[1]
+    """ln Z(lambda, nu) over a grid sized to its ulp reach on the length ladder (series_arrays).
+
+    A one-row call of series_arrays; raises TruncationError where the series cannot be summed.
+    """
+    log_lam = math.log(params.lam)
+    log_z = float(series_arrays(np.array([log_lam]), np.array([params.nu]), policy)[0][0])
+    if math.isnan(log_z):
+        raise truncation_error(log_lam, params.nu, policy)
+    return log_z
 
 
 def log_pmf(x: int, params: CmpParams, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """ln P(X = x) = x*ln(lambda) - nu*lnGamma(x+1) - ln Z."""
     if x < 0 or not x < math.inf or x != int(x):  # not math.isfinite(x): it overflows on huge ints
         raise InvalidParamsError(f"x must be a nonnegative integer, got {x}")
+    if x > sys.float_info.max:  # an int past float range, named by its size, not its digits
+        raise InvalidParamsError(
+            f"x must be within float range, got an integer of {int(x).bit_length()} bits")
     return float(_log_terms(math.log(params.lam), params.nu, np.asarray(int(x)))
                  - log_normalizer(params, policy))
 

@@ -40,13 +40,20 @@ The log density less its constant, -(_DF + 2) / 2 log1p(rho^2 / _DF), is then
 ((_DF + 2) / _DF) ln V, 0 at the mode. Once every chain has drawn, the
 fit's proposals are evaluated chain-major, _CHUNK rows per target call, so
 that a default fit's 4 x 2 200 proposals are one call (whose rows
-core.series_arrays sums in grids of at most core._MAX_CELLS cells). Then each
-chain's float-only accept scan runs: a chain starts at the mode, and proposal
-i replaces the state when ln U_i < r_i - r_state, r = target - ln(proposal
-density). A rejected proposal's r is -inf, which never passes, so the scan
-visits only the finite ratios. The scans mark their accepted steps in one
-(chains, steps) state array; the draws, acceptance rates and rejection counts
-are whole-fit array operations on it and on the rows' reasons. A row's value
+core.series_arrays sums in grids of at most core._MAX_CELLS cells). A chain
+starts at the mode, and proposal i replaces the state when ln U_i < r_i -
+r_state, r = target - ln(proposal density); a rejected proposal's r is -inf,
+which never passes. The fit's accepts are decided in array passes (_accepts)
+that accept exactly the steps of each chain's sequential scan. The state
+entering step i holds the mode's ratio or an earlier one, so at most their
+running maximum P_i, and the rounded r_i - c never rises as c does: a step
+with ln U_i < r_i - P_i is accepted from any state. Such steps start segments
+whose state is known, and the other finite steps are decided in rounds,
+round t testing every segment's t-th of them at once against its segment's
+state. Past _ROUNDS rounds the segments left open are scanned step by step
+(_scan) from the state the rounds left. The accepted steps give one (chains,
+steps) state array; the draws, acceptance rates and rejection counts are
+whole-fit array operations on it and on the rows' reasons. A row's value
 depends only on its own point, so a chain's draws depend neither on the two
 bounds nor on which chains share its calls. Warmup steps are drawn and
 discarded; keep steps are kept.
@@ -116,6 +123,10 @@ _NUMERICAL = ("truncation", "jeffreys_det", "overflow")  # the rejections that a
 # the fit's proposals per target call, chain-major, so that one call may span chains: a
 # default fit's 4 x 2 200 are one call, and a longer fit's temporaries stay bounded
 _CHUNK = 8800
+# the rounds of a fit's accept decision (_accepts) before a segment left open is scanned:
+# fits of the bundled datasets need 11-19, and a proposal far lighter-tailed than its
+# posterior hundreds, where a round decides only a few steps
+_ROUNDS = 64
 _QUANTILES = np.array([0.025, 0.5, 0.975])  # summarize's: the 95% interval and the median
 
 
@@ -402,6 +413,55 @@ def _scan(steps: list, log_ratios: list, log_u: list, current: float) -> list:
     return accepted
 
 
+def _accepts(log_ratios: np.ndarray, log_u: np.ndarray, top: float) -> np.ndarray:
+    """Which steps of (chains, steps) independence chains from the mode are accepted.
+
+    Exactly the steps _scan accepts, chain by chain from the mode's log ratio top,
+    decided in array passes (see the module docstring): the steps accepted from
+    any state, then the segments they start, step by step for _ROUNDS rounds, and
+    _scan, from the state the rounds left, over any segment's steps past them.
+    """
+    chains, steps = log_ratios.shape
+    # the largest log ratio a chain's state can hold entering each step: top and those before
+    bound = np.empty((chains, steps + 1))
+    bound[:, 0] = top
+    bound[:, 1:] = log_ratios
+    np.fmax.accumulate(bound, axis=1, out=bound)
+    accepted = log_u < log_ratios - bound[:, :-1]
+    ratios, uniforms, sure = log_ratios.reshape(-1), log_u.reshape(-1), accepted.reshape(-1)
+    # a segment starts at each step accepted from any state, and at each chain's start in top
+    starts = sure.copy()
+    starts[::steps] = True
+    current = np.where(sure, ratios, top)[starts]  # each segment's state
+    # the open steps, finite and not yet decided, and each one's place in its segment
+    is_open = (ratios > -math.inf) & ~sure
+    segment = (np.cumsum(starts) - 1)[is_open]
+    count = np.cumsum(is_open)
+    place = count[is_open] - 1 - (count - is_open)[starts][segment]
+    # round t decides every segment's t-th open step; the steps past the rounds come last
+    # (int16 places, which the stable argsort orders by radix)
+    place = np.minimum(place, _ROUNDS).astype(np.int16)
+    order = np.argsort(place, kind="stable")
+    at, segment = np.flatnonzero(is_open)[order], segment[order]
+    r, lu = ratios[at], uniforms[at]
+    taken = np.zeros(at.size, dtype=bool)
+    a = 0
+    for b in np.cumsum(np.bincount(place, minlength=_ROUNDS + 1))[:-1].tolist():
+        if b == a:
+            break
+        who, rs, take = segment[a:b], r[a:b], taken[a:b]
+        np.less(lu[a:b], rs - current[who], out=take)
+        current[who[take]] = rs[take]
+        a = b
+    sure[at[taken]] = True
+    # the open steps past the rounds, in chain order, scanned segment by segment
+    firsts = (a + np.flatnonzero(np.diff(segment[a:], prepend=-1))).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [at.size]):
+        sure[_scan(at[lo:hi].tolist(), r[lo:hi].tolist(), lu[lo:hi].tolist(),
+                   float(current[segment[lo]]))] = True
+    return accepted
+
+
 def run_chains(
     spec: PriorSpec,
     stats: SufficientStats,
@@ -439,13 +499,7 @@ def run_chains(
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     log_ratios = values - log_q
     # the state after each step: the last accepted proposal, or the mode (-1)
-    state = np.full((chains, steps), -1)
-    for c in range(chains):
-        # ln U < -inf - current never holds, so only the finite ratios are scanned
-        finite = np.flatnonzero(values[c] > -math.inf)
-        accepted = np.array(_scan(finite.tolist(), log_ratios[c, finite].tolist(),
-                                  log_u[c, finite].tolist(), top), dtype=np.intp)
-        state[c, accepted] = accepted
+    state = np.where(_accepts(log_ratios, log_u, top), np.arange(steps), -1)
     state = np.maximum.accumulate(state, axis=1)[:, warmup:]
     # each kept state's position in the flattened (chains, steps) arrays; np.where masks the mode's
     at = state + np.arange(0, chains * steps, steps)[:, None]

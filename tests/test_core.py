@@ -151,8 +151,11 @@ class TestLogPmf:
             assert abs(total - 1.0) < 1e-8
 
     def test_invalid_x(self):
-        for x in (-1, math.nan, math.inf):  # nan and inf are refused before int(x) sees them
-            with pytest.raises(InvalidParamsError, match=f"got {x}"):
+        # nan and inf are refused before int(x) sees them, and a count past float range
+        # before a float product with it overflows
+        for x, match in ((-1, "got -1"), (math.nan, "got nan"), (math.inf, "got inf"),
+                         (10**400, "float range, got an integer of 1329 bits")):
+            with pytest.raises(InvalidParamsError, match=match):
                 log_pmf(x, CmpParams(3.0, 0.5))
 
 

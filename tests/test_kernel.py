@@ -295,6 +295,36 @@ def test_only_a_row_cut_at_the_cap_fails_the_tail_test(tail_tol):
         assert not np.isnan(log_z[short]).any()
 
 
+@settings(max_examples=40, deadline=None)
+@given(base_terms=st.integers(2, MAX_TERMS), log_tol=st.floats(-300.0, math.log10(0.5)),
+       seed=st.integers(0, 2 ** 32 - 1), moments=st.booleans())
+@example(base_terms=16, log_tol=-10.0, seed=0, moments=False)
+@example(base_terms=2, log_tol=-300.0, seed=1, moments=True)
+def test_the_tail_test_marks_the_rows_a_full_test_marks(base_terms, log_tol, seed, moments):
+    # series_arrays tests only the rows whose ln Z grid is cut at MAX_TERMS; a test of
+    # every summed row, on its ln Z summed again over that grid, marks the same rows nan
+    policy = TruncationPolicy(base_terms, 10.0 ** log_tol)
+    rng = np.random.default_rng(seed)
+    nu = np.exp(rng.uniform(math.log(1e-4), math.log(20.0), 300))
+    nu[:30] = 0.0
+    log_lam = np.where(nu == 0.0, -np.exp(rng.uniform(-7.0, 3.0, nu.size)),
+                       rng.uniform(-8.0, 8.0, nu.size) * np.maximum(nu, 0.05))
+    log_z, _, k = series_arrays(log_lam, nu, policy, moments)
+    k_z = core._sizes(log_lam, nu, policy, moments)[2]
+    fails = []
+    for row in range(nu.size):
+        if k[row] == 0:  # refused before any sum: its terms still rise at the cap
+            fails.append(True)
+            continue
+        t = _log_terms(log_lam[row], nu[row], np.arange(k_z[row]))
+        log_r = t[-1] - t[-2]
+        ok = log_r < 0.0 and math.exp(log_r) < 1.0 and (
+            (t[-1] - logsumexp(t)) + log_r - math.log1p(-math.exp(log_r))
+            < math.log(policy.tail_tol))
+        fails.append(not ok)
+    assert np.isnan(log_z).tolist() == fails
+
+
 def test_base_grid_keeps_the_sizing_margin():
     # lambda = 49.53 at nu = 1 had its mode within one 101-term block, whose tail was
     # just under tail_tol (ln Z was 9.6e-11 low); its grid now reaches R past the mode
@@ -1091,10 +1121,10 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
 
 def test_default_fit_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
     # a McmcConfig() fit's 4 x 2 200 proposals are one call of the target, chain-major,
-    # whose rows inside the support reach series_arrays in one call; each chain's accept
-    # scan visits only its finite ratios, and accepts the same steps as a scan over every
-    # step, since ln U < -inf - r never holds: on crab-satellites about half the
-    # proposals fall below the nu floor
+    # whose rows inside the support reach series_arrays in one call; the fit's array-form
+    # accept decision (mcmc._accepts) never accepts a -inf ratio, and accepts the same
+    # steps as a sequential scan over every step of each chain: on crab-satellites about
+    # half the proposals fall below the nu floor
     calls = proposals_of(monkeypatch)
     sizes, drawn = [], []
     series, proposals = posterior.series_arrays, mcmc._proposals

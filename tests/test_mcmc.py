@@ -545,3 +545,72 @@ class TestDrawsExport:
         assert lines[0] == "chain,iter,lambda,nu"
         assert len(lines) == 1 + 8
         assert lines[1].startswith("0,0,1.0,")
+
+
+def scanned(log_ratios, log_u, top):
+    """The accepted steps of each chain's sequential accept scan from the mode's ratio top."""
+    accepted = np.zeros(log_ratios.shape, dtype=bool)
+    for c, (ratios, uniforms) in enumerate(zip(log_ratios.tolist(), log_u.tolist())):
+        current = top
+        for i, (r, lu) in enumerate(zip(ratios, uniforms)):
+            if lu < r - current:
+                current = r
+                accepted[c, i] = True
+    return accepted
+
+
+@st.composite
+def chains_of_ratios(draw):
+    """(log ratios, ln U, top) of a few short chains: -inf ratios, ties with the states
+    they may meet, ratios above the mode's, and ln U = -inf (U = 0) all occur."""
+    top = draw(st.floats(-3.0, 3.0))
+    pool = [top, -math.inf, *draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6))]
+    chains, steps = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    ratios = draw(st.lists(st.sampled_from(pool), min_size=chains * steps,
+                           max_size=chains * steps))
+    log_u = draw(st.lists(st.one_of(st.just(-math.inf), st.floats(-3.0, 0.0, exclude_max=True)),
+                          min_size=chains * steps, max_size=chains * steps))
+    return (np.array(ratios).reshape(chains, steps), np.array(log_u).reshape(chains, steps),
+            top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=chains_of_ratios(), rounds=st.sampled_from([1, 2, mcmc._ROUNDS]))
+@example(case=(np.array([[1.0, 0.5, -math.inf, 0.5, 2.0]]),
+               np.array([[-0.1, -math.inf, -0.1, -0.7, -5.0]]), 0.5), rounds=1)
+def test_array_accept_decision_is_the_sequential_scan(case, rounds):
+    # mcmc._accepts decides a fit's accepts in array passes: the steps accepted from any
+    # state, then each segment's open steps round by round, and _scan past the round cap
+    # (here also 1 and 2, so that the scan finishes most segments): the same steps, exactly
+    log_ratios, log_u, top = case
+    saved = mcmc._ROUNDS
+    mcmc._ROUNDS = rounds
+    try:
+        accepted = mcmc._accepts(log_ratios, log_u, top)
+    finally:
+        mcmc._ROUNDS = saved
+    assert np.array_equal(accepted, scanned(log_ratios, log_u, top))
+
+
+@pytest.mark.parametrize("prior", ["conj-0.1", "conj-0.01", "jeffreys"])
+def test_accept_decision_past_the_round_cap_is_the_scan(monkeypatch, prior):
+    # replicate 60 of `cmpbayes study --settings under:3:2 --sizes 25 --seed 0`: a
+    # proposal far lighter-tailed than these posteriors leaves segments of hundreds of
+    # open steps, so the rounds stop at their cap and _scan finishes them; every chain's
+    # accepts are still its sequential scan's, bit for bit
+    from cmpbayes import study
+
+    decided, scans = [], []
+    accepts, scan = mcmc._accepts, mcmc._scan
+    monkeypatch.setattr(mcmc, "_accepts",
+                        lambda *args: decided.append((args, accepts(*args))) or decided[-1][1])
+    monkeypatch.setattr(mcmc, "_scan", lambda *args: scans.append(args) or scan(*args))
+    data = sample_cmp(CmpParams(3.0, 2.0), 25, SeedSpec(0, study._stream_id(0, 0, 60, 0)))
+    stream = study._stream_id(0, 0, 60, 1 + PRESET_NAMES.index(prior))
+    config = McmcConfig()
+    d = run_chains(get_preset(prior), sufficient_stats(data), config, SeedSpec(0, stream))
+    assert not d.start_is_heaviest and scans
+    [(args, accepted)] = decided
+    assert np.array_equal(accepted, scanned(*args))
+    assert np.array_equal(d.accept_rate,
+                          accepted[:, config.warmup:].sum(axis=1) / config.keep)

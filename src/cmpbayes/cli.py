@@ -87,7 +87,7 @@ class FitReport:
         search = draws.mode_search
         lines.append(f"mode search: {search.iterations} Newton steps, {search.points} points, "
                      f"decrement {search.decrement:.2g}"
-                     + (", on the nu floor" if search.on_floor else ""))
+                     + (", on the boundary nu = 0" if search.on_boundary else ""))
         lines.append(f"Pareto k-hat of the proposal: {draws.pareto_k:.2f}")
         lines.append(f"warmup TV bound estimate: {fit['warmup_tv_bound']:.2g} after "
                      f"{self.config.warmup} steps, weight sup {draws.weight_sup:.3g}"

@@ -4,25 +4,26 @@ Chains move on (u, nu) = (ln lambda, nu), the coordinates of the posterior's
 log kernel (posterior.log_kernel): its rows are the density of (u, nu), the
 density in lambda (log_posterior) plus the Jacobian u, with one series call
 per batch of points, and with derivatives they give each row's gradient and
-Hessian too. This module knows only the sampler's support (_inside), the
-mode search and the chains: run_chains builds the kernel's rows once per fit
-and hands them to the chains' target (_make_target) and to the mode search
-(_laplace).
+Hessian too. The kernel decides the support, the CMP's parameter space, and
+why each row is -inf; this module knows only the mode search and the chains:
+run_chains builds the kernel's rows once per fit and hands them to the mode
+search (_laplace) and the fit's proposals.
 
-A Newton search finds the mode on nu >= NU_FLOOR with one one-row series call
-per point. It starts where the asymptotic CMP moments solve the mode's
-equations E X = a/c, E ln X! = b/c (_starts), and where that search fails,
-once more from (ln max(xbar, 0.5), 1). Each step is Newton's, with the
-Hessian's eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made
-negative so that it ascends, and stops on the floor where it would cross it; on
-the floor, where the target still rises toward lower nu (crab-satellites), the
-step is Newton's in u alone, g_u / |H_uu|, so the mode is the floor's best point.
-A step is halved until the target rises, at _TRIES lengths at most, and taken
-whole below a Newton decrement g'(-H)^-1 g of _MODE_TOL, where the target's
-rounding hides its rise. The mode is where the decrement falls to _NEWTON_TOL
-(Draws.mode_search). Its precision is -H; on the floor its nu entry adds
-g_nu^2, the curvature of an exponential falling from the floor at the
-gradient's rate (all-zero counts fall so, almost without curvature). Where
+A Newton search finds the mode on nu >= 0 with one one-row series call per
+point. It starts where the asymptotic CMP moments solve the mode's equations
+E X = a/c, E ln X! = b/c (_starts), and where that search fails, once more
+from (ln max(xbar, 0.5), 1). Each step is Newton's, with the Hessian's
+eigenvalues (its closed-form 2 x 2 eigendecomposition, _eigen2) made negative
+so that it ascends, and stops on the boundary nu = 0 where it would cross it;
+on the boundary, where the target still rises toward lower nu
+(crab-satellites), the step is Newton's in u alone, g_u / |H_uu|, so the mode
+is the boundary's best point. A step is halved until the target rises, at
+_TRIES lengths at most, and taken whole below a Newton decrement
+g'(-H)^-1 g of _MODE_TOL, where the target's rounding hides its rise. The
+mode is where the decrement falls to _NEWTON_TOL (Draws.mode_search). Its
+precision is -H; on the boundary its nu entry adds g_nu^2, the curvature of
+an exponential falling from the boundary at the gradient's rate (all-zero
+counts fall so, almost without curvature). Where
 every search ends above _NEWTON_TOL, or at a precision that is not positive
 definite, the fit is refused with ModeNotFoundError before any draw.
 
@@ -59,8 +60,8 @@ bounds nor on which chains share its calls. Warmup steps are drawn and
 discarded; keep steps are kept.
 
 Proposals the target rejects count per chain by reason (priors.REJECTIONS),
-over the warmup steps and over the kept steps: outside_support (nu below
-NU_FLOOR, or e^u out of float range) is where the posterior is 0, and only
+over the warmup steps and over the kept steps: outside_support (nu < 0, nu = 0
+at lambda >= 1, or e^u out of float range) is where the posterior is 0, and only
 the kept numerical three (truncation, jeffreys_det, overflow) count as
 divergences. The Pareto k-hat of the fit's importance ratios target /
 proposal (Vehtari et al. 2024) says whether the proposal covers the
@@ -98,20 +99,17 @@ from .errors import AllDivergentError, InvalidParamsError, ModeNotFoundError, Ze
 from .posterior import SufficientStats, check_propriety, conjugate_form, log_kernel
 from .posterior import log_posterior, updated_hyper  # noqa: F401  (names bench/spans.py patches)
 from .posterior import flat_posterior_propriety  # noqa: F401  (a name bench/spans.py patches)
-from .priors import OUTSIDE_SUPPORT, REJECTIONS, PriorSpec
+from .priors import REJECTIONS, PriorSpec
 from .priors import conjugate_propriety  # noqa: F401  (a name bench/spans.py patches)
 from .rng import SeedSpec, make_generator
 
-# nu is floored inside the sampler: the truncated series degrades at the
-# geometric boundary nu = 0.
-NU_FLOOR = 1e-4
 _DF = 5  # degrees of freedom of the t proposal
 # how a chain's stream becomes its proposals and accept draws (_proposals); a study's progress
 # records carry it, so a resume refuses records drawn under another scheme
 DRAW_SCHEME = "t5-radial-3u"
 # the shape of fit_record's dict, carried by a study's progress records in the same way:
 # bump it with fit_record's keys, so that a resume refuses records of another shape
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 # a fit warns when more than this share of its kept proposals were divergent
 DIVERGENCE_WARN_FRACTION = 0.01
 _SCALE = 1.5  # the proposal's scale over the Laplace fit's
@@ -154,7 +152,7 @@ class ModeSearch:
     iterations: int  # Newton steps taken, from the moment-matched start and any retry (_starts)
     points: int  # target points evaluated, one series row each, the retry's included
     decrement: float  # the Newton decrement g'(-H)^-1 g at the mode
-    on_floor: bool  # the mode is on nu = NU_FLOOR, where the target still rises toward lower nu
+    on_boundary: bool  # the mode is on nu = 0, where the target still rises toward lower nu
 
 
 @dataclass(frozen=True)
@@ -212,32 +210,6 @@ class PosteriorSummary:
     n_kept: int
 
 
-def _inside(u: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Whether each point (u, nu) is in the support: nu >= NU_FLOOR and e^u in float range."""
-    with np.errstate(over="ignore", under="ignore"):
-        lam = np.exp(u)
-    return (nu >= NU_FLOOR) & (lam > 0.0) & (lam < math.inf)
-
-
-def _make_target(rows):
-    """The log target at arrays of (u, nu), and why each -inf row is rejected.
-
-    Returns (values, reasons): the posterior's log_kernel rows' values, and a
-    REJECTIONS code per row (0 where finite). Points outside the support
-    (_inside) are outside_support and never reach the series.
-    """
-
-    def target(u: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.full(u.size, -math.inf)
-        reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
-        inside = np.flatnonzero(_inside(u, nu))
-        if inside.size:
-            values[inside], reasons[inside], _ = rows(u[inside], nu[inside])
-        return values, reasons
-
-    return target
-
-
 def _eigen2(p: float, q: float, r: float) -> tuple[float, float, float, float]:
     """The eigenvalues of the symmetric [[p, q], [q, r]] and the first one's eigenvector.
 
@@ -257,7 +229,8 @@ def _starts(spec, stats) -> list[tuple[float, float]]:
     and E ln X! ~ ln Gamma(m + 1) + psi'(m + 1) V/2, the variance is V =
     2 (b/c - ln Gamma(m + 1)) / psi'(m + 1), mu is the larger root of
     mu^2 - (m + 1/2) mu + V/2 and nu = mu / V. Past the roots (over-dispersion beyond
-    any nu) the start is the floor's geometric match, lambda = m / (1 + m).
+    any nu) the start is the geometric law of mean m, (ln(m / (1 + m)), 0): there
+    d/du = a - c lambda / (1 - lambda) is 0, the best point of the boundary nu = 0.
     """
     fallback = (math.log(max(stats.xbar, 0.5)), 1.0)
     a, b, c = conjugate_form(spec, stats)
@@ -269,7 +242,7 @@ def _starts(spec, stats) -> list[tuple[float, float]]:
         return [fallback]
     discriminant = (m + 0.5) ** 2 - 2.0 * variance
     if discriminant < 0.0:
-        return [(math.log(m / (1.0 + m)), NU_FLOOR), fallback]
+        return [(math.log(m / (1.0 + m)), 0.0), fallback]
     mu = 0.5 * (m + 0.5 + math.sqrt(discriminant))
     nu = mu / variance
     return [(nu * math.log(mu), nu), fallback]
@@ -285,9 +258,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
     """
 
     def evaluate(x):
-        """(value, (gradient, Hessian)) at x: -inf off the support, None where not finite."""
-        if not _inside(x[0], x[1]):
-            return -math.inf, None
+        """(value, (gradient, Hessian)) at x: None where they are not finite."""
         (value,), _, ((grad,), (hess,)) = rows(x[:1], x[1:], derivatives=True)
         value = float(value)
         if not (math.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
@@ -305,10 +276,10 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
             (h00, h01), (_, h11) = hess.tolist()
             l1, l2, c, s = _eigen2(h00, h01, h11)
             # Newton's step with the Hessian's eigenvalues made negative, so it ascends;
-            # in u alone where the target falls through the nu floor
+            # in u alone where the target falls through the boundary nu = 0
             least = 1e-12 * max(abs(l1), abs(l2))
-            on_floor = x[1] <= NU_FLOOR and grad[1] <= 0.0
-            if on_floor:
+            on_boundary = x[1] <= 0.0 and grad[1] <= 0.0
+            if on_boundary:
                 step = np.array([grad[0] / max(abs(h00), least), 0.0])
             else:
                 g0, g1 = grad.tolist()
@@ -321,7 +292,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
             t = 1.0
             for _ in range(_TRIES):
                 trial = x + t * step
-                trial[1] = max(trial[1], NU_FLOOR)  # a step past the floor stops on it
+                trial[1] = max(trial[1], 0.0)  # a step past the boundary stops on it
                 f_trial, found = evaluate(trial)
                 points += 1
                 if found is not None and (f_trial > f or decrement <= _MODE_TOL):
@@ -334,13 +305,13 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
         iterations += steps
         if derivatives is not None and decrement <= _NEWTON_TOL:
             precision = -hess
-            if on_floor:
-                # on the floor the posterior falls at rate |g_nu|, as an exponential of
+            if on_boundary:
+                # on the boundary the posterior falls at rate |g_nu|, as an exponential of
                 # variance 1 / g_nu^2 does where its curvature is small
                 precision[1, 1] = max(precision[1, 1], 0.0) + grad[1] ** 2
             (p00, p01), (_, p11) = precision.tolist()
             if _eigen2(p00, p01, p11)[1] > 0.0:
-                return x, f, precision, ModeSearch(iterations, points, decrement, bool(on_floor))
+                return x, f, precision, ModeSearch(iterations, points, decrement, bool(on_boundary))
     raise ModeNotFoundError(
         "found no finite posterior mode to centre the proposal on (the Newton search "
         f"ended at ln lambda = {x[0]:.17g}, nu = {x[1]:.17g}, with target {f!r})")
@@ -480,7 +451,6 @@ def run_chains(
     """
     check_propriety(spec, stats)
     kernel = log_kernel(spec, stats, policy)
-    target = _make_target(kernel)
     centre, top, precision, search = _laplace(spec, stats, kernel)
     (c00, _), (c10, c11) = np.linalg.cholesky(_SCALE ** 2 * np.linalg.inv(precision)).tolist()
     chains, steps, warmup = config.chains, config.warmup + config.keep, config.warmup
@@ -492,8 +462,8 @@ def run_chains(
     values, reasons = np.empty((chains, steps)), np.empty((chains, steps), dtype=np.int8)
     for first in range(0, chains * steps, _CHUNK):
         rows = slice(first, first + _CHUNK)
-        values.reshape(-1)[rows], reasons.reshape(-1)[rows] = target(u.reshape(-1)[rows],
-                                                                     nu.reshape(-1)[rows])
+        values.reshape(-1)[rows], reasons.reshape(-1)[rows], _ = kernel(u.reshape(-1)[rows],
+                                                                        nu.reshape(-1)[rows])
     warm, kept = reasons[:, :warmup], reasons[:, warmup:]
     if kept.all():
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
@@ -527,7 +497,8 @@ def _split_rhat_matrix(x: np.ndarray) -> float:
 
     Each chain is split in half; with m draws per half, W the mean
     within-half variance and B the between-half variance of the means
-    (times m), R-hat = sqrt(((m-1)/m * W + B/m) / W).
+    (times m), R-hat = sqrt(((m-1)/m * W + B/m) / W). Raises ZeroVarianceError
+    where W is zero or overflows float range.
     """
     n_chains, n_iter = x.shape
     if n_chains < 2:
@@ -536,10 +507,13 @@ def _split_rhat_matrix(x: np.ndarray) -> float:
         raise InvalidParamsError("R-hat needs at least 100 iterations per chain")
     m = n_iter // 2
     halves = np.concatenate([x[:, :m], x[:, m : 2 * m]], axis=0)
-    w = float(halves.var(axis=1, ddof=1).mean())
-    if w <= 0.0 or not math.isfinite(w):
+    with np.errstate(over="ignore", invalid="ignore"):  # draws past sqrt of float range
+        w = float(halves.var(axis=1, ddof=1).mean())
+        b = m * float(halves.mean(axis=1).var(ddof=1))
+    if not math.isfinite(w):
+        raise ZeroVarianceError("within-chain variance overflows float range; R-hat undefined")
+    if w <= 0.0:
         raise ZeroVarianceError("within-chain variance is zero; R-hat undefined")
-    b = m * float(halves.mean(axis=1).var(ddof=1))
     var_plus = (m - 1) / m * w + b / m
     return float(math.sqrt(var_plus / w))
 

@@ -10,9 +10,11 @@ log density J = 0.5 ln(lambda^2 det I). check_propriety is the one place
 that decides from (a, b, c) whether a posterior is proper. log_kernel binds a
 posterior to that one formula over many points, as the density of
 (u, nu) = (ln lambda, nu), the sampler's coordinates: a*u - b*nu - c*ln Z,
-plus J. It sums the points' series (core.series_arrays), evaluates the
-formula on them in array operations and, when asked, its gradient and
-Hessian, taking J and the Hessian from one set of the rows' second moments.
+plus J. It decides the support, the CMP's parameter space, and why each
+row off it or out of reach is -inf (priors.REJECTIONS). It sums the points'
+series (core.series_arrays), evaluates the formula on them in array
+operations and, when asked, its gradient and Hessian, taking J and the
+Hessian from one set of the rows' second moments.
 The sampler hands it a fit's proposals and each point its mode search
 visits. _at_point reads its row at one point: log_likelihood is the flat
 prior's row, and log_posterior and log_prior_density subtract ln lambda, the
@@ -31,9 +33,9 @@ from .core import (CmpParams, TruncationPolicy, DEFAULT_POLICY, _log_factorial, 
                    truncation_error, series_arrays)
 from .errors import (EmptyDataError, ImproperPosteriorError, InvalidParamsError,
                      NonpositiveDeterminantError)
-from .priors import (JEFFREYS_DET, OVERFLOW, TRUNCATION, Conjugate, ConjugateHyper, Flat,
-                     Jeffreys, PriorSpec, conjugate_propriety, jeffreys_derivatives,
-                     propriety_bound)
+from .priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, TRUNCATION, Conjugate,
+                     ConjugateHyper, Flat, Jeffreys, PriorSpec, conjugate_propriety,
+                     jeffreys_derivatives, propriety_bound)
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
@@ -125,20 +127,22 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
                policy: TruncationPolicy = DEFAULT_POLICY) -> Callable:
     """The unnormalized log posterior of (ln lambda, nu) over rows: rows(u, nu, derivatives=False).
 
-    rows takes float arrays of the rows' u = ln lambda and nu (nu > 0 under
-    Jeffreys, unvalidated) and returns (values, reasons, derivatives): each
-    row's a*u - b*nu - c*ln Z at conjugate_form's (a, b, c), plus
-    J = 0.5 * ln(lambda^2 * information determinant) under Jeffreys; a
-    REJECTIONS code per row (see priors), 0 where the value is finite; and,
-    with derivatives, each row's gradient (a - c E X, c E ln X! - b) and
-    Hessian -c Cov(X, -ln X!) in (u, nu) as (rows, 2) and (rows, 2, 2)
-    arrays, plus J's (priors.jeffreys_derivatives, from central moments on
-    the row's own grid) under Jeffreys; else None. It sums the rows' series in
-    one call, with moments under Jeffreys or with derivatives, and none for
-    the flat prior of no data. A row is -inf where its series could not be
-    summed (truncation), where the determinant is not positive and finite
-    (jeffreys_det: the density is undefined there, nothing is clamped) and
-    where the arithmetic overflows; only a finite row's derivatives are
+    rows takes float arrays of the rows' u = ln lambda and nu and returns
+    (values, reasons, derivatives): each row's a*u - b*nu - c*ln Z at
+    conjugate_form's (a, b, c), plus J = 0.5 * ln(lambda^2 * information
+    determinant) under Jeffreys; a REJECTIONS code per row (see priors), 0
+    where the value is finite; and, with derivatives, each row's gradient
+    (a - c E X, c E ln X! - b) and Hessian -c Cov(X, -ln X!) in (u, nu) as
+    (rows, 2) and (rows, 2, 2) arrays, plus J's (priors.jeffreys_derivatives,
+    from central moments on the row's own grid) under Jeffreys; else None.
+    The support is the CMP's parameter space, nu > 0 or the geometric law at
+    nu = 0 and lambda < 1, with e^u a positive float: a row off it is
+    outside_support and never reaches the series. It sums the other rows'
+    series in one call, with moments under Jeffreys or with derivatives, and
+    none for the flat prior of no data. A row is -inf where its series could
+    not be summed (truncation), where the determinant is not positive and
+    finite (jeffreys_det: the density is undefined there, nothing is clamped)
+    and where the arithmetic overflows; only a finite row's derivatives are
     computed to mean anything, and they too may not be finite.
     """
     a, b, c = conjugate_form(spec, stats)
@@ -146,6 +150,22 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
     reads_z = jeffreys or c != 0.0  # all but the flat prior of no data
 
     def rows(u: np.ndarray, nu: np.ndarray, derivatives: bool = False):
+        with np.errstate(over="ignore", under="ignore"):
+            lam = np.exp(u)
+        inside = ((nu > 0.0) | ((nu == 0.0) & (lam < 1.0))) & (lam > 0.0) & (lam < math.inf)
+        if inside.all():  # no copy where every row is on the support
+            return on_support(u, nu, derivatives)
+        at = np.flatnonzero(inside)
+        values = np.full(u.size, -math.inf)
+        reasons = np.full(u.size, OUTSIDE_SUPPORT, dtype=np.int8)
+        values[at], reasons[at], found = on_support(u[at], nu[at], derivatives)
+        if not derivatives:
+            return values, reasons, None
+        grad, hess = np.full((u.size, 2), math.nan), np.full((u.size, 2, 2), math.nan)
+        grad[at], hess[at] = found
+        return values, reasons, (grad, hess)
+
+    def on_support(u: np.ndarray, nu: np.ndarray, derivatives: bool):
         moments = derivatives or jeffreys
         if reads_z or moments:
             log_z, sums, k = series_arrays(u, nu, policy, moments)
@@ -207,14 +227,11 @@ def log_posterior(
 ) -> float:
     """Unnormalized log posterior of (lambda, nu): log prior density plus log likelihood.
 
-    log_kernel's formula at one point less ln lambda; -inf where its
-    arithmetic overflows. Raises TruncationError where the series cannot be
-    summed and, under Jeffreys, InvalidParamsError at nu <= 0 and
-    NonpositiveDeterminantError where the information determinant is not
-    positive and finite.
+    log_kernel's row at one point less ln lambda; -inf where its arithmetic
+    overflows. Raises TruncationError where the series cannot be summed and,
+    under Jeffreys, NonpositiveDeterminantError where the information
+    determinant is not positive and finite.
     """
-    if isinstance(spec, Jeffreys) and params.nu <= 0.0:
-        raise InvalidParamsError("Jeffreys prior requires nu > 0")
     return _at_point(spec, stats, params, policy) - math.log(params.lam)
 
 
@@ -224,7 +241,7 @@ def log_prior_density(
     """Unnormalized log prior density at (lambda, nu): the posterior of no data.
 
     Conjugate: (a-1)*ln(lambda) - nu*b - c*ln Z. Flat: -ln(lambda). Jeffreys:
-    0.5 * ln det of the single-observation information (requires nu > 0; raises
+    0.5 * ln det of the single-observation information (raises
     NonpositiveDeterminantError where det is not positive, nothing is clamped).
     """
     return log_posterior(spec, SufficientStats.empty(), params, policy)

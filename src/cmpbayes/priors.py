@@ -60,8 +60,8 @@ class Jeffreys:
 
 PriorSpec = Union[Conjugate, Flat, Jeffreys]
 # Why a row of a log target is -inf: code i + 1 is REJECTIONS[i], 0 a finite row.
-# posterior.log_kernel gives the last three; a sampler gives outside_support to
-# the points it does not evaluate.
+# posterior.log_kernel gives all four: outside_support to the rows off the CMP's
+# parameter space, whose series it does not sum.
 REJECTIONS = ("outside_support", "truncation", "jeffreys_det", "overflow")
 OUTSIDE_SUPPORT, TRUNCATION, JEFFREYS_DET, OVERFLOW = range(1, len(REJECTIONS) + 1)
 

@@ -219,7 +219,7 @@ class TestCli:
                       pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                       proposal_cholesky=np.array([0.1, 0.0, 0.1]),
                       mode_search=ModeSearch(iterations=5, points=6, decrement=1e-21,
-                                             on_floor=False),
+                                             on_boundary=False),
                       weight_sup=2.0, start_is_heaviest=True)
         ps = ParamSummary(median=1.0, cri_low=0.5, cri_high=2.0, rhat=1.0)
         report = FitReport(
@@ -327,10 +327,10 @@ class TestCli:
         assert set(report["warmup_rejections"]) == set(report["rejections"])
         assert all(len(counts) == 2 for counts in report["warmup_rejections"].values())
         search = report["mode_search"]
-        assert set(search) == {"iterations", "points", "decrement", "on_floor"}
+        assert set(search) == {"iterations", "points", "decrement", "on_boundary"}
         assert 0 < search["iterations"] < search["points"] <= 6
         assert search["decrement"] <= 1e-20
-        assert search["on_floor"] is False
+        assert search["on_boundary"] is False
 
     def test_fit_text_output(self, capsys):
         assert main(["fit", "textile-faults", "--chains", "2", "--warmup", "300",
@@ -377,13 +377,24 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: found no finite posterior mode")
 
+    def test_fit_with_overflowing_draws_names_the_overflow(self, tmp_path, capsys):
+        # the single count 5 under conj-0.01: the chains move, but their lambda draws reach
+        # about 1e231, where each chain's variance overflows float range; the refusal
+        # names the overflow, not a zero variance, and prints no numpy warning
+        path = tmp_path / "five.txt"
+        path.write_text("5\n")
+        assert main(["fit", str(path), "--prior", "conj-0.01"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: within-chain variance overflows float range; R-hat undefined\n"
+
     def test_crab_outside_support_is_no_divergence(self, capsys):
-        # about half of crab-satellites' proposals fall below the nu floor, where its
-        # posterior mode is: they are rejections outside the support, not divergences
+        # about half of crab-satellites' proposals fall below nu = 0, where its posterior
+        # mode is: they are rejections outside the support, not divergences
         assert main(["fit", "crab-satellites", "--prior", "conj-1", "--seed", "1",
                      "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["mode_search"]["on_floor"] is True
+        assert report["mode_search"]["on_boundary"] is True
         assert sum(report["rejections"]["outside_support"]) > 0.3 * report["n_kept"]
         config = report["config"]
         assert (sum(report["warmup_rejections"]["outside_support"])

@@ -40,9 +40,9 @@ from cmpbayes import (
 )
 from cmpbayes.core import MAX_TERMS, _log_terms, _series, central_moments, series_arrays
 from cmpbayes.errors import ModeNotFoundError, NonpositiveDeterminantError
-from cmpbayes.mcmc import NU_FLOOR, _make_target
-from cmpbayes.posterior import log_kernel
-from cmpbayes.priors import JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION
+from cmpbayes.posterior import conjugate_form, log_kernel
+from cmpbayes.priors import (JEFFREYS_DET, OUTSIDE_SUPPORT, OVERFLOW, REJECTIONS, TRUNCATION,
+                             jeffreys_information_det)
 
 POLICY = TruncationPolicy()
 STATS = sufficient_stats([0, 1, 1, 2, 3, 3, 4, 6, 2, 1, 0, 5])
@@ -393,7 +393,7 @@ def test_unconvergeable_series_raises_before_summing(monkeypatch, log_lam, nu):
     assert str(after.value) == str(before.value)
 
 
-def test_mode_just_inside_the_cap_converges():
+def test_mode_just_below_the_cap_converges():
     # mode at 99% of MAX_TERMS; nu = 50 keeps the peak narrow enough to fit
     log_lam, nu = 50.0 * math.log(0.99 * MAX_TERMS), 50.0
     assert log_lam < nu * math.log(MAX_TERMS - 1)
@@ -778,19 +778,20 @@ def test_largest_term_is_bounded(log_lam, nu):
 def evaluate(target, points):
     """The target at a list of (u, nu) points: its values and reasons, as lists."""
     u, nu = np.array(points, dtype=np.float64).reshape(-1, 2).T
-    values, reasons = target(u, nu)
+    values, reasons, _ = target(u, nu)
     return values.tolist(), [REJECTIONS[r - 1] if r else None for r in reasons.tolist()]
 
 
 def target_of(spec, stats=STATS):
-    """The sampler's target for a posterior: its log kernel's rows on the support."""
-    return _make_target(log_kernel(spec, stats, POLICY))
+    """The sampler's target for a posterior: its log kernel's rows."""
+    return log_kernel(spec, stats, POLICY)
 
 
 def scalar_target(spec, u, nu):
-    """log_posterior + u at one point, or -inf where the sampler rejects it."""
-    if nu < NU_FLOOR:
-        return -math.inf
+    """log_posterior + u at one point, or -inf where the sampler rejects it.
+
+    CmpParams refuses a point off the CMP's parameter space.
+    """
     try:
         lp = log_posterior(spec, STATS, CmpParams(math.exp(u), nu), POLICY)
     except (TruncationError, NonpositiveDeterminantError, OverflowError, InvalidParamsError):
@@ -809,7 +810,8 @@ def assert_is_scalar_target(value, spec, u, nu):
 
 ORDINARY = st.tuples(st.floats(-2.0, 3.5), st.floats(0.35, 4.5))
 REJECTED = st.sampled_from([
-    (1.0, NU_FLOOR * (1.0 - 1e-9)),  # nu below the floor
+    (1.0, -1e-9),  # nu below 0
+    (1.0, 0.0),  # nu = 0 at lambda >= 1: no geometric law
     (800.0, 1.0),  # lambda = e^u overflows
     (-800.0, 1.0),  # lambda = e^u underflows to 0
     (math.log(2.0), 1e-3),  # TruncationError
@@ -853,14 +855,11 @@ def test_target_is_log_posterior_plus_jacobian(u, nu, spec):
 @example(lam=4.7, nu=0.4, spec=Jeffreys())
 def test_target_is_log_posterior_bit_for_bit(lam, nu, spec):
     # the sampler and log_posterior run one formula on one row of one summation
-    # routine: the kernel is the density of (u, nu) = (ln lambda, nu), the target is
-    # its rows inside the support, and log_posterior, the density in lambda, is the
-    # kernel less the Jacobian u of lambda = e^u
+    # routine: the kernel is the density of (u, nu) = (ln lambda, nu), the sampler's
+    # target, and log_posterior, the density in lambda, is the kernel less the
+    # Jacobian u of lambda = e^u
     u = math.log(lam)
-    rows = log_kernel(spec, STATS, POLICY)
-    (kernel,), _, _ = rows(np.array([u]), np.array([nu]))
-    (value,), _ = evaluate(_make_target(rows), [(u, nu)])
-    assert value == kernel
+    (kernel,), _, _ = log_kernel(spec, STATS, POLICY)(np.array([u]), np.array([nu]))
     try:
         density = log_posterior(spec, STATS, CmpParams(lam, nu), POLICY)
     except (TruncationError, NonpositiveDeterminantError):
@@ -887,17 +886,31 @@ def test_target_rejections(spec):
     target = target_of(spec)
     values, reasons = evaluate(target, [
         (1.0, 1.0),
-        (1.0, NU_FLOOR * (1.0 - 1e-9)),  # nu below the floor
+        (1.0, -1e-9),  # nu below 0
         (math.log(2.0), 1e-3),  # TruncationError
         (800.0, math.exp(5.0)),  # lambda = e^u overflows
         (-800.0, 1.0),  # lambda = e^u underflows to 0
+        # nu = 0 at lambda = e >= 1 is off the parameter space: its series is never summed
+        # (summed, it would be a truncation)
+        (1.0, 0.0),
+        (math.log(0.5), 0.0),  # the geometric law of p = 1/2
     ])
-    assert math.isfinite(values[0])
-    assert values[1:] == [-math.inf] * 4
+    assert math.isfinite(values[0]) and math.isfinite(values[-1])
+    assert values[1:-1] == [-math.inf] * 5
     assert reasons == [None, "outside_support", "truncation", "outside_support",
-                       "outside_support"]
-    # the rejected rows leave the finite one as it is alone
+                       "outside_support", "outside_support", None]
+    # the rejected rows leave the finite ones as they are alone
     assert values[0] == evaluate(target, [(1.0, 1.0)])[0][0]
+    assert values[-1] == evaluate(target, [(math.log(0.5), 0.0)])[0][0]
+    # at nu = 0 the series is the geometric ln Z = -ln(1 - lambda), and the row its kernel
+    (log_z,), _, _ = series_arrays(np.array([math.log(0.5)]), np.array([0.0]), POLICY)
+    assert log_z == pytest.approx(math.log(2.0), rel=0, abs=1e-12)
+    a, _, c = conjugate_form(spec, STATS)
+    jeffreys = 0.0
+    if isinstance(spec, Jeffreys):
+        jeffreys = 0.5 * math.log(0.25 * jeffreys_information_det(CmpParams(0.5, 0.0), POLICY))
+    assert values[-1] == pytest.approx(a * math.log(0.5) - c * math.log(2.0) + jeffreys,
+                                       rel=1e-12)
 
 
 def test_target_rejects_nonpositive_jeffreys_determinant():
@@ -943,21 +956,33 @@ def test_draw_order_in_both_phases(monkeypatch):
         assert g.calls == [("uniform", (3, 105))]
 
 
+def wrap_proposal_rows(monkeypatch, wrap):
+    """Send a fit's proposals to wrap(rows, u, nu), rows the kernel's that mcmc.log_kernel gives.
+
+    The mode search's calls, the ones with derivatives, reach the rows as they are.
+    """
+    kernel = mcmc.log_kernel
+
+    def wrapped_kernel(*args):
+        rows = kernel(*args)
+
+        def wrapped(u, nu, derivatives=False):
+            return rows(u, nu, derivatives) if derivatives else wrap(rows, u, nu)
+
+        return wrapped
+
+    monkeypatch.setattr(mcmc, "log_kernel", wrapped_kernel)
+
+
 def proposals_of(monkeypatch):
     """Record the points of each call of a fit's target, in call order."""
     calls = []
-    make_target = mcmc._make_target
 
-    def recording(*args):
-        target = make_target(*args)
+    def recorded(rows, u, nu):
+        calls.append((u.copy(), nu.copy()))
+        return rows(u, nu)
 
-        def recorded(u, nu):
-            calls.append((u.copy(), nu.copy()))
-            return target(u, nu)
-
-        return recorded
-
-    monkeypatch.setattr(mcmc, "_make_target", recording)
+    wrap_proposal_rows(monkeypatch, recorded)
     return calls
 
 
@@ -1004,20 +1029,14 @@ def test_rejected_proposal_counts_as_divergence(monkeypatch):
     # the kept proposals' rejections count per chain by reason, and so do the warmup
     # proposals'; only the kept numerical ones are divergences; a rejected proposal
     # leaves the state where it is
-    make_target = mcmc._make_target
     pattern = [TRUNCATION, OUTSIDE_SUPPORT, JEFFREYS_DET, OVERFLOW, 0]
 
-    def rejecting(*args):
-        target = make_target(*args)
+    def patterned(rows, u, nu):
+        values, _, _ = rows(u, nu)
+        reasons = np.resize(np.array(pattern, dtype=np.int8), u.size)
+        return np.where(reasons == 0, values, -math.inf), reasons, None
 
-        def patterned(u, nu):
-            values, _ = target(u, nu)
-            reasons = np.resize(np.array(pattern, dtype=np.int8), u.size)
-            return np.where(reasons == 0, values, -math.inf), reasons
-
-        return patterned
-
-    monkeypatch.setattr(mcmc, "_make_target", rejecting)
+    wrap_proposal_rows(monkeypatch, patterned)
     stats = sufficient_stats(bundled_dataset("textile-faults").counts)
     config = McmcConfig(chains=2, warmup=150, keep=100)
     d = run_chains(get_preset("conj-1"), stats, config, SeedSpec(0))
@@ -1041,24 +1060,19 @@ def test_one_wholly_rejected_chain(monkeypatch):
     config = McmcConfig(chains=2, warmup=150, keep=100)
     spec, stats = get_preset("conj-1"), sufficient_stats(bundled_dataset("textile-faults").counts)
     plain = run_chains(spec, stats, config, SeedSpec(0))
-    make_target, proposals, drawn = mcmc._make_target, mcmc._proposals, []
+    proposals, drawn = mcmc._proposals, []
 
-    def rejecting(*args):
-        target = make_target(*args)
-
-        def chain_0_kept_rejected(u, nu):
-            assert u.size == config.chains * 250  # one chain-major call
-            values, reasons = target(u, nu)
-            values[150:250], reasons[150:250] = -math.inf, TRUNCATION
-            return values, reasons
-
-        return chain_0_kept_rejected
+    def chain_0_kept_rejected(rows, u, nu):
+        assert u.size == config.chains * 250  # one chain-major call
+        values, reasons, _ = rows(u, nu)
+        values[150:250], reasons[150:250] = -math.inf, TRUNCATION
+        return values, reasons, None
 
     def recorded(*args):
         drawn.append(proposals(*args))
         return drawn[-1]
 
-    monkeypatch.setattr(mcmc, "_make_target", rejecting)
+    wrap_proposal_rows(monkeypatch, chain_0_kept_rejected)
     monkeypatch.setattr(mcmc, "_proposals", recorded)
     d = run_chains(spec, stats, config, SeedSpec(0))
     # chain 0's warmup scan, step by step from the mode, on its own rows
@@ -1112,7 +1126,7 @@ def test_one_series_per_target_evaluation(monkeypatch, prior):
                    SeedSpec(3))
     u, nu = calls[-1]
     assert u.size == 1_600
-    outside = (nu.reshape(2, 800) < NU_FLOOR).sum(axis=1)
+    outside = (nu.reshape(2, 800) < 0.0).sum(axis=1)
     assert sizes[-1] == 1_600 - outside.sum()
     assert (outside >= d.rejections["outside_support"]).all()
     assert d.rejections["outside_support"].sum() > 0
@@ -1124,7 +1138,7 @@ def test_default_fit_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
     # whose rows inside the support reach series_arrays in one call; the fit's array-form
     # accept decision (mcmc._accepts) never accepts a -inf ratio, and accepts the same
     # steps as a sequential scan over every step of each chain: on crab-satellites about
-    # half the proposals fall below the nu floor
+    # half the proposals fall below nu = 0
     calls = proposals_of(monkeypatch)
     sizes, drawn = [], []
     series, proposals = posterior.series_arrays, mcmc._proposals
@@ -1147,7 +1161,7 @@ def test_default_fit_is_one_call_and_its_finite_scan_is_exact(monkeypatch):
     assert steps == 2_200 and u.size == config.chains * steps
     assert np.array_equal(u, np.concatenate([p[0] for p in drawn]))
     assert np.array_equal(nu, np.concatenate([p[1] for p in drawn]))
-    outside = [int((p[1] < NU_FLOOR).sum()) for p in drawn]
+    outside = [int((p[1] < 0.0).sum()) for p in drawn]
     assert sizes[-1] == config.chains * steps - sum(outside)
     assert set(sizes[:-1]) == {1}  # the mode search's points
     assert d.rejections["outside_support"].sum() > 0

@@ -34,7 +34,7 @@ from cmpbayes import (
 )
 from cmpbayes import mcmc
 from cmpbayes.core import DEFAULT_POLICY, series_arrays
-from cmpbayes.mcmc import NU_FLOOR, ModeSearch, _split_rhat_matrix, pareto_khat
+from cmpbayes.mcmc import ModeSearch, _split_rhat_matrix, pareto_khat
 from cmpbayes.posterior import log_kernel
 from cmpbayes.priors import PRESET_NAMES, REJECTIONS
 
@@ -50,7 +50,7 @@ def make_draws(lam, nu=None):
                  warmup_rejections=counts, pareto_k=0.5, proposal_centre=np.array([0.0, 1.0]),
                  proposal_cholesky=np.array([0.1, 0.0, 0.1]),
                  mode_search=ModeSearch(iterations=5, points=6, decrement=0.0,
-                                        on_floor=False),
+                                        on_boundary=False),
                  weight_sup=2.0, start_is_heaviest=True)
 
 
@@ -74,7 +74,7 @@ def pinned_fit(prior, warmup, accepted, divergences, counts=None, outside=None):
 
 # Each chain's acceptance rate on the bundled fits: 0.54-0.60 per chain over seeds
 # 1-20 and 42 under conj-1, flat and jeffreys, and 0.27-0.34 on crab-satellites,
-# whose mode is on the nu floor, so that about half its proposals fall below it.
+# whose mode is on the boundary nu = 0, so that about half its proposals fall below it.
 ACCEPT_BANDS = {"crab-satellites": (0.20, 0.45)}
 ACCEPT_BAND = (0.45, 0.70)
 
@@ -214,7 +214,7 @@ class TestRunChains:
         stats = sufficient_stats([2, 0, 1, 3, 1])
         d = run_chains(Conjugate(ConjugateHyper(1, 1, 1)), stats, FAST, SeedSpec(4))
         assert (d.lam > 0).all()
-        assert (d.nu >= NU_FLOOR).all()
+        assert (d.nu >= 0.0).all()
 
     def test_recovery_at_large_n(self):
         data = sample_cmp(CmpParams(4.0, 1.0), 500, SeedSpec(4, 0))
@@ -428,11 +428,12 @@ class TestModeSearch:
 
     def test_over_dispersed_start_is_the_floor_geometric_match(self):
         # crab-satellites is too over-dispersed for any nu's asymptotic moments: the
-        # search starts on the floor at the geometric law of mean m = a/c
+        # search starts on the floor of the parameter space, nu = 0, at the geometric
+        # law of mean m = a/c
         stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
         (u_start, nu_start), _ = mcmc._starts(get_preset("flat"), stats)
         m = stats.s1 / stats.n
-        assert nu_start == NU_FLOOR and u_start == math.log(m / (1.0 + m))
+        assert nu_start == 0.0 and u_start == math.log(m / (1.0 + m))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
@@ -517,7 +518,7 @@ def test_khat_and_summary_match_their_sorted_references(log_ratios, seed, size, 
     # finite ratio); summarize takes both parameters' quantiles from one np.quantile
     # call: the same bits as one call per parameter
     assert repr(pareto_khat(log_ratios)) == repr(sorted_khat(log_ratios))  # to the bit, or nan
-    # a fit's thousands of ratios: about half -inf (crab-satellites' nu floor), some tied
+    # a fit's thousands of ratios: about half -inf (crab-satellites' nu < 0), some tied
     rng = np.random.default_rng(seed)
     fit = np.round(rng.standard_normal(size) * rng.uniform(0.1, 3.0), int(rng.integers(1, 17)))
     fit[rng.random(size) < rng.uniform(0.0, 0.6)] = -math.inf

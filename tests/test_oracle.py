@@ -2,14 +2,14 @@
 
 A posterior in two parameters can be integrated on a grid (the idea behind INLA:
 Rue, Martino & Chopin 2009). Each reference here is the posterior density in
-(ln lambda, nu), its log kernel, on the sampler's support nu >= NU_FLOOR,
-assembled here from posterior.log_kernel rather than by the sampler's target.
+(ln lambda, nu), its log kernel (posterior.log_kernel), on the CMP's parameter
+space nu >= 0.
 It is integrated on 161 x 161 grids laid on the Laplace fit that the
 sampler's mode search finds. For each parameter, the grid's rows run along it over
 +-HALF_WIDTH standard deviations of the fit, and each row's points run along the
 other parameter over +-HALF_WIDTH conditional standard deviations about the fit's
 conditional mean: the fit's box sheared to its axes, so that ridged posteriors
-(corr(ln lambda, nu) near 1 at n = 2000) fit in it. Both are cut at the nu floor.
+(corr(ln lambda, nu) near 1 at n = 2000) fit in it. Both are cut at nu = 0.
 Nested trapezoid rules give the parameter's marginal density at each row and its
 cumulative distribution, and so its median and 95% interval ends. Each MCMC
 quantile must lie within BOUND Monte Carlo standard errors of it, the standard
@@ -29,7 +29,6 @@ from cmpbayes import McmcConfig, SeedSpec, bundled_dataset, get_preset, mcmc, ru
 from cmpbayes import sufficient_stats
 from cmpbayes import posterior
 from cmpbayes.core import DEFAULT_POLICY
-from cmpbayes.mcmc import NU_FLOOR
 from cmpbayes.posterior import log_kernel
 
 GRID = 161
@@ -56,11 +55,11 @@ def long_series_counts(seed):
 def marginal_quantiles(log_density, mode, cov, axis):
     """QUANTILES of parameter axis (0: ln lambda, 1: nu) by quadrature, and the edge weight.
 
-    The edge weight is the largest density on the grid's edges that the nu floor
-    does not cut, relative to the grid's largest: how much mass the box leaves out.
+    The edge weight is the largest density on the grid's edges that nu = 0 does
+    not cut, relative to the grid's largest: how much mass the box leaves out.
     """
     other = 1 - axis
-    floor = (-math.inf, NU_FLOOR)
+    floor = (-math.inf, 0.0)
     sd = math.sqrt(cov[axis, axis])
     slope = cov[axis, other] / cov[axis, axis]
     sd_other = math.sqrt(cov[other, other] - slope * cov[axis, other])
@@ -71,7 +70,7 @@ def marginal_quantiles(log_density, mode, cov, axis):
     high = np.maximum(centre + HALF_WIDTH * sd_other, low)
     y = low[:, None] + (high - low)[:, None] * np.linspace(0.0, 1.0, GRID)
     points = [np.broadcast_to(x[:, None], y.shape).ravel(), y.ravel()]
-    values, _ = log_density(*(points if axis == 0 else points[::-1]))
+    values, _, _ = log_density(*(points if axis == 0 else points[::-1]))
     w = np.exp(values - values.max()).reshape(GRID, GRID)
     density = np.trapezoid(w, y, axis=1)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))))
@@ -82,26 +81,11 @@ def marginal_quantiles(log_density, mode, cov, axis):
     return quantiles, max(float(e.max(initial=0.0)) for e in edges)
 
 
-def posterior_density(spec, stats):
-    """The log posterior density in (ln lambda, nu) on nu >= NU_FLOOR, from its kernel.
-
-    The posterior's log kernel, the density of (ln lambda, nu), assembled here
-    rather than by the sampler's target.
-    """
-    rows = log_kernel(spec, stats, DEFAULT_POLICY)
-
-    def log_density(u, nu):
-        values, _, _ = rows(u, nu)
-        return np.where(nu >= NU_FLOOR, values, -np.inf), None
-
-    return log_density
-
-
 def quadrature(spec, stats):
     """QUANTILES of lambda and of nu by quadrature, and the larger edge weight."""
-    mode, _, precision, _ = mcmc._laplace(spec, stats, log_kernel(spec, stats, DEFAULT_POLICY))
+    density = log_kernel(spec, stats, DEFAULT_POLICY)
+    mode, _, precision, _ = mcmc._laplace(spec, stats, density)
     cov = np.linalg.inv(precision)
-    density = posterior_density(spec, stats)
     (u, edge_u), (nu, edge_nu) = (marginal_quantiles(density, mode, cov, axis) for axis in (0, 1))
     return np.exp(u), nu, max(edge_u, edge_nu)
 
@@ -148,18 +132,14 @@ def laplace(prior, counts):
 @pytest.mark.parametrize("counts", [*DATASETS, "long-series-1", "long-series-2",
                                     "long-series-3"])
 def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
-    # each point the search visits (each it checks against the support) costs one
-    # one-row series call, with moments, which gives its value, gradient and Hessian
-    # (under Jeffreys too: J's derivatives are central moments on that row's grid); no
-    # point is visited twice, and ModeSearch.points counts them; and the search ends in
-    # a few Newton steps at a decrement of at most 1e-20, crab-satellites' on the nu
-    # floor, where the step in u is Newton's
+    # each point the search visits (each row it asks the kernel for) costs one one-row
+    # series call, with moments, which gives its value, gradient and Hessian (under
+    # Jeffreys too: J's derivatives are central moments on that row's grid); no point is
+    # visited twice, and ModeSearch.points counts them; and the search ends in a few
+    # Newton steps at a decrement of at most 1e-20, crab-satellites' on the boundary
+    # nu = 0, where the step in u is Newton's
     points, centres = [], []
-    inside, series = mcmc._inside, posterior.series_arrays
-
-    def counted_inside(u, nu):
-        points.append((u, nu))
-        return inside(u, nu)
+    series = posterior.series_arrays
 
     def counted_series(log_lam, nu, policy, moments=False):
         assert moments and log_lam.size == 1
@@ -168,34 +148,48 @@ def test_mode_search_sums_one_series_per_point(monkeypatch, counts, prior):
 
     spec, stats = get_preset(prior), fit_stats(counts)
     rows = log_kernel(spec, stats, DEFAULT_POLICY)
-    monkeypatch.setattr(mcmc, "_inside", counted_inside)
+
+    def counted_rows(u, nu, derivatives=False):
+        points.append((u[0], nu[0]))
+        return rows(u, nu, derivatives)
+
     monkeypatch.setattr(posterior, "series_arrays", counted_series)
-    mode, _, _, search = mcmc._laplace(spec, stats, rows)
+    mode, _, _, search = mcmc._laplace(spec, stats, counted_rows)
     assert centres == points and len(set(points)) == len(points) == search.points
     assert tuple(mode) in points
     assert search.iterations <= MAX_NEWTON_STEPS
     assert search.decrement <= 1e-20
-    assert search.on_floor is (counts == "crab-satellites")
+    assert search.on_boundary is (counts == "crab-satellites")
 
 
 def test_fit_matrix_searches_visit_at_most_50_points():
     # the benchmark's fit matrix (the bundled datasets under conj-1, flat and jeffreys)
-    # starts its 12 searches at the posterior's moment match: 47 points and 35 Newton
+    # starts its 12 searches at the posterior's moment match: 43 points and 31 Newton
     # steps in all, where the start (ln max(xbar, 0.5), 1) took 107 points and 80 steps
     searches = [laplace(prior, dataset)[3] for dataset in DATASETS for prior in PRIORS]
     assert sum(search.points for search in searches) <= 50
     assert sum(search.iterations for search in searches) <= 40
 
 
+@pytest.mark.parametrize("prior", ["conj-1", "flat"])
+def test_crab_search_ends_at_its_geometric_start(prior):
+    # crab-satellites is over-dispersed beyond any nu > 0, so the search starts on nu = 0
+    # at the geometric law of mean m = a/c, lambda = m / (1 + m), where the u-gradient
+    # a - c lambda / (1 - lambda) is 0: the start is the mode, with no Newton step
+    search = laplace(prior, "crab-satellites")[3]
+    assert (search.iterations, search.points, search.on_boundary) == (0, 1, True)
+    assert search.decrement <= 1e-20
+
+
 @pytest.mark.parametrize("prior", PRIORS)
 def test_crab_mode_is_on_the_floor(prior):
-    # the posterior still rises toward lower nu at the floor, so the mode is the
-    # floor's best point: the target's u-gradient is 0 there
+    # the posterior still rises toward lower nu at the floor of the parameter space,
+    # nu = 0, so the mode is the boundary's best point: the target's u-gradient is 0 there
     spec, stats = get_preset(prior), fit_stats("crab-satellites")
     rows = log_kernel(spec, stats, DEFAULT_POLICY)
     mode, _, _, search = mcmc._laplace(spec, stats, rows)
     _, _, ((grad,), _) = rows(mode[:1], mode[1:], derivatives=True)
-    assert mode[1] == NU_FLOOR and search.on_floor
+    assert mode[1] == 0.0 and search.on_boundary
     assert abs(grad[0]) <= 1e-8 and grad[1] < 0.0
 
 

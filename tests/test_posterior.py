@@ -33,7 +33,7 @@ from cmpbayes import (
     updated_hyper,
 )
 from cmpbayes.core import MAX_TERMS
-from cmpbayes.posterior import check_propriety
+from cmpbayes.posterior import check_propriety, log_kernel
 from cmpbayes.priors import propriety_bound
 
 
@@ -223,13 +223,22 @@ class TestLogPosterior:
 
     @pytest.mark.parametrize("lam, nu, error", [
         (1.0, 1e8, NonpositiveDeterminantError),  # the Bernoulli limit: det = 0
-        (0.5, 0.0, InvalidParamsError),  # the Jeffreys density needs nu > 0
     ])
     def test_jeffreys_refusals(self, lam, nu, error):
         # with data as without (test_priors): where the Jeffreys density is undefined,
         # the posterior raises the error that names why
         with pytest.raises(error):
             log_posterior(Jeffreys(), sufficient_stats([3, 1, 4, 1, 5]), CmpParams(lam, nu))
+
+    def test_jeffreys_at_nu_zero_is_the_kernel_row(self):
+        # J is finite on the geometric boundary nu = 0 as at any nu > 0: the posterior
+        # there is the kernel's row less ln lambda (crab-satellites' row at (0.5, 0) is
+        # -470.07)
+        stats = sufficient_stats(bundled_dataset("crab-satellites").counts)
+        rows = log_kernel(Jeffreys(), stats)
+        (row,), (reason,), _ = rows(np.array([math.log(0.5)]), np.array([0.0]))
+        assert reason == 0 and row == pytest.approx(-470.07, abs=0.005)
+        assert log_posterior(Jeffreys(), stats, CmpParams(0.5, 0.0)) == row - math.log(0.5)
 
     def test_overflow_is_minus_inf(self):
         # (a - 1) ln(lambda) = 2e308 overflows: the posterior is -inf there, not an error

@@ -144,9 +144,10 @@ class TestLogPriorDensity:
         flat = log_prior_density(Flat(), p)
         assert abs(conj - flat) < 1e-4
 
-    def test_jeffreys_requires_positive_nu(self):
-        with pytest.raises(InvalidParamsError):
-            log_prior_density(Jeffreys(), CmpParams(0.5, 0.0))
+    def test_jeffreys_at_nu_zero_is_finite(self):
+        # the single-observation information of the geometric law has a positive
+        # determinant, so the Jeffreys density is defined on the boundary nu = 0
+        assert math.isfinite(log_prior_density(Jeffreys(), CmpParams(0.5, 0.0)))
 
     def test_jeffreys_zero_determinant_raises(self):
         # nu = 1e8 is the Bernoulli limit: ln X! is 0 on the support, so det = 0

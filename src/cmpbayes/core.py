@@ -291,7 +291,9 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     the series cannot be summed; with moments, a (rows, 5) array of the five
     CmpMoments expectations in its order (nan rows likewise), else None; and
     the length of the grid each row was summed over. Rows are sized in one
-    pass (_sizes) and their grids formed length by length, shortest first,
+    pass (_sizes), sorted by grid (unless every row shares one, as a one-row
+    call's does: then they are summed in place, with no sort, gathers or
+    scatter) and their grids formed length by length, shortest first,
     each length as (B, K) grids of at most _MAX_CELLS cells: t is one einsum
     of the rows' (ln lambda, -nu) with the table rows j and lnGamma(j + 1),
     the weights are exp(t - shift), the sum of the weights past t_0 is
@@ -316,15 +318,18 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     summed = np.count_nonzero(k)
     if not summed:
         return log_z, sums, k
-    # the summed rows by grid length, then by ln Z's length: the unsummed (key 0) sort first
-    rows = np.argsort(key, kind="stable")[k.size - summed:]
+    # the summed rows by grid length, then by ln Z's length: the unsummed (key 0) sort first;
+    # where every row is summed on one grid, as a one-row call's is, they stay in place
+    one_grid = key.min() == key.max()
+    rows = slice(None) if one_grid else np.argsort(key, kind="stable")[k.size - summed:]
     lengths, z_lengths, c = k[rows], k_z[rows], shift[rows]
     coef = np.concatenate((log_lam[rows], -nu[rows])).reshape(2, -1)
-    rest = np.empty(rows.size)
-    moment_sums = np.empty((rows.size, 5)) if moments else None
+    rest = np.empty(summed)
+    moment_sums = np.empty((summed, 5)) if moments else None
     # the sorted rows' runs of one grid length, of one ln Z length, and their shifted rows
-    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), rows.size]
-    z_bounds = [0, *(np.flatnonzero(z_lengths[1:] != z_lengths[:-1]) + 1).tolist(), rows.size]
+    bounds, z_bounds = ([0, summed] if one_grid else
+                        [0, *(np.flatnonzero(x[1:] != x[:-1]) + 1).tolist(), summed]
+                        for x in (lengths, z_lengths))
     shifted = np.flatnonzero(c).tolist()
     for first, end in zip(bounds[:-1], bounds[1:]):
         length = int(lengths[first])
@@ -352,8 +357,8 @@ def series_arrays(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy 
     if moments:
         moment_sums /= total[:, None]
     # only a row cut at MAX_TERMS can fail the tail test (TruncationPolicy); such rows sort last
-    cut = rows.size - np.count_nonzero(z_lengths == MAX_TERMS)
-    if cut < rows.size:
+    cut = summed - np.count_nonzero(z_lengths == MAX_TERMS)
+    if cut < summed:
         with np.errstate(all="ignore"):
             # tail <= term_{K-1} * r / (1 - r), r the last term ratio; ratios only shrink with j
             last, prev = _log_terms(coef[0, cut:], -coef[1, cut:], _LAST_TWO)

@@ -52,9 +52,15 @@ with ln U_i < r_i - P_i is accepted from any state. Such steps start segments
 whose state is known, and the other finite steps are decided in rounds,
 round t testing every segment's t-th of them at once against its segment's
 state. Past _ROUNDS rounds the segments left open are scanned step by step
-(_scan) from the state the rounds left. The accepted steps give one (chains,
-steps) state array; the draws, acceptance rates and rejection counts are
-whole-fit array operations on it and on the rows' reasons. A row's value
+(_scan) from the state the rounds left. These passes gather and scatter by
+index arrays, never by boolean masks of the fit's rows: each chain gets a
+leading step that holds the mode, accepted, so that every segment starts at
+an accepted step; the segments are found among the finite steps with
+flatnonzero, and ordered by their open steps, most first, so that round t's
+are a prefix of the order. Each accepted step, and each chain's start in the
+mode, starts a run of one state, repeated to give the draws; the acceptance
+rates count the accepted kept steps, and one bincount over chain, phase and
+reason gives the rejection counts. A row's value
 depends only on its own point, so a chain's draws depend neither on the two
 bounds nor on which chains share its calls. Warmup steps are drawn and
 discarded; keep steps are kept.
@@ -261,7 +267,7 @@ def _laplace(spec, stats, rows) -> tuple[np.ndarray, float, np.ndarray, ModeSear
         """(value, (gradient, Hessian)) at x: None where they are not finite."""
         (value,), _, ((grad,), (hess,)) = rows(x[:1], x[1:], derivatives=True)
         value = float(value)
-        if not (math.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        if not all(map(math.isfinite, (value, *grad.tolist(), *hess.ravel().tolist()))):
             return value, None
         return value, (grad, hess)
 
@@ -388,49 +394,55 @@ def _accepts(log_ratios: np.ndarray, log_u: np.ndarray, top: float) -> np.ndarra
     """Which steps of (chains, steps) independence chains from the mode are accepted.
 
     Exactly the steps _scan accepts, chain by chain from the mode's log ratio top,
-    decided in array passes (see the module docstring): the steps accepted from
-    any state, then the segments they start, step by step for _ROUNDS rounds, and
-    _scan, from the state the rounds left, over any segment's steps past them.
+    decided in array passes on index arrays (see the module docstring): the steps
+    accepted from any state, then the segments they start, step by step for
+    _ROUNDS rounds, and _scan, from the state the rounds left, over any segment's
+    steps past them.
     """
     chains, steps = log_ratios.shape
+    # each chain's steps after a step 0 that holds the mode, accepted at log ratio top (its
+    # uniform is never read), so that every segment starts at an accepted step
+    ratios, uniforms = np.empty((2, chains, steps + 1))
+    ratios[:, 0] = top
+    ratios[:, 1:] = log_ratios
+    uniforms[:, 1:] = log_u
+    accepted = np.empty((chains, steps + 1), dtype=bool)
+    accepted[:, 0] = True
     # the largest log ratio a chain's state can hold entering each step: top and those before
-    bound = np.empty((chains, steps + 1))
-    bound[:, 0] = top
-    bound[:, 1:] = log_ratios
-    np.fmax.accumulate(bound, axis=1, out=bound)
-    accepted = log_u < log_ratios - bound[:, :-1]
-    ratios, uniforms, sure = log_ratios.reshape(-1), log_u.reshape(-1), accepted.reshape(-1)
-    # a segment starts at each step accepted from any state, and at each chain's start in top
-    starts = sure.copy()
-    starts[::steps] = True
-    current = np.where(sure, ratios, top)[starts]  # each segment's state
-    # the open steps, finite and not yet decided, and each one's place in its segment
-    is_open = (ratios > -math.inf) & ~sure
-    segment = (np.cumsum(starts) - 1)[is_open]
-    count = np.cumsum(is_open)
-    place = count[is_open] - 1 - (count - is_open)[starts][segment]
-    # round t decides every segment's t-th open step; the steps past the rounds come last
-    # (int16 places, which the stable argsort orders by radix)
-    place = np.minimum(place, _ROUNDS).astype(np.int16)
-    order = np.argsort(place, kind="stable")
-    at, segment = np.flatnonzero(is_open)[order], segment[order]
-    r, lu = ratios[at], uniforms[at]
-    taken = np.zeros(at.size, dtype=bool)
-    a = 0
-    for b in np.cumsum(np.bincount(place, minlength=_ROUNDS + 1))[:-1].tolist():
-        if b == a:
+    bound = np.fmax.accumulate(ratios, axis=1)
+    np.less(log_u, log_ratios - bound[:, :-1], out=accepted[:, 1:])
+    ratios, uniforms, sure = ratios.reshape(-1), uniforms.reshape(-1), accepted.reshape(-1)
+    # the finite steps; in their order, each segment's first step and the next one's, with
+    # the segment's open steps between
+    finite = np.flatnonzero(ratios > -math.inf)
+    starts = np.flatnonzero(sure[finite])
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1] = finite.size
+    # the segments by their open steps, most first (int16 counts, which the stable argsort
+    # orders by radix), and live[t], how many have t or more: round t's lead the order
+    counts = np.minimum(stops - starts - 1, _ROUNDS + 1).astype(np.int16)
+    order = np.argsort(-counts, kind="stable")
+    live = np.bincount(counts, minlength=_ROUNDS + 2)[::-1].cumsum()[::-1].tolist()
+    at = starts[order]  # each segment's last decided step, in finite's order
+    current = ratios[finite[at]]  # and its state
+    for t in range(1, _ROUNDS + 1):  # round t decides the t-th open step of each segment
+        n = live[t]
+        if not n:
             break
-        who, rs, take = segment[a:b], r[a:b], taken[a:b]
-        np.less(lu[a:b], rs - current[who], out=take)
-        current[who[take]] = rs[take]
-        a = b
-    sure[at[taken]] = True
-    # the open steps past the rounds, in chain order, scanned segment by segment
-    firsts = (a + np.flatnonzero(np.diff(segment[a:], prepend=-1))).tolist()
-    for lo, hi in zip(firsts, firsts[1:] + [at.size]):
-        sure[_scan(at[lo:hi].tolist(), r[lo:hi].tolist(), lu[lo:hi].tolist(),
-                   float(current[segment[lo]]))] = True
-    return accepted
+        step = at[:n]
+        step += 1
+        i = finite[step]
+        r = ratios[i]
+        take = uniforms[i] < r - current[:n]
+        np.copyto(current[:n], r, where=take)
+        sure[i] = take
+    # the open steps past the rounds, scanned segment by segment
+    past = slice(live[-1])
+    for a, s, state in zip(at[past].tolist(), order[past].tolist(), current[past].tolist()):
+        i = finite[a + 1:stops[s]]
+        sure[_scan(i.tolist(), ratios[i].tolist(), uniforms[i].tolist(), state)] = True
+    return accepted[:, 1:]
 
 
 def run_chains(
@@ -464,17 +476,28 @@ def run_chains(
         rows = slice(first, first + _CHUNK)
         values.reshape(-1)[rows], reasons.reshape(-1)[rows], _ = kernel(u.reshape(-1)[rows],
                                                                         nu.reshape(-1)[rows])
-    warm, kept = reasons[:, :warmup], reasons[:, warmup:]
-    if kept.all():
+    # each chain's proposals by phase (warmup, kept) and reason code, in one count
+    width = len(REJECTIONS) + 1
+    key = reasons + (2 * width) * np.arange(chains)[:, None]
+    key[:, warmup:] += width
+    counts = np.bincount(key.reshape(-1), minlength=2 * width * chains).reshape(chains, 2, width)
+    if not counts[:, 1, 0].any():
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     log_ratios = values - log_q
-    # the state after each step: the last accepted proposal, or the mode (-1)
-    state = np.where(_accepts(log_ratios, log_u, top), np.arange(steps), -1)
-    state = np.maximum.accumulate(state, axis=1)[:, warmup:]
-    # each kept state's position in the flattened (chains, steps) arrays; np.where masks the mode's
-    at = state + np.arange(0, chains * steps, steps)[:, None]
-    lam = np.exp(np.where(state < 0, centre[0], u.take(at)))
-    nus = np.where(state < 0, centre[1], nu.take(at))
+    accepted = _accepts(log_ratios, log_u, top)
+    # the chains' states: runs from each accepted step, and from each chain's start in the mode
+    runs = accepted.copy()
+    runs[:, 0] = True
+    firsts = np.flatnonzero(runs)
+    lengths = np.diff(firsts, append=runs.size)
+    taken = accepted.reshape(-1)[firsts]
+
+    def kept(x, at_mode):
+        """Each kept step's state of x, the proposals' coordinate whose mode's is at_mode."""
+        states = np.repeat(np.where(taken, x.reshape(-1)[firsts], at_mode), lengths)
+        return states.reshape(chains, steps)[:, warmup:]
+
+    lam, nus = np.exp(kept(u, centre[0])), kept(nu, centre[1])
     log_ratios = log_ratios.reshape(-1)
     heaviest = float(log_ratios.max())
     # the largest ratio over the mean, the mode's (log ratio top: its log q is 0) included
@@ -482,40 +505,41 @@ def run_chains(
     weight_sup = (log_ratios.size + 1) / (float(np.exp(log_ratios - shift).sum())
                                           + math.exp(top - shift))
     return Draws(lam=lam, nu=nus,
-                 accept_rate=(state == np.arange(warmup, steps)).sum(axis=1) / config.keep,
-                 rejections={r: (kept == code).sum(axis=1)
-                             for code, r in enumerate(REJECTIONS, 1)},
-                 warmup_rejections={r: (warm == code).sum(axis=1)
+                 accept_rate=accepted[:, warmup:].sum(axis=1) / config.keep,
+                 rejections={r: counts[:, 1, code] for code, r in enumerate(REJECTIONS, 1)},
+                 warmup_rejections={r: counts[:, 0, code]
                                     for code, r in enumerate(REJECTIONS, 1)},
                  pareto_k=pareto_khat(log_ratios), proposal_centre=centre,
                  proposal_cholesky=np.array([c00, c10, c11]), mode_search=search,
                  weight_sup=weight_sup, start_is_heaviest=heaviest <= top)
 
 
-def _split_rhat_matrix(x: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor.
+def _split_rhat_matrix(x: np.ndarray):
+    """Split-chain potential scale reduction factor of each (chains, draws) matrix of x.
 
-    Each chain is split in half; with m draws per half, W the mean
-    within-half variance and B the between-half variance of the means
-    (times m), R-hat = sqrt(((m-1)/m * W + B/m) / W). Raises ZeroVarianceError
-    where W is zero or overflows float range.
+    The matrices are x's last two axes: a float for one, a list for a stack of
+    them. Each chain is split in half; with m draws per half, W the mean
+    within-half variance and B the between-half variance of the means (times
+    m), R-hat = sqrt(((m-1)/m * W + B/m) / W). Raises ZeroVarianceError where
+    a W is zero or overflows float range, the first matrix's first.
     """
-    n_chains, n_iter = x.shape
+    n_chains, n_iter = x.shape[-2:]
     if n_chains < 2:
         raise InvalidParamsError("R-hat needs at least 2 chains")
     if n_iter < 100:
         raise InvalidParamsError("R-hat needs at least 100 iterations per chain")
     m = n_iter // 2
-    halves = np.concatenate([x[:, :m], x[:, m : 2 * m]], axis=0)
+    halves = np.concatenate([x[..., :m], x[..., m : 2 * m]], axis=-2)
     with np.errstate(over="ignore", invalid="ignore"):  # draws past sqrt of float range
-        w = float(halves.var(axis=1, ddof=1).mean())
-        b = m * float(halves.mean(axis=1).var(ddof=1))
-    if not math.isfinite(w):
-        raise ZeroVarianceError("within-chain variance overflows float range; R-hat undefined")
-    if w <= 0.0:
-        raise ZeroVarianceError("within-chain variance is zero; R-hat undefined")
-    var_plus = (m - 1) / m * w + b / m
-    return float(math.sqrt(var_plus / w))
+        w = halves.var(axis=-1, ddof=1).mean(axis=-1)
+        b = m * halves.mean(axis=-1).var(axis=-1, ddof=1)
+        for within in w.reshape(-1).tolist():
+            if not math.isfinite(within):
+                raise ZeroVarianceError(
+                    "within-chain variance overflows float range; R-hat undefined")
+            if within <= 0.0:
+                raise ZeroVarianceError("within-chain variance is zero; R-hat undefined")
+        return np.sqrt(((m - 1) / m * w + b / m) / w).tolist()
 
 
 def split_rhat(draws: Draws, param: str) -> float:
@@ -534,7 +558,8 @@ def summarize(draws: Draws) -> PosteriorSummary:
     the index less its floor and d = b - a, the value is a + d gamma, or
     b - d (1 - gamma) where gamma >= 0.5.
     """
-    pooled = np.sort(np.stack((draws.lam, draws.nu)).reshape(2, -1), axis=1)
+    stacked = np.stack((draws.lam, draws.nu))
+    pooled = np.sort(stacked.reshape(2, -1), axis=1)
     n = pooled.shape[1]
     index = (n - 1) * _QUANTILES
     low = np.floor(index)
@@ -543,8 +568,8 @@ def summarize(draws: Draws) -> PosteriorSummary:
     a, b = pooled[:, low], pooled[:, np.minimum(low + 1, n - 1)]
     d = b - a
     quantiles = np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma).tolist()
-    lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=_split_rhat_matrix(x))
-               for (lo, med, hi), x in zip(quantiles, (draws.lam, draws.nu)))
+    lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=rhat)
+               for (lo, med, hi), rhat in zip(quantiles, _split_rhat_matrix(stacked)))
     return PosteriorSummary(lam=lam, nu=nu, n_kept=draws.n_kept)
 
 

@@ -142,8 +142,10 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
     none for the flat prior of no data. A row is -inf where its series could
     not be summed (truncation), where the determinant is not positive and
     finite (jeffreys_det: the density is undefined there, nothing is clamped)
-    and where the arithmetic overflows; only a finite row's derivatives are
-    computed to mean anything, and they too may not be finite.
+    and where the arithmetic overflows; each leaves the row's value not
+    finite, so only such rows are looked at for their reason. Only a finite
+    row's derivatives are computed to mean anything, and they too may not be
+    finite.
     """
     a, b, c = conjugate_form(spec, stats)
     jeffreys = isinstance(spec, Jeffreys)
@@ -180,15 +182,27 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
             if jeffreys:  # lambda^2 det I = Var(X) Var(ln X!) - Cov(X, ln X!)^2
                 det = var_x * var_g - cov * cov
                 values = values + 0.5 * np.log(det)
-                reasons[~((det > 0.0) & np.isfinite(det))] = JEFFREYS_DET
-            if reads_z:
-                reasons[np.isnan(log_z)] = TRUNCATION
-            reasons[(reasons == 0) & ~np.isfinite(values)] = OVERFLOW
-            values[reasons != 0] = -math.inf
+            # a rejected row's value is not finite (nan where its series or determinant is),
+            # so only those rows are given a reason: the first of truncation, jeffreys_det
+            # and overflow that holds there
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                why = np.full(bad.size, OVERFLOW, dtype=np.int8)
+                if jeffreys:
+                    why[~((det[bad] > 0.0) & np.isfinite(det[bad]))] = JEFFREYS_DET
+                if reads_z:
+                    why[np.isnan(log_z[bad])] = TRUNCATION
+                reasons[bad] = why
+                values[bad] = -math.inf
             if not derivatives:
                 return values, reasons, None
-            grad = np.stack((a - c * e_x, c * e_g - b), axis=1)
-            hess = np.stack((-c * var_x, c * cov, c * cov, -c * var_g), axis=1).reshape(-1, 2, 2)
+            grad = np.empty((u.size, 2))
+            grad[:, 0] = a - c * e_x
+            grad[:, 1] = c * e_g - b
+            hess = np.empty((u.size, 2, 2))
+            hess[:, 0, 0] = -c * var_x
+            hess[:, 0, 1] = hess[:, 1, 0] = c * cov
+            hess[:, 1, 1] = -c * var_g
             if jeffreys:  # J's, in the basis (X, -ln X! - beta X) that leaves the two uncorrelated
                 beta = (-cov / var_x).tolist()
                 for i in np.flatnonzero(reasons == 0).tolist():

@@ -285,8 +285,8 @@ def render_tables(results: Sequence[CellResult], fmt: str = "text") -> str:
 
     csv and json round-trip through parse_tables; text mirrors the study's
     row-per-(setting, parameter, n), column-per-prior layout with one block
-    per metric. An all-failed cell renders as an em-dash plus its failure
-    count.
+    per metric. An all-failed cell renders as "--" plus its failure count, in
+    ASCII, so that the table prints under any locale.
     """
     if not results:
         raise InvalidParamsError("no results to render")
@@ -309,30 +309,32 @@ def _render_text(rows: list[CellResult]) -> str:
     priors = sorted({r.prior for r in rows})
     keys = sorted({(r.setting, r.parameter, r.n) for r in rows})
     by_cell = {(r.setting, r.parameter, r.n, r.prior): r for r in rows}
-    width = max(12, max(len(p) for p in priors) + 2)
 
     def cell_text(r: Optional[CellResult], metric: str) -> str:
         if r is None:
             return ""
         value = getattr(r, metric)
         if value is None:
-            return f"— ({r.n_failed} failed)"
+            return f"-- ({r.n_failed} failed)"
         return f"{value:.3f}" + (f" [{r.n_failed}f]" if r.n_failed else "")
 
+    tables = {metric: [[cell_text(by_cell.get((*key, p)), metric) for p in priors]
+                       for key in keys]
+              for metric in ("bias", "mse", "coverage")}
+    # a column is at least 12 wide, and 2 wider than its longest prior name or cell
+    width = max(12, 2 + max(len(text) for text in [
+        *priors, *(cell for table in tables.values() for row in table for cell in row)]))
     blocks = []
-    for metric in ("bias", "mse", "coverage"):
+    for metric, table in tables.items():
         lines = [metric.upper()]
         header = f"{'setting':<10}{'param':<8}{'n':>5}  " + "".join(
             f"{p:>{width}}" for p in priors
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for setting, parameter, n in keys:
+        for (setting, parameter, n), cells in zip(keys, table):
             row = f"{setting:<10}{parameter:<8}{n:>5}  "
-            row += "".join(
-                f"{cell_text(by_cell.get((setting, parameter, n, p)), metric):>{width}}"
-                for p in priors
-            )
+            row += "".join(f"{cell:>{width}}" for cell in cells)
             lines.append(row)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -841,6 +841,37 @@ def test_batch_equals_row(points, spec):
         [row[0] for row in rows] for rows in zip(*(evaluate(target, [p]) for p in points)))
 
 
+def derivative_rows(target, points) -> list:
+    """Each row's value, reason, gradient and Hessian as bytes, from one derivatives call."""
+    u, nu = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    values, reasons, (grad, hess) = target(u, nu, derivatives=True)
+    return [tuple(x[i].tobytes() for x in (values, reasons, grad, hess)) for i in range(u.size)]
+
+
+@st.composite
+def one_grid_batches(draw):
+    """A point repeated, some copies moved by at most 1e-12: rows that share one grid key."""
+    u, nu = draw(ORDINARY)
+    moves = draw(st.lists(st.tuples(st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12)),
+                          min_size=1, max_size=5))
+    return [(u, nu), *((u + du, nu + dnu) for du, dnu in moves)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.one_of(st.lists(st.one_of(ORDINARY, REJECTED), min_size=1, max_size=6),
+                        one_grid_batches()),
+       spec=st.sampled_from(SPECS))
+@example(points=[(2.5, math.exp(-1.0)), (1.0, 1.0)], spec=Jeffreys())
+@example(points=[(1.0, 1.0)] * 3, spec=SPECS[0])
+@example(points=[(1.0, 1.0)] * 3, spec=Flat())
+@example(points=[(0.4, 0.22)] * 2 + [(math.log(2.0), 1e-3)], spec=Jeffreys())
+def test_derivative_batch_equals_row(points, spec):
+    # with derivatives too, each row's value, reason, gradient and Hessian are its own,
+    # bit for bit, whatever the batch: rows on one grid, on several, or off the support
+    target = target_of(spec)
+    assert derivative_rows(target, points) == [derivative_rows(target, [p])[0] for p in points]
+
+
 @settings(max_examples=60, deadline=None)
 @given(u=st.floats(-2.0, 3.5), nu=st.floats(0.35, 4.5), spec=st.sampled_from(SPECS))
 def test_target_is_log_posterior_plus_jacobian(u, nu, spec):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import fields
@@ -284,25 +285,54 @@ class TestRunChains:
         s = pinned_fit(prior, 300, accepted, [0, 0], counts, outside=[1, 0])
         assert_allclose([s.lam.median, s.nu.median], [lam_median, nu_median], rtol=1e-12)
 
-    # The warmup-300 textile-faults fit's proposal as float.hex: Draws.proposal_centre
+    # The warmup-300 fit's proposal as float.hex, per (dataset, prior): Draws.proposal_centre
     # (ln lambda, nu) and proposal_cholesky (c00, c10, c11). The medians above pass at
     # rtol 1e-12 even if the mode search's last step or the Cholesky factor moves a
-    # bit; these do not.
+    # bit; these do not. crab-satellites' conj-1 mode is on the boundary nu = 0, so its
+    # precision is the boundary's, -H plus g_nu^2; the others' are interior Newton modes.
     PINNED_KERNELS = {
-        "conj-1": (["0x1.a848997b10ed1p-2", "0x1.bface8f50b102p-3"],
-                   ["0x1.22273cdc07243p-2", "0x1.ed8b250354211p-4", "0x1.500fbfc649718p-6"]),
-        "jeffreys": (["0x1.c3f291108e22bp-2", "0x1.cd6e33159d3e2p-3"],
-                     ["0x1.32c62d1fb846ap-2", "0x1.042d307dca86ap-3", "0x1.4e5d836253537p-6"]),
+        ("textile-faults", "conj-1"): (
+            ["0x1.a848997b10ed1p-2", "0x1.bface8f50b102p-3"],
+            ["0x1.22273cdc07243p-2", "0x1.ed8b250354211p-4", "0x1.500fbfc649718p-6"]),
+        ("textile-faults", "jeffreys"): (
+            ["0x1.c3f291108e22bp-2", "0x1.cd6e33159d3e2p-3"],
+            ["0x1.32c62d1fb846ap-2", "0x1.042d307dca86ap-3", "0x1.4e5d836253537p-6"]),
+        ("textile-faults", "flat"): (
+            ["0x1.01e63275d7ffep-1", "0x1.04273d167bc41p-2"],
+            ["0x1.3cfec99eb4f3ap-2", "0x1.0d3987ea76d50p-3", "0x1.5fe4f563c293dp-6"]),
+        ("crab-satellites", "conj-1"): (
+            ["-0x1.2ea6440ebbe7ap-2", "0x0.0p+0"],
+            ["0x1.d6c9d66d56202p-4", "0x1.02076b4101b4fp-4", "0x1.3cda04de8a8f8p-6"]),
     }
 
-    @pytest.mark.parametrize("prior", sorted(PINNED_KERNELS))
-    def test_sampling_kernel_pinned(self, prior):
-        centre, cholesky = self.PINNED_KERNELS[prior]
-        stats = sufficient_stats(bundled_dataset("textile-faults").counts)
+    # textile-faults' pins are named by their prior alone
+    @pytest.mark.parametrize("dataset, prior", list(PINNED_KERNELS), ids=[
+        prior if dataset == "textile-faults" else f"{dataset}-{prior}"
+        for dataset, prior in PINNED_KERNELS])
+    def test_sampling_kernel_pinned(self, dataset, prior):
+        centre, cholesky = self.PINNED_KERNELS[dataset, prior]
+        stats = sufficient_stats(bundled_dataset(dataset).counts)
         d = run_chains(get_preset(prior), stats,
                        McmcConfig(chains=2, warmup=300, keep=200), SeedSpec(7))
         assert d.proposal_centre.tolist() == [float.fromhex(x) for x in centre]
         assert d.proposal_cholesky.tolist() == [float.fromhex(x) for x in cholesky]
+        assert d.mode_search.on_boundary == (dataset == "crab-satellites")
+
+    # The sha256 of the draws of the benchmark's fit-matrix fits: McmcConfig() at
+    # SeedSpec(1), the bundled datasets x (conj-1, flat, jeffreys) in its order, each fit's
+    # Draws.lam then Draws.nu bytes. The benchmark's outputs_sha256 hashes whole reports,
+    # so a new report key moves it; this moves only with the sampler's numbers.
+    FIT_MATRIX_DRAWS_SHA256 = "06bd6fa8a07332ea20b27ace83ba26860d318c1654314e1cb0f4334672ffb236"
+
+    def test_fit_matrix_draws_pinned(self):
+        digest = hashlib.sha256()
+        for name in ("textile-faults", "slovak-poem", "crab-satellites", "hungarian-words"):
+            stats = sufficient_stats(bundled_dataset(name).counts)
+            for prior in ("conj-1", "flat", "jeffreys"):
+                d = run_chains(get_preset(prior), stats, McmcConfig(), SeedSpec(1))
+                digest.update(d.lam.tobytes())
+                digest.update(d.nu.tobytes())
+        assert digest.hexdigest() == self.FIT_MATRIX_DRAWS_SHA256
 
     def test_prior_as_posterior_with_empty_data(self):
         spec = Conjugate(ConjugateHyper(3.0, 1.0 + math.log(2.0), 3.0))

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmpbayes
 from cmpbayes import (
     CellResult,
     CmpParams,
@@ -290,7 +295,23 @@ class TestRenderTables:
 
     def test_all_failed_cell_renders_dash(self):
         text = render_tables(self.sample_results(), "text")
-        assert "— (2 failed)" in text
+        assert "-- (2 failed)" in text
+
+    def test_text_tables_print_under_an_ascii_locale(self, tmp_path):
+        # under the C locale, without UTF-8 mode, stdout encodes ASCII only; every flat fit
+        # of these three small counts is improper, so its cells print the failure marker
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+        src = str(Path(cmpbayes.__file__).resolve().parents[1])
+        env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from cmpbayes.cli import main; sys.exit(main())",
+             "study", "--format", "text", "--settings", "under:0.3:3", "--sizes", "3",
+             "--replicates", "2", "--priors", "flat,conj-1", "--chains", "2",
+             "--warmup", "50", "--keep", "100"],
+            cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert done.stdout.decode("ascii").count("-- (2 failed)") == 6
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -274,7 +274,7 @@ def _sizes(log_lam: np.ndarray, nu: np.ndarray, policy: TruncationPolicy, moment
         reach = _reach(log_lam, nu_mode, mode, reaches[:1 + moments])
     need = np.fmin(np.floor(reach) + 2.0, MAX_TERMS)  # whole numbers in [2, MAX_TERMS]
     rungs = np.where(summable, rung[need.astype(np.intp)], 0)  # (1 or 2, rows)
-    k = lengths[rungs]
+    k = lengths.take(rungs)  # take: fancy indexing by an int16 index is 2-3 times slower
     shift = np.zeros(log_lam.size)
     big = np.flatnonzero(summable & (log_lam > 0.0) & (nu_mode > _MAX_UNSHIFTED))
     if big.size:

@@ -431,7 +431,7 @@ def _accepts(log_ratios: np.ndarray, log_u: np.ndarray, top: float) -> np.ndarra
         if not n:
             break
         step = at[:n]
-        step += 1
+        step += 1  # in place: at follows each segment's last decided step
         i = finite[step]
         r = ratios[i]
         take = uniforms[i] < r - current[:n]
@@ -514,7 +514,7 @@ def run_chains(
                  weight_sup=weight_sup, start_is_heaviest=heaviest <= top)
 
 
-def _split_rhat_matrix(x: np.ndarray):
+def _split_rhat_matrix(x: np.ndarray) -> float | list[float]:
     """Split-chain potential scale reduction factor of each (chains, draws) matrix of x.
 
     The matrices are x's last two axes: a float for one, a list for a stack of

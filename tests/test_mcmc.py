@@ -124,6 +124,9 @@ class TestSplitRhat:
                        g.standard_normal((4, 500)) + 1.0)
         assert split_rhat(d, "lambda") == _split_rhat_matrix(d.lam)
         assert split_rhat(d, "nu") == _split_rhat_matrix(d.nu)
+        # summarize's R-hats, of both parameters in one set of passes, are each one's own
+        s = summarize(d)
+        assert (s.lam.rhat, s.nu.rhat) == (split_rhat(d, "lambda"), split_rhat(d, "nu"))
         with pytest.raises(KeyError):
             split_rhat(d, "sigma")
 

@@ -408,9 +408,11 @@ def _accepts(log_ratios: np.ndarray, log_u: np.ndarray, top: float) -> np.ndarra
     uniforms[:, 1:] = log_u
     accepted = np.empty((chains, steps + 1), dtype=bool)
     accepted[:, 0] = True
-    # the largest log ratio a chain's state can hold entering each step: top and those before
-    bound = np.fmax.accumulate(ratios, axis=1)
-    np.less(log_u, log_ratios - bound[:, :-1], out=accepted[:, 1:])
+    # the steps accepted from any state: ln U below the ratio less the largest log ratio the
+    # state can hold entering the step, top or one before (unnamed, so that a long fit's
+    # memory peak, reached below, does not hold it)
+    np.less(log_u, log_ratios - np.fmax.accumulate(ratios[:, :-1], axis=1),
+            out=accepted[:, 1:])
     ratios, uniforms, sure = ratios.reshape(-1), uniforms.reshape(-1), accepted.reshape(-1)
     # the finite steps; in their order, each segment's first step and the next one's, with
     # the segment's open steps between
@@ -478,9 +480,9 @@ def run_chains(
                                                                         nu.reshape(-1)[rows])
     # each chain's proposals by phase (warmup, kept) and reason code, in one count
     width = len(REJECTIONS) + 1
-    key = reasons + (2 * width) * np.arange(chains)[:, None]
-    key[:, warmup:] += width
-    counts = np.bincount(key.reshape(-1), minlength=2 * width * chains).reshape(chains, 2, width)
+    counts = np.bincount((reasons + (2 * width) * np.arange(chains)[:, None]
+                          + width * (np.arange(steps) >= warmup)).reshape(-1),
+                         minlength=2 * width * chains).reshape(chains, 2, width)
     if not counts[:, 1, 0].any():
         raise AllDivergentError("every post-warmup proposal in every chain was rejected")
     log_ratios = values - log_q
@@ -493,9 +495,12 @@ def run_chains(
     taken = accepted.reshape(-1)[firsts]
 
     def kept(x, at_mode):
-        """Each kept step's state of x, the proposals' coordinate whose mode's is at_mode."""
+        """Each kept step's state of x, the proposals' coordinate whose mode's is at_mode.
+
+        A copy, so that the draws do not hold the warmup's states too.
+        """
         states = np.repeat(np.where(taken, x.reshape(-1)[firsts], at_mode), lengths)
-        return states.reshape(chains, steps)[:, warmup:]
+        return states.reshape(chains, steps)[:, warmup:].copy()
 
     lam, nus = np.exp(kept(u, centre[0])), kept(nu, centre[1])
     log_ratios = log_ratios.reshape(-1)
@@ -559,7 +564,9 @@ def summarize(draws: Draws) -> PosteriorSummary:
     b - d (1 - gamma) where gamma >= 0.5.
     """
     stacked = np.stack((draws.lam, draws.nu))
-    pooled = np.sort(stacked.reshape(2, -1), axis=1)
+    rhats = _split_rhat_matrix(stacked)
+    pooled = stacked.reshape(2, -1)
+    pooled.sort(axis=1)
     n = pooled.shape[1]
     index = (n - 1) * _QUANTILES
     low = np.floor(index)
@@ -569,7 +576,7 @@ def summarize(draws: Draws) -> PosteriorSummary:
     d = b - a
     quantiles = np.where(gamma >= 0.5, b - d * (1.0 - gamma), a + d * gamma).tolist()
     lam, nu = (ParamSummary(median=med, cri_low=lo, cri_high=hi, rhat=rhat)
-               for (lo, med, hi), rhat in zip(quantiles, _split_rhat_matrix(stacked)))
+               for (lo, med, hi), rhat in zip(quantiles, rhats))
     return PosteriorSummary(lam=lam, nu=nu, n_kept=draws.n_kept)
 
 

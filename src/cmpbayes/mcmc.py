@@ -495,10 +495,7 @@ def run_chains(
     taken = accepted.reshape(-1)[firsts]
 
     def kept(x, at_mode):
-        """Each kept step's state of x, the proposals' coordinate whose mode's is at_mode.
-
-        A copy, so that the draws do not hold the warmup's states too.
-        """
+        """Each kept step's state in x, a proposals' coordinate whose mode's is at_mode (a copy)."""
         states = np.repeat(np.where(taken, x.reshape(-1)[firsts], at_mode), lengths)
         return states.reshape(chains, steps)[:, warmup:].copy()
 

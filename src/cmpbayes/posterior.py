@@ -196,13 +196,10 @@ def log_kernel(spec: PriorSpec, stats: SufficientStats,
                 values[bad] = -math.inf
             if not derivatives:
                 return values, reasons, None
-            grad = np.empty((u.size, 2))
-            grad[:, 0] = a - c * e_x
-            grad[:, 1] = c * e_g - b
-            hess = np.empty((u.size, 2, 2))
-            hess[:, 0, 0] = -c * var_x
+            grad, hess = np.empty((u.size, 2)), np.empty((u.size, 2, 2))
+            grad[:, 0], grad[:, 1] = a - c * e_x, c * e_g - b
+            hess[:, 0, 0], hess[:, 1, 1] = -c * var_x, -c * var_g
             hess[:, 0, 1] = hess[:, 1, 0] = c * cov
-            hess[:, 1, 1] = -c * var_g
             if jeffreys:  # J's, in the basis (X, -ln X! - beta X) that leaves the two uncorrelated
                 beta = (-cov / var_x).tolist()
                 for i in np.flatnonzero(reasons == 0).tolist():
